@@ -274,6 +274,15 @@ def _cross_validate(values: dict) -> None:
         raise ConfigError("the toy group supports at most 10 shareholders")
     if values["speed_min"] > values["speed_max"]:
         raise ConfigError("mobility.speed_min exceeds mobility.speed_max")
+    coded = math.ceil(values["redundancy"] * values["generation_size"])
+    if coded > 256 ** values["generation_size"] - 1:
+        # each coded packet of a generation carries a distinct nonzero
+        # coefficient vector, and only 256^g - 1 of those exist
+        raise ConfigError(
+            f"ncc.redundancy = {values['redundancy']!r} needs {coded} distinct "
+            f"coded packets per generation, but generation_size = "
+            f"{values['generation_size']} allows at most "
+            f"{256 ** values['generation_size'] - 1}")
 
 
 def parse_config(text: str, seed: Optional[int] = None) -> Scenario:

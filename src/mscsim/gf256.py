@@ -5,8 +5,15 @@ with log/antilog tables built for the reduction polynomial
 x^8 + x^4 + x^3 + x^2 + 1 (0x11D), for which 2 is a primitive element.
 
 Besides the scalar operations, the module exposes numpy-based helpers
-(``vec_scale``, ``matmul``) used by the coding layer; they operate on
-uint8 arrays and share the same tables.
+on uint8 arrays. Products with many factors go through one row kernel,
+``mul_rows``: each (factor, element) pair becomes the uint16 index
+``factor << 8 | element`` into the raveled 256x256 product table, and a
+single ``take`` gathers all products at once. That builds one small
+integer array and does one gather, where ``MUL_TABLE[f[:, None], rows]``
+broadcasts two index arrays through a two-dimensional fancy index at
+several times the cost. The coding layer (encode, recode, and both
+passes of the decoder's elimination) and ``matmul`` all use it;
+``vec_scale``, the one-factor case, gathers from a single table row.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ MUL_TABLE = _EXP[_la % 255].copy()
 MUL_TABLE[0, :] = 0
 MUL_TABLE[:, 0] = 0
 del _la
+# Row-major view of MUL_TABLE: entry (a << 8) | b is gf_mul(a, b).
+_MUL_FLAT = MUL_TABLE.ravel()
 
 # INV_TABLE[a] == gf_inv(a) for a != 0; entry 0 is unused (left as 0).
 INV_TABLE = np.zeros(256, dtype=np.uint8)
@@ -85,16 +94,33 @@ def gf_div(a: int, b: int) -> int:
 
 
 def vec_scale(a: int, v: np.ndarray) -> np.ndarray:
-    """Scalar times vector, element-wise over the field."""
-    return MUL_TABLE[a, v]
+    """Scalar times vector, element-wise over the field.
+
+    The one-factor case of ``mul_rows``: a gather from row ``a`` of the
+    product table.
+    """
+    return MUL_TABLE[a].take(v)
+
+
+def mul_rows(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row-wise scaling: ``out[..., i, :] = factors[..., i] * rows[..., i, :]``.
+
+    ``factors`` (uint8, shape (..., r)) gains a trailing axis and is
+    broadcast against ``rows`` (uint8, shape (..., r, n), or (n,) to
+    scale one row by every factor). Equal to
+    ``MUL_TABLE[factors[..., None], rows]``, as one gather from the
+    flat product table.
+    """
+    return _MUL_FLAT.take((factors.astype(np.uint16) << 8)[..., None] | rows)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """GF(2^8) matrix product of uint8 arrays a (m, k) and b (k, n).
 
-    Uses the product table with an XOR reduction; intended for the
-    moderate shapes the codec works with, not large linear algebra.
+    Scales row j of b by a[i, j] for every i with ``mul_rows`` and
+    XOR-reduces over j; intended for the moderate shapes the codec works
+    with, not large linear algebra.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    return np.bitwise_xor.reduce(MUL_TABLE[a[:, :, None], b[None, :, :]], axis=1)
+    return np.bitwise_xor.reduce(mul_rows(a, b), axis=1)

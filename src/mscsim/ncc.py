@@ -103,6 +103,14 @@ class SessionConfig:
         if self.slot_budget is not None and self.slot_budget < self.source_packet_total:
             raise ProtocolError(
                 f"slot budget {self.slot_budget} below content size {self.source_packet_total}")
+        for gen in self.content:
+            # the cellular plan sends distinct nonzero coefficient vectors,
+            # and only 256^g - 1 of those exist
+            if self.coded_count(gen) > 256 ** gen.size - 1:
+                raise ProtocolError(
+                    f"redundancy {self.redundancy} asks for {self.coded_count(gen)} "
+                    f"distinct coded packets of generation {gen.id}, but only "
+                    f"{256 ** gen.size - 1} nonzero coefficient vectors exist")
 
     def coded_count(self, gen: Generation) -> int:
         return math.ceil(self.redundancy * gen.size)
@@ -403,6 +411,8 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     """Per-user unicast of every source packet, retransmit until delivered.
 
     The comparison denominator: no coding, no cooperation, cellular only.
+    Erasures are retried; a member out of the base station's cellular
+    range can never be served, so it raises ProtocolError.
     """
     channel_rng, _ = _resolve_rngs(seed, channel_rng, coding_rng)
     bs_node = bs if bs is not None else Endpoint(-1)
@@ -426,7 +436,12 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
                                               channel_rng,
                                               label=f"unicast:g{gen.id}:k{k}")
                     sim.advance(link.slot_duration)
-                    ok = deliveries[0].status is DeliveryStatus.DELIVERED
+                    status = deliveries[0].status
+                    if status is DeliveryStatus.OUT_OF_RANGE:
+                        raise ProtocolError(
+                            f"member {member} is out of cellular range of "
+                            f"base station {bs_node.id}")
+                    ok = status is DeliveryStatus.DELIVERED
                     innovative = codec.ingest(member, pkt) if ok else False
                     records.append(SlotRecord(len(records), "cellular", sim.now(),
                                               bs_node.id, gen.id, (member,),

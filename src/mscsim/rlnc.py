@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf256 import INV_TABLE, MUL_TABLE
+from .gf256 import INV_TABLE, mul_rows, vec_scale
 
 
 class CodingError(Exception):
@@ -91,7 +91,7 @@ def encode(gen: Generation, coeffs: np.ndarray) -> CodedPacket:
     coeffs = np.asarray(coeffs, dtype=np.uint8)
     if coeffs.shape != (gen.size,):
         raise CodingError(f"need {gen.size} coefficients, got {coeffs.shape}")
-    payload = np.bitwise_xor.reduce(MUL_TABLE[coeffs[:, None], gen.payload_matrix()], axis=0)
+    payload = np.bitwise_xor.reduce(mul_rows(coeffs, gen.payload_matrix()), axis=0)
     return CodedPacket(gen.id, coeffs, payload)
 
 
@@ -104,7 +104,7 @@ def _combine(rows: np.ndarray, g: int, rng) -> np.ndarray:
     """
     for _ in range(16):
         weights = rng.integers(0, 256, size=rows.shape[0], dtype=np.uint8)
-        out = np.bitwise_xor.reduce(MUL_TABLE[weights[:, None], rows], axis=0)
+        out = np.bitwise_xor.reduce(mul_rows(weights, rows), axis=0)
         if out[:g].any():
             return out
     return out
@@ -128,12 +128,18 @@ def recode(received: list[CodedPacket], rng) -> CodedPacket:
 
 
 class DecoderState:
-    """Per-generation decoder: incremental Gaussian elimination.
+    """Per-generation decoder: progressive Gauss-Jordan elimination.
 
-    Rows (coefficients | payload) are kept in reduced echelon form with
-    pivots restricted to the coefficient columns, so eliminating an
-    incoming packet against all existing rows is a single batched table
-    lookup rather than a sequential sweep.
+    Rows (coefficients | payload) are kept in reduced echelon form,
+    sorted by pivot, with pivots restricted to the coefficient columns.
+    An incoming packet therefore needs two passes of the GF(2^8) row
+    kernel ``mul_rows``, each a single batched gather rather than a
+    sequential sweep: elimination scales every held row by the packet's
+    entry in that row's pivot column and XORs the sum into the packet;
+    back-substitution scales the normalized packet by each held row's
+    entry in the new pivot column and XORs it into those rows. A pass
+    whose factors are all zero is skipped, which is the common case for
+    unit-vector packets.
     """
 
     def __init__(self, generation_id: int, size: int, payload_len: int):
@@ -166,26 +172,28 @@ class DecoderState:
         if r == self.size:
             return False
         row = np.concatenate([pkt.coeffs, pkt.payload])
+        held = self._buf[:r]
         if r:
             # Existing rows are reduced, so their pivot columns are zero in
             # every other row; one pass eliminates all of them at once.
             factors = row[self._piv[:r]]
             if factors.any():
-                row = row ^ np.bitwise_xor.reduce(MUL_TABLE[factors[:, None], self._buf[:r]], axis=0)
-        nonzero = np.nonzero(row[: self.size])[0]
-        if nonzero.size == 0:
+                row ^= np.bitwise_xor.reduce(mul_rows(factors, held), axis=0)
+        pivot = int((row[: self.size] != 0).argmax())
+        lead = row[pivot]
+        if lead == 0:
             return False
-        pivot = int(nonzero[0])
-        if row[pivot] != 1:
-            row = MUL_TABLE[INV_TABLE[row[pivot]], row]
+        if lead != 1:
+            row = vec_scale(INV_TABLE[lead], row)
         if r:
-            col = self._buf[:r, pivot]
+            col = held[:, pivot]
             if col.any():
-                np.bitwise_xor(self._buf[:r], MUL_TABLE[col[:, None], row[None, :]], out=self._buf[:r])
+                held ^= mul_rows(col, row)
         pos = int(np.searchsorted(self._piv[:r], pivot))
         if pos < r:
-            self._buf[pos + 1 : r + 1] = self._buf[pos:r].copy()
-            self._piv[pos + 1 : r + 1] = self._piv[pos:r].copy()
+            # overlapping slice assignment is safe: numpy buffers it
+            self._buf[pos + 1 : r + 1] = self._buf[pos:r]
+            self._piv[pos + 1 : r + 1] = self._piv[pos:r]
         self._buf[pos] = row
         self._piv[pos] = pivot
         self._rank = r + 1

@@ -136,6 +136,11 @@ class TestOtherVerbs:
         cfg = write(workdir, "bad.cfg", "[scenario]\nwibble = 1\n")
         assert main(["validate", cfg]) == EXIT_BAD_CONFIG
         assert "unknown key" in capsys.readouterr().err
+        cfg = write(workdir, "hang.cfg", "[scenario]\nseed = 1\n[ncc]\n"
+                    "generation_size = 1\nredundancy = 300\n")
+        assert main(["validate", cfg]) == EXIT_BAD_CONFIG
+        assert main(["run", cfg]) == EXIT_BAD_CONFIG
+        assert "at most 255" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mscsim.cli", "presets"],

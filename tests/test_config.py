@@ -86,6 +86,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="speed_min"):
             parse_config("[scenario]\nseed = 1\n[mobility]\nspeed_min = 6.0\n"
                          "speed_max = 2.0\n")
+        # g = 1 has only 255 distinct nonzero coefficient vectors
+        with pytest.raises(ConfigError, match="at most 255"):
+            parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 1\n"
+                         "redundancy = 300\n")
+        with pytest.raises(ConfigError, match="at most 255"):
+            apply_overrides(default_scenario(1, generation_size=1),
+                            {"ncc.redundancy": "255.5"})
+        assert parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 1\n"
+                            "redundancy = 255\n").redundancy == 255.0
+        assert parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 2\n"
+                            "redundancy = 300\n").redundancy == 300.0
 
 
 class TestCanonicalForm:

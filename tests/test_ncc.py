@@ -72,6 +72,15 @@ class TestSessionConfig:
         with pytest.raises(ProtocolError):
             SessionConfig(content=_content(g=4), slot_budget=3)
 
+    def test_more_coded_packets_than_nonzero_vectors_rejected(self):
+        # g = 1: the plan needs distinct nonzero vectors, of which 255 exist
+        with pytest.raises(ProtocolError, match="255 nonzero"):
+            SessionConfig(content=_content(g=1), redundancy=300)
+        from mscsim.ncc import _cellular_plan
+        cfg = SessionConfig(content=_content(g=1), redundancy=255)
+        plan = _cellular_plan(cfg, RunSeed(0).coding())
+        assert len({coeffs.tobytes() for (_, _, coeffs) in plan}) == 255
+
     def test_coded_count_ceiling(self):
         cfg = SessionConfig(content=_content(g=64), redundancy=1.05)
         assert cfg.coded_count(cfg.content[0]) == 68
@@ -300,3 +309,12 @@ class TestBaselineUnicast:
         coop = run_session(cloud, cfg, seed=0)
         base = baseline_unicast_session(cloud, cfg, seed=0)
         assert coop.total_energy < base.total_energy
+
+    def test_out_of_range_member_raises_instead_of_retrying(self):
+        cloud = assign_indices([1, 2], head_id=1)
+        cfg = SessionConfig(content=_content(g=4))
+        bs = Endpoint(-1, (0.0, 0.0))
+        far = cfg.cellular.range_m * 2
+        nodes = {-1: bs, 1: Endpoint(1, (10.0, 0.0)), 2: Endpoint(2, (far, 0.0))}
+        with pytest.raises(ProtocolError, match="member 2 is out of cellular range"):
+            baseline_unicast_session(cloud, cfg, seed=0, nodes=nodes, bs=bs)
