@@ -267,22 +267,37 @@ def _convert(spec: _Key, raw, line_no=None):
     return value
 
 
-def _cross_validate(values: dict) -> None:
+def _cross_validate(values: dict, lines: Optional[dict] = None) -> None:
+    """Reject combinations of individually valid values.
+
+    ``lines`` maps a field to the line that set it: its own key, or the
+    ``preset =`` line for a value taken from a preset. An error names the
+    last such line among the fields it involves, i.e. the line at which
+    the file became inconsistent; values with no line (defaults and
+    overrides) leave the error without one.
+    """
+    def fail(message: str, *involved: str):
+        found = [lines[f] for f in involved if lines and f in lines]
+        raise ConfigError(message, max(found) if found else None)
+
     if values["km_threshold"] > values["km_shareholders"]:
-        raise ConfigError("km.threshold exceeds km.shareholders")
+        fail("km.threshold exceeds km.shareholders",
+             "km_threshold", "km_shareholders")
     if values["km_group"] == "toy" and values["km_shareholders"] > 10:
-        raise ConfigError("the toy group supports at most 10 shareholders")
+        fail("the toy group supports at most 10 shareholders",
+             "km_group", "km_shareholders")
     if values["speed_min"] > values["speed_max"]:
-        raise ConfigError("mobility.speed_min exceeds mobility.speed_max")
+        fail("mobility.speed_min exceeds mobility.speed_max",
+             "speed_min", "speed_max")
     coded = math.ceil(values["redundancy"] * values["generation_size"])
     if coded > 256 ** values["generation_size"] - 1:
         # each coded packet of a generation carries a distinct nonzero
         # coefficient vector, and only 256^g - 1 of those exist
-        raise ConfigError(
-            f"ncc.redundancy = {values['redundancy']!r} needs {coded} distinct "
-            f"coded packets per generation, but generation_size = "
-            f"{values['generation_size']} allows at most "
-            f"{256 ** values['generation_size'] - 1}")
+        fail(f"ncc.redundancy = {values['redundancy']!r} needs {coded} distinct "
+             f"coded packets per generation, but generation_size = "
+             f"{values['generation_size']} allows at most "
+             f"{256 ** values['generation_size'] - 1}",
+             "redundancy", "generation_size")
 
 
 def parse_config(text: str, seed: Optional[int] = None) -> Scenario:
@@ -295,6 +310,7 @@ def parse_config(text: str, seed: Optional[int] = None) -> Scenario:
     pairs = _scan(text)
     values = {f.name: f.default for f in fields(Scenario) if f.name != "seed"}
     values["seed"] = _MISSING
+    lines = {}
 
     for line_no, spec, raw in pairs:
         if spec.field == "preset":
@@ -305,19 +321,21 @@ def parse_config(text: str, seed: Optional[int] = None) -> Scenario:
                                   line_no)
             values.update(PRESETS[name])
             values["preset"] = name
+            lines.update(dict.fromkeys(PRESETS[name], line_no))
             break
 
     for line_no, spec, raw in pairs:
         if spec.field == "preset":
             continue
         values[spec.field] = _convert(spec, raw, line_no)
+        lines[spec.field] = line_no
 
     if seed is not None:
         values["seed"] = _convert(_BY_DOTTED["scenario.seed"], str(seed))
     if values["seed"] is _MISSING:
         raise ConfigError("scenario.seed is required (no implicit seeding)")
 
-    _cross_validate(values)
+    _cross_validate(values, lines)
     return Scenario(**values)
 
 

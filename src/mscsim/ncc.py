@@ -430,7 +430,8 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
             for k in range(gen.size):
                 unit = np.zeros(gen.size, dtype=np.uint8)
                 unit[k] = 1
-                pkt = encode(gen, unit)
+                # e_k . P is source row k, so no GF(2^8) product is needed
+                pkt = CodedPacket(gen.id, unit, gen.payload_matrix()[k])
                 while True:
                     deliveries = sim.transmit(link, bs_node, [nodes[member]],
                                               channel_rng,

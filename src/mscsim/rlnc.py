@@ -2,9 +2,19 @@
 
 A generation is a fixed block of g source packets of equal length L.
 Coded packets carry a g-element coefficient vector plus the combined
-payload. The decoder keeps its received rows in reduced echelon form so
-rank queries and final decoding are immediate; recoding draws a fresh
-random combination of whatever a node currently holds.
+payload. Recoding draws a fresh random combination of whatever a node
+currently holds.
+
+The decoder keeps its rows in reduced row echelon form (RREF), so rank
+queries and final decoding are immediate. Restricted to its pivot
+columns, an RREF is the identity, and multiplying by it is wasted work.
+The decoder therefore stores its coefficient columns permuted, pivot
+columns first, and runs elimination, back-substitution and recoding
+only over the columns after that identity block: r * (g + L - r)
+products per pass at rank r instead of r * (g + L). The other columns
+keep their original order, so the pivot found for each packet, the
+RREF, the recode weights (drawn for the rows in pivot order) and every
+output byte are the same as for a decoder that stores the RREF as is.
 """
 
 from __future__ import annotations
@@ -130,16 +140,29 @@ def recode(received: list[CodedPacket], rng) -> CodedPacket:
 class DecoderState:
     """Per-generation decoder: progressive Gauss-Jordan elimination.
 
-    Rows (coefficients | payload) are kept in reduced echelon form,
-    sorted by pivot, with pivots restricted to the coefficient columns.
-    An incoming packet therefore needs two passes of the GF(2^8) row
-    kernel ``mul_rows``, each a single batched gather rather than a
-    sequential sweep: elimination scales every held row by the packet's
-    entry in that row's pivot column and XORs the sum into the packet;
-    back-substitution scales the normalized packet by each held row's
-    entry in the new pivot column and XORs it into those rows. A pass
-    whose factors are all zero is skipped, which is the common case for
-    unit-vector packets.
+    The held rows (coefficients | payload) span the same space as the
+    reduced row echelon form over the coefficient columns, but their
+    coefficient columns are kept permuted so that the pivot columns come
+    first: ``_buf[:r, :r]`` is the identity and buffer column j holds
+    original column ``_perm[j]``. Buffer row i is the row whose pivot is
+    ``_perm[i]``, in the order the pivots were found. The non-pivot
+    columns ``_perm[r:g]`` stay in ascending original order, and payload
+    columns never move.
+
+    An incoming packet is permuted the same way. Its entries in the first
+    r columns are then exactly the elimination factors, and one pass of
+    the GF(2^8) row kernel ``mul_rows`` over ``_buf[:r, r:]`` clears them
+    (the identity block is never multiplied). Because the remaining
+    columns are in original order, the first nonzero among them is the
+    same pivot a sorted RREF decoder would choose. Back-substitution
+    likewise touches only ``_buf[:r, r:]``, and the new pivot column is
+    rotated into position r. A pass whose factors are all zero is
+    skipped, which is the common case for unit-vector packets.
+
+    ``coefficient_matrix`` and ``decode`` undo the permutation, and
+    ``recode`` draws its weights for the rows in pivot order, so every
+    result and every random draw is the same as for a decoder that keeps
+    the sorted RREF rows explicitly.
     """
 
     def __init__(self, generation_id: int, size: int, payload_len: int):
@@ -148,7 +171,10 @@ class DecoderState:
         self.payload_len = payload_len
         # rank can never exceed g, so rows live in a preallocated buffer
         self._buf = np.zeros((size, size + payload_len), dtype=np.uint8)
-        self._piv = np.zeros(size, dtype=np.int64)
+        self._perm = np.arange(size)
+        # while no pivot column has been rotated, _perm is the identity
+        # and incoming packets need no permutation
+        self._permuted = False
         self._rank = 0
 
     @property
@@ -159,8 +185,16 @@ class DecoderState:
     def decodable(self) -> bool:
         return self._rank == self.size
 
+    def _pivot_order(self) -> np.ndarray:
+        """Buffer row indices sorted by their pivot's original column."""
+        return np.argsort(self._perm[: self._rank])
+
     def coefficient_matrix(self) -> np.ndarray:
-        return self._buf[: self._rank, : self.size].copy()
+        """The held coefficient rows as a pivot-sorted RREF."""
+        r, g = self._rank, self.size
+        out = np.empty((r, g), dtype=np.uint8)
+        out[:, self._perm] = self._buf[:r, :g]
+        return out[self._pivot_order()]
 
     def ingest(self, pkt: CodedPacket) -> bool:
         """Absorb a coded packet; True iff it increased the rank."""
@@ -168,49 +202,89 @@ class DecoderState:
             raise CodingError(
                 f"generation mismatch: decoder {self.generation_id}, packet {pkt.generation_id}"
             )
-        r = self._rank
-        if r == self.size:
+        r, g = self._rank, self.size
+        if r == g:
             return False
-        row = np.concatenate([pkt.coeffs, pkt.payload])
+        coeffs = pkt.coeffs.take(self._perm) if self._permuted else pkt.coeffs
+        # the packet without its first r (pivot) columns, in buffer layout
+        tail = np.concatenate([coeffs[r:], pkt.payload])
         held = self._buf[:r]
         if r:
-            # Existing rows are reduced, so their pivot columns are zero in
-            # every other row; one pass eliminates all of them at once.
-            factors = row[self._piv[:r]]
-            if factors.any():
-                row ^= np.bitwise_xor.reduce(mul_rows(factors, held), axis=0)
-        pivot = int((row[: self.size] != 0).argmax())
-        lead = row[pivot]
+            # Held rows are the identity on the pivot columns, so the
+            # packet's entries there are the elimination factors and one
+            # pass over the other columns clears all of them.
+            factors = coeffs[:r]
+            if np.count_nonzero(factors):
+                tail ^= np.bitwise_xor.reduce(mul_rows(factors, held[:, r:]), axis=0)
+        off = int((tail[: g - r] != 0).argmax())
+        lead = tail[off]
         if lead == 0:
             return False
+        c = r + off
+        # entries before the pivot are zero, so only the pivot (scaled
+        # to 1) and what follows it are stored and back-substituted
+        rest = tail[off:]
         if lead != 1:
-            row = vec_scale(INV_TABLE[lead], row)
+            rest = vec_scale(INV_TABLE[lead], rest)
         if r:
-            col = held[:, pivot]
-            if col.any():
-                held ^= mul_rows(col, row)
-        pos = int(np.searchsorted(self._piv[:r], pivot))
-        if pos < r:
-            # overlapping slice assignment is safe: numpy buffers it
-            self._buf[pos + 1 : r + 1] = self._buf[pos:r]
-            self._piv[pos + 1 : r + 1] = self._piv[pos:r]
-        self._buf[pos] = row
-        self._piv[pos] = pivot
+            col = held[:, c]
+            if np.count_nonzero(col):
+                right = held[:, c:]
+                np.bitwise_xor(right, mul_rows(col, rest), out=right)
+            if off:
+                # rotate the pivot column, zero in every held row now,
+                # to position r
+                held[:, r + 1: c + 1] = held[:, r:c]
+                held[:, r] = 0
+        row = self._buf[r]
+        row[c:] = rest
+        if off:
+            row[c] = 0
+            row[r] = 1
+            perm = self._perm
+            pivot = perm[c]
+            perm[r + 1: c + 1] = perm[r:c]
+            perm[r] = pivot
+            self._permuted = True
         self._rank = r + 1
         return True
 
     def recode(self, rng) -> CodedPacket:
         """Random combination of everything held (span-equivalent to
-        recoding the raw received packets)."""
-        if self._rank == 0:
+        recoding the raw received packets).
+
+        Draws weights exactly as ``_combine`` does for the pivot-sorted
+        rows. The rows are independent, so the combination is zero only
+        when every weight is; its coefficients on the pivot columns are
+        the weights themselves and need no multiplication.
+        """
+        r, g = self._rank, self.size
+        if r == 0:
             raise CodingError("nothing held, cannot recode")
-        out = _combine(self._buf[: self._rank], self.size, rng)
-        return CodedPacket(self.generation_id, out[: self.size], out[self.size:])
+        for _ in range(16):
+            weights = rng.integers(0, 256, size=r, dtype=np.uint8)
+            if np.count_nonzero(weights):
+                break
+        else:
+            return CodedPacket(self.generation_id, np.zeros(g, dtype=np.uint8),
+                               np.zeros(self.payload_len, dtype=np.uint8))
+        # weights[k] belongs to the row with the k-th smallest pivot:
+        # place each on its pivot column, then read them back in buffer
+        # row order
+        perm = self._perm
+        coeffs = np.empty(g, dtype=np.uint8)
+        coeffs[np.sort(perm[:r])] = weights
+        weights = coeffs.take(perm[:r])
+        tail = np.bitwise_xor.reduce(mul_rows(weights, self._buf[:r, r:]), axis=0)
+        coeffs[perm[r:]] = tail[: g - r]
+        return CodedPacket(self.generation_id, coeffs, tail[g - r:])
 
     def decode(self) -> list[SourcePacket]:
         """Return the original source packets; requires full rank."""
-        if self._rank < self.size:
-            raise NotDecodableError(f"rank {self._rank} of {self.size}")
-        # Full-rank reduced form is the identity, so payload rows are the
-        # source payloads in index order.
-        return [SourcePacket(i, self._buf[i, self.size:].copy()) for i in range(self.size)]
+        g = self.size
+        if self._rank < g:
+            raise NotDecodableError(f"rank {self._rank} of {g}")
+        # At full rank the held coefficients are the identity, so buffer
+        # row i carries source packet _perm[i].
+        return [SourcePacket(i, self._buf[j, g:].copy())
+                for i, j in enumerate(self._pivot_order())]

@@ -88,15 +88,27 @@ def _plain(value):
 
 
 def write_records(records, out_path: str) -> None:
-    """One JSON object per line; write-then-rename, never partial."""
+    """One JSON object per line; write-then-rename, never partial.
+
+    The records go to a temp file with a unique name beside the target,
+    so concurrent writers to one path never share it. If writing fails,
+    the temp file is removed and any earlier file is left as it was.
+    """
     parent = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(parent, exist_ok=True)
-    tmp = f"{out_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-    os.replace(tmp, out_path)
+    # "x" never opens an existing file; unlike mkstemp's private 0600,
+    # the file gets the mode the umask gives a plain open()
+    tmp = f"{out_path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            for record in records:
+                fh.write(json.dumps(record, sort_keys=True))
+                fh.write("\n")
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _links(scenario: Scenario) -> tuple[LinkModel, LinkModel]:

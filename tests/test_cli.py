@@ -139,8 +139,13 @@ class TestOtherVerbs:
         cfg = write(workdir, "hang.cfg", "[scenario]\nseed = 1\n[ncc]\n"
                     "generation_size = 1\nredundancy = 300\n")
         assert main(["validate", cfg]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "at most 255" in err
+        assert "line 5" in err
         assert main(["run", cfg]) == EXIT_BAD_CONFIG
-        assert "at most 255" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at most 255" in err
+        assert "line 5" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mscsim.cli", "presets"],

@@ -77,26 +77,48 @@ class TestParsing:
             parse_config(text)
 
     def test_cross_field_validation(self):
-        with pytest.raises(ConfigError, match="threshold exceeds"):
+        with pytest.raises(ConfigError, match="threshold exceeds") as err:
             parse_config("[scenario]\nseed = 1\n[km]\nshareholders = 2\n"
                          "threshold = 3\n")
-        with pytest.raises(ConfigError, match="toy group"):
+        assert err.value.line == 5
+        with pytest.raises(ConfigError, match="toy group") as err:
             parse_config("[scenario]\nseed = 1\n[km]\nshareholders = 11\n"
                          "group = toy\n")
-        with pytest.raises(ConfigError, match="speed_min"):
+        assert err.value.line == 5
+        with pytest.raises(ConfigError, match="speed_min") as err:
             parse_config("[scenario]\nseed = 1\n[mobility]\nspeed_min = 6.0\n"
                          "speed_max = 2.0\n")
+        assert err.value.line == 5
         # g = 1 has only 255 distinct nonzero coefficient vectors
-        with pytest.raises(ConfigError, match="at most 255"):
+        with pytest.raises(ConfigError, match="at most 255") as err:
             parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 1\n"
                          "redundancy = 300\n")
-        with pytest.raises(ConfigError, match="at most 255"):
+        assert err.value.line == 5
+        assert str(err.value).startswith("line 5: ")
+        with pytest.raises(ConfigError, match="at most 255") as err:
             apply_overrides(default_scenario(1, generation_size=1),
                             {"ncc.redundancy": "255.5"})
+        assert err.value.line is None
         assert parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 1\n"
                             "redundancy = 255\n").redundancy == 255.0
         assert parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 2\n"
                             "redundancy = 300\n").redundancy == 300.0
+
+    def test_cross_field_error_names_the_later_line(self):
+        # the earlier key of the pair is the one written second
+        with pytest.raises(ConfigError, match="speed_min") as err:
+            parse_config("[mobility]\nspeed_max = 2.0\n\nspeed_min = 6.0\n"
+                         "[scenario]\nseed = 1\n")
+        assert err.value.line == 4
+        # a value from a preset is charged to the `preset =` line
+        with pytest.raises(ConfigError, match="threshold exceeds") as err:
+            parse_config("[km]\nthreshold = 6\n[scenario]\nseed = 1\n"
+                         "preset = ho-comparison\n")
+        assert err.value.line == 5
+        # a default has no line, so the explicit key is named
+        with pytest.raises(ConfigError, match="threshold exceeds") as err:
+            parse_config("[km]\nthreshold = 6\n[scenario]\nseed = 1\n")
+        assert err.value.line == 2
 
 
 class TestCanonicalForm:

@@ -21,7 +21,7 @@ from mscsim.ncc import (
     cooperative_phase,
     run_session,
 )
-from mscsim.rlnc import CodedPacket, DecoderState, Generation
+from mscsim.rlnc import CodedPacket, DecoderState, Generation, encode
 
 
 def _content(g=4, payload=8, gen_seed=99, count=1):
@@ -283,6 +283,29 @@ class TestBaselineUnicast:
         assert m.short_range_tx_count == 0
         assert m.cellular_utilization == pytest.approx(1.0)
         assert m.decoding_ratio == 1.0
+
+    def test_unit_packets_equal_encoding_the_unit_vector(self, monkeypatch):
+        content = _content(g=6, payload=5, count=2)
+        sent = []
+        real_ingest = SessionCodec.ingest
+
+        def spy(codec, member_id, pkt):
+            sent.append(pkt)
+            return real_ingest(codec, member_id, pkt)
+
+        monkeypatch.setattr(SessionCodec, "ingest", spy)
+        cloud = assign_indices([1, 2], head_id=1)
+        baseline_unicast_session(cloud, SessionConfig(content=content), seed=0)
+        assert len(sent) == 2 * 2 * 6
+        for i, pkt in enumerate(sent):
+            gen = content[(i // 6) % 2]
+            unit = np.zeros(gen.size, dtype=np.uint8)
+            unit[i % 6] = 1
+            ref = encode(gen, unit)
+            assert pkt.generation_id == ref.generation_id == gen.id
+            assert np.array_equal(pkt.coeffs, ref.coeffs)
+            assert np.array_equal(pkt.payload, ref.payload)
+            assert pkt.payload.dtype == ref.payload.dtype == np.uint8
 
     def test_single_member_matches_run_session(self):
         cloud = assign_indices([5], head_id=5)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mscsim.gf256 import gf_add, gf_mul, matmul
+from mscsim.gf256 import gf_add, gf_inv, gf_mul, matmul, mul_rows, vec_scale
 from mscsim.rlnc import (
     CodedPacket,
     CodingError,
@@ -264,6 +264,160 @@ def test_any_full_rank_set_decodes_to_the_source(data):
     assert dec.decodable
     for orig, got in zip(gen.packets, dec.decode()):
         assert np.array_equal(orig.payload, got.payload)
+
+
+class SortedRrefDecoder:
+    """Reference for DecoderState: the decoder its permuted layout
+    replaced. RREF rows stay sorted by pivot in original column order
+    and every pass multiplies whole rows, identity block included."""
+
+    def __init__(self, size, payload_len):
+        self.size = size
+        self.buf = np.zeros((size, size + payload_len), dtype=np.uint8)
+        self.piv = np.zeros(size, dtype=np.int64)
+        self.rank = 0
+
+    def coefficient_matrix(self):
+        return self.buf[: self.rank, : self.size].copy()
+
+    def ingest(self, pkt):
+        r = self.rank
+        if r == self.size:
+            return False
+        row = np.concatenate([pkt.coeffs, pkt.payload])
+        held = self.buf[:r]
+        if r:
+            row ^= np.bitwise_xor.reduce(mul_rows(row[self.piv[:r]], held), axis=0)
+        pivot = int((row[: self.size] != 0).argmax())
+        if row[pivot] == 0:
+            return False
+        row = vec_scale(gf_inv(int(row[pivot])), row)
+        if r:
+            held ^= mul_rows(held[:, pivot], row)
+        pos = int(np.searchsorted(self.piv[:r], pivot))
+        self.buf[pos + 1: r + 1] = self.buf[pos:r].copy()
+        self.piv[pos + 1: r + 1] = self.piv[pos:r].copy()
+        self.buf[pos] = row
+        self.piv[pos] = pivot
+        self.rank = r + 1
+        return True
+
+    def recode(self, rng):
+        rows = self.buf[: self.rank]
+        for _ in range(16):
+            weights = rng.integers(0, 256, size=self.rank, dtype=np.uint8)
+            out = np.bitwise_xor.reduce(mul_rows(weights, rows), axis=0)
+            if out[: self.size].any():
+                break
+        return out[: self.size], out[self.size:]
+
+    def decode(self):
+        return [self.buf[i, self.size:] for i in range(self.size)]
+
+
+# few distinct values, zero among them, make dependent rows and zero
+# entries ahead of the pivot (hence pivot-column rotations) common
+SMALL_COEFF = st.sampled_from([0, 0, 1, 2, 0x8E]) | st.integers(0, 255)
+
+
+@st.composite
+def packet_stream(draw):
+    """A generation and a mix of random, small-alphabet, dependent,
+    duplicate, zero and unit-vector packets, with now and then a payload
+    that does not match its coefficients."""
+    g = draw(st.integers(1, 24))
+    payload_len = draw(st.integers(0, 8))
+    data = draw(hnp.arrays(np.uint8, (g, payload_len)))
+    gen = Generation(3, [SourcePacket(i, data[i]) for i in range(g)])
+    packets = []
+    count = draw(st.integers(0, 2 * g + 6))
+    for kind in draw(st.lists(st.sampled_from(
+            ["random", "small", "dependent", "duplicate", "zero", "unit",
+             "mismatched"]), min_size=count, max_size=count)):
+        if kind in ("dependent", "duplicate") and not packets:
+            kind = "zero"
+        if kind == "random":
+            pkt = encode(gen, draw(hnp.arrays(np.uint8, g)))
+        elif kind == "small":
+            pkt = encode(gen, draw(hnp.arrays(np.uint8, g, elements=SMALL_COEFF)))
+        elif kind == "dependent":
+            weights = draw(hnp.arrays(np.uint8, len(packets), elements=SMALL_COEFF))
+            pkt = encode(gen, matmul(weights[None, :],
+                                     np.stack([p.coeffs for p in packets]))[0])
+        elif kind == "duplicate":
+            pkt = draw(st.sampled_from(packets))
+        elif kind == "zero":
+            pkt = encode(gen, np.zeros(g, dtype=np.uint8))
+        elif kind == "unit":
+            pkt = encode(gen, np.eye(g, dtype=np.uint8)[draw(st.integers(0, g - 1))])
+        else:
+            pkt = CodedPacket(3, draw(hnp.arrays(np.uint8, g, elements=SMALL_COEFF)),
+                              draw(hnp.arrays(np.uint8, payload_len)))
+        packets.append(pkt)
+    if draw(st.booleans()):
+        # every unit vector, in a drawn order: full rank, reached through
+        # pivot columns found out of order
+        eye = np.eye(g, dtype=np.uint8)
+        packets += [encode(gen, eye[k]) for k in draw(st.permutations(range(g)))]
+    return gen, packets
+
+
+@PROPERTY
+@given(packet_stream(), st.integers(0, 2**32 - 1))
+def test_decoder_matches_sorted_rref_reference(stream, seed):
+    gen, packets = stream
+    dec = DecoderState(3, gen.size, gen.payload_len)
+    ref = SortedRrefDecoder(gen.size, gen.payload_len)
+    for step, pkt in enumerate(packets):
+        assert dec.ingest(pkt) == ref.ingest(pkt)
+        assert dec.rank == ref.rank
+        assert np.array_equal(dec.coefficient_matrix(), ref.coefficient_matrix())
+        ours, theirs = (np.random.default_rng([seed, step]) for _ in range(2))
+        if ref.rank == 0:
+            with pytest.raises(CodingError):
+                dec.recode(ours)
+            continue
+        out = dec.recode(ours)
+        coeffs, payload = ref.recode(theirs)
+        assert out.generation_id == 3
+        assert out.coeffs.tobytes() == coeffs.tobytes()
+        assert out.payload.tobytes() == payload.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    if ref.rank < gen.size:
+        with pytest.raises(NotDecodableError):
+            dec.decode()
+    else:
+        got = dec.decode()
+        assert [p.index for p in got] == list(range(gen.size))
+        for mine, want in zip(got, ref.decode()):
+            assert mine.payload.tobytes() == want.tobytes()
+
+
+class _ZeroRng:
+    """Stands in for a Generator whose every draw is zero."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def integers(self, low, high, size, dtype):
+        self.draws += 1
+        return np.zeros(size, dtype=dtype)
+
+
+def test_recode_gives_up_on_all_zero_weights_like_the_reference():
+    gen = make_gen(size=5)
+    dec = DecoderState(gen.id, gen.size, gen.payload_len)
+    ref = SortedRrefDecoder(gen.size, gen.payload_len)
+    for k in (3, 0):
+        pkt = encode(gen, np.eye(gen.size, dtype=np.uint8)[k])
+        dec.ingest(pkt)
+        ref.ingest(pkt)
+    ours, theirs = _ZeroRng(), _ZeroRng()
+    out = dec.recode(ours)
+    coeffs, payload = ref.recode(theirs)
+    assert ours.draws == theirs.draws == 16
+    assert out.coeffs.tobytes() == coeffs.tobytes() == bytes(gen.size)
+    assert out.payload.tobytes() == payload.tobytes() == bytes(gen.payload_len)
 
 
 def test_random_full_rank_decode_byte_identical():

@@ -4,6 +4,8 @@ test_acceptance.py.
 """
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -140,6 +142,41 @@ class TestFailureHandling:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines[-1]["status"] == "error"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestWriteRecords:
+    def test_overlapping_writes_leave_one_complete_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+
+        def first():
+            # a second writer runs to completion while the first is
+            # still writing its temp file
+            yield {"writer": 1, "n": 0}
+            runner.write_records([{"writer": 2, "n": 0}], str(out))
+            yield {"writer": 1, "n": 1}
+
+        runner.write_records(first(), str(out))
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert lines == [{"n": 0, "writer": 1}, {"n": 1, "writer": 1}]
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        runner.write_records([{"ok": True}], str(out))
+        before = out.read_bytes()
+        with pytest.raises(TypeError):
+            runner.write_records([{"ok": True}, {"bad": object()}], str(out))
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_output_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        old = os.umask(0o022)
+        try:
+            runner.write_records([{"ok": True}], str(out))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 class TestSweep:
