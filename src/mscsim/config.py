@@ -289,7 +289,9 @@ def _cross_validate(values: dict, lines: Optional[dict] = None) -> None:
     if values["speed_min"] > values["speed_max"]:
         fail("mobility.speed_min exceeds mobility.speed_max",
              "speed_min", "speed_max")
-    coded = math.ceil(values["redundancy"] * values["generation_size"])
+    product = values["redundancy"] * values["generation_size"]
+    # a product that overflows to inf is too many packets for any g
+    coded = math.ceil(product) if math.isfinite(product) else product
     if coded > 256 ** values["generation_size"] - 1:
         # each coded packet of a generation carries a distinct nonzero
         # coefficient vector, and only 256^g - 1 of those exist

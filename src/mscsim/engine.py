@@ -1,18 +1,18 @@
-"""Discrete-event core: event queue, seeded streams, links, energy.
+"""Slot clock, seeded streams, links and energy accounting.
 
 Everything a run observes flows through here so that a run is
-reproducible from (seed, config) alone: the queue dispatches in strict
-(time, sequence) order, random streams are derived per subsystem from
-one 64-bit seed, and every transmission is logged with enough detail to
-replay the energy accounting exactly.
+reproducible from (seed, config) alone: random streams are derived per
+subsystem from one 64-bit seed, the clock moves forward one slot
+duration at a time, and every transmission is charged to its link's
+energy total.
+The per-slot trace is the session layer's (`ncc.SlotRecord`).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -101,19 +101,6 @@ class Delivery:
     status: DeliveryStatus
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
-    time: float
-    link: LinkKind
-    sender: int
-    deliveries: tuple[Delivery, ...]
-    label: str = ""
-
-    @property
-    def delivered_count(self) -> int:
-        return sum(1 for d in self.deliveries if d.status is DeliveryStatus.DELIVERED)
-
-
 def _distance(a, b) -> float:
     ax, ay = a.position
     bx, by = b.position
@@ -121,56 +108,22 @@ def _distance(a, b) -> float:
 
 
 class Simulator:
-    """Deterministic event queue with attached link/energy accounting.
+    """Slot clock plus per-link energy accounting for one session."""
 
-    Event actions are plain callables; ties in time dispatch in
-    scheduling order via a monotonically increasing sequence number.
-    """
-
-    def __init__(self, links: Optional[dict[LinkKind, LinkModel]] = None):
-        self._queue: list = []
-        self._seq = 0
+    def __init__(self):
         self._now = 0.0
-        self.links = links or {}
-        self.log: list[TransmissionRecord] = []
-        self._energy_node: dict[int, float] = {}
         self._energy_link: dict[LinkKind, float] = {k: 0.0 for k in LinkKind}
 
     def now(self) -> float:
         return self._now
 
-    def schedule(self, delay_or_time: float, action: Callable[[], None], *, absolute: bool = False) -> None:
-        t = delay_or_time if absolute else self._now + delay_or_time
-        if t < self._now:
-            raise SimulationError(f"cannot schedule at {t} before now {self._now}")
-        heapq.heappush(self._queue, (t, self._seq, action))
-        self._seq += 1
-
-    def run_until(self, t_end: float) -> int:
-        """Dispatch events with time <= t_end; returns the dispatch count."""
-        count = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            t, _, action = heapq.heappop(self._queue)
-            self._now = t
-            action()
-            count += 1
-        if self._now < t_end and not self._queue:
-            self._now = t_end
-        return count
-
-    def run(self) -> int:
-        return self.run_until(float("inf"))
-
     def advance(self, dt: float) -> None:
-        """Move the clock forward without dispatching (slot bookkeeping)."""
+        """Move the clock forward by one slot's duration."""
         if dt < 0:
             raise SimulationError("cannot advance backwards")
         self._now += dt
 
-    # --- channel -----------------------------------------------------
-
-    def transmit(self, link: LinkModel, sender, receivers: Iterable, rng,
-                 label: str = "") -> list[Delivery]:
+    def transmit(self, link: LinkModel, sender, receivers: Iterable, rng) -> list[Delivery]:
         """Broadcast one packet; returns per-receiver outcomes.
 
         The sender is charged one packet energy regardless of outcomes;
@@ -179,75 +132,17 @@ class Simulator:
         distinct from a channel erasure.
         """
         deliveries = []
-        self._charge(sender.id, link.kind, link.tx_energy)
+        self._energy_link[link.kind] += link.tx_energy
         for recv in receivers:
             if _distance(sender, recv) > link.range_m:
                 deliveries.append(Delivery(recv.id, DeliveryStatus.OUT_OF_RANGE))
             elif link.p_loss > 0.0 and rng.random() < link.p_loss:
                 deliveries.append(Delivery(recv.id, DeliveryStatus.ERASED))
             else:
-                self._charge(recv.id, link.kind, link.tx_energy * RX_ENERGY_FRACTION)
+                self._energy_link[link.kind] += link.tx_energy * RX_ENERGY_FRACTION
                 deliveries.append(Delivery(recv.id, DeliveryStatus.DELIVERED))
-        record = TransmissionRecord(self._now, link.kind, sender.id, tuple(deliveries), label)
-        self.log.append(record)
         return deliveries
 
-    def _charge(self, node_id: int, kind: LinkKind, amount: float) -> None:
-        self._energy_node[node_id] = self._energy_node.get(node_id, 0.0) + amount
-        self._energy_link[kind] += amount
-
-    # --- accounting --------------------------------------------------
-
-    def energy_report(self) -> dict:
-        """Cumulative energy per node and per link kind."""
-        return {
-            "per_node": dict(sorted(self._energy_node.items())),
-            "per_link": {k.value: v for k, v in self._energy_link.items()},
-            "total": sum(self._energy_link.values()),
-        }
-
-    def replay_energy(self) -> dict:
-        """Recompute the energy report from the transmission log alone."""
-        per_node: dict[int, float] = {}
-        per_link = {k: 0.0 for k in LinkKind}
-
-        def charge(node_id, kind, amount):
-            per_node[node_id] = per_node.get(node_id, 0.0) + amount
-            per_link[kind] += amount
-
-        for rec in self.log:
-            link = self.links.get(rec.link)
-            if link is None:
-                raise SimulationError(f"no link model registered for {rec.link}")
-            charge(rec.sender, rec.link, link.tx_energy)
-            for d in rec.deliveries:
-                if d.status is DeliveryStatus.DELIVERED:
-                    charge(d.receiver, rec.link, link.tx_energy * RX_ENERGY_FRACTION)
-        return {
-            "per_node": dict(sorted(per_node.items())),
-            "per_link": {k.value: v for k, v in per_link.items()},
-            "total": sum(per_link.values()),
-        }
-
     def total_energy(self) -> float:
+        # summed in LinkKind order; the output's float bytes depend on it
         return sum(self._energy_link.values())
-
-
-@dataclass
-class EnergyWindow:
-    """Marks a point in the accounting so a session can report its own
-    energy and transmission counts."""
-
-    sim: Simulator
-    start_total: float = field(init=False)
-    start_log: int = field(init=False)
-
-    def __post_init__(self):
-        self.start_total = self.sim.total_energy()
-        self.start_log = len(self.sim.log)
-
-    def energy(self) -> float:
-        return self.sim.total_energy() - self.start_total
-
-    def records(self) -> list[TransmissionRecord]:
-        return self.sim.log[self.start_log:]

@@ -6,7 +6,10 @@ retransmissions (the redundancy factor covers losses). Phase two is a
 short-range TDMA rotation where each member recodes what it holds and
 multicasts one packet per slot to the rest of the cloud, until everyone
 has decoded everything or the slot budget runs out. The two phases run
-back to back or interleaved one slot each.
+back to back or interleaved one slot each; interleaved, the rotation
+continues alone once the distribution plan is exhausted. Every slot of
+a session is one `SlotRecord` in `SessionMetrics.records`, the only
+per-slot trace.
 
 A plain multi-unicast session over the cellular link with
 retransmit-until-delivered is included as the comparison point.
@@ -24,7 +27,6 @@ from .engine import (
     DEFAULT_CELLULAR,
     DEFAULT_SHORT_RANGE,
     DeliveryStatus,
-    EnergyWindow,
     LinkModel,
     RunSeed,
     Simulator,
@@ -84,7 +86,6 @@ class SessionConfig:
     content: tuple[Generation, ...]
     redundancy: float = 1.0
     phase_mode: str = "sequential"
-    slot_budget: Optional[int] = None       # cooperative-phase cap
     cellular_loss: float = 0.0
     short_range_loss: float = 0.0
     cellular: LinkModel = DEFAULT_CELLULAR
@@ -100,9 +101,6 @@ class SessionConfig:
         for p in (self.cellular_loss, self.short_range_loss):
             if not 0.0 <= p < 1.0:
                 raise ProtocolError(f"loss probability {p} outside [0, 1)")
-        if self.slot_budget is not None and self.slot_budget < self.source_packet_total:
-            raise ProtocolError(
-                f"slot budget {self.slot_budget} below content size {self.source_packet_total}")
         for gen in self.content:
             # the cellular plan sends distinct nonzero coefficient vectors,
             # and only 256^g - 1 of those exist
@@ -124,9 +122,8 @@ class SessionConfig:
         return sum(self.coded_count(gen) for gen in self.content)
 
     @property
-    def effective_budget(self) -> int:
-        if self.slot_budget is not None:
-            return self.slot_budget
+    def cooperative_budget(self) -> int:
+        """Cap on a session's cooperative slots, skipped ones included."""
         return 4 * self.total_coded
 
 
@@ -138,7 +135,7 @@ class SessionMetrics:
     decoding_ratio: float
     total_energy: float
     completion_time: int                 # slots, both phases, skips included
-    truncated: bool = False              # a phase hit its slot budget
+    truncated: bool = False              # cooperation hit its slot budget
     records: tuple = field(default=(), repr=False, compare=False)
 
 
@@ -192,18 +189,12 @@ class SessionCodec:
         return self.decoded_pairs() / (self.cloud.size * len(self.content))
 
 
-@dataclass
-class PhaseLog:
-    records: list[SlotRecord]
-    slots_used: int
-    truncated: bool = False
-
-
-def _default_nodes(cloud: CooperativeCloud, bs_id: int) -> dict[int, Endpoint]:
-    """Co-located endpoints: range never limits a desk-scale session."""
-    nodes = {m: Endpoint(m) for m in cloud.members}
-    nodes[bs_id] = Endpoint(bs_id)
-    return nodes
+def _endpoints(cloud: CooperativeCloud, nodes, bs) -> tuple[Endpoint, dict]:
+    """The base station and the node map, defaulting to co-located
+    endpoints: range never limits a desk-scale session."""
+    if nodes is None:
+        nodes = {m: Endpoint(m) for m in cloud.members}
+    return (bs if bs is not None else Endpoint(-1)), nodes
 
 
 def _cellular_plan(config: SessionConfig, coding_rng) -> list[tuple[Generation, int, np.ndarray]]:
@@ -229,8 +220,7 @@ def _cellular_slot(cloud, codec, sim, link, nodes, bs_node, channel_rng,
                    gen, k, coeffs, slot) -> SlotRecord:
     member = cloud.members[k % cloud.size]
     pkt = encode(gen, coeffs)
-    deliveries = sim.transmit(link, bs_node, [nodes[member]], channel_rng,
-                              label=f"cell:g{gen.id}:k{k}")
+    deliveries = sim.transmit(link, bs_node, [nodes[member]], channel_rng)
     sim.advance(link.slot_duration)
     ok = deliveries[0].status is DeliveryStatus.DELIVERED
     innovative = codec.ingest(member, pkt) if ok else False
@@ -260,7 +250,7 @@ def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
     pkt = codec.decoder(sender, gen_id).recode(coding_rng)
     others = [m for m in cloud.members if m != sender]
     deliveries = sim.transmit(link, nodes[sender], [nodes[m] for m in others],
-                              channel_rng, label=f"coop:g{gen_id}")
+                              channel_rng)
     sim.advance(link.slot_duration)
     ok = tuple(d.status is DeliveryStatus.DELIVERED for d in deliveries)
     innovative = tuple(codec.ingest(m, pkt) if got else False
@@ -270,49 +260,54 @@ def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
 
 
 def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
-                   codec: SessionCodec, sim: Simulator, *,
-                   channel_rng, coding_rng, nodes=None, bs=None,
-                   start_slot: int = 0) -> PhaseLog:
+                   codec: SessionCodec, sim: Simulator, records: list, *,
+                   channel_rng, coding_rng, nodes=None, bs=None) -> None:
     """Round-robin unicast of the coded content; no retransmissions."""
-    bs_node = bs if bs is not None else Endpoint(-1)
-    if nodes is None:
-        nodes = _default_nodes(cloud, bs_node.id)
+    bs_node, nodes = _endpoints(cloud, nodes, bs)
     link = replace(config.cellular, p_loss=config.cellular_loss)
-    plan = _cellular_plan(config, coding_rng)
-    records = []
-    truncated = False
-    budget = config.effective_budget
-    for i, (gen, k, coeffs) in enumerate(plan):
-        if i >= budget:
-            truncated = True
-            break
+    for gen, k, coeffs in _cellular_plan(config, coding_rng):
         records.append(_cellular_slot(cloud, codec, sim, link, nodes, bs_node,
-                                      channel_rng, gen, k, coeffs, start_slot + i))
-    return PhaseLog(records, len(records), truncated)
+                                      channel_rng, gen, k, coeffs, len(records)))
+
+
+def _interleaved_phase(cloud: CooperativeCloud, config: SessionConfig,
+                       codec: SessionCodec, sim: Simulator, records: list, *,
+                       channel_rng, coding_rng, nodes, bs) -> None:
+    """Each cellular slot followed by one cooperative slot while the
+    cloud still needs one. The plan has total_coded packets, a quarter
+    of the cooperative budget, so the budget cannot run out here."""
+    cell_link = replace(config.cellular, p_loss=config.cellular_loss)
+    sr_link = replace(cloud.short_range, p_loss=config.short_range_loss)
+    coop_slots = 0
+    for gen, k, coeffs in _cellular_plan(config, coding_rng):
+        records.append(_cellular_slot(cloud, codec, sim, cell_link, nodes, bs,
+                                      channel_rng, gen, k, coeffs, len(records)))
+        if cloud.size > 1 and not codec.all_decoded():
+            records.append(_cooperative_slot(cloud, codec, sim, sr_link, nodes,
+                                             channel_rng, coding_rng,
+                                             coop_slots % cloud.size,
+                                             len(records)))
+            coop_slots += 1
 
 
 def cooperative_phase(cloud: CooperativeCloud, config: SessionConfig,
-                      codec: SessionCodec, sim: Simulator, *,
-                      channel_rng, coding_rng, nodes=None,
-                      start_slot: int = 0) -> PhaseLog:
-    """Short-range TDMA rotation until all decode or the budget is gone."""
-    if nodes is None:
-        nodes = _default_nodes(cloud, -1)
+                      codec: SessionCodec, sim: Simulator, records: list, *,
+                      channel_rng, coding_rng, nodes=None) -> None:
+    """Short-range TDMA rotation until all decode or the budget is gone.
+
+    Cooperative slots already in ``records`` (parallel mode's interleaved
+    ones) count against the budget, and the rotation resumes after them.
+    """
     if cloud.size == 1:
-        # nobody to multicast to; the phase is a no-op, not a truncation
-        return PhaseLog([], 0)
+        return  # nobody to multicast to
+    _, nodes = _endpoints(cloud, nodes, None)
     link = replace(cloud.short_range, p_loss=config.short_range_loss)
-    records = []
-    sender_index = 0
-    budget = config.effective_budget
-    while not codec.all_decoded():
-        if len(records) >= budget:
-            return PhaseLog(records, len(records), truncated=True)
+    used = sum(1 for r in records if r.phase == "cooperative")
+    while used < config.cooperative_budget and not codec.all_decoded():
         records.append(_cooperative_slot(cloud, codec, sim, link, nodes,
-                                         channel_rng, coding_rng, sender_index,
-                                         start_slot + len(records)))
-        sender_index = (sender_index + 1) % cloud.size
-    return PhaseLog(records, len(records))
+                                         channel_rng, coding_rng,
+                                         used % cloud.size, len(records)))
+        used += 1
 
 
 def _resolve_rngs(seed, channel_rng, coding_rng):
@@ -323,37 +318,8 @@ def _resolve_rngs(seed, channel_rng, coding_rng):
             coding_rng if coding_rng is not None else rs.coding())
 
 
-def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
-                sim: Optional[Simulator] = None, seed=None,
-                channel_rng=None, coding_rng=None,
-                nodes=None, bs=None) -> SessionMetrics:
-    """Both phases plus the offloading metrics for one content item."""
-    channel_rng, coding_rng = _resolve_rngs(seed, channel_rng, coding_rng)
-    bs_node = bs if bs is not None else Endpoint(-1)
-    if nodes is None:
-        nodes = _default_nodes(cloud, bs_node.id)
-    cell_link = replace(config.cellular, p_loss=config.cellular_loss)
-    sr_link = replace(cloud.short_range, p_loss=config.short_range_loss)
-    if sim is None:
-        sim = Simulator({cell_link.kind: cell_link, sr_link.kind: sr_link})
-    codec = SessionCodec(cloud, config.content)
-    window = EnergyWindow(sim)
-
-    records: list[SlotRecord] = []
-    truncated = False
-    if config.phase_mode == "sequential":
-        cell = cellular_phase(cloud, config, codec, sim, channel_rng=channel_rng,
-                              coding_rng=coding_rng, nodes=nodes, bs=bs_node)
-        coop = cooperative_phase(cloud, config, codec, sim,
-                                 channel_rng=channel_rng, coding_rng=coding_rng,
-                                 nodes=nodes, start_slot=cell.slots_used)
-        records = cell.records + coop.records
-        truncated = cell.truncated or coop.truncated
-    else:
-        records, truncated = _parallel_session(cloud, config, codec, sim,
-                                               channel_rng, coding_rng,
-                                               nodes, bs_node)
-
+def _metrics(cloud: CooperativeCloud, config: SessionConfig,
+             codec: SessionCodec, sim: Simulator, records: list) -> SessionMetrics:
     cell_tx = sum(1 for r in records if r.phase == "cellular")
     sr_tx = sum(1 for r in records if r.phase == "cooperative" and not r.skipped)
     return SessionMetrics(
@@ -361,52 +327,33 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
         short_range_tx_count=sr_tx,
         cellular_utilization=cell_tx / (cloud.size * config.source_packet_total),
         decoding_ratio=codec.decoding_ratio(),
-        total_energy=window.energy(),
+        total_energy=sim.total_energy(),
         completion_time=len(records),
-        truncated=truncated,
+        # cooperation stops short of full decoding only at its budget
+        truncated=cloud.size > 1 and not codec.all_decoded(),
         records=tuple(records),
     )
 
 
-def _parallel_session(cloud, config, codec, sim, channel_rng, coding_rng,
-                      nodes, bs_node):
-    """One cellular slot, one cooperative slot, repeated; cooperative
-    rotation continues alone once the distribution plan is exhausted."""
-    cell_link = replace(config.cellular, p_loss=config.cellular_loss)
-    sr_link = replace(cloud.short_range, p_loss=config.short_range_loss)
-    plan = _cellular_plan(config, coding_rng)
+def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
+                seed=None, channel_rng=None, coding_rng=None,
+                nodes=None, bs=None) -> SessionMetrics:
+    """Both phases plus the offloading metrics for one content item."""
+    channel_rng, coding_rng = _resolve_rngs(seed, channel_rng, coding_rng)
+    bs_node, nodes = _endpoints(cloud, nodes, bs)
+    codec = SessionCodec(cloud, config.content)
+    sim = Simulator()
     records: list[SlotRecord] = []
-    budget = config.effective_budget
-    coop_used = 0
-    sender_index = 0
-    solo = cloud.size == 1
-
-    def coop_open():
-        return not solo and coop_used < budget and not codec.all_decoded()
-
-    for gen, k, coeffs in plan:
-        records.append(_cellular_slot(cloud, codec, sim, cell_link, nodes,
-                                      bs_node, channel_rng, gen, k, coeffs,
-                                      len(records)))
-        if coop_open():
-            records.append(_cooperative_slot(cloud, codec, sim, sr_link, nodes,
-                                             channel_rng, coding_rng,
-                                             sender_index, len(records)))
-            coop_used += 1
-            sender_index = (sender_index + 1) % cloud.size
-    while coop_open():
-        records.append(_cooperative_slot(cloud, codec, sim, sr_link, nodes,
-                                         channel_rng, coding_rng, sender_index,
-                                         len(records)))
-        coop_used += 1
-        sender_index = (sender_index + 1) % cloud.size
-    truncated = not solo and not codec.all_decoded()
-    return records, truncated
+    first = cellular_phase if config.phase_mode == "sequential" else _interleaved_phase
+    first(cloud, config, codec, sim, records, channel_rng=channel_rng,
+          coding_rng=coding_rng, nodes=nodes, bs=bs_node)
+    cooperative_phase(cloud, config, codec, sim, records, channel_rng=channel_rng,
+                      coding_rng=coding_rng, nodes=nodes)
+    return _metrics(cloud, config, codec, sim, records)
 
 
 def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
-                             sim: Optional[Simulator] = None, seed=None,
-                             channel_rng=None, coding_rng=None,
+                             seed=None, channel_rng=None, coding_rng=None,
                              nodes=None, bs=None) -> SessionMetrics:
     """Per-user unicast of every source packet, retransmit until delivered.
 
@@ -415,14 +362,10 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     range can never be served, so it raises ProtocolError.
     """
     channel_rng, _ = _resolve_rngs(seed, channel_rng, coding_rng)
-    bs_node = bs if bs is not None else Endpoint(-1)
-    if nodes is None:
-        nodes = _default_nodes(cloud, bs_node.id)
+    bs_node, nodes = _endpoints(cloud, nodes, bs)
     link = replace(config.cellular, p_loss=config.cellular_loss)
-    if sim is None:
-        sim = Simulator({link.kind: link})
     codec = SessionCodec(cloud, config.content)
-    window = EnergyWindow(sim)
+    sim = Simulator()
     records: list[SlotRecord] = []
 
     for member in cloud.members:
@@ -434,8 +377,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 pkt = CodedPacket(gen.id, unit, gen.payload_matrix()[k])
                 while True:
                     deliveries = sim.transmit(link, bs_node, [nodes[member]],
-                                              channel_rng,
-                                              label=f"unicast:g{gen.id}:k{k}")
+                                              channel_rng)
                     sim.advance(link.slot_duration)
                     status = deliveries[0].status
                     if status is DeliveryStatus.OUT_OF_RANGE:
@@ -450,13 +392,4 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
                     if ok:
                         break
 
-    cell_tx = len(records)
-    return SessionMetrics(
-        cellular_tx_count=cell_tx,
-        short_range_tx_count=0,
-        cellular_utilization=cell_tx / (cloud.size * config.source_packet_total),
-        decoding_ratio=codec.decoding_ratio(),
-        total_energy=window.energy(),
-        completion_time=cell_tx,
-        records=tuple(records),
-    )
+    return _metrics(cloud, config, codec, sim, records)

@@ -91,8 +91,10 @@ def write_records(records, out_path: str) -> None:
     """One JSON object per line; write-then-rename, never partial.
 
     The records go to a temp file with a unique name beside the target,
-    so concurrent writers to one path never share it. If writing fails,
-    the temp file is removed and any earlier file is left as it was.
+    so concurrent writers to one path never share it. The temp file is
+    flushed and fsynced before the rename, so the target never names
+    data that has not reached the disk. If writing fails, the temp file
+    is removed and any earlier file is left as it was.
     """
     parent = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(parent, exist_ok=True)
@@ -105,6 +107,8 @@ def write_records(records, out_path: str) -> None:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, out_path)
     except BaseException:
         os.unlink(tmp)

@@ -1,8 +1,11 @@
 """Scenario file parsing, presets, canonical form, and hashing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mscsim.config import (
+    _KEYS,
     ConfigError,
     PRESETS,
     Scenario,
@@ -99,6 +102,10 @@ class TestParsing:
             apply_overrides(default_scenario(1, generation_size=1),
                             {"ncc.redundancy": "255.5"})
         assert err.value.line is None
+        # redundancy * g overflows to inf: still a config error, not a crash
+        with pytest.raises(ConfigError, match="needs inf distinct") as err:
+            parse_config("[scenario]\nseed = 1\n[ncc]\nredundancy = 1e308\n")
+        assert err.value.line == 4
         assert parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 1\n"
                             "redundancy = 255\n").redundancy == 255.0
         assert parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 2\n"
@@ -121,6 +128,27 @@ class TestParsing:
         assert err.value.line == 2
 
 
+# every range the key registry accepts, by the text it describes it with
+RANGES = {
+    "an integer in [0, 2^63)": st.integers(0, 2 ** 63 - 1),
+    "a nonnegative integer": st.integers(min_value=0),
+    "at least 1": st.integers(min_value=1),
+    "in [1, 1024]": st.integers(1, 1024),
+    "positive": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "nonnegative": st.floats(min_value=0.0, allow_infinity=False),
+    "at least 1.0": st.floats(min_value=1.0, allow_infinity=False),
+    "in [0, 1)": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+}
+
+
+def key_values(key):
+    if key.field == "preset":
+        return st.sampled_from(["", *sorted(PRESETS)])
+    if key.expect.startswith("one of: "):
+        return st.sampled_from(key.expect.removeprefix("one of: ").split(", "))
+    return RANGES[key.expect]
+
+
 class TestCanonicalForm:
     def test_serialize_round_trip(self):
         s = parse_config("[scenario]\npreset = ambulance\nseed = 7\n"
@@ -130,6 +158,33 @@ class TestCanonicalForm:
 
     def test_default_scenario_round_trip(self):
         s = default_scenario(3, ue_count=2, redundancy=1.5)
+        assert parse_config(serialize_scenario(s)) == s
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_any_valid_scenario_round_trips(self, data):
+        values = {key.field: data.draw(key_values(key), label=key.field)
+                  for key in _KEYS}
+        # meet _cross_validate's pairwise rules by construction
+        values["speed_min"], values["speed_max"] = sorted(
+            (values["speed_min"], values["speed_max"]))
+        values["km_threshold"], values["km_shareholders"] = sorted(
+            (values["km_threshold"], values["km_shareholders"]))
+        if values["km_group"] == "toy":
+            values["km_shareholders"] = min(values["km_shareholders"], 10)
+            values["km_threshold"] = min(values["km_threshold"], 10)
+        for key in _KEYS:
+            assert key.check(values[key.field]), key.field
+        try:
+            s = default_scenario(**values)
+        except ConfigError:
+            # more coded packets than nonzero coefficient vectors: the
+            # text is rejected too; retry with a redundancy any g allows
+            with pytest.raises(ConfigError, match="distinct coded packets"):
+                parse_config(serialize_scenario(Scenario(**values)))
+            values["redundancy"] = data.draw(st.floats(1.0, 255.0),
+                                             label="redundancy")
+            s = default_scenario(**values)
         assert parse_config(serialize_scenario(s)) == s
 
     def test_hash_ignores_key_order(self):

@@ -1,4 +1,4 @@
-"""Event queue, link model, and energy accounting tests."""
+"""Link model, transmission outcomes, and seeded stream tests."""
 
 import math
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from mscsim.engine import (
     LinkKind,
     LinkModel,
     RunSeed,
-    SimulationError,
     Simulator,
 )
 
@@ -22,59 +21,6 @@ class FakeNode:
     position: tuple
 
 
-def make_links(p_loss=0.0):
-    return {
-        LinkKind.CELLULAR: LinkModel(LinkKind.CELLULAR, 1.0, p_loss, 1.0, 1000.0),
-        LinkKind.SHORT_RANGE: LinkModel(LinkKind.SHORT_RANGE, 4.0, p_loss, 0.2, 50.0),
-    }
-
-
-def test_equal_time_dispatch_in_insertion_order():
-    sim = Simulator()
-    order = []
-    sim.schedule(1.0, lambda: order.append("a"))
-    sim.schedule(1.0, lambda: order.append("b"))
-    sim.schedule(0.5, lambda: order.append("c"))
-    assert sim.run_until(2.0) == 3
-    assert order == ["c", "a", "b"]
-
-
-def test_empty_queue_returns_zero():
-    sim = Simulator()
-    assert sim.run_until(10.0) == 0
-    assert sim.now() == 10.0
-
-
-def test_past_scheduling_rejected():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run_until(1.0)
-    with pytest.raises(SimulationError):
-        sim.schedule(0.5, lambda: None, absolute=True)
-
-
-def test_dispatch_order_matches_sort_oracle():
-    rng = np.random.default_rng(7)
-    times = rng.uniform(0, 1000, size=100_000)
-    sim = Simulator()
-    seen = []
-    for i, t in enumerate(times):
-        sim.schedule(float(t), (lambda i=i: seen.append(i)), absolute=True)
-    sim.run()
-    expected = sorted(range(len(times)), key=lambda i: (times[i], i))
-    assert seen == expected
-
-
-def test_run_until_stops_at_boundary():
-    sim = Simulator()
-    hits = []
-    sim.schedule(1.0, lambda: hits.append(1))
-    sim.schedule(2.0, lambda: hits.append(2))
-    sim.schedule(2.5, lambda: hits.append(3))
-    assert sim.run_until(2.0) == 2
-    assert hits == [1, 2]
-
-
 def test_p_loss_range_enforced():
     with pytest.raises(ValueError):
         LinkModel(LinkKind.CELLULAR, 1.0, 1.0, 1.0, 100.0)
@@ -82,20 +28,20 @@ def test_p_loss_range_enforced():
 
 
 def test_transmit_lossless_delivers_in_range():
-    links = make_links()
-    sim = Simulator(links)
+    link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.0, 0.2, 50.0)
+    sim = Simulator()
     rng = np.random.default_rng(0)
     sender = FakeNode(0, (0.0, 0.0))
     near = FakeNode(1, (10.0, 0.0))
     far = FakeNode(2, (60.0, 0.0))
-    out = sim.transmit(links[LinkKind.SHORT_RANGE], sender, [near, far], rng)
+    out = sim.transmit(link, sender, [near, far], rng)
     assert out[0].status is DeliveryStatus.DELIVERED
     assert out[1].status is DeliveryStatus.OUT_OF_RANGE
 
 
 def test_transmit_binomial_delivery_rate():
     link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.1, 0.2, 50.0)
-    sim = Simulator({LinkKind.SHORT_RANGE: link})
+    sim = Simulator()
     rng = np.random.default_rng(13)
     sender = FakeNode(0, (0.0, 0.0))
     recv = FakeNode(1, (1.0, 0.0))
@@ -106,24 +52,6 @@ def test_transmit_binomial_delivery_rate():
     p = 0.9
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(delivered / trials - p) < 3 * sigma
-
-
-def test_energy_accounting_and_replay():
-    links = make_links()
-    sim = Simulator(links)
-    rng = np.random.default_rng(2)
-    bs = FakeNode(0, (0.0, 0.0))
-    ue1 = FakeNode(1, (5.0, 0.0))
-    ue2 = FakeNode(2, (0.0, 5.0))
-    assert sim.energy_report()["total"] == 0.0
-    for _ in range(3):
-        sim.transmit(links[LinkKind.CELLULAR], bs, [ue1], rng)
-    for _ in range(5):
-        sim.transmit(links[LinkKind.SHORT_RANGE], ue1, [ue2, bs], rng)
-    report = sim.energy_report()
-    assert report["per_link"]["cellular"] == pytest.approx(3 * 1.0 + 3 * 0.1)
-    assert report["per_link"]["short_range"] == pytest.approx(5 * 0.2 + 10 * 0.02)
-    assert sim.replay_energy() == report
 
 
 def test_seed_streams_independent():

@@ -2,13 +2,13 @@
 
 Count assertions are derived by hand from the round-robin and TDMA
 rules; the lossy-baseline test uses the geometric-distribution mean as
-its oracle.
+its oracle, and session energy is replayed from the slot records.
 """
 
 import numpy as np
 import pytest
 
-from mscsim.engine import RunSeed, Simulator
+from mscsim.engine import RX_ENERGY_FRACTION, LinkKind, RunSeed, Simulator
 from mscsim.ncc import (
     CooperativeCloud,
     Endpoint,
@@ -68,10 +68,6 @@ class TestSessionConfig:
         with pytest.raises(ProtocolError):
             SessionConfig(content=_content(), phase_mode="both")
 
-    def test_budget_below_content_rejected(self):
-        with pytest.raises(ProtocolError):
-            SessionConfig(content=_content(g=4), slot_budget=3)
-
     def test_more_coded_packets_than_nonzero_vectors_rejected(self):
         # g = 1: the plan needs distinct nonzero vectors, of which 255 exist
         with pytest.raises(ProtocolError, match="255 nonzero"):
@@ -84,7 +80,7 @@ class TestSessionConfig:
     def test_coded_count_ceiling(self):
         cfg = SessionConfig(content=_content(g=64), redundancy=1.05)
         assert cfg.coded_count(cfg.content[0]) == 68
-        assert cfg.effective_budget == 4 * 68
+        assert cfg.cooperative_budget == 4 * 68
 
 
 class TestCellularPhase:
@@ -93,13 +89,12 @@ class TestCellularPhase:
         cloud = assign_indices([10, 11, 12, 13], head_id=10)
         cfg = SessionConfig(content=_content(g=4))
         codec = SessionCodec(cloud, cfg.content)
-        sim = Simulator()
         seed = RunSeed(0)
-        log = cellular_phase(cloud, cfg, codec, sim,
-                             channel_rng=seed.channel(), coding_rng=seed.coding())
-        assert log.slots_used == 4
-        assert not log.truncated
-        assert [r.receivers[0] for r in log.records] == [10, 11, 12, 13]
+        records = []
+        cellular_phase(cloud, cfg, codec, Simulator(), records,
+                       channel_rng=seed.channel(), coding_rng=seed.coding())
+        assert len(records) == 4  # the whole plan: nothing cuts it short
+        assert [r.receivers[0] for r in records] == [10, 11, 12, 13]
         for m in cloud.members:
             assert codec.decoder(m, 0).rank == 1
 
@@ -107,12 +102,12 @@ class TestCellularPhase:
         cloud = assign_indices([1, 2], head_id=1)
         cfg = SessionConfig(content=_content(g=8), cellular_loss=0.4)
         codec = SessionCodec(cloud, cfg.content)
-        sim = Simulator()
         seed = RunSeed(3)
-        log = cellular_phase(cloud, cfg, codec, sim,
-                             channel_rng=seed.channel(), coding_rng=seed.coding())
-        assert log.slots_used == 8  # exactly ceil(r*g), regardless of erasures
-        lost = [r for r in log.records if not r.delivered[0]]
+        records = []
+        cellular_phase(cloud, cfg, codec, Simulator(), records,
+                       channel_rng=seed.channel(), coding_rng=seed.coding())
+        assert len(records) == 8  # exactly ceil(r*g), regardless of erasures
+        lost = [r for r in records if not r.delivered[0]]
         assert lost, "seed produced no erasures at 40% loss"
         total_rank = sum(codec.decoder(m, 0).rank for m in cloud.members)
         assert total_rank == 8 - len(lost)
@@ -123,11 +118,11 @@ class TestCooperativePhase:
         cloud = assign_indices([5], head_id=5)
         cfg = SessionConfig(content=_content(g=4))
         codec = SessionCodec(cloud, cfg.content)
-        log = cooperative_phase(cloud, cfg, codec, Simulator(),
-                                channel_rng=RunSeed(0).channel(),
-                                coding_rng=RunSeed(0).coding())
-        assert log.slots_used == 0
-        assert log.records == []
+        records = []
+        cooperative_phase(cloud, cfg, codec, Simulator(), records,
+                          channel_rng=RunSeed(0).channel(),
+                          coding_rng=RunSeed(0).coding())
+        assert records == []
 
     def test_two_members_two_slots(self):
         # Hand simulation: each holds one of two independent packets.
@@ -151,24 +146,34 @@ class TestCooperativePhase:
         codec = SessionCodec(cloud, gens)
         # only member 2 holds anything
         codec.ingest(2, CodedPacket(0, np.array([1], np.uint8), gens[0].packets[0].payload))
-        log = cooperative_phase(cloud, cfg, codec, Simulator(),
-                                channel_rng=RunSeed(0).channel(),
-                                coding_rng=RunSeed(0).coding())
-        assert log.records[0].skipped
-        assert log.records[0].sender == 1
-        assert log.records[0].generation_id == -1
-        assert not log.records[1].skipped
+        records = []
+        cooperative_phase(cloud, cfg, codec, Simulator(), records,
+                          channel_rng=RunSeed(0).channel(),
+                          coding_rng=RunSeed(0).coding())
+        assert records[0].skipped
+        assert records[0].sender == 1
+        assert records[0].generation_id == -1
+        assert not records[1].skipped
         assert codec.all_decoded()
 
-    def test_budget_exhaustion_sets_flag(self):
+    @staticmethod
+    def _assert_budget_exhausted(phase_mode):
+        # 90% short-range loss: 4 x 4 cooperative slots are not enough
         gens = _content(g=4, gen_seed=2)
         cloud = assign_indices([1, 2], head_id=1)
-        cfg = SessionConfig(content=gens, slot_budget=4, short_range_loss=0.9)
+        cfg = SessionConfig(content=gens, short_range_loss=0.9,
+                            phase_mode=phase_mode)
         m = run_session(cloud, cfg, seed=0)
         assert m.truncated
-        assert m.decoding_ratio < 1.0
+        assert m.decoding_ratio == 0.0
         coop_slots = sum(1 for r in m.records if r.phase == "cooperative")
-        assert coop_slots == 4
+        assert coop_slots == cfg.cooperative_budget == 16
+
+    def test_budget_exhaustion_sets_flag(self):
+        self._assert_budget_exhausted("sequential")
+
+    def test_budget_exhaustion_sets_flag_in_parallel_mode(self):
+        self._assert_budget_exhausted("parallel")
 
 
 class TestRunSession:
@@ -211,12 +216,13 @@ class TestRunSession:
         seed = RunSeed(4)
         sim = Simulator()
         codec = SessionCodec(cloud, gens)
-        cell = cellular_phase(cloud, cfg, codec, sim,
-                              channel_rng=seed.channel(), coding_rng=seed.coding())
+        records = []
+        cellular_phase(cloud, cfg, codec, sim, records,
+                       channel_rng=seed.channel(), coding_rng=seed.coding())
         coding_rng = seed.coding()  # fresh stream replays the plan draws
         plan = _cellular_plan(cfg, coding_rng)
-        cooperative_phase(cloud, cfg, codec, sim, channel_rng=seed.channel(),
-                          coding_rng=coding_rng, start_slot=cell.slots_used)
+        cooperative_phase(cloud, cfg, codec, sim, records,
+                          channel_rng=seed.channel(), coding_rng=coding_rng)
         for gen in gens:
             bs_vectors = [coeffs for (pg, _, coeffs) in plan if pg.id == gen.id]
             base = _coeff_rank(bs_vectors, gen.size)
@@ -341,3 +347,38 @@ class TestBaselineUnicast:
         nodes = {-1: bs, 1: Endpoint(1, (10.0, 0.0)), 2: Endpoint(2, (far, 0.0))}
         with pytest.raises(ProtocolError, match="member 2 is out of cellular range"):
             baseline_unicast_session(cloud, cfg, seed=0, nodes=nodes, bs=bs)
+
+
+def replay_energy(metrics, cellular, short_range):
+    """A session's energy recomputed from its slot records alone.
+
+    The sender pays the link's tx_energy for every slot that was not
+    skipped, each delivered receiver pays RX_ENERGY_FRACTION of it, and
+    the charges add up per link in record order.
+    """
+    per_link = {kind: 0.0 for kind in LinkKind}
+    for r in metrics.records:
+        if r.skipped:
+            continue
+        link = cellular if r.phase == "cellular" else short_range
+        per_link[link.kind] += link.tx_energy
+        for got in r.delivered:
+            if got:
+                per_link[link.kind] += link.tx_energy * RX_ENERGY_FRACTION
+    return sum(per_link.values())
+
+
+class TestEnergyReplay:
+    @pytest.mark.parametrize("case", ["sequential", "parallel", "solo", "unicast"])
+    def test_energy_replays_from_records(self, case):
+        members = [5] if case == "solo" else [1, 2, 3, 4]
+        cloud = assign_indices(members, head_id=members[0])
+        mode = "parallel" if case == "parallel" else "sequential"
+        cfg = SessionConfig(content=_content(g=8, count=2), redundancy=1.25,
+                            phase_mode=mode, cellular_loss=0.2,
+                            short_range_loss=0.3)
+        session = baseline_unicast_session if case == "unicast" else run_session
+        m = session(cloud, cfg, seed=6)
+        delivered = [got for r in m.records for got in r.delivered]
+        assert any(delivered) and not all(delivered)  # erasures on the trace
+        assert m.total_energy == replay_energy(m, cfg.cellular, cloud.short_range)

@@ -178,6 +178,29 @@ class TestWriteRecords:
             os.umask(old)
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
+    def test_temp_file_is_fsynced_whole_before_the_rename(self, tmp_path,
+                                                         monkeypatch):
+        out = tmp_path / "out.jsonl"
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            st = os.stat(src)
+            calls.append(("replace", st.st_ino, st.st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        runner.write_records([{"ok": True}, {"n": 2}], str(out))
+        size = out.stat().st_size
+        assert calls == [("fsync", out.stat().st_ino, size),
+                         ("replace", out.stat().st_ino, size)]
+
 
 class TestSweep:
     def test_grid_points_annotate_records(self):
