@@ -1,6 +1,9 @@
 """Handover signaling accounting.
 
-Two procedures over the same radio snapshot:
+Two procedures over the same radio snapshot. `measure` takes the
+snapshot once per decision epoch: one report per base station within
+range of the moving cell head, in station-id order. Both procedures
+then read that one report list:
 
 * uplink-reference-signal: the moving cell head broadcasts one UL
   reference signal; every base station in range measures it and reports
@@ -11,13 +14,14 @@ Two procedures over the same radio snapshot:
   executes a random access toward the target.
 
 Both use the same argmax-with-hysteresis decision rule, so they differ
-only in who signals, never in where the device ends up.
+only in who signals, never in where the device ends up. An empty
+snapshot is a radio link failure for either procedure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .topology import Node, PathLoss
 
@@ -31,8 +35,7 @@ class RadioLinkFailure(Exception):
         self.time = time
 
 
-@dataclass(frozen=True)
-class MeasurementReport:
+class MeasurementReport(NamedTuple):
     bs_id: int
     rx_power_dbm: float
     time: float
@@ -58,43 +61,49 @@ class HandoverEvent:
 DEFAULT_HYSTERESIS_DB = 3.0
 
 
-def _measure(mch: Node, stations: Sequence[Node], pathloss: PathLoss,
-             max_range: float, time: float) -> list[MeasurementReport]:
+def measure(mch: Node, stations: Sequence[Node], pathloss: PathLoss,
+            max_range: float, time: float) -> list[MeasurementReport]:
+    """The radio snapshot of one epoch: a report for every station within
+    `max_range` of the cell head, in ascending station id."""
     reports = []
     for stn in sorted(stations, key=lambda s: s.id):
-        if mch.distance_to(stn) <= max_range:
-            power = pathloss.received_power_dbm(mch.tx_power_dbm, mch.distance_to(stn))
+        distance = mch.distance_to(stn)
+        if distance <= max_range:
+            power = pathloss.received_power_dbm(mch.tx_power_dbm, distance)
             reports.append(MeasurementReport(stn.id, power, time))
     return reports
 
 
 def _decide(reports: Sequence[MeasurementReport], serving_id: int,
             hysteresis_db: float) -> int:
-    """Target selection: strongest station, but a challenger must beat
-    the serving station by the hysteresis margin."""
-    by_id = {r.bs_id: r.rx_power_dbm for r in reports}
-    best = min(by_id, key=lambda b: (-by_id[b], b))
-    if serving_id in by_id and best != serving_id:
-        if by_id[best] <= by_id[serving_id] + hysteresis_db:
-            return serving_id
-    return best
+    """Target selection: strongest station (lowest id on a tie), but a
+    challenger must beat the serving station by the hysteresis margin."""
+    best_id, best_power = reports[0].bs_id, reports[0].rx_power_dbm
+    serving_power = None
+    for bs_id, power, _ in reports:
+        if power > best_power or (power == best_power and bs_id < best_id):
+            best_id, best_power = bs_id, power
+        if bs_id == serving_id:
+            serving_power = power
+    if serving_power is not None and best_power <= serving_power + hysteresis_db:
+        return serving_id
+    return best_id
 
 
 Controller = Callable[[Sequence[MeasurementReport], int, float], int]
 
 
-def ul_rs_handover(mch: Node, serving_bs: Node, neighbor_bss: Sequence[Node],
-                   pathloss: PathLoss, controller: Optional[Controller] = None,
-                   max_range: float = 1000.0,
+def ul_rs_handover(mch: Node, serving_bs: Node,
+                   reports: Sequence[MeasurementReport],
+                   controller: Optional[Controller] = None,
                    hysteresis_db: float = DEFAULT_HYSTERESIS_DB,
                    time: float = 0.0) -> HandoverEvent:
-    """One decision epoch of the uplink-reference-signal procedure.
+    """One decision epoch of the uplink-reference-signal procedure over
+    the epoch's snapshot from `measure`.
 
     ``controller`` replaces the default target-selection rule; it gets the
     reports, the serving id and the margin and returns the target id.
     """
-    stations = [serving_bs, *neighbor_bss]
-    reports = _measure(mch, stations, pathloss, max_range, time)
     if not reports:
         raise RadioLinkFailure(mch.id, time)
     decide = controller if controller is not None else _decide
@@ -109,22 +118,21 @@ def ul_rs_handover(mch: Node, serving_bs: Node, neighbor_bss: Sequence[Node],
         network_messages=len(reports),         # per-BS reports to the controller
         decision_time=time,
         procedure="ul_rs",
-        reports=reports,
+        reports=list(reports),
     )
 
 
-def baseline_handover(mch: Node, serving_bs: Node, neighbor_bss: Sequence[Node],
-                      pathloss: PathLoss, max_range: float = 1000.0,
+def baseline_handover(mch: Node, serving_bs: Node,
+                      reports: Sequence[MeasurementReport],
                       hysteresis_db: float = DEFAULT_HYSTERESIS_DB,
                       time: float = 0.0) -> HandoverEvent:
-    """Device-measured downlink procedure used as the comparison point.
+    """Device-measured downlink procedure used as the comparison point,
+    over the epoch's snapshot from `measure`.
 
     The device receives a reference signal from every station in range,
     transmits one measurement report, and on an executed handover also
     receives the command and transmits the random access to the target.
     """
-    stations = [serving_bs, *neighbor_bss]
-    reports = _measure(mch, stations, pathloss, max_range, time)
     if not reports:
         raise RadioLinkFailure(mch.id, time)
     target = _decide(reports, serving_bs.id, hysteresis_db)
@@ -139,7 +147,7 @@ def baseline_handover(mch: Node, serving_bs: Node, neighbor_bss: Sequence[Node],
         network_messages=1 + (1 if executed else 0),
         decision_time=time,
         procedure="baseline",
-        reports=reports,
+        reports=list(reports),
     )
 
 

@@ -94,7 +94,7 @@ class SessionConfig:
         object.__setattr__(self, "content", tuple(self.content))
         if not self.content:
             raise ProtocolError("session needs at least one generation")
-        if self.redundancy < 1.0:
+        if not self.redundancy >= 1.0:  # also NaN
             raise ProtocolError(f"redundancy must be >= 1, got {self.redundancy}")
         if self.phase_mode not in ("sequential", "parallel"):
             raise ProtocolError(f"unknown phase mode {self.phase_mode!r}")
@@ -102,6 +102,10 @@ class SessionConfig:
             if not 0.0 <= p < 1.0:
                 raise ProtocolError(f"loss probability {p} outside [0, 1)")
         for gen in self.content:
+            if math.isinf(self.redundancy * gen.size):
+                raise ProtocolError(
+                    f"redundancy {self.redundancy} asks for infinitely many "
+                    f"coded packets of generation {gen.id}")
             # the cellular plan sends distinct nonzero coefficient vectors,
             # and only 256^g - 1 of those exist
             if self.coded_count(gen) > 256 ** gen.size - 1:

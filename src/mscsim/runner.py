@@ -28,7 +28,13 @@ from .config import (
     scenario_to_dict,
 )
 from .engine import LinkKind, LinkModel, RunSeed
-from .handover import RadioLinkFailure, baseline_handover, ho_energy, ul_rs_handover
+from .handover import (
+    RadioLinkFailure,
+    baseline_handover,
+    ho_energy,
+    measure,
+    ul_rs_handover,
+)
 from .keymgmt import (
     KMConfig,
     KMService,
@@ -93,8 +99,9 @@ def write_records(records, out_path: str) -> None:
     The records go to a temp file with a unique name beside the target,
     so concurrent writers to one path never share it. The temp file is
     flushed and fsynced before the rename, so the target never names
-    data that has not reached the disk. If writing fails, the temp file
-    is removed and any earlier file is left as it was.
+    data that has not reached the disk, and the directory is fsynced
+    after it, so the rename itself survives a crash. If writing fails,
+    the temp file is removed and any earlier file is left as it was.
     """
     parent = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(parent, exist_ok=True)
@@ -113,6 +120,11 @@ def write_records(records, out_path: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _links(scenario: Scenario) -> tuple[LinkModel, LinkModel]:
@@ -275,12 +287,13 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations, msc,
                       (scenario.arena_width, scenario.arena_height),
                       (scenario.speed_min, scenario.speed_max))
         time = (epoch + 1) * scenario.epoch_duration
+        # one radio snapshot, read by both procedures
+        reports = measure(mch, stations, pathloss, scenario.cellular_range,
+                          time)
         targets = {}
         for name, procedure in procedures.items():
-            neighbors = [b for b in stations if b.id != serving[name].id]
             try:
-                event = procedure(mch, serving[name], neighbors, pathloss,
-                                  max_range=scenario.cellular_range,
+                event = procedure(mch, serving[name], reports,
                                   hysteresis_db=scenario.hysteresis_db,
                                   time=time)
             except RadioLinkFailure:

@@ -3,19 +3,25 @@
 The trace comparison runs both procedures over the same mobility trace
 and checks the structural claims (same targets, 1 vs 2 uplink messages
 per executed handover, lower mean device energy) rather than absolute
-figures.
+figures. The runner's handover summary is checked against the loop it
+replaced, in which each procedure measured the radio on its own.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mscsim import runner
+from mscsim.config import parse_config
 from mscsim.engine import RunSeed
 from mscsim.handover import (
-    DEFAULT_HYSTERESIS_DB,
     HandoverEvent,
     MeasurementReport,
     RadioLinkFailure,
+    _decide,
     baseline_handover,
     ho_energy,
+    measure,
     ul_rs_handover,
 )
 from mscsim.topology import Node, NodeKind, PathLoss, step_mobility
@@ -31,9 +37,36 @@ def _bs(node_id, x, y):
     return Node(node_id, NodeKind.BASE_STATION, (x, y))
 
 
+# both procedures over the snapshot of [serving, *neighbors] at 1000 m
+def _ul_rs(mch, serving, neighbors, time=0.0, **kwargs):
+    reports = measure(mch, [serving, *neighbors], PL, 1000.0, time)
+    return ul_rs_handover(mch, serving, reports, time=time, **kwargs)
+
+
+def _baseline(mch, serving, neighbors, time=0.0, **kwargs):
+    reports = measure(mch, [serving, *neighbors], PL, 1000.0, time)
+    return baseline_handover(mch, serving, reports, time=time, **kwargs)
+
+
+class TestMeasure:
+    def test_reports_in_station_id_order_within_range(self):
+        mch = _mch()
+        stations = [_bs(3, 0, 90), _bs(1, 60, 0), _bs(4, 5000, 0), _bs(2, 80, 0)]
+        reports = measure(mch, stations, PL, 1000.0, 2.5)
+        assert [r.bs_id for r in reports] == [1, 2, 3]
+        assert all(r.time == 2.5 for r in reports)
+        assert reports[0] == MeasurementReport(
+            1, PL.received_power_dbm(mch.tx_power_dbm, 60.0), 2.5)
+
+    def test_range_is_inclusive(self):
+        assert [r.bs_id for r in measure(_mch(), [_bs(1, 100, 0)], PL,
+                                         100.0, 0.0)] == [1]
+        assert measure(_mch(), [_bs(1, 100, 0)], PL, 99.9, 0.0) == []
+
+
 class TestUlRs:
     def test_serving_strongest_no_handover(self):
-        ev = ul_rs_handover(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)], PL)
+        ev = _ul_rs(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)])
         assert ev.target_bs == ev.serving_bs == 1
         assert not ev.executed
         assert ev.ue_tx_messages == 1
@@ -41,7 +74,7 @@ class TestUlRs:
 
     def test_strong_neighbor_triggers_handover(self):
         # 50 m vs 100 m is a 10.5 dB gap, far past the 3 dB margin
-        ev = ul_rs_handover(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)], PL)
+        ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)])
         assert ev.executed
         assert ev.target_bs == 2
         assert ev.ue_tx_messages == 1
@@ -49,49 +82,49 @@ class TestUlRs:
 
     def test_within_margin_no_handover(self):
         # 95 m vs 100 m is about 0.8 dB, inside the margin
-        ev = ul_rs_handover(_mch(), _bs(1, 100, 0), [_bs(2, 95, 0)], PL)
+        ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 95, 0)])
         assert not ev.executed
         assert ev.target_bs == 1
 
     def test_network_messages_counts_stations_in_range(self):
         neighbors = [_bs(2, 80, 0), _bs(3, 0, 90), _bs(4, 5000, 0)]
-        ev = ul_rs_handover(_mch(), _bs(1, 60, 0), neighbors, PL)
+        ev = _ul_rs(_mch(), _bs(1, 60, 0), neighbors)
         assert ev.network_messages == 3  # the 5 km station never hears the UL RS
         assert {r.bs_id for r in ev.reports} == {1, 2, 3}
 
     def test_serving_out_of_range_forces_handover(self):
-        ev = ul_rs_handover(_mch(), _bs(1, 5000, 0), [_bs(2, 100, 0)], PL)
+        ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(2, 100, 0)])
         assert ev.executed
         assert ev.target_bs == 2
 
     def test_no_station_in_range_is_radio_link_failure(self):
         with pytest.raises(RadioLinkFailure) as exc:
-            ul_rs_handover(_mch(node_id=9), _bs(1, 5000, 0), [_bs(2, 0, 7000)], PL, time=4.0)
+            _ul_rs(_mch(node_id=9), _bs(1, 5000, 0), [_bs(2, 0, 7000)], time=4.0)
         assert exc.value.entity_id == 9
         assert exc.value.time == 4.0
 
     def test_equidistant_neighbors_prefer_lowest_id(self):
-        ev = ul_rs_handover(_mch(), _bs(1, 5000, 0), [_bs(7, 100, 0), _bs(3, 0, 100)], PL)
+        ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(7, 100, 0), _bs(3, 0, 100)])
         assert ev.target_bs == 3
 
     def test_controller_override(self):
         def keep_serving(reports, serving_id, margin):
             return serving_id
 
-        ev = ul_rs_handover(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)], PL,
-                            controller=keep_serving)
+        ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)],
+                    controller=keep_serving)
         assert not ev.executed
 
 
 class TestBaseline:
     def test_no_handover_report_only(self):
-        ev = baseline_handover(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)], PL)
+        ev = _baseline(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)])
         assert not ev.executed
         assert ev.ue_tx_messages == 1
         assert ev.ue_rx_messages == 2  # downlink RS from both stations
 
     def test_executed_handover_message_counts(self):
-        ev = baseline_handover(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)], PL)
+        ev = _baseline(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)])
         assert ev.executed
         assert ev.ue_tx_messages == 2
         assert ev.ue_rx_messages >= 2
@@ -99,13 +132,13 @@ class TestBaseline:
     def test_same_target_as_ul_rs(self):
         serving = _bs(1, 100, 0)
         neighbors = [_bs(2, 50, 0), _bs(3, 40, 40), _bs(4, 200, 0)]
-        a = ul_rs_handover(_mch(), serving, neighbors, PL)
-        b = baseline_handover(_mch(), serving, neighbors, PL)
+        a = _ul_rs(_mch(), serving, neighbors)
+        b = _baseline(_mch(), serving, neighbors)
         assert a.target_bs == b.target_bs
 
     def test_no_station_in_range_is_radio_link_failure(self):
         with pytest.raises(RadioLinkFailure):
-            baseline_handover(_mch(), _bs(1, 5000, 0), [], PL)
+            _baseline(_mch(), _bs(1, 5000, 0), [])
 
 
 class TestEnergy:
@@ -118,7 +151,7 @@ class TestEnergy:
         assert ho_energy(ev, e_tx=1.0, e_rx=0.1) == pytest.approx(1.1)
 
     def test_energy_matches_count_arithmetic(self):
-        ev = baseline_handover(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0), _bs(3, 0, 70)], PL)
+        ev = _baseline(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0), _bs(3, 0, 70)])
         expected = ev.ue_tx_messages * 2.0 + ev.ue_rx_messages * 0.25
         assert ho_energy(ev, e_tx=2.0, e_rx=0.25) == pytest.approx(expected)
 
@@ -132,7 +165,7 @@ def test_ping_pong_suppression_static_positions():
     executed = 0
     for epoch in range(10):
         neighbors = [s for sid, s in stations.items() if sid != serving]
-        ev = ul_rs_handover(mch, stations[serving], neighbors, PL, time=float(epoch))
+        ev = _ul_rs(mch, stations[serving], neighbors, time=float(epoch))
         if ev.executed:
             executed += 1
             serving = ev.target_bs
@@ -155,9 +188,9 @@ def test_trace_comparison_ul_rs_dominates_baseline():
     base_events: list[HandoverEvent] = []
     for epoch in range(1000):
         step_mobility(nodes, 1.0, rng, arena=(300.0, 300.0), speed_range=(2.0, 8.0))
-        neighbors = [s for sid, s in stations.items() if sid != serving]
-        ul = ul_rs_handover(ue, stations[serving], neighbors, PL, time=float(epoch))
-        base = baseline_handover(ue, stations[serving], neighbors, PL, time=float(epoch))
+        reports = measure(ue, stations.values(), PL, 1000.0, float(epoch))
+        ul = ul_rs_handover(ue, stations[serving], reports, time=float(epoch))
+        base = baseline_handover(ue, stations[serving], reports, time=float(epoch))
         assert ul.target_bs == base.target_bs  # identical radio snapshot
         ul_events.append(ul)
         base_events.append(base)
@@ -177,3 +210,123 @@ def test_trace_comparison_ul_rs_dominates_baseline():
     mean_ul = sum(ho_energy(ev) for ev in ul_events) / len(ul_events)
     mean_base = sum(ho_energy(ev) for ev in base_events) / len(base_events)
     assert mean_ul < mean_base
+
+
+# -- reference: the handover loop before one snapshot per epoch ----------
+
+
+def _reference_measure(mch, stations, pathloss, max_range, time):
+    reports = []
+    for stn in sorted(stations, key=lambda s: s.id):
+        if mch.distance_to(stn) <= max_range:
+            power = pathloss.received_power_dbm(mch.tx_power_dbm, mch.distance_to(stn))
+            reports.append((stn.id, power))
+    return reports
+
+
+def _reference_decide(reports, serving_id, hysteresis_db):
+    by_id = dict(reports)
+    best = min(by_id, key=lambda b: (-by_id[b], b))
+    if serving_id in by_id and best != serving_id:
+        if by_id[best] <= by_id[serving_id] + hysteresis_db:
+            return serving_id
+    return best
+
+
+def _reference_event(name, mch, serving, neighbors, pathloss, max_range,
+                     hysteresis_db, time):
+    """One epoch of one procedure, measuring the radio on its own; None
+    on a radio link failure."""
+    reports = _reference_measure(mch, [serving, *neighbors], pathloss,
+                                 max_range, time)
+    if not reports:
+        return None
+    target = _reference_decide(reports, serving.id, hysteresis_db)
+    executed = int(target != serving.id)
+    if name == "ul_rs":
+        tx, rx, network = 1, executed, len(reports)
+    else:
+        tx, rx, network = 1 + executed, len(reports) + executed, 1 + executed
+    return HandoverEvent(mch.id, serving.id, target, tx, rx, network, time)
+
+
+def reference_handover_summary(scenario):
+    """The runner's handover summary, computed the way the loop did it
+    before both procedures shared one snapshot per epoch."""
+    mobility_rng = RunSeed(scenario.seed).mobility()
+    nodes, stations, _, msc, pathloss = runner._build_topology(
+        scenario, mobility_rng)
+    totals = {name: {"ue_tx": 0, "ue_rx": 0, "network": 0, "energy": 0.0,
+                     "executed": 0} for name in ("ul_rs", "baseline")}
+    summary = {"epochs": scenario.ho_epochs, "decisions_match": True,
+               "link_failures": 0, **totals}
+    mch = nodes[msc.head]
+    devices = [n for n in nodes.values() if n.kind is NodeKind.UE]
+    serving = {name: nodes[msc.gateway_bs] for name in totals}
+    for epoch in range(scenario.ho_epochs):
+        step_mobility(devices, scenario.epoch_duration, mobility_rng,
+                      (scenario.arena_width, scenario.arena_height),
+                      (scenario.speed_min, scenario.speed_max))
+        time = (epoch + 1) * scenario.epoch_duration
+        targets = {}
+        for name, bucket in totals.items():
+            neighbors = [b for b in stations if b.id != serving[name].id]
+            event = _reference_event(name, mch, serving[name], neighbors,
+                                     pathloss, scenario.cellular_range,
+                                     scenario.hysteresis_db, time)
+            if event is None:
+                summary["link_failures"] += 1
+                targets[name] = serving[name].id
+                continue
+            bucket["ue_tx"] += event.ue_tx_messages
+            bucket["ue_rx"] += event.ue_rx_messages
+            bucket["network"] += event.network_messages
+            bucket["energy"] += ho_energy(event)
+            bucket["executed"] += int(event.executed)
+            targets[name] = event.target_bs
+            serving[name] = nodes[event.target_bs]
+        if targets["ul_rs"] != targets["baseline"]:
+            summary["decisions_match"] = False
+    return summary
+
+
+@pytest.mark.parametrize("hysteresis", [0.0, 3.0])
+@pytest.mark.parametrize("cellular_range", [60.0, 120.0, 1000.0])
+@pytest.mark.parametrize("seed", [3, 11, 99])
+def test_run_matches_the_per_procedure_reference(seed, cellular_range,
+                                                 hysteresis):
+    scenario = parse_config(
+        f"[scenario]\npreset = ho-comparison\nseed = {seed}\n"
+        f"[links]\ncellular_range = {cellular_range}\n"
+        f"[handover]\nepochs = 800\nhysteresis_db = {hysteresis}\n")
+    result = runner.run(scenario)
+    assert result.exit_code == 0
+    record = next(r for r in result.records if r["type"] == "handover-summary")
+    got = {k: record[k] for k in ("epochs", "decisions_match",
+                                  "link_failures", "ul_rs", "baseline")}
+    assert got == reference_handover_summary(scenario)
+
+
+def test_reference_reaches_radio_link_failures():
+    # the 60 m range leaves the head uncovered for part of the trace, so
+    # the oracle above covers the failure branch
+    scenario = parse_config(
+        "[scenario]\npreset = ho-comparison\nseed = 3\n"
+        "[links]\ncellular_range = 60\n[handover]\nepochs = 800\n")
+    assert reference_handover_summary(scenario)["link_failures"] > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(reports=st.lists(st.tuples(st.integers(1, 6),
+                                  st.sampled_from([-80.0, -75.5, -72.0, -70.0])
+                                  | st.floats(-120.0, -40.0)),
+                        min_size=1, max_size=6,
+                        unique_by=lambda r: r[0]),
+       serving=st.integers(1, 7),
+       hysteresis=st.sampled_from([0.0, 2.0, 3.0, 4.5]))
+def test_single_pass_decision_matches_the_reference_rule(reports, serving,
+                                                          hysteresis):
+    snapshot = [MeasurementReport(bs_id, power, 0.0) for bs_id, power in reports]
+    assert (_decide(snapshot, serving, hysteresis)
+            == _reference_decide(reports, serving, hysteresis))
+

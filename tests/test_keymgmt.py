@@ -8,10 +8,15 @@ negative results are only meaningful in the larger group.
 """
 
 import itertools
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mscsim.keymgmt.credentials import pack
 from mscsim.keymgmt.groups import (
     DEMO_GROUP,
     TOY_GROUP,
@@ -19,6 +24,7 @@ from mscsim.keymgmt.groups import (
     GroupParams,
     dump_group,
     generate_group,
+    group_2048,
     is_probable_prime,
     load_group,
     rand_below,
@@ -93,6 +99,12 @@ class TestGroups:
     def test_dump_load_round_trip(self):
         text = dump_group(TOY_GROUP)
         assert load_group(text) == TOY_GROUP
+        # the fixed-base table is no field: equality and hash ignore it
+        for group in (DEMO_GROUP, group_2048()):
+            loaded = load_group(dump_group(group))
+            assert loaded == group
+            assert hash(loaded) == hash(group)
+            assert loaded.exp(group.q - 1) == group.exp(group.q - 1)
 
     def test_load_errors_carry_line_numbers(self):
         with pytest.raises(GroupError, match="line 2"):
@@ -284,3 +296,101 @@ class TestThresholdSigning:
         m2, _, s2, _ = self._session(DEMO_GROUP, seed=12)
         assert combine_partials(s1.partials(), 3, DEMO_GROUP) == \
             combine_partials(s2.partials(), 3, DEMO_GROUP)
+
+
+# derandomized so the suite stays reproducible run to run
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+GROUPS = {"toy": lambda: TOY_GROUP, "demo": lambda: DEMO_GROUP,
+          "2048": group_2048}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_fixed_base_exp_at_the_edges_of_the_exponent_range(name):
+    group = GROUPS[name]()
+    q = group.q
+    for e in (0, 1, q - 1, q, q + 1, -1, -q, 2 * q, -2 * q):
+        assert group.exp(e) == pow(group.g, e % q, group.p)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@PROPERTY
+@given(data=st.data())
+def test_fixed_base_exp_equals_pow(name, data):
+    group = GROUPS[name]()
+    e = data.draw(st.integers(-2 * group.q, 2 * group.q))
+    assert group.exp(e) == pow(group.g, e % group.q, group.p)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), p_bits=st.integers(24, 80),
+       data=st.data())
+def test_group_text_round_trip_keeps_equality_and_hash(seed, p_bits, data):
+    # generate_group keeps its first q, so a narrow cofactor range can
+    # hold no prime p at all; 16 cofactor bits always hold one here
+    q_bits = data.draw(st.integers(4, p_bits - 16))
+    group = generate_group(p_bits, q_bits, np.random.default_rng(seed))
+    loaded = load_group(dump_group(group))
+    assert loaded == group
+    assert hash(loaded) == hash(group)
+    assert repr(loaded) == f"GroupParams(p={group.p}, q={group.q}, g={group.g})"
+    # q of any bit length, not only the fixtures' multiples of four
+    e = data.draw(st.integers(-2 * group.q, 2 * group.q))
+    assert loaded.exp(e) == group.exp(e) == pow(group.g, e % group.q, group.p)
+
+
+# Leaves pack accepts, from small alphabets so that near-collisions such
+# as 0 / 0.0 / "" / b"" / () are drawn often; bools are refused by pack.
+_LEAVES = (st.integers(0, 300) | st.sampled_from([2 ** 64, 2 ** 64 - 1])
+           | st.sampled_from([0.0, -0.0, 1.0, 0.5, math.inf, -math.inf])
+           | st.floats(allow_nan=False)
+           | st.text(alphabet="a\x00\u00e9", max_size=3)
+           | st.binary(max_size=3))
+
+
+def _tuples_of(kids):
+    return st.lists(kids, max_size=3).map(tuple)
+
+
+_PACKABLE = st.recursive(_LEAVES, _tuples_of, max_leaves=8)
+
+
+def _canonical(item):
+    """Type-tagged form that tells apart what == does not (1 vs 1.0, 0.0
+    vs -0.0); lists are tuples to pack, so both map to one form."""
+    if isinstance(item, (tuple, list)):
+        return ("t", tuple(_canonical(x) for x in item))
+    if isinstance(item, float):
+        return ("f", struct.pack(">d", item))
+    return (type(item).__name__, item)
+
+
+def _as_lists(item):
+    if isinstance(item, tuple):
+        return [_as_lists(x) for x in item]
+    return item
+
+
+@PROPERTY
+@given(values=st.lists(st.lists(_PACKABLE, max_size=3), min_size=2,
+                       max_size=12))
+def test_pack_is_injective(values):
+    forms = {}
+    for items in values:
+        forms.setdefault(pack(*items), set()).add(_canonical(items))
+    assert all(len(same_bytes) == 1 for same_bytes in forms.values())
+
+
+def test_pack_separates_every_short_tuple_of_look_alike_leaves():
+    leaves = [0, 1, 0.0, -0.0, 1.0, "", "\x00", b"", b"\x00", (), (0,), ((),)]
+    combos = [c for n in range(3) for c in itertools.product(leaves, repeat=n)]
+    assert len({_canonical(c) for c in combos}) == len(combos)
+    assert len({pack(*c) for c in combos}) == len(combos)
+
+
+@PROPERTY
+@given(items=st.lists(_PACKABLE, max_size=4))
+def test_pack_treats_lists_and_tuples_alike(items):
+    assert pack(*items) == pack(*map(_as_lists, items))
+    assert pack(*items) == pack(*items[:1], *items[1:])

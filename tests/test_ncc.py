@@ -63,6 +63,8 @@ class TestSessionConfig:
     def test_redundancy_below_one_rejected(self):
         with pytest.raises(ProtocolError):
             SessionConfig(content=_content(), redundancy=0.9)
+        with pytest.raises(ProtocolError, match=">= 1"):
+            SessionConfig(content=_content(), redundancy=float("nan"))
 
     def test_unknown_phase_mode_rejected(self):
         with pytest.raises(ProtocolError):
@@ -76,6 +78,12 @@ class TestSessionConfig:
         cfg = SessionConfig(content=_content(g=1), redundancy=255)
         plan = _cellular_plan(cfg, RunSeed(0).coding())
         assert len({coeffs.tobytes() for (_, _, coeffs) in plan}) == 255
+
+    def test_redundancy_overflowing_the_packet_count_rejected(self):
+        # 1e308 * 4 overflows to inf, which math.ceil cannot convert
+        for redundancy in (1e308, float("inf")):
+            with pytest.raises(ProtocolError, match="infinitely many"):
+                SessionConfig(content=_content(g=4), redundancy=redundancy)
 
     def test_coded_count_ceiling(self):
         cfg = SessionConfig(content=_content(g=64), redundancy=1.05)

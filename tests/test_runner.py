@@ -186,7 +186,10 @@ class TestWriteRecords:
 
         def fsync(fd):
             st = os.fstat(fd)
-            calls.append(("fsync", st.st_ino, st.st_size))
+            if stat.S_ISDIR(st.st_mode):
+                calls.append(("fsync-dir", st.st_ino))
+            else:
+                calls.append(("fsync", st.st_ino, st.st_size))
             real_fsync(fd)
 
         def replace(src, dst):
@@ -198,8 +201,10 @@ class TestWriteRecords:
         monkeypatch.setattr(os, "replace", replace)
         runner.write_records([{"ok": True}, {"n": 2}], str(out))
         size = out.stat().st_size
+        # the directory entry the rename wrote is made durable last
         assert calls == [("fsync", out.stat().st_ino, size),
-                         ("replace", out.stat().st_ino, size)]
+                         ("replace", out.stat().st_ino, size),
+                         ("fsync-dir", tmp_path.stat().st_ino)]
 
 
 class TestSweep:
