@@ -163,20 +163,41 @@ class GroupParams:
         return rand_range(rng, 1, self.q)
 
 
+# Cofactor draws per bit of p before generate_group gives up on its q.
+# A prime p turns up about once in ln(2**p_bits) / 2 even cofactors, so
+# the bound is rarely reached except by a q for which no cofactor works
+# (a q near the bottom of its range when p - q leaves only a few bits).
+_COFACTOR_DRAWS_PER_BIT = 4
+
+
 def generate_group(p_bits: int, q_bits: int, rng) -> GroupParams:
-    """Fresh Schnorr group: prime q of q_bits, p = q*c + 1 of p_bits."""
+    """Fresh Schnorr group: prime q of q_bits, p = q*c + 1 of p_bits.
+
+    q is redrawn when a bounded number of even cofactors c gives no
+    prime p. With fewer than 3 bits between p and q no q can work: the
+    only even c of 1 or 2 bits, 0 and 2, leave p short of p_bits.
+    """
     if q_bits >= p_bits:
         raise GroupError("q must be smaller than p")
-    while True:
-        q = rand_range(rng, 1 << (q_bits - 1), 1 << q_bits) | 1
-        if is_probable_prime(q, rng):
-            break
+    if q_bits < 2:
+        raise GroupError("q needs at least 2 bits to be an odd prime")
     c_bits = p_bits - q_bits
-    while True:
-        c = rand_range(rng, 1 << (c_bits - 1), 1 << c_bits) & ~1  # even keeps p odd
-        p = q * c + 1
-        if p.bit_length() == p_bits and is_probable_prime(p, rng):
-            break
+    if c_bits < 3:
+        raise GroupError(
+            f"p has only {c_bits} bits more than q, too few for an even "
+            f"cofactor c with q*c + 1 of {p_bits} bits; need at least 3")
+    p = None
+    while p is None:
+        while True:
+            q = rand_range(rng, 1 << (q_bits - 1), 1 << q_bits) | 1
+            if is_probable_prime(q, rng):
+                break
+        for _ in range(_COFACTOR_DRAWS_PER_BIT * p_bits):
+            c = rand_range(rng, 1 << (c_bits - 1), 1 << c_bits) & ~1  # even keeps p odd
+            candidate = q * c + 1
+            if candidate.bit_length() == p_bits and is_probable_prime(candidate, rng):
+                p = candidate
+                break
     while True:
         h = rand_range(rng, 2, p - 1)
         g = pow(h, (p - 1) // q, p)

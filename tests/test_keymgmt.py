@@ -7,8 +7,10 @@ message collides with the honest challenge one time in eleven, so
 negative results are only meaningful in the larger group.
 """
 
+import contextlib
 import itertools
 import math
+import signal
 import struct
 
 import numpy as np
@@ -55,6 +57,21 @@ TOY_POLY = [7, 3, 2]
 TOY_POINTS = {1: 1, 2: 10, 3: 1, 4: 7}
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail with TimeoutError, instead of hanging, past `seconds`."""
+    def timed_out(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestGroups:
     def test_toy_group_structure(self):
         assert pow(TOY_GROUP.g, TOY_GROUP.q, TOY_GROUP.p) == 1
@@ -91,6 +108,23 @@ class TestGroups:
         assert grp.p.bit_length() == 64
         assert grp.q.bit_length() == 32
         assert (grp.p - 1) % grp.q == 0
+        # the group this seed gave before q could be redrawn
+        assert grp == GroupParams(p=11018933715363177739, q=2766644471,
+                                  g=7221488245205999840)
+
+    def test_generate_group_redraws_a_q_no_cofactor_fits(self):
+        # q = 197 from this seed leaves no even 4-bit c with q*c + 1 a
+        # 12-bit prime, so keeping the first q would loop forever
+        with _time_limit(5):
+            grp = generate_group(12, 8, np.random.default_rng(0))
+        assert grp.p.bit_length() == 12
+        assert grp.q.bit_length() == 8
+        assert (grp.p - 1) % grp.q == 0
+
+    @pytest.mark.parametrize("p_bits, q_bits", [(3, 2), (4, 2), (10, 8), (10, 9), (10, 1)])
+    def test_generate_group_rejects_sizes_no_group_fits(self, p_bits, q_bits):
+        with _time_limit(5), pytest.raises(GroupError):
+            generate_group(p_bits, q_bits, np.random.default_rng(0))
 
     def test_demo_group_shape(self):
         assert DEMO_GROUP.p.bit_length() == 512
@@ -327,10 +361,10 @@ def test_fixed_base_exp_equals_pow(name, data):
 @given(seed=st.integers(0, 2 ** 32 - 1), p_bits=st.integers(24, 80),
        data=st.data())
 def test_group_text_round_trip_keeps_equality_and_hash(seed, p_bits, data):
-    # generate_group keeps its first q, so a narrow cofactor range can
-    # hold no prime p at all; 16 cofactor bits always hold one here
-    q_bits = data.draw(st.integers(4, p_bits - 16))
-    group = generate_group(p_bits, q_bits, np.random.default_rng(seed))
+    # any gap of 3 bits or more holds a group; narrow ones redraw q
+    q_bits = data.draw(st.integers(4, p_bits - 3))
+    with _time_limit(5):
+        group = generate_group(p_bits, q_bits, np.random.default_rng(seed))
     loaded = load_group(dump_group(group))
     assert loaded == group
     assert hash(loaded) == hash(group)
