@@ -13,12 +13,11 @@ receiver, in receiver order, and `total_energy` adds the cellular total
 and then the short-range total. Float addition is not associative, so
 the output's energy bytes depend on exactly this order.
 
-`transmit` decides range as `np.hypot(dx, dy) > range_m` would, but on
-the common path from the squared distance: a squared distance outside a
-relative guard band around range_m**2 cannot round to the other side of
-the edge. Inside the band, and for anything but float coordinates, it
-asks `np.hypot` itself. (`math.hypot` is not a substitute: it differs
-from `np.hypot` in the last bit on some inputs.)
+`transmit` decides range as `np.hypot(dx, dy) > range_m`, except that
+co-located endpoints (dx == dy == 0, every session endpoint today) skip
+the call: their distance is 0 and range_m is positive, so they are in
+range. (`math.hypot` is not a substitute for `np.hypot`: it differs in
+the last bit on some inputs.)
 """
 
 from __future__ import annotations
@@ -45,26 +44,6 @@ class DeliveryStatus(Enum):
     OUT_OF_RANGE = "out_of_range"
 
 
-# Relative half-width of the guard band around range_m**2. The squared
-# distance and np.hypot each err by a few ulps (~1e-16), so a band of
-# 1e-9 leaves a wide margin; only near-edge pairs pay for np.hypot.
-_BAND = 1e-9
-# Near the subnormals a square's rounding error is absolute, not
-# relative, so below this range_m**2 every pair asks np.hypot. (Overflow
-# needs no limit: an infinite square or band edge only ever sends a pair
-# to np.hypot or decides it the way np.hypot would.)
-_BAND_R2_MIN = 1e-280
-
-
-def _range_band(range_m: float) -> tuple[float, float]:
-    """(near, far): a squared float distance below near is in range, one
-    above far is out of range, and anything else is decided by np.hypot."""
-    r2 = range_m * range_m
-    if r2 < _BAND_R2_MIN:
-        return -1.0, float("inf")
-    return r2 * (1.0 - _BAND), r2 * (1.0 + _BAND)
-
-
 @dataclass(frozen=True)
 class LinkModel:
     """Rate, loss, energy and reach of one link technology."""
@@ -80,8 +59,6 @@ class LinkModel:
             raise ValueError(f"p_loss must be in [0, 1), got {self.p_loss}")
         if self.rate <= 0 or self.tx_energy < 0 or self.range_m <= 0:
             raise ValueError("rate and range must be positive, energy nonnegative")
-        # not a field: == and repr see only the five above
-        object.__setattr__(self, "_range_band", _range_band(self.range_m))
 
     @property
     def slot_duration(self) -> float:
@@ -136,7 +113,8 @@ class Delivery(NamedTuple):
 
 
 # Reading an Enum member through its class costs ~0.1 us on Python 3.11,
-# a tenth of a one-receiver transmit; the per-receiver path uses aliases.
+# a tenth of a one-receiver transmit; the per-receiver and per-slot paths
+# (here and in `ncc`) use these aliases.
 _CELLULAR = LinkKind.CELLULAR
 _DELIVERED = DeliveryStatus.DELIVERED
 _ERASED = DeliveryStatus.ERASED
@@ -173,21 +151,13 @@ class Simulator:
         energy += link.tx_energy
         rx_energy = link.tx_energy * RX_ENERGY_FRACTION
         p_loss = link.p_loss
-        near, far = link._range_band
         sx, sy = sender.position
         deliveries = []
         for recv in receivers:
             px, py = recv.position
             dx = sx - px
             dy = sy - py
-            if type(dx) is not float or type(dy) is not float:
-                beyond = np.hypot(dx, dy) > link.range_m
-            elif (d2 := dx * dx + dy * dy) < near:
-                beyond = False
-            elif d2 > far:
-                beyond = True
-            else:
-                beyond = np.hypot(dx, dy) > link.range_m
+            beyond = False if dx == 0 and dy == 0 else np.hypot(dx, dy) > link.range_m
             if beyond:
                 status = _OUT_OF_RANGE
             elif p_loss > 0.0 and rng.random() < p_loss:

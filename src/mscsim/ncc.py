@@ -34,18 +34,13 @@ import numpy as np
 from .engine import (
     DEFAULT_CELLULAR,
     DEFAULT_SHORT_RANGE,
-    DeliveryStatus,
     LinkModel,
     RunSeed,
     Simulator,
+    _DELIVERED,
+    _OUT_OF_RANGE,
 )
 from .rlnc import CodedPacket, DecoderState, Generation, draw_coeffs, encode
-
-
-# Enum members read through their class cost ~0.1 us each on Python 3.11;
-# the per-slot paths compare against these aliases.
-_DELIVERED = DeliveryStatus.DELIVERED
-_OUT_OF_RANGE = DeliveryStatus.OUT_OF_RANGE
 
 
 class ProtocolError(Exception):
