@@ -57,7 +57,8 @@ class LinkModel:
     def __post_init__(self):
         if not 0.0 <= self.p_loss < 1.0:
             raise ValueError(f"p_loss must be in [0, 1), got {self.p_loss}")
-        if self.rate <= 0 or self.tx_energy < 0 or self.range_m <= 0:
+        # written so that NaN fails every comparison and is rejected
+        if not (self.rate > 0 and self.tx_energy >= 0 and self.range_m > 0):
             raise ValueError("rate and range must be positive, energy nonnegative")
 
     @property

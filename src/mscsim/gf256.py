@@ -6,13 +6,22 @@ x^8 + x^4 + x^3 + x^2 + 1 (0x11D), for which 2 is a primitive element.
 
 Besides the scalar operations, the module exposes numpy-based helpers
 on uint8 arrays. Products with many factors go through one row kernel,
-``mul_rows``: each (factor, element) pair becomes the uint16 index
-``factor << 8 | element`` into the raveled 256x256 product table, and a
-single ``take`` gathers all products at once. That builds one small
-integer array and does one gather, where ``MUL_TABLE[f[:, None], rows]``
-broadcasts two index arrays through a two-dimensional fancy index at
-several times the cost. The coding layer (encode, recode, and both
-passes of the decoder's elimination) and ``matmul`` all use it;
+``mul_rows``, in one of two forms. Both gather from the 256x256
+product table; neither uses a two-dimensional fancy index such as
+``MUL_TABLE[f[:, None], rows]``, which broadcasts two index arrays at
+several times the cost.
+
+- Scaling one row by r factors (back-substitution) is a region multiply
+  in the manner of GF-Complete (Plank, Greenan & Miller, FAST 2013):
+  gather the r table rows the factors name, an (r, 256) copy, then
+  gather the row's n columns from each. The two index arrays hold r
+  and n entries, where the other form builds and converts r * n.
+- Scaling r rows by one factor each (encode, recode, elimination and
+  ``matmul``) gathers from the raveled table at the uint16 index
+  ``factor << 8 | element``. The high byte ``factor << 8`` is itself a
+  gather, from a 256-entry table, and the whole (r, n) index goes to
+  one ``take``.
+
 ``vec_scale``, the one-factor case, gathers from a single table row.
 """
 
@@ -52,6 +61,8 @@ MUL_TABLE[:, 0] = 0
 del _la
 # Row-major view of MUL_TABLE: entry (a << 8) | b is gf_mul(a, b).
 _MUL_FLAT = MUL_TABLE.ravel()
+# _HIGH[a] == a << 8, the start of row a in _MUL_FLAT.
+_HIGH = np.arange(256, dtype=np.uint16) << 8
 
 # INV_TABLE[a] == gf_inv(a) for a != 0; entry 0 is unused (left as 0).
 INV_TABLE = np.zeros(256, dtype=np.uint8)
@@ -108,10 +119,17 @@ def mul_rows(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``factors`` (uint8, shape (..., r)) gains a trailing axis and is
     broadcast against ``rows`` (uint8, shape (..., r, n), or (n,) to
     scale one row by every factor). Equal to
-    ``MUL_TABLE[factors[..., None], rows]``, as one gather from the
-    flat product table.
+    ``MUL_TABLE[factors[..., None], rows]``.
+
+    One row (``rows.ndim == 1``) is an outer product: the table rows of
+    the factors are gathered first, then the row's n columns from each,
+    so the gathers index with r and n entries instead of r * n. Otherwise
+    the row starts ``factors << 8``, read from a table, are or-ed with
+    the elements into one uint16 index into the raveled table.
     """
-    return _MUL_FLAT.take((factors.astype(np.uint16) << 8)[..., None] | rows)
+    if rows.ndim == 1:
+        return MUL_TABLE.take(factors, axis=0).take(rows, axis=-1)
+    return _MUL_FLAT.take(_HIGH.take(factors)[..., None] | rows)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -198,9 +198,6 @@ class SessionCodec:
             self._undecoded_pairs -= 1
         return True
 
-    def decoded(self, member_id: int, gen_id: int) -> bool:
-        return self._dec[member_id][gen_id].decodable
-
     def gen_decoded_by_all(self, gen_id: int) -> bool:
         return self._undecoded[gen_id] == 0
 

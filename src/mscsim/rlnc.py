@@ -156,8 +156,7 @@ class DecoderState:
     columns are in original order, the first nonzero among them is the
     same pivot a sorted RREF decoder would choose. Back-substitution
     likewise touches only ``_buf[:r, r:]``, and the new pivot column is
-    rotated into position r. A pass whose factors are all zero is
-    skipped, which is the common case for unit-vector packets.
+    rotated into position r.
 
     ``coefficient_matrix`` and ``decode`` undo the permutation, and
     ``recode`` draws its weights for the rows in pivot order, so every
@@ -213,9 +212,7 @@ class DecoderState:
             # Held rows are the identity on the pivot columns, so the
             # packet's entries there are the elimination factors and one
             # pass over the other columns clears all of them.
-            factors = coeffs[:r]
-            if np.count_nonzero(factors):
-                tail ^= np.bitwise_xor.reduce(mul_rows(factors, held[:, r:]), axis=0)
+            tail ^= np.bitwise_xor.reduce(mul_rows(coeffs[:r], held[:, r:]), axis=0)
         off = int((tail[: g - r] != 0).argmax())
         lead = tail[off]
         if lead == 0:
@@ -227,10 +224,8 @@ class DecoderState:
         if lead != 1:
             rest = vec_scale(INV_TABLE[lead], rest)
         if r:
-            col = held[:, c]
-            if np.count_nonzero(col):
-                right = held[:, c:]
-                np.bitwise_xor(right, mul_rows(col, rest), out=right)
+            right = held[:, c:]
+            np.bitwise_xor(right, mul_rows(held[:, c], rest), out=right)
             if off:
                 # rotate the pivot column, zero in every held row now,
                 # to position r

@@ -28,6 +28,16 @@ def test_p_loss_range_enforced():
     LinkModel(LinkKind.CELLULAR, 1.0, 0.999, 1.0, 100.0)  # boundary ok
 
 
+@pytest.mark.parametrize("field", ["rate", "tx_energy", "range_m"])
+def test_nan_link_constant_rejected(field):
+    # NaN compares false against every bound, so a check written as
+    # `rate <= 0` would let it through and make slot_duration NaN
+    values = dict(rate=1.0, p_loss=0.0, tx_energy=1.0, range_m=100.0)
+    values[field] = float("nan")
+    with pytest.raises(ValueError):
+        LinkModel(LinkKind.CELLULAR, **values)
+
+
 def test_transmit_lossless_delivers_in_range():
     link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.0, 0.2, 50.0)
     sim = Simulator()

@@ -150,20 +150,51 @@ def test_vec_scale():
 def factors_and_rows(draw):
     r = draw(st.integers(0, 40))
     n = draw(st.integers(1, 40))
-    return (draw(hnp.arrays(np.uint8, r)), draw(hnp.arrays(np.uint8, (r, n))),
-            draw(hnp.arrays(np.uint8, n)))
+    return draw(hnp.arrays(np.uint8, r)), draw(hnp.arrays(np.uint8, (r, n)))
 
 
 @PROPERTY
 @given(factors_and_rows())
 def test_mul_rows_matches_two_array_table_index(case):
-    factors, rows, row = case
+    factors, rows = case
     scaled = mul_rows(factors, rows)
     assert scaled.dtype == np.uint8
     assert np.array_equal(scaled, gf256.MUL_TABLE[factors[:, None], rows])
-    # one row scaled by every factor, as in back-substitution
-    assert np.array_equal(mul_rows(factors, row),
-                          gf256.MUL_TABLE[factors[:, None], row[None, :]])
+
+
+@st.composite
+def factors_and_row(draw):
+    """Factors of 0-3 dimensions and one row of length 0, 1 or n, either
+    contiguous or strided views into a larger buffer."""
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
+    layout = draw(st.sampled_from(["contiguous", "ingest", "stepped"]))
+    if layout == "ingest":
+        # back-substitution scales a row by a column of the held rows:
+        # factors buf[:r, c] and row buf[r, c + 1:] share one buffer
+        r = draw(st.integers(0, 40))
+        c = draw(st.integers(0, 3))
+        buf = draw(hnp.arrays(np.uint8, (r + 1, c + 1 + n)))
+        return buf[:r, c], buf[r, c + 1:]
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    if layout == "contiguous":
+        return draw(hnp.arrays(np.uint8, shape)), draw(hnp.arrays(np.uint8, n))
+    # every other element along every axis
+    big = draw(hnp.arrays(np.uint8, tuple(2 * s for s in shape)))
+    factors = big[tuple(slice(None, None, 2) for _ in shape)] if shape else big
+    return factors, draw(hnp.arrays(np.uint8, 3 * n))[1::3]
+
+
+@PROPERTY
+@given(factors_and_row())
+def test_mul_rows_one_row_matches_two_array_table_index(case):
+    # one row scaled by every factor, the outer-product form
+    factors, row = case
+    before = factors.copy(), row.copy()
+    scaled = mul_rows(factors, row)
+    assert scaled.dtype == np.uint8
+    assert scaled.shape == factors.shape + row.shape
+    assert np.array_equal(scaled, gf256.MUL_TABLE[factors[..., None], row])
+    assert np.array_equal(factors, before[0]) and np.array_equal(row, before[1])
 
 
 def test_matmul_against_scalar_loops():

@@ -323,17 +323,27 @@ SMALL_COEFF = st.sampled_from([0, 0, 1, 2, 0x8E]) | st.integers(0, 255)
 @st.composite
 def packet_stream(draw):
     """A generation and a mix of random, small-alphabet, dependent,
-    duplicate, zero and unit-vector packets, with now and then a payload
-    that does not match its coefficients."""
+    duplicate, zero, unit-vector and fresh packets, with now and then a
+    payload that does not match its coefficients.
+
+    A fresh packet is zero on every column an earlier packet touched,
+    hence on every pivot column, so its elimination factors are all
+    zero; its own pivot is such a column too, where every held row is
+    zero, so back-substitution scales by zeros as well. Some streams
+    hold only unit-vector, fresh and zero packets, so these all-zero
+    passes run at every rank."""
     g = draw(st.integers(1, 24))
     payload_len = draw(st.integers(0, 8))
     data = draw(hnp.arrays(np.uint8, (g, payload_len)))
     gen = Generation(3, [SourcePacket(i, data[i]) for i in range(g)])
     packets = []
     count = draw(st.integers(0, 2 * g + 6))
-    for kind in draw(st.lists(st.sampled_from(
-            ["random", "small", "dependent", "duplicate", "zero", "unit",
-             "mismatched"]), min_size=count, max_size=count)):
+    kinds = draw(st.sampled_from([
+        ["random", "small", "dependent", "duplicate", "zero", "unit", "fresh",
+         "mismatched"],
+        ["unit", "fresh", "zero"]]))
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=count,
+                              max_size=count)):
         if kind in ("dependent", "duplicate") and not packets:
             kind = "zero"
         if kind == "random":
@@ -350,6 +360,11 @@ def packet_stream(draw):
             pkt = encode(gen, np.zeros(g, dtype=np.uint8))
         elif kind == "unit":
             pkt = encode(gen, np.eye(g, dtype=np.uint8)[draw(st.integers(0, g - 1))])
+        elif kind == "fresh":
+            coeffs = draw(hnp.arrays(np.uint8, g, elements=SMALL_COEFF))
+            for p in packets:
+                coeffs[p.coeffs != 0] = 0
+            pkt = encode(gen, coeffs)
         else:
             pkt = CodedPacket(3, draw(hnp.arrays(np.uint8, g, elements=SMALL_COEFF)),
                               draw(hnp.arrays(np.uint8, payload_len)))
@@ -391,6 +406,41 @@ def test_decoder_matches_sorted_rref_reference(stream, seed):
         assert [p.index for p in got] == list(range(gen.size))
         for mine, want in zip(got, ref.decode()):
             assert mine.payload.tobytes() == want.tobytes()
+
+
+def test_multicast_packet_is_left_unchanged_by_every_decoder():
+    # a cooperative slot hands one packet object to every receiver, so
+    # no decoder may write into its coefficients or payload
+    gen = make_gen(size=6, payload_len=5)
+    eye = np.eye(6, dtype=np.uint8)
+    pkt = encode(gen, np.array([0, 0, 5, 1, 0, 7], dtype=np.uint8))
+    coeffs, payload = pkt.coeffs.tobytes(), pkt.payload.tobytes()
+    histories = [
+        # rank 0: lead 5 at column 2
+        [],
+        # unpermuted, factors (0, 0): lead 5 at column 2
+        [eye[0], eye[1]],
+        # permuted (pivot 2 found first), factors (5): lead 1 at column 3
+        [eye[2]],
+        # unpermuted, factors (0, 0, 5): lead 4 at column 3, whose held
+        # entries (0, 0, 1) are back-substituted
+        [[1, 0, 0, 0, 3, 0], eye[1], [0, 0, 1, 1, 0, 0]],
+        # already holds the packet's span: not innovative
+        [[0, 0, 5, 1, 0, 7]],
+        # full rank: returns before reading the packet
+        list(eye[::-1]),
+    ]
+    for history in histories:
+        dec = DecoderState(gen.id, gen.size, gen.payload_len)
+        ref = SortedRrefDecoder(gen.size, gen.payload_len)
+        for c in history:
+            held = encode(gen, np.asarray(c, dtype=np.uint8))
+            dec.ingest(held)
+            ref.ingest(held)
+        assert dec.ingest(pkt) == ref.ingest(pkt)
+        assert np.array_equal(dec.coefficient_matrix(), ref.coefficient_matrix())
+        assert pkt.coeffs.tobytes() == coeffs
+        assert pkt.payload.tobytes() == payload
 
 
 class _ZeroRng:
