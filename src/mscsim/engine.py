@@ -77,35 +77,35 @@ DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, rate=1.0, p_loss=0.0, tx_energy=
 DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, rate=4.0, p_loss=0.0, tx_energy=0.2, range_m=50.0)
 
 
+# The stream id of each subsystem's generator.
+MOBILITY_STREAM, CHANNEL_STREAM, CODING_STREAM, CRYPTO_STREAM = range(4)
+
+
 @dataclass(frozen=True)
 class RunSeed:
-    """One master seed plus a stream id per subsystem.
+    """One master seed, split into a generator per stream id.
 
     Distinct stream ids give independent deterministic generators, so
-    e.g. re-running with a different crypto stream id cannot disturb the
+    e.g. drawing from another crypto stream id cannot disturb the
     mobility or channel draws.
     """
 
     seed: int
-    mobility_stream: int = 0
-    channel_stream: int = 1
-    coding_stream: int = 2
-    crypto_stream: int = 3
 
     def stream(self, stream_id: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, stream_id)))
 
     def mobility(self) -> np.random.Generator:
-        return self.stream(self.mobility_stream)
+        return self.stream(MOBILITY_STREAM)
 
     def channel(self) -> np.random.Generator:
-        return self.stream(self.channel_stream)
+        return self.stream(CHANNEL_STREAM)
 
     def coding(self) -> np.random.Generator:
-        return self.stream(self.coding_stream)
+        return self.stream(CODING_STREAM)
 
     def crypto(self) -> np.random.Generator:
-        return self.stream(self.crypto_stream)
+        return self.stream(CRYPTO_STREAM)
 
 
 class Delivery(NamedTuple):

@@ -71,16 +71,6 @@ for _a in range(1, 256):
 del _a
 
 
-def gf_add(a: int, b: int) -> int:
-    """Field addition: bitwise XOR (characteristic 2, self-inverse)."""
-    return a ^ b
-
-
-def gf_sub(a: int, b: int) -> int:
-    """Field subtraction coincides with addition."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Field multiplication modulo the reduction polynomial."""
     if a == 0 or b == 0:

@@ -21,7 +21,7 @@ snapshot is a radio link failure for either procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .topology import Node, PathLoss
 
@@ -90,24 +90,16 @@ def _decide(reports: Sequence[MeasurementReport], serving_id: int,
     return best_id
 
 
-Controller = Callable[[Sequence[MeasurementReport], int, float], int]
-
-
 def ul_rs_handover(mch: Node, serving_bs: Node,
                    reports: Sequence[MeasurementReport],
-                   controller: Optional[Controller] = None,
                    hysteresis_db: float = DEFAULT_HYSTERESIS_DB,
                    time: float = 0.0) -> HandoverEvent:
     """One decision epoch of the uplink-reference-signal procedure over
     the epoch's snapshot from `measure`.
-
-    ``controller`` replaces the default target-selection rule; it gets the
-    reports, the serving id and the margin and returns the target id.
     """
     if not reports:
         raise RadioLinkFailure(mch.id, time)
-    decide = controller if controller is not None else _decide
-    target = decide(reports, serving_bs.id, hysteresis_db)
+    target = _decide(reports, serving_bs.id, hysteresis_db)
     executed = target != serving_bs.id
     return HandoverEvent(
         entity_id=mch.id,

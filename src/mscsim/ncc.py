@@ -5,11 +5,13 @@ cellular link, round-robin unicast, one packet per slot, no
 retransmissions (the redundancy factor covers losses). Phase two is a
 short-range TDMA rotation where each member recodes what it holds and
 multicasts one packet per slot to the rest of the cloud, until everyone
-has decoded everything or the slot budget runs out. The two phases run
-back to back or interleaved one slot each; interleaved, the rotation
-continues alone once the distribution plan is exhausted. Every slot of
-a session is one `SlotRecord` in `SessionMetrics.records`, the only
-per-slot trace.
+has decoded everything or the slot budget runs out. A session is always
+`cellular_phase` and then `cooperative_phase`. In sequential mode the
+first sends only the distribution plan. In parallel mode it follows each
+cellular slot with one cooperative slot while the cloud has not all
+decoded, and `cooperative_phase` continues the rotation alone once the
+plan is exhausted. Every slot of a session is one `SlotRecord` in
+`SessionMetrics.records`, the only per-slot trace.
 
 A plain multi-unicast session over the cellular link with
 retransmit-until-delivered is included as the comparison point. It runs
@@ -57,13 +59,14 @@ class Endpoint:
 
 @dataclass(frozen=True)
 class CooperativeCloud:
-    """Orderly cloud of UEs: member ids ascending, index = list position."""
+    """Orderly cloud of UEs: member ids ascending, index = tuple position."""
 
     members: tuple[int, ...]
     head_id: int
     short_range: LinkModel = DEFAULT_SHORT_RANGE
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ProtocolError("cloud needs at least one member")
         if len(set(self.members)) != len(self.members):
@@ -74,20 +77,6 @@ class CooperativeCloud:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def index_of(self, member_id: int) -> int:
-        return self.members.index(member_id)
-
-
-def assign_indices(member_ids: Sequence[int], head_id: int,
-                   short_range: LinkModel = DEFAULT_SHORT_RANGE) -> CooperativeCloud:
-    """Index the cloud 0..n-1 in ascending node-id order."""
-    ids = list(member_ids)
-    if not ids:
-        raise ProtocolError("cannot form a cloud from no members")
-    if len(set(ids)) != len(ids):
-        raise ProtocolError(f"duplicate member ids: {sorted(ids)}")
-    return CooperativeCloud(tuple(sorted(ids)), head_id, short_range)
 
 
 @dataclass(frozen=True)
@@ -174,7 +163,6 @@ class SessionCodec:
     """
 
     def __init__(self, cloud: CooperativeCloud, content: Sequence[Generation]):
-        self.cloud = cloud
         self.content = tuple(content)
         self._dec: dict[int, dict[int, DecoderState]] = {
             m: {gen.id: DecoderState(gen.id, gen.size, gen.payload_len)
@@ -235,18 +223,6 @@ def _cellular_plan(config: SessionConfig, coding_rng) -> list[tuple[Generation, 
     return plan
 
 
-def _cellular_slot(cloud, codec, sim, link, nodes, bs_node, channel_rng,
-                   gen, k, coeffs, slot) -> SlotRecord:
-    member = cloud.members[k % cloud.size]
-    pkt = encode(gen, coeffs)
-    deliveries = sim.transmit(link, bs_node, [nodes[member]], channel_rng)
-    sim.advance(link.slot_duration)
-    ok = deliveries[0].status is _DELIVERED
-    innovative = codec.ingest(member, pkt) if ok else False
-    return SlotRecord(slot, "cellular", sim.now(), bs_node.id, gen.id,
-                      (member,), (ok,), (innovative,))
-
-
 def _pick_generation(codec: SessionCodec, member_id: int) -> Optional[int]:
     """Lowest generation the sender can still help with: not yet decoded
     by the whole cloud and nonzero rank at the sender."""
@@ -281,31 +257,33 @@ def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
 def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
                    codec: SessionCodec, sim: Simulator, records: list, *,
                    channel_rng, coding_rng, nodes=None, bs=None) -> None:
-    """Round-robin unicast of the coded content; no retransmissions."""
+    """Round-robin unicast of the coded content; no retransmissions.
+
+    Plan packet k goes to member k mod n, in plan order. In parallel mode
+    each cellular slot is followed by one cooperative slot while the
+    cloud has not all decoded, the rotation starting at member 0. The
+    plan has total_coded packets, a quarter of the cooperative budget, so
+    the budget cannot run out here.
+    """
     bs_node, nodes = _endpoints(cloud, nodes, bs)
     link = replace(config.cellular, p_loss=config.cellular_loss)
-    for gen, k, coeffs in _cellular_plan(config, coding_rng):
-        records.append(_cellular_slot(cloud, codec, sim, link, nodes, bs_node,
-                                      channel_rng, gen, k, coeffs, len(records)))
-
-
-def _interleaved_phase(cloud: CooperativeCloud, config: SessionConfig,
-                       codec: SessionCodec, sim: Simulator, records: list, *,
-                       channel_rng, coding_rng, nodes, bs) -> None:
-    """Each cellular slot followed by one cooperative slot while the
-    cloud still needs one. The plan has total_coded packets, a quarter
-    of the cooperative budget, so the budget cannot run out here."""
-    cell_link = replace(config.cellular, p_loss=config.cellular_loss)
-    sr_link = replace(cloud.short_range, p_loss=config.short_range_loss)
+    dt = link.slot_duration
+    members, size = cloud.members, cloud.size
+    interleave = config.phase_mode == "parallel" and size > 1
+    short_range = replace(cloud.short_range, p_loss=config.short_range_loss)
     coop_slots = 0
     for gen, k, coeffs in _cellular_plan(config, coding_rng):
-        records.append(_cellular_slot(cloud, codec, sim, cell_link, nodes, bs,
-                                      channel_rng, gen, k, coeffs, len(records)))
-        if cloud.size > 1 and not codec.all_decoded():
-            records.append(_cooperative_slot(cloud, codec, sim, sr_link, nodes,
+        member = members[k % size]
+        pkt = encode(gen, coeffs)
+        ok = sim.transmit(link, bs_node, [nodes[member]], channel_rng)[0].status is _DELIVERED
+        sim.advance(dt)
+        innovative = codec.ingest(member, pkt) if ok else False
+        records.append(SlotRecord(len(records), "cellular", sim.now(), bs_node.id,
+                                  gen.id, (member,), (ok,), (innovative,)))
+        if interleave and not codec.all_decoded():
+            records.append(_cooperative_slot(cloud, codec, sim, short_range, nodes,
                                              channel_rng, coding_rng,
-                                             coop_slots % cloud.size,
-                                             len(records)))
+                                             coop_slots % size, len(records)))
             coop_slots += 1
 
 
@@ -314,8 +292,9 @@ def cooperative_phase(cloud: CooperativeCloud, config: SessionConfig,
                       channel_rng, coding_rng, nodes=None) -> None:
     """Short-range TDMA rotation until all decode or the budget is gone.
 
-    Cooperative slots already in ``records`` (parallel mode's interleaved
-    ones) count against the budget, and the rotation resumes after them.
+    Cooperative slots already in ``records`` (the ones `cellular_phase`
+    interleaves in parallel mode) count against the budget, and the
+    rotation resumes after them.
     """
     if cloud.size == 1:
         return  # nobody to multicast to
@@ -367,13 +346,11 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 nodes=None, bs=None) -> SessionMetrics:
     """Both phases plus the offloading metrics for one content item."""
     channel_rng, coding_rng = _resolve_rngs(seed, channel_rng, coding_rng)
-    bs_node, nodes = _endpoints(cloud, nodes, bs)
     codec = SessionCodec(cloud, config.content)
     sim = Simulator()
     records: list[SlotRecord] = []
-    first = cellular_phase if config.phase_mode == "sequential" else _interleaved_phase
-    first(cloud, config, codec, sim, records, channel_rng=channel_rng,
-          coding_rng=coding_rng, nodes=nodes, bs=bs_node)
+    cellular_phase(cloud, config, codec, sim, records, channel_rng=channel_rng,
+                   coding_rng=coding_rng, nodes=nodes, bs=bs)
     cooperative_phase(cloud, config, codec, sim, records, channel_rng=channel_rng,
                       coding_rng=coding_rng, nodes=nodes)
     # cooperation stops short of full decoding only at its budget
@@ -382,7 +359,7 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
 
 
 def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
-                             seed=None, channel_rng=None, coding_rng=None,
+                             seed=None, channel_rng=None,
                              nodes=None, bs=None) -> SessionMetrics:
     """Per-user unicast of every source packet, retransmit until delivered.
 
@@ -395,8 +372,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     arrives, so each delivery is innovative (its pivot column k is new)
     and a member holds the whole generation once the loop passes it. A
     session that returns has therefore decoded everything: decoding
-    ratio 1.0, never truncated. ``coding_rng`` is accepted for symmetry
-    with run_session and never drawn from.
+    ratio 1.0, never truncated.
     """
     if channel_rng is None:
         channel_rng = _run_seed(seed).channel()

@@ -105,38 +105,6 @@ def encode(gen: Generation, coeffs: np.ndarray) -> CodedPacket:
     return CodedPacket(gen.id, coeffs, payload)
 
 
-def _combine(rows: np.ndarray, g: int, rng) -> np.ndarray:
-    """Random combination of rows, redrawn while the coefficient part is zero.
-
-    A dead (all-zero) packet wastes a transmission slot, so weights are
-    redrawn a few times; if the rows themselves span nothing the zero row
-    comes back unchanged.
-    """
-    for _ in range(16):
-        weights = rng.integers(0, 256, size=rows.shape[0], dtype=np.uint8)
-        out = np.bitwise_xor.reduce(mul_rows(weights, rows), axis=0)
-        if out[:g].any():
-            return out
-    return out
-
-
-def recode(received: list[CodedPacket], rng) -> CodedPacket:
-    """Random GF-linear combination of already-coded packets.
-
-    All inputs must belong to one generation; the output lies in their
-    span, so it can never be innovative to a decoder that holds them all.
-    """
-    if not received:
-        raise CodingError("cannot recode an empty packet list")
-    gen_ids = {p.generation_id for p in received}
-    if len(gen_ids) != 1:
-        raise CodingError(f"mixed generations in recode: {sorted(gen_ids)}")
-    g = len(received[0].coeffs)
-    rows = np.stack([np.concatenate([p.coeffs, p.payload]) for p in received])
-    out = _combine(rows, g, rng)
-    return CodedPacket(received[0].generation_id, out[:g], out[g:])
-
-
 class DecoderState:
     """Per-generation decoder: progressive Gauss-Jordan elimination.
 
@@ -202,6 +170,9 @@ class DecoderState:
                 f"generation mismatch: decoder {self.generation_id}, packet {pkt.generation_id}"
             )
         r, g = self._rank, self.size
+        if pkt.coeffs.shape != (g,) or pkt.payload.shape != (self.payload_len,):
+            raise CodingError(f"packet shape {pkt.coeffs.shape} + {pkt.payload.shape}, "
+                              f"decoder expects ({g},) + ({self.payload_len},)")
         if r == g:
             return False
         coeffs = pkt.coeffs.take(self._perm) if self._permuted else pkt.coeffs
@@ -248,10 +219,12 @@ class DecoderState:
         """Random combination of everything held (span-equivalent to
         recoding the raw received packets).
 
-        Draws weights exactly as ``_combine`` does for the pivot-sorted
-        rows. The rows are independent, so the combination is zero only
-        when every weight is; its coefficients on the pivot columns are
-        the weights themselves and need no multiplication.
+        Draws one weight per held row, the rows taken in pivot order, and
+        redraws while every weight is zero, at most 16 draws in all; after
+        16 zero draws it returns the zero packet. The rows are independent,
+        so the combination is zero only when every weight is; its
+        coefficients on the pivot columns are the weights themselves and
+        need no multiplication.
         """
         r, g = self._rank, self.size
         if r == 0:

@@ -45,7 +45,6 @@ class Node:
     position: tuple[float, float]
     battery: float = 1.0
     role: Role = Role.IDLE
-    velocity: tuple[float, float] = (0.0, 0.0)
     speed: float = 0.0
     waypoint: Optional[tuple[float, float]] = None
     tx_power_dbm: float = 23.0
@@ -231,7 +230,6 @@ def step_mobility(nodes: Iterable[Node], dt: float, rng,
             else:
                 frac = remaining / dist
                 node.position = (node.position[0] + dx * frac, node.position[1] + dy * frac)
-                node.velocity = (dx / dist * node.speed, dy / dist * node.speed)
                 remaining = 0.0
 
 

@@ -1,18 +1,24 @@
-"""Every name the benchmark's tracer wraps still exists.
+"""Every name the benchmark's tracer wraps still exists, and is called.
 
 `perfbench/tracing.py` replaces public names (a module global such as
 `mscsim.ncc.encode`, or a class attribute such as
 `Simulator.transmit`) by name, and `python3 perfbench/run.py` stops with
 exit 3 when one of them is gone. Resolving each entry of its `HOOKS`
-here turns a rename in the program into a failing test instead. Only
-reads `perfbench/`.
+here turns a rename in the program into a failing test instead. A
+refactor can also keep a hooked name but stop calling it, which zeroes
+that layer's metrics without any error; tiny traced runs catch that.
+Only reads `perfbench/`.
 """
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from mscsim import runner
+from mscsim.config import default_scenario
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +52,40 @@ def test_hook_target_resolves(layer, module, path, observe):
 def test_loading_the_hooks_leaves_no_benchmark_module_importable():
     assert str(BENCH) not in sys.path
     assert "tracing" not in sys.modules and "stats" not in sys.modules
+
+
+# layers every coded session must reach, at least once per run
+CODED_LAYERS = ("ncc.session", "ncc.cellular_phase", "ncc.cooperative_phase",
+                "ncc.draw_coeffs", "rlnc.encode", "rlnc.ingest", "rlnc.recode",
+                "engine.transmit")
+
+
+def _traced_spans(**overrides) -> Counter:
+    """Span count per layer of one traced `runner.run` of a tiny scenario."""
+    scenario = default_scenario(5, sessions=2, ue_count=4, generation_size=8,
+                                payload_bytes=4, shortrange_loss=0.2,
+                                ho_epochs=0, km_group="toy", km_shareholders=3,
+                                km_threshold=2, km_requesters=1, **overrides)
+    tracer = _tracing.Tracer()
+    hooks = _tracing.Hooks(tracer)
+    hooks.install()
+    try:
+        assert runner.run(scenario).exit_code == 0
+    finally:
+        hooks.remove()
+    return Counter(tracer.layers[i] for i in tracer.layer)
+
+
+@pytest.mark.parametrize("phase_mode", ["sequential", "parallel"])
+def test_coded_sessions_call_every_session_layer(phase_mode):
+    spans = _traced_spans(protocol="ncc", phase_mode=phase_mode)
+    assert {layer: spans[layer] for layer in CODED_LAYERS if not spans[layer]} == {}
+    assert spans["ncc.session"] == 2
+    assert spans["ncc.cellular_phase"] == spans["ncc.cooperative_phase"] == 2
+
+
+def test_unicast_sessions_run_no_decoder():
+    spans = _traced_spans(protocol="unicast")
+    assert spans["ncc.session"] == 2
+    assert spans["engine.transmit"] > 0
+    assert spans["rlnc.ingest"] == 0

@@ -107,14 +107,6 @@ class TestUlRs:
         ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(7, 100, 0), _bs(3, 0, 100)])
         assert ev.target_bs == 3
 
-    def test_controller_override(self):
-        def keep_serving(reports, serving_id, margin):
-            return serving_id
-
-        ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)],
-                    controller=keep_serving)
-        assert not ev.executed
-
 
 class TestBaseline:
     def test_no_handover_report_only(self):

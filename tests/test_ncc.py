@@ -29,7 +29,6 @@ from mscsim.ncc import (
     SessionConfig,
     SessionMetrics,
     SlotRecord,
-    assign_indices,
     baseline_unicast_session,
     cellular_phase,
     cooperative_phase,
@@ -57,24 +56,32 @@ def _coeff_rank(vectors, g):
     return rank
 
 
-class TestAssignIndices:
-    def test_single_member(self):
-        cloud = assign_indices([7], head_id=7)
-        assert cloud.members == (7,)
-        assert cloud.index_of(7) == 0
-
-    def test_ascending_id_order(self):
-        cloud = assign_indices([9, 3, 5], head_id=3)
-        assert cloud.members == (3, 5, 9)
-        assert [cloud.index_of(m) for m in (3, 5, 9)] == [0, 1, 2]
+class TestCooperativeCloud:
+    def test_empty_rejected(self):
+        with pytest.raises(ProtocolError, match="at least one member"):
+            CooperativeCloud((), head_id=0)
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ProtocolError):
-            assign_indices([4, 4, 2], head_id=4)
+        with pytest.raises(ProtocolError, match="duplicate"):
+            CooperativeCloud((2, 4, 4), head_id=4)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            assign_indices([], head_id=0)
+    def test_unsorted_rejected(self):
+        with pytest.raises(ProtocolError, match="ascending"):
+            CooperativeCloud((9, 3, 5), head_id=3)
+
+    def test_members_from_any_sequence_are_a_tuple(self):
+        for members in ([1, 2, 3], range(1, 4)):
+            cloud = CooperativeCloud(members, head_id=1)
+            assert cloud.members == (1, 2, 3)
+            assert cloud == CooperativeCloud((1, 2, 3), head_id=1)
+            assert hash(cloud) == hash(CooperativeCloud((1, 2, 3), head_id=1))
+
+    def test_list_built_cloud_gives_the_same_records(self):
+        cfg = SessionConfig(content=_content(g=4), short_range_loss=0.2)
+        from_list = run_session(CooperativeCloud([1, 2], 1), cfg, seed=0)
+        from_tuple = run_session(CooperativeCloud((1, 2), 1), cfg, seed=0)
+        assert from_list.records == from_tuple.records
+        assert all(type(r.receivers) is tuple for r in from_list.records)
 
 
 class TestSessionConfig:
@@ -112,7 +119,7 @@ class TestSessionConfig:
 class TestCellularPhase:
     def test_round_robin_each_member_holds_one(self):
         # n=4, r=1, lossless, g=4: packet k goes to member k mod 4
-        cloud = assign_indices([10, 11, 12, 13], head_id=10)
+        cloud = CooperativeCloud([10, 11, 12, 13], head_id=10)
         cfg = SessionConfig(content=_content(g=4))
         codec = SessionCodec(cloud, cfg.content)
         seed = RunSeed(0)
@@ -125,7 +132,7 @@ class TestCellularPhase:
             assert codec.decoder(m, 0).rank == 1
 
     def test_losses_logged_not_retransmitted(self):
-        cloud = assign_indices([1, 2], head_id=1)
+        cloud = CooperativeCloud([1, 2], head_id=1)
         cfg = SessionConfig(content=_content(g=8), cellular_loss=0.4)
         codec = SessionCodec(cloud, cfg.content)
         seed = RunSeed(3)
@@ -141,7 +148,7 @@ class TestCellularPhase:
 
 class TestCooperativePhase:
     def test_single_member_no_transmissions(self):
-        cloud = assign_indices([5], head_id=5)
+        cloud = CooperativeCloud([5], head_id=5)
         cfg = SessionConfig(content=_content(g=4))
         codec = SessionCodec(cloud, cfg.content)
         records = []
@@ -155,7 +162,7 @@ class TestCooperativePhase:
         # Slot 0: lower-id member multicasts, peer reaches full rank.
         # Slot 1: peer multicasts back, first member reaches full rank.
         gens = _content(g=2, gen_seed=7)
-        cloud = assign_indices([3, 9], head_id=3)
+        cloud = CooperativeCloud([3, 9], head_id=3)
         cfg = SessionConfig(content=gens)
         m = run_session(cloud, cfg, seed=0)
         coop = [r for r in m.records if r.phase == "cooperative"]
@@ -167,7 +174,7 @@ class TestCooperativePhase:
 
     def test_empty_holder_skips_slot(self):
         gens = _content(g=1, gen_seed=5)
-        cloud = assign_indices([1, 2], head_id=1)
+        cloud = CooperativeCloud([1, 2], head_id=1)
         cfg = SessionConfig(content=gens)
         codec = SessionCodec(cloud, gens)
         # only member 2 holds anything
@@ -186,7 +193,7 @@ class TestCooperativePhase:
     def _assert_budget_exhausted(phase_mode):
         # 90% short-range loss: 4 x 4 cooperative slots are not enough
         gens = _content(g=4, gen_seed=2)
-        cloud = assign_indices([1, 2], head_id=1)
+        cloud = CooperativeCloud([1, 2], head_id=1)
         cfg = SessionConfig(content=gens, short_range_loss=0.9,
                             phase_mode=phase_mode)
         m = run_session(cloud, cfg, seed=0)
@@ -204,7 +211,7 @@ class TestCooperativePhase:
 
 class TestRunSession:
     def test_degenerate_single_member(self):
-        cloud = assign_indices([5], head_id=5)
+        cloud = CooperativeCloud([5], head_id=5)
         cfg = SessionConfig(content=_content(g=4))
         m = run_session(cloud, cfg, seed=0)
         assert m.cellular_tx_count == 4
@@ -217,7 +224,7 @@ class TestRunSession:
         # lossless, r=1: utilization is ceil(r*g)/(n*g) = 1/n
         seen = []
         for ids in ([1], [1, 2], [1, 2, 3, 4], list(range(1, 9))):
-            cloud = assign_indices(ids, head_id=ids[0])
+            cloud = CooperativeCloud(ids, head_id=ids[0])
             cfg = SessionConfig(content=_content(g=4))
             m = run_session(cloud, cfg, seed=1)
             assert m.cellular_utilization == pytest.approx(1.0 / len(ids))
@@ -225,7 +232,7 @@ class TestRunSession:
         assert seen == sorted(seen, reverse=True)
 
     def test_quarter_utilization_case(self):
-        cloud = assign_indices([1, 2, 3, 4], head_id=1)
+        cloud = CooperativeCloud([1, 2, 3, 4], head_id=1)
         cfg = SessionConfig(content=_content(g=4))
         m = run_session(cloud, cfg, seed=0)
         assert m.cellular_utilization == pytest.approx(0.25)
@@ -236,7 +243,7 @@ class TestRunSession:
         from mscsim.ncc import _cellular_plan
 
         gens = _content(g=8, gen_seed=11, count=2)
-        cloud = assign_indices([1, 2, 3], head_id=1)
+        cloud = CooperativeCloud([1, 2, 3], head_id=1)
         cfg = SessionConfig(content=gens, redundancy=1.5,
                             cellular_loss=0.2, short_range_loss=0.2)
         seed = RunSeed(4)
@@ -257,7 +264,7 @@ class TestRunSession:
                 assert _coeff_rank(bs_vectors + held, gen.size) == base
 
     def test_sequential_before_cooperative(self):
-        cloud = assign_indices([1, 2, 3, 4], head_id=1)
+        cloud = CooperativeCloud([1, 2, 3, 4], head_id=1)
         cfg = SessionConfig(content=_content(g=4))
         m = run_session(cloud, cfg, seed=0)
         phases = [r.phase for r in m.records]
@@ -266,7 +273,7 @@ class TestRunSession:
         assert all(p == "cooperative" for p in phases[first_coop:])
 
     def test_parallel_mode_interleaves_and_decodes(self):
-        cloud = assign_indices([0, 1, 2, 3], head_id=0)
+        cloud = CooperativeCloud([0, 1, 2, 3], head_id=0)
         cfg = SessionConfig(content=_content(g=8, gen_seed=1), redundancy=1.25,
                             phase_mode="parallel")
         m = run_session(cloud, cfg, seed=0)
@@ -277,13 +284,13 @@ class TestRunSession:
 
     def test_completion_never_beats_single_user_optimum(self):
         cfg = SessionConfig(content=_content(g=4))
-        solo = run_session(assign_indices([9], head_id=9), cfg, seed=0)
-        coop = run_session(assign_indices([1, 2, 3, 4], head_id=1), cfg, seed=0)
+        solo = run_session(CooperativeCloud([9], head_id=9), cfg, seed=0)
+        coop = run_session(CooperativeCloud([1, 2, 3, 4], head_id=1), cfg, seed=0)
         assert solo.completion_time == 4
         assert coop.completion_time > solo.completion_time
 
     def test_deterministic_given_seed(self):
-        cloud = assign_indices([1, 2, 3], head_id=1)
+        cloud = CooperativeCloud([1, 2, 3], head_id=1)
         cfg = SessionConfig(content=_content(g=8), redundancy=1.25,
                             cellular_loss=0.1, short_range_loss=0.1)
         a = run_session(cloud, cfg, seed=42)
@@ -296,7 +303,7 @@ class TestRunSession:
     def test_offload_smoke_eight_members(self):
         # 8 cooperating receivers, 64-packet generation, 5% redundancy:
         # 68 cellular slots against 512 for per-user unicast
-        cloud = assign_indices(list(range(10, 18)), head_id=10)
+        cloud = CooperativeCloud(list(range(10, 18)), head_id=10)
         cfg = SessionConfig(content=_content(g=64, payload=16, gen_seed=3),
                             redundancy=1.05, short_range_loss=0.1)
         m = run_session(cloud, cfg, seed=0)
@@ -308,7 +315,7 @@ class TestRunSession:
 
 class TestBaselineUnicast:
     def test_lossless_counts(self):
-        cloud = assign_indices([1, 2, 3, 4], head_id=1)
+        cloud = CooperativeCloud([1, 2, 3, 4], head_id=1)
         cfg = SessionConfig(content=_content(g=4))
         m = baseline_unicast_session(cloud, cfg, seed=0)
         assert m.cellular_tx_count == 16
@@ -322,7 +329,7 @@ class TestBaselineUnicast:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_matches_the_decoder_based_unicast_loop(self, seed, members,
                                                    cellular_loss, g):
-        cloud = assign_indices(range(1, members + 1), head_id=1)
+        cloud = CooperativeCloud(range(1, members + 1), head_id=1)
         cfg = SessionConfig(content=_content(g=g, payload=5, count=2),
                             cellular_loss=cellular_loss)
         got = baseline_unicast_session(cloud, cfg, seed=seed)
@@ -332,33 +339,33 @@ class TestBaselineUnicast:
         assert struct.pack("<d", got.total_energy) == struct.pack("<d", want.total_energy)
 
     def test_single_member_matches_run_session(self):
-        cloud = assign_indices([5], head_id=5)
+        cloud = CooperativeCloud([5], head_id=5)
         cfg = SessionConfig(content=_content(g=4))
         assert baseline_unicast_session(cloud, cfg, seed=0) == run_session(cloud, cfg, seed=0)
 
     def test_lossy_retransmit_geometric_mean(self):
         # 16 packets retransmitted until delivered at 10% loss:
         # attempts per packet are geometric with mean 1/0.9
-        cloud = assign_indices([1, 2, 3, 4], head_id=1)
+        cloud = CooperativeCloud([1, 2, 3, 4], head_id=1)
         cfg = SessionConfig(content=_content(g=4), cellular_loss=0.1)
         channel = RunSeed(8).channel()
         sessions = 300
-        counts = [baseline_unicast_session(cloud, cfg, channel_rng=channel,
-                                           coding_rng=channel).cellular_tx_count
+        counts = [baseline_unicast_session(cloud, cfg,
+                                           channel_rng=channel).cellular_tx_count
                   for _ in range(sessions)]
         expected = 16 / 0.9
         sigma_mean = np.sqrt(16 * 0.1 / 0.81 / sessions)
         assert abs(np.mean(counts) - expected) <= 3 * sigma_mean
 
     def test_energy_ordering(self):
-        cloud = assign_indices([1, 2, 3, 4], head_id=1)
+        cloud = CooperativeCloud([1, 2, 3, 4], head_id=1)
         cfg = SessionConfig(content=_content(g=4))
         coop = run_session(cloud, cfg, seed=0)
         base = baseline_unicast_session(cloud, cfg, seed=0)
         assert coop.total_energy < base.total_energy
 
     def test_out_of_range_member_raises_instead_of_retrying(self):
-        cloud = assign_indices([1, 2], head_id=1)
+        cloud = CooperativeCloud([1, 2], head_id=1)
         cfg = SessionConfig(content=_content(g=4))
         bs = Endpoint(-1, (0.0, 0.0))
         far = cfg.cellular.range_m * 2
@@ -417,7 +424,7 @@ def test_codec_counters_match_the_decoders(data):
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     content = [Generation.random(i, g, 2, rng) for i, g in enumerate(sizes)]
-    cloud = assign_indices(range(members), head_id=0)
+    cloud = CooperativeCloud(range(members), head_id=0)
     codec = SessionCodec(cloud, content)
     # small alphabet: zero and dependent packets are common, and long
     # sequences keep feeding members that are already at full rank
@@ -445,6 +452,65 @@ def test_codec_counters_match_the_decoders(data):
         check()
 
 
+@PROPERTY
+@given(st.data())
+def test_slot_schedule_in_both_phase_modes(data):
+    """The schedule rules, checked on the records alone: the plan's
+    round robin, the rotation, where parallel mode interleaves, and the
+    stopping rule. Whether the cloud has all decoded after a slot is
+    replayed from the innovative flags, each of which is one rank."""
+    size = data.draw(st.integers(1, 4))
+    members = tuple(sorted(data.draw(
+        st.sets(st.integers(0, 30), min_size=size, max_size=size))))
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    mode = data.draw(st.sampled_from(["sequential", "parallel"]))
+    cfg = SessionConfig(
+        content=[Generation.random(i, g, 2, rng) for i, g in enumerate(sizes)],
+        redundancy=data.draw(st.sampled_from([1.0, 1.25, 2.0])),
+        phase_mode=mode,
+        cellular_loss=data.draw(st.sampled_from([0.0, 0.3])),
+        short_range_loss=data.draw(st.sampled_from([0.0, 0.3, 0.9])))
+    m = run_session(CooperativeCloud(members, head_id=members[0]), cfg,
+                    seed=data.draw(st.integers(0, 2 ** 16)))
+    records = m.records
+
+    # cellular slot k of a generation goes to members[k % size], in plan order
+    cellular = [(r.generation_id, r.receivers) for r in records
+                if r.phase == "cellular"]
+    assert cellular == [(gen.id, (members[k % size],)) for gen in cfg.content
+                        for k in range(cfg.coded_count(gen))]
+    # the j-th cooperative slot's sender is members[j % size], prefix and tail
+    coop = [r.sender for r in records if r.phase == "cooperative"]
+    assert coop == [members[j % size] for j in range(len(coop))]
+    assert len(coop) <= cfg.cooperative_budget
+
+    rank = {(mem, gen.id): 0 for mem in members for gen in cfg.content}
+    full = {gen.id: gen.size for gen in cfg.content}
+    decoded = []  # whether the cloud has all decoded after each slot
+    for r in records:
+        for mem, innovative in zip(r.receivers, r.innovative):
+            rank[mem, r.generation_id] += innovative
+        decoded.append(all(rank[mem, gid] == full[gid] for mem, gid in rank))
+
+    phases = [r.phase for r in records]
+    last_cellular = len(phases) - 1 - phases[::-1].index("cellular")
+    for i, phase in enumerate(phases):
+        nxt = phases[i + 1] if i + 1 < len(phases) else None
+        if phase == "cooperative":
+            # cooperation runs only while the cloud still needs it
+            assert not decoded[i - 1]
+            if i < last_cellular:
+                assert mode == "parallel" and phases[i - 1] == "cellular"
+        elif mode == "parallel" or i == last_cellular:
+            assert (nxt == "cooperative") == (size > 1 and not decoded[i])
+        else:
+            assert nxt == "cellular"
+    # the session ends once all have decoded or the budget is gone
+    assert (size == 1 or decoded[-1] or len(coop) == cfg.cooperative_budget)
+    assert m.truncated == (size > 1 and not decoded[-1])
+
+
 def replay_energy(metrics, cellular, short_range):
     """A session's energy recomputed from its slot records alone.
 
@@ -468,7 +534,7 @@ class TestEnergyReplay:
     @pytest.mark.parametrize("case", ["sequential", "parallel", "solo", "unicast"])
     def test_energy_replays_from_records(self, case):
         members = [5] if case == "solo" else [1, 2, 3, 4]
-        cloud = assign_indices(members, head_id=members[0])
+        cloud = CooperativeCloud(members, head_id=members[0])
         mode = "parallel" if case == "parallel" else "sequential"
         cfg = SessionConfig(content=_content(g=8, count=2), redundancy=1.25,
                             phase_mode=mode, cellular_loss=0.2,

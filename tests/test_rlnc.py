@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mscsim.gf256 import gf_add, gf_inv, gf_mul, matmul, mul_rows, vec_scale
+from mscsim.gf256 import gf_inv, gf_mul, matmul, mul_rows, vec_scale
 from mscsim.rlnc import (
     CodedPacket,
     CodingError,
@@ -19,7 +19,6 @@ from mscsim.rlnc import (
     SourcePacket,
     draw_coeffs,
     encode,
-    recode,
 )
 
 
@@ -47,7 +46,7 @@ def brute_rank(matrix) -> int:
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [gf_add(v, gf_mul(f, p)) for v, p in zip(rows[r], rows[rank])]
+                rows[r] = [v ^ gf_mul(f, p) for v, p in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -126,48 +125,82 @@ def test_draw_coeffs_deterministic_and_uniform():
     assert abs(float(single.astype(np.float64).mean()) - 127.5) < 1.5
 
 
+def holding(gen, packets):
+    """A decoder of `gen` that has ingested `packets`."""
+    dec = DecoderState(gen.id, gen.size, gen.payload_len)
+    for p in packets:
+        dec.ingest(p)
+    return dec
+
+
 def test_recode_single_input_scalar_multiple():
     gen = make_gen()
     pkt = encode(gen, np.array([1, 2, 3, 4], dtype=np.uint8))
-    out = recode([pkt], np.random.default_rng(1))
-    # output must be a nonzero scalar multiple, hence same 1-dim span
-    assert out.coeffs.any()
-    assert brute_rank(np.stack([pkt.coeffs, out.coeffs])) == 1
+    dec = holding(gen, [pkt])
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        out = dec.recode(rng)
+        # a nonzero scalar multiple, hence the same 1-dim span
+        assert out.coeffs.any()
+        assert brute_rank(np.stack([pkt.coeffs, out.coeffs])) == 1
+        assert brute_rank(np.stack([np.concatenate([pkt.coeffs, pkt.payload]),
+                                    np.concatenate([out.coeffs, out.payload])])) == 1
 
 
 def test_recode_validation():
     gen = make_gen()
-    pkt = encode(gen, np.array([1, 0, 0, 0], dtype=np.uint8))
-    other = CodedPacket(gen.id + 1, pkt.coeffs, pkt.payload)
-    with pytest.raises(CodingError):
-        recode([], np.random.default_rng(0))
-    with pytest.raises(CodingError):
-        recode([pkt, other], np.random.default_rng(0))
+    empty = DecoderState(gen.id, gen.size, gen.payload_len)
+    with pytest.raises(CodingError, match="nothing held"):
+        empty.recode(np.random.default_rng(0))
 
 
 def test_recode_not_innovative_to_holder():
     gen = make_gen(size=6)
     rng = np.random.default_rng(5)
     pkts = [encode(gen, draw_coeffs(rng, gen.size)) for _ in range(4)]
-    dec = DecoderState(gen.id, gen.size, gen.payload_len)
-    for p in pkts:
-        dec.ingest(p)
+    sender, holder = holding(gen, pkts), holding(gen, pkts)
     for _ in range(30):
-        assert dec.ingest(recode(pkts, rng)) is False
+        assert holder.ingest(sender.recode(rng)) is False
+    assert holder.rank == sender.rank == 4
 
 
 def test_recode_of_recode_decodes():
+    # source -> first -> second -> third: the first decoder gets encoded
+    # packets, each later one what its predecessor recodes
     gen = make_gen(seed=21, size=5, payload_len=16)
     rng = np.random.default_rng(22)
-    first = [encode(gen, draw_coeffs(rng, gen.size)) for _ in range(gen.size + 2)]
-    second = [recode(first, rng) for _ in range(gen.size + 2)]
-    third = [recode(second, rng) for _ in range(gen.size + 3)]
-    dec = DecoderState(gen.id, gen.size, gen.payload_len)
-    for p in third:
-        dec.ingest(p)
-    assert dec.decodable
-    for orig, got in zip(gen.packets, dec.decode()):
+    hop = holding(gen, [encode(gen, draw_coeffs(rng, gen.size))
+                        for _ in range(gen.size + 2)])
+    for _ in range(2):
+        hop = holding(gen, [hop.recode(rng) for _ in range(gen.size + 3)])
+    assert hop.decodable
+    for orig, got in zip(gen.packets, hop.decode()):
         assert np.array_equal(orig.payload, got.payload)
+
+
+def test_ingest_rejects_wrong_length_packets():
+    gen = make_gen(size=4, payload_len=8)
+    good = encode(gen, np.array([1, 2, 3, 4], dtype=np.uint8))
+    flat = np.concatenate([good.coeffs, good.payload])
+    for cut in range(flat.size + 1):
+        if cut == gen.size:
+            continue
+        # same total length, split at the wrong place (3 + 9, 5 + 7, ...)
+        bad = CodedPacket(gen.id, flat[:cut], flat[cut:])
+        dec = DecoderState(gen.id, gen.size, gen.payload_len)
+        with pytest.raises(CodingError, match="shape"):
+            dec.ingest(bad)
+        dec.ingest(good)
+        with pytest.raises(CodingError, match="shape"):
+            dec.ingest(bad)
+        assert dec.rank == 1
+    dec = DecoderState(gen.id, gen.size, gen.payload_len)
+    for coeffs, payload in ((good.coeffs, good.payload[:-1]),
+                            (good.coeffs[:1], good.payload),
+                            (np.zeros((4, 1), np.uint8), good.payload)):
+        with pytest.raises(CodingError, match="shape"):
+            dec.ingest(CodedPacket(gen.id, coeffs, payload))
+    assert dec.rank == 0
 
 
 def test_ingest_duplicate_and_identity():
@@ -515,13 +548,9 @@ def test_span_closure_property():
     rng = np.random.default_rng(61)
     for _ in range(20):
         gen = Generation.random(0, 6, 4, rng)
-        held = [encode(gen, draw_coeffs(rng, 6)) for _ in range(4)]
-        dec = DecoderState(0, 6, 4)
-        for p in held:
-            dec.ingest(p)
+        dec = holding(gen, [encode(gen, draw_coeffs(rng, 6)) for _ in range(4)])
         r = dec.rank
-        mixed = recode(held, rng)
-        assert dec.ingest(mixed) is False
+        assert dec.ingest(dec.recode(rng)) is False
         assert dec.rank == r
 
 
