@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
+from .topology import MAX_STEP_DIAGONALS, max_step_walk
+
 __all__ = [
     "ConfigError",
     "Scenario",
@@ -289,6 +291,14 @@ def _cross_validate(values: dict, lines: Optional[dict] = None) -> None:
     if values["speed_min"] > values["speed_max"]:
         fail("mobility.speed_min exceeds mobility.speed_max",
              "speed_min", "speed_max")
+    walk = values["speed_max"] * values["epoch_duration"]
+    if walk > max_step_walk(values["arena_width"], values["arena_height"]):
+        # each epoch's walk hops waypoint to waypoint until spent, so an
+        # unbounded walk per arena would mean unbounded work per epoch
+        fail(f"mobility.speed_max x mobility.epoch_duration = {walk!r} m "
+             f"exceeds {MAX_STEP_DIAGONALS:g} arena diagonals "
+             f"({values['arena_width']!r} x {values['arena_height']!r})",
+             "speed_max", "epoch_duration", "arena_width", "arena_height")
     product = values["redundancy"] * values["generation_size"]
     # a product that overflows to inf is too many packets for any g
     coded = math.ceil(product) if math.isfinite(product) else product

@@ -3,7 +3,7 @@
 Two procedures over the same radio snapshot. `measure` takes the
 snapshot once per decision epoch: one report per base station within
 range of the moving cell head, in station-id order. Both procedures
-then read that one report list:
+then read that one report list, and both events of the epoch share it:
 
 * uplink-reference-signal: the moving cell head broadcasts one UL
   reference signal; every base station in range measures it and reports
@@ -20,6 +20,7 @@ snapshot is a radio link failure for either procedure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -41,7 +42,7 @@ class MeasurementReport(NamedTuple):
     time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class HandoverEvent:
     entity_id: int
     serving_bs: int
@@ -51,7 +52,8 @@ class HandoverEvent:
     network_messages: int
     decision_time: float
     procedure: str = "ul_rs"
-    reports: list[MeasurementReport] = field(default_factory=list)
+    # the epoch's snapshot from `measure`, shared with the other procedure
+    reports: Sequence[MeasurementReport] = field(default_factory=list)
 
     @property
     def executed(self) -> bool:
@@ -64,13 +66,23 @@ DEFAULT_HYSTERESIS_DB = 3.0
 def measure(mch: Node, stations: Sequence[Node], pathloss: PathLoss,
             max_range: float, time: float) -> list[MeasurementReport]:
     """The radio snapshot of one epoch: a report for every station within
-    `max_range` of the cell head, in ascending station id."""
+    `max_range` of the cell head, in ascending station id.
+
+    Stations given in id order, as the runner gives them, cost no
+    reordering; the final sort only compares ids, which are unique.
+    """
+    x, y = mch.position
+    tx_power = mch.tx_power_dbm
+    received = pathloss.received_power_dbm
+    hypot = math.hypot
     reports = []
-    for stn in sorted(stations, key=lambda s: s.id):
-        distance = mch.distance_to(stn)
+    for stn in stations:
+        sx, sy = stn.position
+        distance = hypot(x - sx, y - sy)
         if distance <= max_range:
-            power = pathloss.received_power_dbm(mch.tx_power_dbm, distance)
-            reports.append(MeasurementReport(stn.id, power, time))
+            reports.append(MeasurementReport(stn.id, received(tx_power, distance),
+                                             time))
+    reports.sort()
     return reports
 
 
@@ -99,19 +111,16 @@ def ul_rs_handover(mch: Node, serving_bs: Node,
     """
     if not reports:
         raise RadioLinkFailure(mch.id, time)
-    target = _decide(reports, serving_bs.id, hysteresis_db)
-    executed = target != serving_bs.id
+    serving_id = serving_bs.id
+    target = _decide(reports, serving_id, hysteresis_db)
+    executed = target != serving_id
+    # positional: matching nine keywords costs about as much as _decide
     return HandoverEvent(
-        entity_id=mch.id,
-        serving_bs=serving_bs.id,
-        target_bs=target,
-        ue_tx_messages=1,                      # the UL RS broadcast itself
-        ue_rx_messages=1 if executed else 0,   # handover command downlink
-        network_messages=len(reports),         # per-BS reports to the controller
-        decision_time=time,
-        procedure="ul_rs",
-        reports=list(reports),
-    )
+        mch.id, serving_id, target,
+        1,                      # ue_tx: the UL RS broadcast itself
+        1 if executed else 0,   # ue_rx: handover command downlink
+        len(reports),           # network: per-BS reports to the controller
+        time, "ul_rs", reports)
 
 
 def baseline_handover(mch: Node, serving_bs: Node,
@@ -127,20 +136,16 @@ def baseline_handover(mch: Node, serving_bs: Node,
     """
     if not reports:
         raise RadioLinkFailure(mch.id, time)
-    target = _decide(reports, serving_bs.id, hysteresis_db)
-    executed = target != serving_bs.id
+    serving_id = serving_bs.id
+    target = _decide(reports, serving_id, hysteresis_db)
+    executed = target != serving_id
     return HandoverEvent(
-        entity_id=mch.id,
-        serving_bs=serving_bs.id,
-        target_bs=target,
-        ue_tx_messages=2 if executed else 1,
-        ue_rx_messages=len(reports) + (1 if executed else 0),
+        mch.id, serving_id, target,
+        2 if executed else 1,                    # ue_tx
+        len(reports) + (1 if executed else 0),   # ue_rx
         # report forwarded to the controller, plus target preparation on HO
-        network_messages=1 + (1 if executed else 0),
-        decision_time=time,
-        procedure="baseline",
-        reports=list(reports),
-    )
+        1 + (1 if executed else 0),              # network
+        time, "baseline", reports)
 
 
 def ho_energy(event: HandoverEvent, e_tx: float = 1.0, e_rx: float = 0.1) -> float:

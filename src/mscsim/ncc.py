@@ -73,6 +73,8 @@ class CooperativeCloud:
             raise ProtocolError("duplicate member ids")
         if list(self.members) != sorted(self.members):
             raise ProtocolError("members must be in ascending id order")
+        if self.head_id not in self.members:
+            raise ProtocolError(f"head {self.head_id} is not a cloud member")
 
     @property
     def size(self) -> int:

@@ -266,52 +266,80 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit) -> dict:
 
 def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations, msc,
                     pathloss) -> dict:
-    totals = {
-        procedure: {"ue_tx": 0, "ue_rx": 0, "network": 0, "energy": 0.0,
-                    "executed": 0}
-        for procedure in ("ul_rs", "baseline")
-    }
-    summary = {"epochs": scenario.ho_epochs, "decisions_match": True,
-               "link_failures": 0, "ul_rs": totals["ul_rs"],
-               "baseline": totals["baseline"]}
-    if scenario.ho_epochs == 0:
-        return summary
+    """Both procedures over one mobility trace, each deciding on its own.
+
+    The counters live in locals and go into the summary once; each
+    procedure's energy still sums its events in epoch order. The hooked
+    `step_mobility`, `ul_rs_handover` and `baseline_handover` are looked
+    up as module globals on every call.
+    """
+    epochs = scenario.ho_epochs
+    ul_tx = ul_rx = ul_network = ul_executed = 0
+    base_tx = base_rx = base_network = base_executed = 0
+    ul_energy = base_energy = 0.0
+    link_failures = 0
+    decisions_match = True
 
     mch = nodes[msc.head]
     devices = [n for n in nodes.values() if n.kind is NodeKind.UE]
-    serving = {p: nodes[msc.gateway_bs] for p in totals}
-    procedures = {"ul_rs": ul_rs_handover, "baseline": baseline_handover}
+    dt = scenario.epoch_duration
+    arena = (scenario.arena_width, scenario.arena_height)
+    speed_range = (scenario.speed_min, scenario.speed_max)
+    max_range = scenario.cellular_range
+    hysteresis_db = scenario.hysteresis_db
+    ul_serving = base_serving = nodes[msc.gateway_bs]
 
-    for epoch in range(scenario.ho_epochs):
-        step_mobility(devices, scenario.epoch_duration, mobility_rng,
-                      (scenario.arena_width, scenario.arena_height),
-                      (scenario.speed_min, scenario.speed_max))
-        time = (epoch + 1) * scenario.epoch_duration
+    for epoch in range(epochs):
+        step_mobility(devices, dt, mobility_rng, arena, speed_range)
+        time = (epoch + 1) * dt
         # one radio snapshot, read by both procedures
-        reports = measure(mch, stations, pathloss, scenario.cellular_range,
-                          time)
-        targets = {}
-        for name, procedure in procedures.items():
-            try:
-                event = procedure(mch, serving[name], reports,
-                                  hysteresis_db=scenario.hysteresis_db,
-                                  time=time)
-            except RadioLinkFailure:
-                summary["link_failures"] += 1
-                targets[name] = serving[name].id
-                continue
-            bucket = totals[name]
-            bucket["ue_tx"] += event.ue_tx_messages
-            bucket["ue_rx"] += event.ue_rx_messages
-            bucket["network"] += event.network_messages
-            bucket["energy"] += ho_energy(event)
-            bucket["executed"] += int(event.executed)
-            targets[name] = event.target_bs
-            serving[name] = nodes[event.target_bs]
-        if targets["ul_rs"] != targets["baseline"]:
-            summary["decisions_match"] = False
+        reports = measure(mch, stations, pathloss, max_range, time)
 
-    return summary
+        try:
+            event = ul_rs_handover(mch, ul_serving, reports,
+                                   hysteresis_db=hysteresis_db, time=time)
+        except RadioLinkFailure:
+            link_failures += 1
+            ul_target = ul_serving.id
+        else:
+            ul_tx += event.ue_tx_messages
+            ul_rx += event.ue_rx_messages
+            ul_network += event.network_messages
+            ul_energy += ho_energy(event)
+            ul_target = event.target_bs
+            if ul_target != ul_serving.id:
+                ul_executed += 1
+                ul_serving = nodes[ul_target]
+
+        try:
+            event = baseline_handover(mch, base_serving, reports,
+                                      hysteresis_db=hysteresis_db, time=time)
+        except RadioLinkFailure:
+            link_failures += 1
+            base_target = base_serving.id
+        else:
+            base_tx += event.ue_tx_messages
+            base_rx += event.ue_rx_messages
+            base_network += event.network_messages
+            base_energy += ho_energy(event)
+            base_target = event.target_bs
+            if base_target != base_serving.id:
+                base_executed += 1
+                base_serving = nodes[base_target]
+
+        if ul_target != base_target:
+            decisions_match = False
+
+    return {
+        "epochs": epochs,
+        "decisions_match": decisions_match,
+        "link_failures": link_failures,
+        "ul_rs": {"ue_tx": ul_tx, "ue_rx": ul_rx, "network": ul_network,
+                  "energy": ul_energy, "executed": ul_executed},
+        "baseline": {"ue_tx": base_tx, "ue_rx": base_rx,
+                     "network": base_network, "energy": base_energy,
+                     "executed": base_executed},
+    }
 
 
 def run(scenario: Scenario, out_path: Optional[str] = None, *,

@@ -200,37 +200,75 @@ def reselect_mch(msc: MobileSmallCell, trigger: ReselectionTrigger,
     return MobileSmallCell(msc.id, head_id, members, msc.coverage_radius, msc.gateway_bs)
 
 
+# Longest walk of one mobility step, in arena diagonals. A device hops
+# from waypoint to waypoint until its step's walk is spent, and a hop
+# averages about a third of a diagonal, so this bounds the expected hops
+# per device and step near 30.
+MAX_STEP_DIAGONALS = 10.0
+
+
+def max_step_walk(width: float, height: float) -> float:
+    """Longest walk (m) one mobility step may ask of a device in a
+    `width` x `height` arena."""
+    return MAX_STEP_DIAGONALS * math.hypot(width, height)
+
+
 def step_mobility(nodes: Iterable[Node], dt: float, rng,
                   arena: tuple[float, float], speed_range: tuple[float, float] = (1.0, 5.0)) -> None:
     """Random-waypoint step: advance each UE toward its waypoint.
 
     On arrival a fresh waypoint is drawn uniformly in the arena and a
     fresh speed from the configured range. Base stations never move.
+
+    A step walks speed * dt and hops waypoint to waypoint until that is
+    spent, so a walk of many arena diagonals means many hops. A walk
+    above `max_step_walk(*arena)`, either the range's top speed times
+    `dt` or a device's own speed times `dt`, raises TopologyError.
     """
     if dt <= 0:
         raise TopologyError("dt must be positive")
     width, height = arena
+    low, high = speed_range
+    limit = max_step_walk(width, height)
+    if high * dt > limit:
+        raise TopologyError(
+            f"a step of {dt} s at {high} m/s walks more than "
+            f"{MAX_STEP_DIAGONALS:g} diagonals of a {width} x {height} arena")
+    uniform = rng.uniform
+    hypot = math.hypot
+    base_station = NodeKind.BASE_STATION
     for node in nodes:
-        if node.kind is NodeKind.BASE_STATION:
+        if node.kind is base_station:
             continue
-        remaining = node.speed * dt
+        speed = node.speed
+        remaining = speed * dt
+        if not remaining > 1e-12:
+            continue
+        if remaining > limit:
+            raise TopologyError(
+                f"node {node.id} at {speed} m/s walks more than "
+                f"{MAX_STEP_DIAGONALS:g} arena diagonals in one step")
+        x, y = node.position
+        waypoint = node.waypoint
         while remaining > 1e-12:
-            if node.waypoint is None:
-                node.waypoint = (float(rng.uniform(0, width)), float(rng.uniform(0, height)))
-                if node.speed <= 0:
+            if waypoint is None:
+                node.waypoint = waypoint = (float(uniform(0, width)),
+                                            float(uniform(0, height)))
+                if speed <= 0:
                     break
-            dx = node.waypoint[0] - node.position[0]
-            dy = node.waypoint[1] - node.position[1]
-            dist = math.hypot(dx, dy)
+            dx = waypoint[0] - x
+            dy = waypoint[1] - y
+            dist = hypot(dx, dy)
             if dist <= remaining:
-                node.position = node.waypoint
-                node.waypoint = None
+                x, y = waypoint
+                node.waypoint = waypoint = None
                 remaining -= dist
-                node.speed = float(rng.uniform(*speed_range))
+                node.speed = speed = float(uniform(low, high))
             else:
                 frac = remaining / dist
-                node.position = (node.position[0] + dx * frac, node.position[1] + dy * frac)
-                remaining = 0.0
+                x, y = x + dx * frac, y + dy * frac
+                break
+        node.position = (x, y)
 
 
 def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],

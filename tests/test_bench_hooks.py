@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from mscsim import runner
-from mscsim.config import default_scenario
+from mscsim.config import default_scenario, parse_config
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,10 +62,13 @@ CODED_LAYERS = ("ncc.session", "ncc.cellular_phase", "ncc.cooperative_phase",
 
 def _traced_spans(**overrides) -> Counter:
     """Span count per layer of one traced `runner.run` of a tiny scenario."""
-    scenario = default_scenario(5, sessions=2, ue_count=4, generation_size=8,
-                                payload_bytes=4, shortrange_loss=0.2,
-                                ho_epochs=0, km_group="toy", km_shareholders=3,
-                                km_threshold=2, km_requesters=1, **overrides)
+    return _traced_run(default_scenario(
+        5, sessions=2, ue_count=4, generation_size=8, payload_bytes=4,
+        shortrange_loss=0.2, ho_epochs=0, km_group="toy", km_shareholders=3,
+        km_threshold=2, km_requesters=1, **overrides))
+
+
+def _traced_run(scenario) -> Counter:
     tracer = _tracing.Tracer()
     hooks = _tracing.Hooks(tracer)
     hooks.install()
@@ -89,3 +92,19 @@ def test_unicast_sessions_run_no_decoder():
     assert spans["ncc.session"] == 2
     assert spans["engine.transmit"] > 0
     assert spans["rlnc.ingest"] == 0
+
+
+HANDOVER_LAYERS = ("topology.step_mobility", "handover.ul_rs_handover",
+                   "handover.baseline_handover")
+
+
+@pytest.mark.parametrize("cellular_range", [1000.0, 1.0])
+def test_every_handover_epoch_calls_the_hooked_names(cellular_range):
+    # a procedure bound at import time would run untraced; the 1 m range
+    # makes every epoch a radio link failure, which must be traced too
+    spans = _traced_run(parse_config(
+        "[scenario]\npreset = ho-comparison\nseed = 4\n"
+        f"[links]\ncellular_range = {cellular_range}\n"
+        "[handover]\nepochs = 7\n"))
+    assert {layer: spans[layer] for layer in HANDOVER_LAYERS} == dict.fromkeys(
+        HANDOVER_LAYERS, 7)

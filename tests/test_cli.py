@@ -147,6 +147,17 @@ class TestOtherVerbs:
         assert "at most 255" in err
         assert "line 5" in err
 
+    def test_validate_rejects_an_unbounded_epoch_walk(self, workdir, capsys):
+        # at 1e300 m/s an epoch's walk never ends; rejected, not run
+        cfg = write(workdir, "walk.cfg", "[scenario]\npreset = ho-comparison\n"
+                    "seed = 1\n[mobility]\nspeed_max = 1e300\n"
+                    "[handover]\nepochs = 3\n")
+        for verb in ("validate", "run"):
+            assert main([verb, cfg]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert "arena diagonals" in err
+            assert "line 5" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mscsim.cli", "presets"],
                               capture_output=True, text=True)

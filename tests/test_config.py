@@ -17,6 +17,7 @@ from mscsim.config import (
     scenario_to_dict,
     serialize_scenario,
 )
+from mscsim.topology import max_step_walk
 
 MINIMAL = "[scenario]\nseed = 7\n"
 
@@ -111,6 +112,36 @@ class TestParsing:
         assert parse_config("[scenario]\nseed = 1\n[ncc]\ngeneration_size = 2\n"
                             "redundancy = 300\n").redundancy == 300.0
 
+    def test_walk_per_epoch_is_bounded(self):
+        # an epoch's walk hops waypoint to waypoint until spent, so a walk
+        # of many arena diagonals is unbounded work per epoch
+        with pytest.raises(ConfigError, match="arena diagonals") as err:
+            parse_config("[scenario]\npreset = ho-comparison\nseed = 1\n"
+                         "[mobility]\nspeed_max = 1e300\n[handover]\n"
+                         "epochs = 3\n")
+        assert err.value.line == 5
+        # a tiny arena at walking speed is the same case
+        with pytest.raises(ConfigError, match="arena diagonals") as err:
+            parse_config("[scenario]\nseed = 1\n[arena]\nwidth = 0.01\n"
+                         "height = 0.02\n")
+        assert err.value.line == 5
+        # speed x duration overflowing to inf is rejected, not a crash
+        with pytest.raises(ConfigError, match="arena diagonals") as err:
+            parse_config("[scenario]\nseed = 1\n[mobility]\nspeed_max = 1e300\n"
+                         "epoch_duration = 1e300\n")
+        assert err.value.line == 5
+        with pytest.raises(ConfigError, match="arena diagonals") as err:
+            apply_overrides(default_scenario(1), {"mobility.epoch_duration": "2e3"})
+        assert err.value.line is None
+        # the limit itself is allowed: 10 diagonals of 30 x 40 is 500 m
+        ok = "[scenario]\nseed = 1\n[arena]\nwidth = 30\nheight = 40\n" \
+             "[mobility]\nspeed_max = {}\n"
+        assert parse_config(ok.format(500.0)).speed_max == 500.0
+        with pytest.raises(ConfigError, match="arena diagonals"):
+            parse_config(ok.format(500.001))
+        for name in PRESETS:
+            assert parse_config(f"[scenario]\npreset = {name}\nseed = 1\n")
+
     def test_cross_field_error_names_the_later_line(self):
         # the earlier key of the pair is the one written second
         with pytest.raises(ConfigError, match="speed_min") as err:
@@ -175,6 +206,19 @@ class TestCanonicalForm:
             values["km_threshold"] = min(values["km_threshold"], 10)
         for key in _KEYS:
             assert key.check(values[key.field]), key.field
+        if values["speed_max"] * values["epoch_duration"] > max_step_walk(
+                values["arena_width"], values["arena_height"]):
+            # an epoch walks too many arena diagonals: the text is rejected
+            # too; redraw the mobility keys from ranges that always meet it
+            with pytest.raises(ConfigError, match="arena diagonals"):
+                parse_config(serialize_scenario(Scenario(**values)))
+            for name in ("arena_width", "arena_height"):
+                values[name] = data.draw(st.floats(100.0, 1e4), label=name)
+            values["speed_min"], values["speed_max"] = sorted(
+                data.draw(st.floats(0.0, 100.0, exclude_min=True), label=name)
+                for name in ("speed_min", "speed_max"))
+            values["epoch_duration"] = data.draw(
+                st.floats(0.0, 10.0, exclude_min=True), label="epoch_duration")
         try:
             s = default_scenario(**values)
         except ConfigError:

@@ -4,9 +4,13 @@ The trace comparison runs both procedures over the same mobility trace
 and checks the structural claims (same targets, 1 vs 2 uplink messages
 per executed handover, lower mean device energy) rather than absolute
 figures. The runner's handover summary is checked against the loop it
-replaced, in which each procedure measured the radio on its own.
+replaced, in which each procedure measured the radio on its own and the
+devices moved by the random-waypoint stepper kept here as a reference.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +28,13 @@ from mscsim.handover import (
     measure,
     ul_rs_handover,
 )
-from mscsim.topology import Node, NodeKind, PathLoss, step_mobility
+from mscsim.topology import (
+    Node,
+    NodeKind,
+    PathLoss,
+    max_step_walk,
+    step_mobility,
+)
 
 PL = PathLoss()
 
@@ -204,6 +214,147 @@ def test_trace_comparison_ul_rs_dominates_baseline():
     assert mean_ul < mean_base
 
 
+# -- reference: the random-waypoint stepper before its walk limit --------
+
+
+def _reference_step_mobility(nodes, dt, rng, arena, speed_range=(1.0, 5.0)):
+    """Random-waypoint step, one node attribute at a time: walk speed * dt
+    toward the waypoint, drawing a fresh waypoint and then a fresh speed
+    on each arrival. Nothing bounds the number of hops."""
+    width, height = arena
+    for node in nodes:
+        if node.kind is NodeKind.BASE_STATION:
+            continue
+        remaining = node.speed * dt
+        while remaining > 1e-12:
+            if node.waypoint is None:
+                node.waypoint = (float(rng.uniform(0, width)),
+                                 float(rng.uniform(0, height)))
+                if node.speed <= 0:
+                    break
+            dx = node.waypoint[0] - node.position[0]
+            dy = node.waypoint[1] - node.position[1]
+            dist = math.hypot(dx, dy)
+            if dist <= remaining:
+                node.position = node.waypoint
+                node.waypoint = None
+                remaining -= dist
+                node.speed = float(rng.uniform(*speed_range))
+            else:
+                frac = remaining / dist
+                node.position = (node.position[0] + dx * frac,
+                                 node.position[1] + dy * frac)
+                remaining = 0.0
+
+
+class _CountingRng:
+    """A generator that counts its draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def uniform(self, low, high):
+        self.draws += 1
+        return self.rng.uniform(low, high)
+
+
+def _bits(nodes):
+    """Every float of the mobility state, bit for bit."""
+    out = []
+    for n in nodes:
+        out.append((n.id, n.position[0].hex(), n.position[1].hex(),
+                    None if n.waypoint is None
+                    else (n.waypoint[0].hex(), n.waypoint[1].hex()),
+                    float(n.speed).hex()))
+    return out
+
+
+def _twin_walk(make_nodes, seed, steps, dt, arena, speed_range):
+    """Step two copies of the same nodes, one with `step_mobility` and one
+    with the reference, from equal generators; compare after every step.
+    Returns the reference's draws per step."""
+    ours, theirs = make_nodes(), make_nodes()
+    rng_ours, rng_theirs = _CountingRng(seed), _CountingRng(seed)
+    draws = []
+    for _ in range(steps):
+        before = rng_theirs.draws
+        step_mobility(ours, dt, rng_ours, arena, speed_range)
+        _reference_step_mobility(theirs, dt, rng_theirs, arena, speed_range)
+        assert _bits(ours) == _bits(theirs)
+        draws.append(rng_theirs.draws - before)
+    assert rng_ours.draws == rng_theirs.draws
+    assert rng_ours.rng.random() == rng_theirs.rng.random()
+    return draws
+
+
+def _walkers(arena, speeds, waypoints=None):
+    width, height = arena
+
+    def make():
+        nodes = [Node(50, NodeKind.BASE_STATION, (width / 2, height / 2))]
+        for k, speed in enumerate(speeds):
+            waypoint = None if waypoints is None else waypoints[k]
+            nodes.append(Node(k + 1, NodeKind.UE,
+                              (width * (k + 1) / (len(speeds) + 1), height / 3),
+                              speed=speed, waypoint=waypoint))
+        return nodes
+    return make
+
+
+def test_stepper_matches_reference_with_zero_minimum_speed():
+    draws = _twin_walk(_walkers((300.0, 300.0), [0.0, 2.5, 5.0]), 11, 1500,
+                       1.0, (300.0, 300.0), (0.0, 5.0))
+    assert sum(draws) > 20
+
+
+def test_stepper_matches_reference_with_a_zero_speed_range():
+    # an arrival draws speed 0 and a fresh waypoint, then the node stops
+    # for good: three draws for node 1, two more for node 2's first
+    # waypoint
+    draws = _twin_walk(_walkers((40.0, 30.0), [7.0, 3.0], [(39.0, 1.0), None]),
+                       2, 40, 2.0, (40.0, 30.0), (0.0, 0.0))
+    assert sum(draws) == 3 + 2 + 3 and draws[-1] == 0
+
+
+def test_stepper_matches_reference_with_arrivals_within_a_step():
+    # a walk of about two diagonals per step crosses several waypoints
+    draws = _twin_walk(_walkers((10.0, 3.0), [20.0, 25.0]), 5, 300, 1.0,
+                       (10.0, 3.0), (20.0, 25.0))
+    assert max(draws) >= 3 * 4
+
+
+def test_stepper_matches_reference_in_a_strip():
+    draws = _twin_walk(_walkers((1000.0, 4.0), [1.0, 9.0, 30.0]), 8, 800, 0.5,
+                       (1000.0, 4.0), (1.0, 30.0))
+    assert sum(draws) > 10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       arena=st.tuples(st.floats(0.5, 2000.0), st.floats(0.5, 2000.0)),
+       dt=st.floats(0.01, 10.0),
+       walk_share=st.floats(0.0, 0.9),
+       low_share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       steps=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stepper_matches_the_reference_property(data, arena, dt, walk_share,
+                                                low_share, steps, seed):
+    """Positions, waypoints, speeds and the generator's next draw stay
+    bit-identical over many steps, for walks up to 0.9 of the limit."""
+    high = walk_share * max_step_walk(*arena) / dt
+    speed_range = (low_share * high, high)
+    unit = st.floats(0.0, 1.0)
+    count = data.draw(st.integers(1, 4), label="nodes")
+    speeds = [data.draw(unit, label="speed") * high for _ in range(count)]
+    waypoints = [data.draw(st.none() | st.tuples(unit, unit), label="waypoint")
+                 for _ in range(count)]
+    waypoints = [None if w is None else (w[0] * arena[0], w[1] * arena[1])
+                 for w in waypoints]
+    _twin_walk(_walkers(arena, speeds, waypoints), seed, steps, dt, arena,
+               speed_range)
+
+
 # -- reference: the handover loop before one snapshot per epoch ----------
 
 
@@ -256,9 +407,9 @@ def reference_handover_summary(scenario):
     devices = [n for n in nodes.values() if n.kind is NodeKind.UE]
     serving = {name: nodes[msc.gateway_bs] for name in totals}
     for epoch in range(scenario.ho_epochs):
-        step_mobility(devices, scenario.epoch_duration, mobility_rng,
-                      (scenario.arena_width, scenario.arena_height),
-                      (scenario.speed_min, scenario.speed_max))
+        _reference_step_mobility(devices, scenario.epoch_duration, mobility_rng,
+                                 (scenario.arena_width, scenario.arena_height),
+                                 (scenario.speed_min, scenario.speed_max))
         time = (epoch + 1) * scenario.epoch_duration
         targets = {}
         for name, bucket in totals.items():

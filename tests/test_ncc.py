@@ -69,6 +69,11 @@ class TestCooperativeCloud:
         with pytest.raises(ProtocolError, match="ascending"):
             CooperativeCloud((9, 3, 5), head_id=3)
 
+    def test_head_must_be_a_member(self):
+        with pytest.raises(ProtocolError, match="head 9 is not a cloud member"):
+            CooperativeCloud((1, 2), head_id=9)
+        assert CooperativeCloud((1, 2), head_id=2).head_id == 2
+
     def test_members_from_any_sequence_are_a_tuple(self):
         for members in ([1, 2, 3], range(1, 4)):
             cloud = CooperativeCloud(members, head_id=1)

@@ -16,6 +16,7 @@ from mscsim.topology import (
     TopologyError,
     associate_gateway,
     form_msc,
+    max_step_walk,
     reselect_mch,
     step_mobility,
     topology_snapshot,
@@ -161,6 +162,26 @@ def test_mobility_waypoint_arrival_redraws():
     # walked 3 to the waypoint then 2 more toward a fresh one
     assert n.position != (3.0, 0.0)
     assert 2.0 <= n.speed <= 4.0
+
+
+def test_mobility_rejects_a_walk_of_many_diagonals():
+    # hops waypoint to waypoint until the walk is spent, so its work
+    # grows with walk / diagonal; ten diagonals is the limit
+    assert max_step_walk(30.0, 40.0) == 500.0
+    n = ue(1, 0.5, 0.5, speed=1.0)
+    with pytest.raises(TopologyError, match="20.0 m/s"):
+        step_mobility([n], 1.0, np.random.default_rng(0), (1.0, 1.0),
+                      speed_range=(20.0, 20.0))
+    assert n.position == (0.5, 0.5) and n.waypoint is None
+    # a device already faster than the limit allows
+    n = ue(2, 5.0, 5.0, speed=200.0)
+    with pytest.raises(TopologyError, match="node 2 at 200.0 m/s"):
+        step_mobility([n], 1.0, np.random.default_rng(0), (10.0, 10.0))
+    # right at the limit is still a step
+    n = ue(3, 0.0, 0.0, speed=500.0)
+    step_mobility([n], 1.0, np.random.default_rng(0), (30.0, 40.0),
+                  speed_range=(500.0, 500.0))
+    assert 0.0 <= n.position[0] <= 30.0 and 0.0 <= n.position[1] <= 40.0
 
 
 def test_random_waypoint_center_concentration():
