@@ -113,9 +113,12 @@ _KEYS = [
          "a nonnegative integer"),
     _Key("arena", "width", "arena_width", _float, lambda v: v > 0, "positive"),
     _Key("arena", "height", "arena_height", _float, lambda v: v > 0, "positive"),
-    _Key("nodes", "base_stations", "base_stations", _int, lambda v: v >= 1,
-         "at least 1"),
-    _Key("nodes", "ue_count", "ue_count", _int, lambda v: v >= 1, "at least 1"),
+    # the runner numbers stations 1..99, devices 101..999 and authority
+    # shareholders from 1001, so these caps keep the id blocks apart
+    _Key("nodes", "base_stations", "base_stations", _int,
+         lambda v: 1 <= v <= 99, "in [1, 99]"),
+    _Key("nodes", "ue_count", "ue_count", _int, lambda v: 1 <= v <= 899,
+         "in [1, 899]"),
     _Key("mobility", "speed_min", "speed_min", _float, lambda v: v >= 0,
          "nonnegative"),
     _Key("mobility", "speed_max", "speed_max", _float, lambda v: v > 0,

@@ -18,10 +18,25 @@ co-located endpoints (dx == dy == 0, every session endpoint today) skip
 the call: their distance is 0 and range_m is positive, so they are in
 range. (`math.hypot` is not a substitute for `np.hypot`: it differs in
 the last bit on some inputs.)
+
+The runner reads both per-packet streams ahead, because a numpy draw
+costs several microseconds of argument handling however little it
+draws. `ReadAheadFloats` serves the channel stream's scalar `random()`
+calls from one `random(n)` block; a block of n doubles is the n scalar
+draws in order. `ReadAheadBytes` serves the coding stream's
+`integers(0, 256, size, np.uint8)` calls from one block of whole 32-bit
+words. numpy fills a uint8 draw from ceil(size / 4) fresh 32-bit words,
+low byte first, and drops the rest of its last word; so the words of one
+block draw hold every later draw back to back, each starting on a word
+boundary. Neither changes a drawn byte. What they read past the last
+draw is never used, because the runner's session phase makes both
+streams for itself alone.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -106,6 +121,74 @@ class RunSeed:
 
     def crypto(self) -> np.random.Generator:
         return self.stream(CRYPTO_STREAM)
+
+
+# Read-ahead block sizes: whole 32-bit words of the coding stream, and
+# doubles of the channel stream.
+_BYTE_BLOCK = 32 * 1024
+_FLOAT_BLOCK = 1024
+
+
+class ReadAheadBytes:
+    """A generator's ``integers(0, 256, size, np.uint8)`` draws, read ahead.
+
+    Returns the bytes the generator itself would return for the same
+    sequence of calls, as views into one block; no two draws share a
+    byte, so writing into one changes no other. ``size`` is an int or a
+    tuple of ints; any other bounds, dtype or size raises, and so does
+    any other method.
+    """
+
+    __slots__ = ("_rng", "_block", "_pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = np.empty(0, dtype=np.uint8)
+        self._pos = 0          # always on a word boundary
+
+    def integers(self, low, high, size, dtype) -> np.ndarray:
+        if low != 0 or high != 256 or dtype is not np.uint8:
+            raise ValueError("only integers(0, 256, size, np.uint8) is read ahead")
+        if type(size) is tuple:
+            shape = tuple(map(operator.index, size))
+            n = math.prod(shape) if min(shape, default=0) >= 0 else -1
+        else:
+            shape, n = None, operator.index(size)
+        if n < 0:
+            raise ValueError(f"negative dimensions are not allowed: {size}")
+        pos = self._pos
+        end = pos + n
+        if end > len(self._block):
+            self._refill(n)
+            pos, end = 0, n
+        # the draw's last word is spent even where it ends early
+        self._pos = (end + 3) & ~3
+        out = self._block[pos:end]
+        return out if shape is None else out.reshape(shape)
+
+    def _refill(self, n: int) -> None:
+        rest = self._block[self._pos:]
+        # whole words, so that every later draw starts on a word boundary
+        need = max(_BYTE_BLOCK, (n - len(rest) + 3) & ~3)
+        fresh = self._rng.integers(0, 256, size=need, dtype=np.uint8)
+        self._block = np.concatenate((rest, fresh)) if len(rest) else fresh
+        self._pos = 0
+
+
+class ReadAheadFloats:
+    """A generator's scalar ``random()`` draws, read ahead as Python floats."""
+
+    __slots__ = ("_rng", "_ahead")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._ahead: list[float] = []   # next draw last
+
+    def random(self) -> float:
+        ahead = self._ahead
+        if not ahead:
+            ahead = self._ahead = self._rng.random(_FLOAT_BLOCK)[::-1].tolist()
+        return ahead.pop()
 
 
 class Delivery(NamedTuple):

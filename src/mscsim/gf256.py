@@ -94,13 +94,17 @@ def gf_div(a: int, b: int) -> int:
     return gf_mul(a, gf_inv(b))
 
 
-def vec_scale(a: int, v: np.ndarray) -> np.ndarray:
+def vec_scale(a: int, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scalar times vector, element-wise over the field.
 
     The one-factor case of ``mul_rows``: a gather from row ``a`` of the
-    product table.
+    product table. ``out`` may be ``v`` itself, which scales in place.
     """
-    return MUL_TABLE[a].take(v)
+    if out is None:
+        return MUL_TABLE[a].take(v)
+    # uint8 indices never leave the 256-entry row, and unlike the default
+    # "raise", "clip" lets take write into out without a buffer
+    return MUL_TABLE[a].take(v, out=out, mode="clip")
 
 
 def mul_rows(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:

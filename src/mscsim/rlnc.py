@@ -126,6 +126,12 @@ class DecoderState:
     likewise touches only ``_buf[:r, r:]``, and the new pivot column is
     rotated into position r.
 
+    Buffer rows at and after the rank are scratch. An incoming packet is
+    written into the free row r, from column r on, and reduced and scaled
+    there, so an innovative packet is already in place; a non-innovative
+    one leaves bytes that the next packet overwrites. No write ever
+    reaches the columns of row i before column i, so they stay zero.
+
     ``coefficient_matrix`` and ``decode`` undo the permutation, and
     ``recode`` draws its weights for the rows in pivot order, so every
     result and every random draw is the same as for a decoder that keeps
@@ -176,24 +182,30 @@ class DecoderState:
         if r == g:
             return False
         coeffs = pkt.coeffs.take(self._perm) if self._permuted else pkt.coeffs
-        # the packet without its first r (pivot) columns, in buffer layout
-        tail = np.concatenate([coeffs[r:], pkt.payload])
-        held = self._buf[:r]
+        # the packet without its first r (pivot) columns, in buffer layout,
+        # goes straight into the free row r
+        buf = self._buf
+        row = buf[r]
+        row[r:g] = coeffs[r:]
+        row[g:] = pkt.payload
+        tail = row[r:]
+        held = buf[:r]
         if r:
             # Held rows are the identity on the pivot columns, so the
             # packet's entries there are the elimination factors and one
             # pass over the other columns clears all of them.
             tail ^= np.bitwise_xor.reduce(mul_rows(coeffs[:r], held[:, r:]), axis=0)
-        off = int((tail[: g - r] != 0).argmax())
-        lead = tail[off]
-        if lead == 0:
+        nonzero = tail[: g - r].nonzero()[0]
+        if not len(nonzero):
             return False
+        off = int(nonzero[0])
         c = r + off
         # entries before the pivot are zero, so only the pivot (scaled
-        # to 1) and what follows it are stored and back-substituted
-        rest = tail[off:]
+        # to 1) and what follows it are back-substituted
+        rest = row[c:]
+        lead = rest[0]
         if lead != 1:
-            rest = vec_scale(INV_TABLE[lead], rest)
+            vec_scale(INV_TABLE[lead], rest, out=rest)
         if r:
             right = held[:, c:]
             np.bitwise_xor(right, mul_rows(held[:, c], rest), out=right)
@@ -202,8 +214,6 @@ class DecoderState:
                 # to position r
                 held[:, r + 1: c + 1] = held[:, r:c]
                 held[:, r] = 0
-        row = self._buf[r]
-        row[c:] = rest
         if off:
             row[c] = 0
             row[r] = 1

@@ -1,11 +1,14 @@
 """Command-line verbs, exit codes, and output placement."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mscsim
 from mscsim.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 
 AMBULANCE = "[scenario]\npreset = ambulance\nseed = 7\n"
@@ -147,6 +150,20 @@ class TestOtherVerbs:
         assert "at most 255" in err
         assert "line 5" in err
 
+    def test_node_ids_that_would_overlap_are_rejected(self, workdir, capsys):
+        # station 101 would be device 101's id: rejected, not run
+        cfg = write(workdir, "ids.cfg", "[scenario]\npreset = ambulance\n"
+                    "seed = 1\n[nodes]\nbase_stations = 101\n")
+        for verb in ("validate", "run"):
+            assert main([verb, cfg]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert "nodes.base_stations" in err and "in [1, 99]" in err
+            assert "line 5" in err
+        cfg = write(workdir, "s.cfg", SMALL)
+        assert main(["sweep", cfg, "--grid", "nodes.ue_count=2,900"]) == \
+            EXIT_BAD_CONFIG
+        assert "nodes.ue_count" in capsys.readouterr().err
+
     def test_validate_rejects_an_unbounded_epoch_walk(self, workdir, capsys):
         # at 1e300 m/s an epoch's walk never ends; rejected, not run
         cfg = write(workdir, "walk.cfg", "[scenario]\npreset = ho-comparison\n"
@@ -159,7 +176,12 @@ class TestOtherVerbs:
             assert "line 5" in err
 
     def test_module_entry_point(self):
+        # the child does not inherit pytest's `pythonpath`, so it is given
+        # the src directory this package was imported from
+        src = str(Path(mscsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "mscsim.cli", "presets"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "[ambulance]" in proc.stdout

@@ -80,6 +80,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, largest", [("base_stations", 99),
+                                              ("ue_count", 899)])
+    def test_node_counts_keep_the_id_blocks_apart(self, key, largest):
+        # stations get ids 1..B, devices 101..100+U, shareholders 1001 on,
+        # and the caps keep the three blocks apart
+        text = "[scenario]\nseed = 1\n[nodes]\n{} = {}\n"
+        assert getattr(parse_config(text.format(key, largest)), key) == largest
+        for value in (largest + 1, largest + 2, 100000000):
+            with pytest.raises(ConfigError, match=f"line 4: nodes.{key}") as err:
+                parse_config(text.format(key, value))
+            assert err.value.line == 4
+        with pytest.raises(ConfigError, match=f"nodes.{key}"):
+            apply_overrides(default_scenario(1), {f"nodes.{key}": str(largest + 1)})
+
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError, match="threshold exceeds") as err:
             parse_config("[scenario]\nseed = 1\n[km]\nshareholders = 2\n"
@@ -165,6 +179,8 @@ RANGES = {
     "a nonnegative integer": st.integers(min_value=0),
     "at least 1": st.integers(min_value=1),
     "in [1, 1024]": st.integers(1, 1024),
+    "in [1, 99]": st.integers(1, 99),
+    "in [1, 899]": st.integers(1, 899),
     "positive": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     "nonnegative": st.floats(min_value=0.0, allow_infinity=False),
     "at least 1.0": st.floats(min_value=1.0, allow_infinity=False),

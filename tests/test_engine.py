@@ -6,14 +6,23 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mscsim import engine
 from mscsim.engine import (
     DeliveryStatus,
     LinkKind,
     LinkModel,
+    ReadAheadBytes,
+    ReadAheadFloats,
     RunSeed,
     Simulator,
 )
+
+# derandomized so the suite stays reproducible run to run
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
 
 
 @dataclass
@@ -145,3 +154,74 @@ def test_range_decision_at_the_edge(scale):
         assert _expect_hypot_decisions(sender, [recv], edge) == [DeliveryStatus.DELIVERED]
         assert _expect_hypot_decisions(sender, [recv], float(below)) == [DeliveryStatus.OUT_OF_RANGE]
         assert _expect_hypot_decisions(sender, [recv], float(above)) == [DeliveryStatus.DELIVERED]
+
+
+# --- read-ahead streams ----------------------------------------------------
+
+# One uint8 draw: empty, short, a (g, L) payload block, or more than a
+# whole read-ahead block.
+_BYTE_SIZES = st.one_of(
+    st.just(0),
+    st.integers(1, 300),
+    st.tuples(st.integers(1, 64), st.integers(1, 40)),
+    st.integers(engine._BYTE_BLOCK - 3, 2 * engine._BYTE_BLOCK + 5),
+)
+
+
+def _streams(seed: int, odd_carry: bool):
+    """Two generators in one state. An odd number of 32-bit words drawn
+    leaves half of a 64-bit output cached, the odd carry state."""
+    raw, wrapped = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (raw, wrapped):
+        rng.integers(0, 256, size=4 if odd_carry else 8, dtype=np.uint8)
+    return raw, wrapped
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), odd_carry=st.booleans(),
+       sizes=st.lists(_BYTE_SIZES, min_size=1, max_size=40))
+def test_read_ahead_bytes_equal_the_raw_generator(seed, odd_carry, sizes):
+    raw, wrapped = _streams(seed, odd_carry)
+    ahead = ReadAheadBytes(wrapped)
+    for size in sizes:
+        want = raw.integers(0, 256, size=size, dtype=np.uint8)
+        got = ahead.integers(0, 256, size=size, dtype=np.uint8)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), odd_carry=st.booleans(),
+       count=st.integers(0, 3 * engine._FLOAT_BLOCK + 1))
+def test_read_ahead_floats_equal_the_raw_generator(seed, odd_carry, count):
+    raw, wrapped = _streams(seed, odd_carry)
+    ahead = ReadAheadFloats(wrapped)
+    for _ in range(count):
+        want, got = raw.random(), ahead.random()
+        assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("args, error", [
+    ((0, 255, 4, np.uint8), ValueError),
+    ((1, 256, 4, np.uint8), ValueError),
+    ((0, 256, 4, np.int64), ValueError),
+    ((0, 256, 4, np.uint16), ValueError),
+    ((0, 256, None, np.uint8), TypeError),
+    ((0, 256, 2.0, np.uint8), TypeError),
+    ((0, 256, -1, np.uint8), ValueError),
+    ((0, 256, (3, -1), np.uint8), ValueError),
+    ((0, 256, (-2, -2), np.uint8), ValueError),
+])
+def test_read_ahead_bytes_serve_only_uint8_bytes(args, error):
+    with pytest.raises(error):
+        ReadAheadBytes(np.random.default_rng(0)).integers(*args)
+
+
+def test_read_ahead_streams_serve_one_draw_kind_each():
+    rng = np.random.default_rng(0)
+    with pytest.raises(AttributeError):
+        ReadAheadBytes(rng).random()
+    with pytest.raises(AttributeError):
+        ReadAheadFloats(rng).integers(0, 256, 4, np.uint8)
+    with pytest.raises(TypeError):
+        ReadAheadFloats(rng).random(4)

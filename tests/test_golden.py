@@ -39,12 +39,33 @@ redundancy = 1.2
 cellular_loss = 0.05
 """
 
+# Odd shapes: g = 7 and 13-byte payloads, so no draw of the coding
+# stream fills whole 32-bit words, over three generations with both
+# links lossy; once in each phase mode and once as lossy unicast.
+ODD_SHAPES = """\
+[scenario]
+preset = ambulance
+sessions = 3
+[ncc]
+generation_size = 7
+payload_bytes = 13
+generations = 3
+phase_mode = {mode}
+protocol = {protocol}
+[links]
+cellular_loss = 0.2
+shortrange_loss = 0.15
+"""
+
 SCENARIOS = {
     "ambulance": "[scenario]\npreset = ambulance\n",
     "baseline-unicast": "[scenario]\npreset = baseline-unicast\n",
     "ho-comparison": "[scenario]\npreset = ho-comparison\n",
     "km-bootstrap": "[scenario]\npreset = km-bootstrap\n",
     "wide-parallel": WIDE_PARALLEL,
+    "odd-sequential": ODD_SHAPES.format(mode="sequential", protocol="ncc"),
+    "odd-parallel": ODD_SHAPES.format(mode="parallel", protocol="ncc"),
+    "odd-unicast": ODD_SHAPES.format(mode="sequential", protocol="unicast"),
 }
 
 # numpy major version -> (scenario, seed) -> sha256 of the records file
@@ -70,6 +91,18 @@ GOLDEN = {
             "bcd94d6011a6e5dc1bd6a08c9196162712e437b6fccf601e5bbee7e1dd89164c",
         ("wide-parallel", 20240):
             "a12a00c39e37a4f2597ccbe6aa5d757b23586876e6921c66e8bfb22fda4cd778",
+        ("odd-sequential", 1):
+            "19e0b5b394e8675b776c5b12911455b664cbccb3dce6f06a61e2ea8cd122c1b6",
+        ("odd-sequential", 20240):
+            "df9ba9111b5d1d97a9f56f4ad04375025a821e03f4c8e6a5b673a2c51c10fa4c",
+        ("odd-parallel", 1):
+            "4fd186190b44a04c08255cc2ec102ec8955ee12299acc2621b7c873e13a4cdba",
+        ("odd-parallel", 20240):
+            "d3828cfd061975852874a17e0a46539106042a667bb5e59df7eace2bcc4a55eb",
+        ("odd-unicast", 1):
+            "be0d4ddc197c296a83b99085ff42728ff3197f5aae3cd8230d7bd949586d406f",
+        ("odd-unicast", 20240):
+            "fb3583862b220a263322ba48d100c166de236acc0abcb4b6c6bba64e96bf949a",
     },
 }
 
