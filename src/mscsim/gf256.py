@@ -16,8 +16,8 @@ several times the cost.
   gather the r table rows the factors name, an (r, 256) copy, then
   gather the row's n columns from each. The two index arrays hold r
   and n entries, where the other form builds and converts r * n.
-- Scaling r rows by one factor each (encode, recode, elimination and
-  ``matmul``) gathers from the raveled table at the uint16 index
+- Scaling r rows by one factor each (encode, recode and elimination)
+  gathers from the raveled table at the uint16 index
   ``factor << 8 | element``. The high byte ``factor << 8`` is itself a
   gather, from a 256-entry table, and the whole (r, n) index goes to
   one ``take``.
@@ -89,11 +89,6 @@ def gf_inv(a: int) -> int:
     return int(INV_TABLE[a])
 
 
-def gf_div(a: int, b: int) -> int:
-    """a / b, i.e. a * inv(b)."""
-    return gf_mul(a, gf_inv(b))
-
-
 def vec_scale(a: int, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scalar times vector, element-wise over the field.
 
@@ -124,15 +119,3 @@ def mul_rows(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if rows.ndim == 1:
         return MUL_TABLE.take(factors, axis=0).take(rows, axis=-1)
     return _MUL_FLAT.take(_HIGH.take(factors)[..., None] | rows)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GF(2^8) matrix product of uint8 arrays a (m, k) and b (k, n).
-
-    Scales row j of b by a[i, j] for every i with ``mul_rows`` and
-    XOR-reduces over j; intended for the moderate shapes the codec works
-    with, not large linear algebra.
-    """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    return np.bitwise_xor.reduce(mul_rows(a, b), axis=1)

@@ -1,25 +1,17 @@
 """Fully-distributed threshold key management.
 
 Submodules: groups (Schnorr-group algebra), shamir (threshold sharing),
-threshold (quorum signatures), credentials (proxy credentials,
-self-generated certificates, authenticated channels), service (roster,
-quorum selection, share issuance, fairness audit).
+threshold (quorum signatures), credentials (proxy credentials and
+self-generated certificates), service (roster, quorum selection, share
+issuance, fairness audit).
 """
 
 from .credentials import (
     Certificate,
-    ChannelEndpoint,
-    ChannelError,
     CredentialError,
     KeyPair,
     ProxyCredential,
     Warrant,
-    channel_finish,
-    channel_offer,
-    channel_respond,
-    decode_certificate,
-    encode_certificate,
-    establish_secure_channel,
     generate_keypair,
     self_generate_certificate,
     verify_certificate,
@@ -30,8 +22,6 @@ from .groups import (
     TOY_GROUP,
     GroupError,
     GroupParams,
-    dump_group,
-    generate_group,
     group_2048,
     is_probable_prime,
     load_group,
@@ -51,7 +41,6 @@ from .shamir import (
     ShareError,
     lagrange_at,
     poly_eval,
-    reconstruct,
     setup,
     share_polynomial,
 )

@@ -1,18 +1,14 @@
-"""Proxy credentials, self-generated certificates, authenticated channels.
+"""Proxy credentials and self-generated certificates.
 
 A quorum of shareholders threshold-signs a credential binding a node's
 identity to its long-term public key and a warrant. From then on the
 node mints its own certificates locally (zero network traffic) by
 signing fresh certificate keys with the credentialed key, and any peer
-verifies the whole chain knowing only the master public key. Channels
-are signed ephemeral Diffie-Hellman in the same group with explicit key
-confirmation.
+verifies the whole chain knowing only the master public key.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -23,12 +19,6 @@ from .threshold import Signature, sign_single, verify
 
 class CredentialError(Exception):
     pass
-
-
-class ChannelError(Exception):
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
 
 
 Identity = Union[int, str]
@@ -150,154 +140,3 @@ def verify_certificate(cert: Certificate, master_public: int, now: float,
     if not cert.issued_at <= now <= cert.expires_at:
         return False, "expired"
     return True, "ok"
-
-
-# --- wire form (for byte-level tamper checks and the output stream) ----
-
-def encode_certificate(cert: Certificate) -> bytes:
-    def enc_sig(sig):
-        return {"c": f"{sig.c:x}", "z": f"{sig.z:x}"}
-
-    doc = {
-        "subject_id": cert.subject_id,
-        "subject_public": f"{cert.subject_public:x}",
-        "issued_at": cert.issued_at,
-        "expires_at": cert.expires_at,
-        "credential": {
-            "holder_id": cert.credential.holder_id,
-            "holder_public": f"{cert.credential.holder_public:x}",
-            "warrant": {
-                "valid_from": cert.credential.warrant.valid_from,
-                "valid_to": cert.credential.warrant.valid_to,
-                "permissions": list(cert.credential.warrant.permissions),
-            },
-            "signature": enc_sig(cert.credential.signature),
-        },
-        "signature": enc_sig(cert.signature),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def decode_certificate(data: bytes) -> Certificate:
-    try:
-        doc = json.loads(data.decode())
-        cred = doc["credential"]
-        warrant = Warrant(cred["warrant"]["valid_from"], cred["warrant"]["valid_to"],
-                          tuple(cred["warrant"]["permissions"]))
-        credential = ProxyCredential(
-            cred["holder_id"], int(cred["holder_public"], 16), warrant,
-            Signature(int(cred["signature"]["c"], 16), int(cred["signature"]["z"], 16)))
-        return Certificate(
-            doc["subject_id"], int(doc["subject_public"], 16),
-            doc["issued_at"], doc["expires_at"], credential,
-            Signature(int(doc["signature"]["c"], 16), int(doc["signature"]["z"], 16)))
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise CredentialError(f"malformed certificate: {exc}") from None
-
-
-# --- authenticated channel --------------------------------------------
-
-@dataclass(frozen=True)
-class ChannelEndpoint:
-    identity: Identity
-    certificate: Certificate
-    subject_private: int   # private half of certificate.subject_public
-
-
-@dataclass(frozen=True)
-class ChannelHello:
-    certificate: Certificate
-    ephemeral: int
-    signature: Signature
-
-
-@dataclass(frozen=True)
-class ChannelAccept:
-    certificate: Certificate
-    ephemeral: int
-    signature: Signature
-    confirm: bytes
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    endpoint: ChannelEndpoint
-    peer_id: Identity
-    eph_private: int
-    hello: ChannelHello
-
-
-def _derive_key(params, shared: int, initiator: Identity, responder: Identity,
-                eph_i: int, eph_r: int) -> bytes:
-    return hashlib.sha256(pack("session-key", params.element_bytes(shared),
-                               initiator, responder, eph_i, eph_r)).digest()
-
-
-def _confirm_tag(key: bytes, who: str) -> bytes:
-    return hashlib.sha256(pack("key-confirm", key, who)).digest()
-
-
-def channel_offer(endpoint: ChannelEndpoint, peer_id: Identity, params: GroupParams,
-                  rng) -> tuple[ChannelState, ChannelHello]:
-    u = params.random_scalar(rng)
-    eph = params.exp(u)
-    sig = sign_single(params, endpoint.subject_private,
-                      pack("channel-hello", endpoint.identity, peer_id, eph), rng)
-    hello = ChannelHello(endpoint.certificate, eph, sig)
-    return ChannelState(endpoint, peer_id, u, hello), hello
-
-
-def channel_respond(endpoint: ChannelEndpoint, hello: ChannelHello,
-                    master_public: int, now: float, params: GroupParams,
-                    rng) -> tuple[bytes, ChannelAccept]:
-    ok, reason = verify_certificate(hello.certificate, master_public, now, params)
-    if not ok:
-        raise ChannelError(reason, "peer certificate rejected")
-    peer_id = hello.certificate.subject_id
-    if not verify(params, hello.certificate.subject_public,
-                  pack("channel-hello", peer_id, endpoint.identity, hello.ephemeral),
-                  hello.signature):
-        raise ChannelError("bad-peer-signature", "hello signature invalid")
-    v = params.random_scalar(rng)
-    eph = params.exp(v)
-    shared = pow(hello.ephemeral, v, params.p)
-    key = _derive_key(params, shared, peer_id, endpoint.identity,
-                      hello.ephemeral, eph)
-    sig = sign_single(params, endpoint.subject_private,
-                      pack("channel-accept", endpoint.identity, peer_id,
-                           eph, hello.ephemeral), rng)
-    accept = ChannelAccept(endpoint.certificate, eph, sig,
-                           _confirm_tag(key, "responder"))
-    return key, accept
-
-
-def channel_finish(state: ChannelState, accept: ChannelAccept, master_public: int,
-                   now: float, params: GroupParams) -> bytes:
-    ok, reason = verify_certificate(accept.certificate, master_public, now, params)
-    if not ok:
-        raise ChannelError(reason, "peer certificate rejected")
-    peer_id = accept.certificate.subject_id
-    if peer_id != state.peer_id:
-        raise ChannelError("wrong-peer", f"expected {state.peer_id}, got {peer_id}")
-    if not verify(params, accept.certificate.subject_public,
-                  pack("channel-accept", peer_id, state.endpoint.identity,
-                       accept.ephemeral, state.hello.ephemeral),
-                  accept.signature):
-        raise ChannelError("bad-peer-signature", "accept signature invalid")
-    shared = pow(accept.ephemeral, state.eph_private, params.p)
-    key = _derive_key(params, shared, state.endpoint.identity, peer_id,
-                      state.hello.ephemeral, accept.ephemeral)
-    if accept.confirm != _confirm_tag(key, "responder"):
-        raise ChannelError("key-confirmation", "confirm tag mismatch")
-    return key
-
-
-def establish_secure_channel(a: ChannelEndpoint, b: ChannelEndpoint,
-                             master_public: int, now: float, params: GroupParams,
-                             rng) -> tuple[bytes, bytes]:
-    """Run the whole exchange between two honest endpoints; returns the
-    (initiator, responder) keys, which agree when nothing interfered."""
-    state, hello = channel_offer(a, b.identity, params, rng)
-    key_b, accept = channel_respond(b, hello, master_public, now, params, rng)
-    key_a = channel_finish(state, accept, master_public, now, params)
-    return key_a, key_b

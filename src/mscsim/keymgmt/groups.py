@@ -17,7 +17,18 @@ EUROCRYPT '92; Handbook of Applied Cryptography, sec. 14.6.3). Powers
 of any other base still go through pow(). Radix 16 keeps the 2048-bit
 group's table near a quarter of a MiB; radix 256 would need ~2.3 MiB.
 
-Group file format (hex values, '#' comments, blank lines ignored):
+Every group gets the structural checks when it is built: q | p-1,
+1 < g < p and g**q = 1 (mod p). Primality of p and q is the costly
+check: 40 Miller-Rabin rounds on the 2048-bit p take over a second, and
+each process would repeat them for each built-in group. So the
+built-ins' primes are checked once, by the test suite:
+tests/test_keymgmt.py pins the sha256 of each built-in text and runs
+the full rounds on its p and q. Only a group whose (p, q, g) equals a
+pinned built-in skips the rounds; any other group, built directly or
+loaded with load_group, gets the full primality check.
+
+Group file format (hex values, '#' comments, blank lines ignored, each
+field once):
 
     p = <hex>
     q = <hex>
@@ -71,6 +82,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 def is_probable_prime(n: int, rng=None, rounds: int = 40) -> bool:
     """Miller-Rabin: deterministic witnesses below the proven limit,
     random witnesses above it (error below 4**-rounds)."""
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -112,10 +125,11 @@ class GroupParams:
     g: int
 
     def __post_init__(self):
-        if not is_probable_prime(self.p):
-            raise GroupError("p is not prime")
-        if not is_probable_prime(self.q):
-            raise GroupError("q is not prime")
+        if (self.p, self.q, self.g) not in _PINNED:
+            if not is_probable_prime(self.p):
+                raise GroupError("p is not prime")
+            if not is_probable_prime(self.q):
+                raise GroupError("q is not prime")
         if (self.p - 1) % self.q != 0:
             raise GroupError("q does not divide p-1")
         if not 1 < self.g < self.p:
@@ -163,55 +177,8 @@ class GroupParams:
         return rand_range(rng, 1, self.q)
 
 
-# Cofactor draws per bit of p before generate_group gives up on its q.
-# A prime p turns up about once in ln(2**p_bits) / 2 even cofactors, so
-# the bound is rarely reached except by a q for which no cofactor works
-# (a q near the bottom of its range when p - q leaves only a few bits).
-_COFACTOR_DRAWS_PER_BIT = 4
-
-
-def generate_group(p_bits: int, q_bits: int, rng) -> GroupParams:
-    """Fresh Schnorr group: prime q of q_bits, p = q*c + 1 of p_bits.
-
-    q is redrawn when a bounded number of even cofactors c gives no
-    prime p. With fewer than 3 bits between p and q no q can work: the
-    only even c of 1 or 2 bits, 0 and 2, leave p short of p_bits.
-    """
-    if q_bits >= p_bits:
-        raise GroupError("q must be smaller than p")
-    if q_bits < 2:
-        raise GroupError("q needs at least 2 bits to be an odd prime")
-    c_bits = p_bits - q_bits
-    if c_bits < 3:
-        raise GroupError(
-            f"p has only {c_bits} bits more than q, too few for an even "
-            f"cofactor c with q*c + 1 of {p_bits} bits; need at least 3")
-    p = None
-    while p is None:
-        while True:
-            q = rand_range(rng, 1 << (q_bits - 1), 1 << q_bits) | 1
-            if is_probable_prime(q, rng):
-                break
-        for _ in range(_COFACTOR_DRAWS_PER_BIT * p_bits):
-            c = rand_range(rng, 1 << (c_bits - 1), 1 << c_bits) & ~1  # even keeps p odd
-            candidate = q * c + 1
-            if candidate.bit_length() == p_bits and is_probable_prime(candidate, rng):
-                p = candidate
-                break
-    while True:
-        h = rand_range(rng, 2, p - 1)
-        g = pow(h, (p - 1) // q, p)
-        if g != 1:
-            return GroupParams(p, q, g)
-
-
-def dump_group(params: GroupParams) -> str:
-    return (f"# Schnorr group: |p| = {params.p.bit_length()} bits, "
-            f"|q| = {params.q.bit_length()} bits\n"
-            f"p = {params.p:x}\nq = {params.q:x}\ng = {params.g:x}\n")
-
-
-def load_group(text: str) -> GroupParams:
+def _parse_group(text: str) -> tuple[int, int, int]:
+    """(p, q, g) from the text format, unchecked."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -223,6 +190,8 @@ def load_group(text: str) -> GroupParams:
         name = name.strip().lower()
         if name not in ("p", "q", "g"):
             raise GroupError(f"line {lineno}: unknown field {name!r}")
+        if name in values:
+            raise GroupError(f"line {lineno}: duplicate field {name!r}")
         try:
             values[name] = int(value.strip(), 16)
         except ValueError:
@@ -230,17 +199,16 @@ def load_group(text: str) -> GroupParams:
     missing = {"p", "q", "g"} - set(values)
     if missing:
         raise GroupError(f"missing fields: {', '.join(sorted(missing))}")
-    return GroupParams(values["p"], values["q"], values["g"])
+    return values["p"], values["q"], values["g"]
 
 
-# Exhaustively checkable group for unit tests: 2 generates the order-11
-# subgroup of Z_23 (2^11 = 2048 = 89*23 + 1).
-TOY_GROUP = GroupParams(p=23, q=11, g=2)
+def load_group(text: str) -> GroupParams:
+    return GroupParams(*_parse_group(text))
 
 
-# Pre-generated fixtures (generate_group output, frozen so results are
-# stable across runs). DEMO_GROUP carries scenarios whose shareholder
-# count exceeds the ten nonzero indices the toy field offers.
+# Pre-generated fixtures, frozen so results are stable across runs.
+# DEMO_GROUP carries scenarios whose shareholder count exceeds the ten
+# nonzero indices the toy field offers.
 _DEMO_TEXT = """
 # Schnorr group: |p| = 512 bits, |q| = 160 bits
 p = 9c535b99b712f57e14c95f373762b9965160d4681873c39eaf967b29893a8e0e1eb42af09cdbe2e0acf829bc785c59938f85aef671a62eafcaccff3bea4ff36b
@@ -254,6 +222,15 @@ p = 8487c39d7f5262dcccc4e02c518919ed1eedacf54a2268ed15a65c0cbda3015b68006d0b7ef5
 q = cc4f12568c3cb8130e2c83d6ae3c1298a363e51beee37b00859dda504cc066ab
 g = 24cce60b608070d48ed4499fa05335ce996ebeae038a89f3b3a9655e97dee75223937f3f41e67cfed3d80dfd54ebf43967f0a32e7cc67d0fa0da7559774088e0852129954b034efadf60eba7a8bcaaf1197c3e370361b33c314d3a0ddf6de98343d2e5d4d693433453d360eaee4f45be8e72e4f27dbdb48c5e7ec2618ed66de68dae6b17b7348f9711f9e90d1b6ad637b4f30cc3d9d5df0c825f364395fce3d5cd8515e99b20a5333efae3764e9b8ab9689a2ed7f527602a0a33c38cc780ab5229d2c70d670c1641231eaafeeeea510105c5e9a1b4e2fcc0db14bcca6faed3f21a7d6338e078f53aa9ee1fc451041dda1e4ad653c83f6cc9432277e8c8c0ea2e
 """
+
+# The built-in groups whose p and q skip the Miller-Rabin rounds.
+# tests/test_keymgmt.py pins the sha256 of each text and runs the full
+# 40 rounds on its p and q.
+_PINNED = frozenset(map(_parse_group, (_DEMO_TEXT, _GROUP_2048_TEXT)))
+
+# Exhaustively checkable group for unit tests: 2 generates the order-11
+# subgroup of Z_23 (2^11 = 2048 = 89*23 + 1).
+TOY_GROUP = GroupParams(p=23, q=11, g=2)
 
 DEMO_GROUP = load_group(_DEMO_TEXT)
 

@@ -83,11 +83,6 @@ def lagrange_at(points: Sequence[tuple[int, int]], x0: int, q: int) -> int:
     return acc
 
 
-def reconstruct(shares: Sequence[KeyShare], q: int) -> int:
-    """Master private key from any t shares (caller supplies enough)."""
-    return lagrange_at([(s.index, s.value) for s in shares], 0, q)
-
-
 def setup(config: KMConfig, params: GroupParams, rng,
           indices: Optional[Sequence[int]] = None) -> tuple[MasterKeyPair, list[KeyShare]]:
     """Deal n shares of a fresh master key with threshold t.

@@ -8,6 +8,7 @@ negative results are only meaningful in the larger group.
 """
 
 import contextlib
+import hashlib
 import itertools
 import math
 import signal
@@ -18,14 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mscsim.keymgmt import groups
 from mscsim.keymgmt.credentials import pack
 from mscsim.keymgmt.groups import (
     DEMO_GROUP,
     TOY_GROUP,
     GroupError,
     GroupParams,
-    dump_group,
-    generate_group,
     group_2048,
     is_probable_prime,
     load_group,
@@ -38,7 +38,6 @@ from mscsim.keymgmt.shamir import (
     ShareError,
     lagrange_at,
     poly_eval,
-    reconstruct,
     setup,
     share_polynomial,
 )
@@ -51,6 +50,7 @@ from mscsim.keymgmt.threshold import (
     sign_single,
     verify,
 )
+from reference import generate_group, reconstruct
 
 # hand-checkable sharing polynomial over Z_11: f(x) = 7 + 3x + 2x^2
 TOY_POLY = [7, 3, 2]
@@ -103,6 +103,16 @@ class TestGroups:
         assert is_probable_prime(2 ** 31 - 1)
         assert is_probable_prime(2 ** 127 - 1)
 
+    def test_primality_needs_at_least_one_round(self):
+        # with no witness drawn above the deterministic limit, all([])
+        # would call this product of two Mersenne primes prime
+        composite = (2 ** 1279 - 1) * (2 ** 607 - 1)
+        assert not is_probable_prime(composite, rounds=1)
+        for n in (composite, 7):
+            for rounds in (0, -1):
+                with pytest.raises(ValueError, match="rounds"):
+                    is_probable_prime(n, rounds=rounds)
+
     def test_generate_group_small(self):
         grp = generate_group(64, 32, np.random.default_rng(1))
         assert grp.p.bit_length() == 64
@@ -131,14 +141,17 @@ class TestGroups:
         assert DEMO_GROUP.q.bit_length() == 160
 
     def test_dump_load_round_trip(self):
-        text = dump_group(TOY_GROUP)
-        assert load_group(text) == TOY_GROUP
+        assert load_group("p = 17\nq = b\ng = 2\n") == TOY_GROUP
         # the fixed-base table is no field: equality and hash ignore it
-        for group in (DEMO_GROUP, group_2048()):
-            loaded = load_group(dump_group(group))
-            assert loaded == group
-            assert hash(loaded) == hash(group)
-            assert loaded.exp(group.q - 1) == group.exp(group.q - 1)
+        for text, group in ((groups._DEMO_TEXT, DEMO_GROUP),
+                            (groups._GROUP_2048_TEXT, group_2048())):
+            reformatted = (f"# reformatted\n\nP = {group.p:X}  # upper case\n"
+                           f"\n  q={group.q:X}\n# g follows\n\ng = {group.g:X}\n")
+            for dumped in (text, reformatted):
+                loaded = load_group(dumped)
+                assert loaded == group
+                assert hash(loaded) == hash(group)
+                assert loaded.exp(group.q - 1) == pow(group.g, group.q - 1, group.p)
 
     def test_load_errors_carry_line_numbers(self):
         with pytest.raises(GroupError, match="line 2"):
@@ -147,6 +160,16 @@ class TestGroups:
             load_group("p = 17\n")
         with pytest.raises(GroupError, match="line 1"):
             load_group("modulus = 17")
+
+    @pytest.mark.parametrize("text, line, field", [
+        ("p = 16\nq = b\ng = 2\np = 17\n", 4, "p"),
+        ("p = 17\nq = b\ng = 3\n\n# again\ng = 2\n", 6, "g"),
+        ("p = 17\nQ = b\nq = b\ng = 2\n", 3, "q"),
+    ], ids=["p-last", "g-after-comment", "q-any-case"])
+    def test_load_rejects_a_repeated_field(self, text, line, field):
+        # a last-value-wins parser would load the first two as TOY_GROUP
+        with pytest.raises(GroupError, match=f"line {line}: duplicate field '{field}'"):
+            load_group(text)
 
     def test_rand_below_uniform_and_bounded(self):
         rng = np.random.default_rng(3)
@@ -163,6 +186,91 @@ class TestGroups:
         a = [rand_below(np.random.default_rng(9), 10 ** 30) for _ in range(3)]
         b = [rand_below(np.random.default_rng(9), 10 ** 30) for _ in range(3)]
         assert a == b
+
+
+# sha256 of each built-in group text whose p and q skip the Miller-Rabin
+# rounds at construction. Editing a text fails the pin test below until
+# its primes have been checked again and its digest here updated.
+PINNED_TEXTS = {
+    "_DEMO_TEXT": "d86f40891a90ae5b444994a3e630e2c05b7b80237718a68c970dc9d1aa2f155a",
+    "_GROUP_2048_TEXT": "def4f08d5f2c9d7ed661bc94fdab9fe8a3060e2d05a06ab1b15b2577447b4d82",
+}
+
+
+@pytest.fixture
+def prime_tests(monkeypatch):
+    """Every n that GroupParams hands to is_probable_prime, in order."""
+    seen = []
+    real = groups.is_probable_prime
+
+    def counting(n, *args, **kwargs):
+        seen.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "is_probable_prime", counting)
+    return seen
+
+
+def _composite_modulus_with_an_order_q_element(q):
+    """A 512-bit composite p = r*s with q | r-1 and q | s-1, and g = 1 mod
+    s of order q mod r: (p, q, g) passes every structural check."""
+    def prime_from(a):
+        while not is_probable_prime(q * a + 1):
+            a += 2
+        return a
+
+    a = prime_from(1 << 96)
+    b = prime_from(a + 2)
+    r, s = q * a + 1, q * b + 1
+    g_r = pow(2, a, r)
+    g = 1 + s * ((g_r - 1) * pow(s, -1, r) % r)
+    return r * s, g
+
+
+class TestPinnedGroups:
+    @pytest.mark.parametrize("name", sorted(PINNED_TEXTS))
+    def test_pinned_text_is_unchanged_and_its_p_and_q_are_prime(self, name):
+        text = getattr(groups, name)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TEXTS[name]
+        p, q, _ = groups._parse_group(text)
+        assert is_probable_prime(p, rounds=40)
+        assert is_probable_prime(q, rounds=40)
+
+    def test_only_the_checked_texts_are_pinned(self):
+        assert groups._PINNED == {groups._parse_group(getattr(groups, name))
+                                  for name in PINNED_TEXTS}
+
+    def test_building_a_builtin_group_runs_no_primality_rounds(
+            self, prime_tests, monkeypatch):
+        monkeypatch.setattr(groups, "_group_2048_cache", None)
+        groups.group_2048()
+        load_group(groups._DEMO_TEXT)
+        GroupParams(DEMO_GROUP.p, DEMO_GROUP.q, DEMO_GROUP.g)
+        assert prime_tests == []
+
+    def test_a_pinned_p_and_q_with_another_generator_get_the_full_check(
+            self, prime_tests):
+        p, q, g = DEMO_GROUP.p, DEMO_GROUP.q, DEMO_GROUP.g
+        squared = GroupParams(p, q, g * g % p)
+        assert prime_tests == [p, q]
+        e = q // 3
+        assert squared.exp(e) == pow(g, 2 * e, p)
+
+    def test_a_composite_p_or_q_is_rejected_even_beside_a_pinned_one(
+            self, prime_tests):
+        p, q, g = DEMO_GROUP.p, DEMO_GROUP.q, DEMO_GROUP.g
+        # 2q divides p - 1 and g**(2q) = 1: only primality rules it out
+        assert (p - 1) % (2 * q) == 0 and pow(g, 2 * q, p) == 1
+        with pytest.raises(GroupError, match="q is not prime"):
+            GroupParams(p, 2 * q, g)
+        assert prime_tests == [p, 2 * q]
+
+        composite, g = _composite_modulus_with_an_order_q_element(q)
+        assert composite.bit_length() == 512
+        assert (composite - 1) % q == 0 and 1 < g < composite
+        assert pow(g, q, composite) == 1
+        with pytest.raises(GroupError, match="p is not prime"):
+            GroupParams(composite, q, g)
 
 
 class TestShamir:
@@ -365,7 +473,7 @@ def test_group_text_round_trip_keeps_equality_and_hash(seed, p_bits, data):
     q_bits = data.draw(st.integers(4, p_bits - 3))
     with _time_limit(5):
         group = generate_group(p_bits, q_bits, np.random.default_rng(seed))
-    loaded = load_group(dump_group(group))
+    loaded = load_group(f"p = {group.p:x}\nq = {group.q:x}\ng = {group.g:x}\n")
     assert loaded == group
     assert hash(loaded) == hash(group)
     assert repr(loaded) == f"GroupParams(p={group.p}, q={group.q}, g={group.g})"
