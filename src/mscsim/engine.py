@@ -1,11 +1,11 @@
-"""Slot clock, seeded streams, links and energy accounting.
+"""Seeded streams, links and energy accounting.
 
 Everything a run observes flows through here so that a run is
 reproducible from (seed, config) alone: random streams are derived per
-subsystem from one 64-bit seed, the clock moves forward one slot
-duration at a time, and every transmission is charged to its link's
-energy total.
-The per-slot trace is the session layer's (`ncc.SlotRecord`).
+subsystem from one 64-bit seed, and every transmission is charged to its
+link's energy total. Time is counted in slots: the per-slot trace is the
+session layer's (`ncc.SlotRecord`), and no record reads a slot's
+duration.
 
 The energy totals are two plain floats, one per `LinkKind`. Each grows
 by the transmit charge and then by one receive charge per delivered
@@ -42,10 +42,6 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 import numpy as np
-
-
-class SimulationError(Exception):
-    pass
 
 
 class LinkKind(Enum):
@@ -206,21 +202,11 @@ _OUT_OF_RANGE = DeliveryStatus.OUT_OF_RANGE
 
 
 class Simulator:
-    """Slot clock plus per-link energy accounting for one session."""
+    """Per-link energy accounting for one session."""
 
     def __init__(self):
-        self._now = 0.0
         self._cellular_energy = 0.0
         self._short_range_energy = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, dt: float) -> None:
-        """Move the clock forward by one slot's duration."""
-        if dt < 0:
-            raise SimulationError("cannot advance backwards")
-        self._now += dt
 
     def transmit(self, link: LinkModel, sender, receivers: Iterable, rng) -> list[Delivery]:
         """Broadcast one packet; returns per-receiver outcomes.

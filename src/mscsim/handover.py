@@ -3,7 +3,7 @@
 Two procedures over the same radio snapshot. `measure` takes the
 snapshot once per decision epoch: one report per base station within
 range of the moving cell head, in station-id order. Both procedures
-then read that one report list, and both events of the epoch share it:
+then read that one report list:
 
 * uplink-reference-signal: the moving cell head broadcasts one UL
   reference signal; every base station in range measures it and reports
@@ -15,13 +15,15 @@ then read that one report list, and both events of the epoch share it:
 
 Both use the same argmax-with-hysteresis decision rule, so they differ
 only in who signals, never in where the device ends up. An empty
-snapshot is a radio link failure for either procedure.
+snapshot is a radio link failure for either procedure. An event holds
+only its stations and message counts; no record reads when a decision
+was made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .topology import Node, PathLoss
@@ -30,16 +32,14 @@ from .topology import Node, PathLoss
 class RadioLinkFailure(Exception):
     """No base station in range of the moving entity."""
 
-    def __init__(self, entity_id: int, time: float):
-        super().__init__(f"radio link failure for node {entity_id} at t={time}")
+    def __init__(self, entity_id: int):
+        super().__init__(f"radio link failure for node {entity_id}")
         self.entity_id = entity_id
-        self.time = time
 
 
 class MeasurementReport(NamedTuple):
     bs_id: int
     rx_power_dbm: float
-    time: float
 
 
 @dataclass(slots=True)
@@ -50,10 +50,6 @@ class HandoverEvent:
     ue_tx_messages: int
     ue_rx_messages: int
     network_messages: int
-    decision_time: float
-    procedure: str = "ul_rs"
-    # the epoch's snapshot from `measure`, shared with the other procedure
-    reports: Sequence[MeasurementReport] = field(default_factory=list)
 
     @property
     def executed(self) -> bool:
@@ -64,7 +60,7 @@ DEFAULT_HYSTERESIS_DB = 3.0
 
 
 def measure(mch: Node, stations: Sequence[Node], pathloss: PathLoss,
-            max_range: float, time: float) -> list[MeasurementReport]:
+            max_range: float) -> list[MeasurementReport]:
     """The radio snapshot of one epoch: a report for every station within
     `max_range` of the cell head, in ascending station id.
 
@@ -80,8 +76,7 @@ def measure(mch: Node, stations: Sequence[Node], pathloss: PathLoss,
         sx, sy = stn.position
         distance = hypot(x - sx, y - sy)
         if distance <= max_range:
-            reports.append(MeasurementReport(stn.id, received(tx_power, distance),
-                                             time))
+            reports.append(MeasurementReport(stn.id, received(tx_power, distance)))
     reports.sort()
     return reports
 
@@ -92,7 +87,7 @@ def _decide(reports: Sequence[MeasurementReport], serving_id: int,
     challenger must beat the serving station by the hysteresis margin."""
     best_id, best_power = reports[0].bs_id, reports[0].rx_power_dbm
     serving_power = None
-    for bs_id, power, _ in reports:
+    for bs_id, power in reports:
         if power > best_power or (power == best_power and bs_id < best_id):
             best_id, best_power = bs_id, power
         if bs_id == serving_id:
@@ -104,29 +99,26 @@ def _decide(reports: Sequence[MeasurementReport], serving_id: int,
 
 def ul_rs_handover(mch: Node, serving_bs: Node,
                    reports: Sequence[MeasurementReport],
-                   hysteresis_db: float = DEFAULT_HYSTERESIS_DB,
-                   time: float = 0.0) -> HandoverEvent:
+                   hysteresis_db: float = DEFAULT_HYSTERESIS_DB) -> HandoverEvent:
     """One decision epoch of the uplink-reference-signal procedure over
     the epoch's snapshot from `measure`.
     """
     if not reports:
-        raise RadioLinkFailure(mch.id, time)
+        raise RadioLinkFailure(mch.id)
     serving_id = serving_bs.id
     target = _decide(reports, serving_id, hysteresis_db)
     executed = target != serving_id
-    # positional: matching nine keywords costs about as much as _decide
+    # positional, to skip keyword matching on the per-epoch path
     return HandoverEvent(
         mch.id, serving_id, target,
         1,                      # ue_tx: the UL RS broadcast itself
         1 if executed else 0,   # ue_rx: handover command downlink
-        len(reports),           # network: per-BS reports to the controller
-        time, "ul_rs", reports)
+        len(reports))           # network: per-BS reports to the controller
 
 
 def baseline_handover(mch: Node, serving_bs: Node,
                       reports: Sequence[MeasurementReport],
-                      hysteresis_db: float = DEFAULT_HYSTERESIS_DB,
-                      time: float = 0.0) -> HandoverEvent:
+                      hysteresis_db: float = DEFAULT_HYSTERESIS_DB) -> HandoverEvent:
     """Device-measured downlink procedure used as the comparison point,
     over the epoch's snapshot from `measure`.
 
@@ -135,7 +127,7 @@ def baseline_handover(mch: Node, serving_bs: Node,
     receives the command and transmits the random access to the target.
     """
     if not reports:
-        raise RadioLinkFailure(mch.id, time)
+        raise RadioLinkFailure(mch.id)
     serving_id = serving_bs.id
     target = _decide(reports, serving_id, hysteresis_db)
     executed = target != serving_id
@@ -144,8 +136,7 @@ def baseline_handover(mch: Node, serving_bs: Node,
         2 if executed else 1,                    # ue_tx
         len(reports) + (1 if executed else 0),   # ue_rx
         # report forwarded to the controller, plus target preparation on HO
-        1 + (1 if executed else 0),              # network
-        time, "baseline", reports)
+        1 + (1 if executed else 0))              # network
 
 
 def ho_energy(event: HandoverEvent, e_tx: float = 1.0, e_rx: float = 0.1) -> float:

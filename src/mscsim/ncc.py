@@ -11,7 +11,8 @@ first sends only the distribution plan. In parallel mode it follows each
 cellular slot with one cooperative slot while the cloud has not all
 decoded, and `cooperative_phase` continues the rotation alone once the
 plan is exhausted. Every slot of a session is one `SlotRecord` in
-`SessionMetrics.records`, the only per-slot trace.
+`SessionMetrics.records`, the only per-slot trace. Slots are counted,
+not timed: a session's `completion_time` is its number of slots.
 
 A plain multi-unicast session over the cellular link with
 retransmit-until-delivered is included as the comparison point. It runs
@@ -148,7 +149,6 @@ class SlotRecord(NamedTuple):
 
     slot: int
     phase: str                      # "cellular" | "cooperative"
-    time: float
     sender: int
     generation_id: int              # -1 on a skipped slot
     receivers: tuple[int, ...]
@@ -241,19 +241,15 @@ def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
     sender = cloud.members[sender_index]
     gen_id = _pick_generation(codec, sender)
     if gen_id is None:
-        sim.advance(link.slot_duration)
-        return SlotRecord(slot, "cooperative", sim.now(), sender, -1, (), (), (),
-                          skipped=True)
+        return SlotRecord(slot, "cooperative", sender, -1, (), (), (), skipped=True)
     pkt = codec.decoder(sender, gen_id).recode(coding_rng)
     others = cloud.members[:sender_index] + cloud.members[sender_index + 1:]
     deliveries = sim.transmit(link, nodes[sender], [nodes[m] for m in others],
                               channel_rng)
-    sim.advance(link.slot_duration)
     ok = tuple(d.status is _DELIVERED for d in deliveries)
     innovative = tuple(codec.ingest(m, pkt) if got else False
                        for m, got in zip(others, ok))
-    return SlotRecord(slot, "cooperative", sim.now(), sender, gen_id,
-                      others, ok, innovative)
+    return SlotRecord(slot, "cooperative", sender, gen_id, others, ok, innovative)
 
 
 def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
@@ -269,7 +265,6 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
     """
     bs_node, nodes = _endpoints(cloud, nodes, bs)
     link = replace(config.cellular, p_loss=config.cellular_loss)
-    dt = link.slot_duration
     members, size = cloud.members, cloud.size
     interleave = config.phase_mode == "parallel" and size > 1
     short_range = replace(cloud.short_range, p_loss=config.short_range_loss)
@@ -278,10 +273,9 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
         member = members[k % size]
         pkt = encode(gen, coeffs)
         ok = sim.transmit(link, bs_node, [nodes[member]], channel_rng)[0].status is _DELIVERED
-        sim.advance(dt)
         innovative = codec.ingest(member, pkt) if ok else False
-        records.append(SlotRecord(len(records), "cellular", sim.now(), bs_node.id,
-                                  gen.id, (member,), (ok,), (innovative,)))
+        records.append(SlotRecord(len(records), "cellular", bs_node.id, gen.id,
+                                  (member,), (ok,), (innovative,)))
         if interleave and not codec.all_decoded():
             records.append(_cooperative_slot(cloud, codec, sim, short_range, nodes,
                                              channel_rng, coding_rng,
@@ -380,7 +374,6 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
         channel_rng = _run_seed(seed).channel()
     bs_node, nodes = _endpoints(cloud, nodes, bs)
     link = replace(config.cellular, p_loss=config.cellular_loss)
-    dt = link.slot_duration
     sim = Simulator()
     records: list[SlotRecord] = []
     delivered, erased = (True,), (False,)
@@ -393,13 +386,12 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 while True:
                     status = sim.transmit(link, bs_node, receivers,
                                           channel_rng)[0].status
-                    sim.advance(dt)
                     if status is _OUT_OF_RANGE:
                         raise ProtocolError(
                             f"member {member} is out of cellular range of "
                             f"base station {bs_node.id}")
                     ok = delivered if status is _DELIVERED else erased
-                    records.append(SlotRecord(len(records), "cellular", sim.now(),
+                    records.append(SlotRecord(len(records), "cellular",
                                               bs_node.id, gen.id, to, ok, ok))
                     if ok is delivered:
                         break

@@ -86,10 +86,6 @@ class CodedPacket:
     coeffs: np.ndarray   # uint8, length g
     payload: np.ndarray  # uint8, length L
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.uint8))
-        object.__setattr__(self, "payload", np.asarray(self.payload, dtype=np.uint8))
-
 
 def draw_coeffs(rng, g: int) -> np.ndarray:
     """g independent uniform coefficient draws (the zero vector is allowed)."""

@@ -78,21 +78,6 @@ class RunResult:
     out_path: Optional[str] = None
 
 
-def _plain(value):
-    """Strip numpy scalar types so records serialize as plain JSON."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def write_records(records, out_path: str) -> None:
     """One JSON object per line; write-then-rename, never partial.
 
@@ -291,15 +276,14 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations, msc,
     hysteresis_db = scenario.hysteresis_db
     ul_serving = base_serving = nodes[msc.gateway_bs]
 
-    for epoch in range(epochs):
+    for _ in range(epochs):
         step_mobility(devices, dt, mobility_rng, arena, speed_range)
-        time = (epoch + 1) * dt
         # one radio snapshot, read by both procedures
-        reports = measure(mch, stations, pathloss, max_range, time)
+        reports = measure(mch, stations, pathloss, max_range)
 
         try:
             event = ul_rs_handover(mch, ul_serving, reports,
-                                   hysteresis_db=hysteresis_db, time=time)
+                                   hysteresis_db=hysteresis_db)
         except RadioLinkFailure:
             link_failures += 1
             ul_target = ul_serving.id
@@ -315,7 +299,7 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations, msc,
 
         try:
             event = baseline_handover(mch, base_serving, reports,
-                                      hysteresis_db=hysteresis_db, time=time)
+                                      hysteresis_db=hysteresis_db)
         except RadioLinkFailure:
             link_failures += 1
             base_target = base_serving.id
@@ -359,7 +343,7 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
     records: list[dict] = []
 
     def emit(record_type: str, **payload):
-        records.append(_plain({**base, "type": record_type, **payload}))
+        records.append({**base, "type": record_type, **payload})
 
     exit_code = 0
     try:
@@ -443,7 +427,7 @@ def sweep(scenario: Scenario, grid: dict,
         result = run(derived)
         exit_code = max(exit_code, result.exit_code)
         for record in result.records:
-            records.append({**record, "grid_point": _plain(point)})
+            records.append({**record, "grid_point": point})
     if out_path is not None:
         write_records(records, out_path)
     return RunResult(records, exit_code, out_path)

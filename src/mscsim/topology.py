@@ -3,8 +3,8 @@
 A mobile small cell (MSC) is a set of user devices grouped around an
 elected cell head; the head carries the gateway association to the best
 fixed base station. Election scores weigh battery, mean link quality to
-the other candidates, and neighbor degree; a hysteresis margin keeps an
-incumbent head from flapping.
+the other candidates, and neighbor degree. A run elects its head once,
+when the cell forms, and keeps it for the whole run.
 """
 
 from __future__ import annotations
@@ -28,14 +28,6 @@ class Role(Enum):
     MCH = "mch"
     MEMBER = "member"
     IDLE = "idle"
-    GATEWAY = "gateway"
-
-
-class ReselectionTrigger(Enum):
-    BATTERY_BELOW_THRESHOLD = "battery_below_threshold"
-    NEW_CAPABLE_NODE_IN_RANGE = "new_capable_node_in_range"
-    QOS_REQUEST = "qos_request"
-    HEAD_LEFT_COVERAGE = "head_left_coverage"
 
 
 @dataclass
@@ -61,18 +53,12 @@ class Node:
 @dataclass
 class MobileSmallCell:
     id: int
-    head: Optional[int]                  # node id of the MCH, None if dissolved
+    head: int                            # node id of the MCH
     members: set[int] = field(default_factory=set)
     coverage_radius: float = 50.0
     gateway_bs: Optional[int] = None
 
-    @property
-    def dissolved(self) -> bool:
-        return self.head is None
-
     def validate(self, nodes: dict[int, Node]) -> None:
-        if self.dissolved:
-            return
         if self.head not in self.members:
             raise TopologyError("cell head must be a member of its own cell")
         head = nodes[self.head]
@@ -104,8 +90,6 @@ class ElectionPolicy:
     w_battery: float = 0.5
     w_link: float = 0.3
     w_degree: float = 0.2
-    hysteresis: float = 0.05
-    battery_depleted: float = 0.1
 
     def __post_init__(self):
         weights = (self.w_battery, self.w_link, self.w_degree)
@@ -128,13 +112,6 @@ class ElectionPolicy:
                 + self.w_degree * degree)
 
 
-def _elect(candidates: Sequence[Node], policy: ElectionPolicy, radius: float) -> tuple[int, dict[int, float]]:
-    scores = {c.id: policy.score(c, candidates, radius) for c in candidates}
-    # argmax with lowest-id tie break
-    best = min(scores, key=lambda nid: (-scores[nid], nid))
-    return best, scores
-
-
 def form_msc(candidates: Iterable[Node], policy: ElectionPolicy, radius: float,
              cell_id: int = 0) -> MobileSmallCell:
     """Elect a head among candidates and attach those within its radius.
@@ -148,7 +125,9 @@ def form_msc(candidates: Iterable[Node], policy: ElectionPolicy, radius: float,
     ids = [n.id for n in cand]
     if len(set(ids)) != len(ids):
         raise TopologyError("duplicate node ids among candidates")
-    head_id, _ = _elect(cand, policy, radius)
+    scores = {c.id: policy.score(c, cand, radius) for c in cand}
+    # argmax with lowest-id tie break
+    head_id = min(scores, key=lambda nid: (-scores[nid], nid))
     head = next(n for n in cand if n.id == head_id)
     members = {n.id for n in cand if n.distance_to(head) <= radius}
     for n in cand:
@@ -157,47 +136,6 @@ def form_msc(candidates: Iterable[Node], policy: ElectionPolicy, radius: float,
         elif n.id in members:
             n.role = Role.MEMBER
     return MobileSmallCell(cell_id, head_id, members, radius)
-
-
-def reselect_mch(msc: MobileSmallCell, trigger: ReselectionTrigger,
-                 policy: ElectionPolicy, nodes: dict[int, Node]) -> MobileSmallCell:
-    """Re-run the election over current members.
-
-    The incumbent is retained unless a challenger beats its score by the
-    hysteresis margin; a battery-depleted or departed incumbent never
-    retains headship. With no eligible member the cell dissolves.
-    """
-    member_nodes = [nodes[mid] for mid in sorted(msc.members) if mid in nodes]
-    incumbent = nodes.get(msc.head) if msc.head is not None else None
-
-    def eligible(n: Node) -> bool:
-        if n.battery <= policy.battery_depleted:
-            return False
-        if incumbent is not None and trigger is ReselectionTrigger.HEAD_LEFT_COVERAGE:
-            if n.id == msc.head:
-                return False
-        return True
-
-    pool = [n for n in member_nodes if eligible(n)]
-    if not pool:
-        for n in member_nodes:
-            n.role = Role.IDLE
-        return MobileSmallCell(msc.id, None, set(), msc.coverage_radius)
-
-    winner_id, scores = _elect(pool, policy, msc.coverage_radius)
-    keep_incumbent = (
-        incumbent is not None
-        and any(n.id == incumbent.id for n in pool)
-        and trigger is not ReselectionTrigger.BATTERY_BELOW_THRESHOLD
-        and scores[winner_id] <= scores.get(incumbent.id, -math.inf) + policy.hysteresis
-    )
-    head_id = incumbent.id if keep_incumbent else winner_id
-    head = nodes[head_id]
-    members = {n.id for n in member_nodes if n.distance_to(head) <= msc.coverage_radius}
-    members.add(head_id)
-    for n in member_nodes:
-        n.role = Role.MCH if n.id == head_id else (Role.MEMBER if n.id in members else Role.IDLE)
-    return MobileSmallCell(msc.id, head_id, members, msc.coverage_radius, msc.gateway_bs)
 
 
 # Longest walk of one mobility step, in arena diagonals. A device hops
@@ -275,8 +213,6 @@ def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
                       pathloss: PathLoss, nodes: dict[int, Node]) -> MobileSmallCell:
     """Point the cell's gateway link at the base station heard loudest
     by the head (lowest id on ties)."""
-    if msc.dissolved:
-        raise TopologyError("cannot associate a dissolved cell")
     if not base_stations:
         raise TopologyError("no base stations available")
     head = nodes[msc.head]

@@ -48,30 +48,29 @@ def _bs(node_id, x, y):
 
 
 # both procedures over the snapshot of [serving, *neighbors] at 1000 m
-def _ul_rs(mch, serving, neighbors, time=0.0, **kwargs):
-    reports = measure(mch, [serving, *neighbors], PL, 1000.0, time)
-    return ul_rs_handover(mch, serving, reports, time=time, **kwargs)
+def _ul_rs(mch, serving, neighbors, **kwargs):
+    reports = measure(mch, [serving, *neighbors], PL, 1000.0)
+    return ul_rs_handover(mch, serving, reports, **kwargs)
 
 
-def _baseline(mch, serving, neighbors, time=0.0, **kwargs):
-    reports = measure(mch, [serving, *neighbors], PL, 1000.0, time)
-    return baseline_handover(mch, serving, reports, time=time, **kwargs)
+def _baseline(mch, serving, neighbors, **kwargs):
+    reports = measure(mch, [serving, *neighbors], PL, 1000.0)
+    return baseline_handover(mch, serving, reports, **kwargs)
 
 
 class TestMeasure:
     def test_reports_in_station_id_order_within_range(self):
         mch = _mch()
         stations = [_bs(3, 0, 90), _bs(1, 60, 0), _bs(4, 5000, 0), _bs(2, 80, 0)]
-        reports = measure(mch, stations, PL, 1000.0, 2.5)
+        reports = measure(mch, stations, PL, 1000.0)
         assert [r.bs_id for r in reports] == [1, 2, 3]
-        assert all(r.time == 2.5 for r in reports)
         assert reports[0] == MeasurementReport(
-            1, PL.received_power_dbm(mch.tx_power_dbm, 60.0), 2.5)
+            1, PL.received_power_dbm(mch.tx_power_dbm, 60.0))
 
     def test_range_is_inclusive(self):
         assert [r.bs_id for r in measure(_mch(), [_bs(1, 100, 0)], PL,
-                                         100.0, 0.0)] == [1]
-        assert measure(_mch(), [_bs(1, 100, 0)], PL, 99.9, 0.0) == []
+                                         100.0)] == [1]
+        assert measure(_mch(), [_bs(1, 100, 0)], PL, 99.9) == []
 
 
 class TestUlRs:
@@ -97,10 +96,12 @@ class TestUlRs:
         assert ev.target_bs == 1
 
     def test_network_messages_counts_stations_in_range(self):
+        serving = _bs(1, 60, 0)
         neighbors = [_bs(2, 80, 0), _bs(3, 0, 90), _bs(4, 5000, 0)]
-        ev = _ul_rs(_mch(), _bs(1, 60, 0), neighbors)
+        reports = measure(_mch(), [serving, *neighbors], PL, 1000.0)
+        ev = ul_rs_handover(_mch(), serving, reports)
         assert ev.network_messages == 3  # the 5 km station never hears the UL RS
-        assert {r.bs_id for r in ev.reports} == {1, 2, 3}
+        assert {r.bs_id for r in reports} == {1, 2, 3}
 
     def test_serving_out_of_range_forces_handover(self):
         ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(2, 100, 0)])
@@ -109,9 +110,8 @@ class TestUlRs:
 
     def test_no_station_in_range_is_radio_link_failure(self):
         with pytest.raises(RadioLinkFailure) as exc:
-            _ul_rs(_mch(node_id=9), _bs(1, 5000, 0), [_bs(2, 0, 7000)], time=4.0)
+            _ul_rs(_mch(node_id=9), _bs(1, 5000, 0), [_bs(2, 0, 7000)])
         assert exc.value.entity_id == 9
-        assert exc.value.time == 4.0
 
     def test_equidistant_neighbors_prefer_lowest_id(self):
         ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(7, 100, 0), _bs(3, 0, 100)])
@@ -145,11 +145,11 @@ class TestBaseline:
 
 class TestEnergy:
     def test_zero_messages_zero_energy(self):
-        ev = HandoverEvent(0, 1, 1, 0, 0, 0, 0.0)
+        ev = HandoverEvent(0, 1, 1, 0, 0, 0)
         assert ho_energy(ev) == 0.0
 
     def test_ul_rs_event_energy(self):
-        ev = HandoverEvent(0, 1, 2, 1, 1, 2, 0.0)
+        ev = HandoverEvent(0, 1, 2, 1, 1, 2)
         assert ho_energy(ev, e_tx=1.0, e_rx=0.1) == pytest.approx(1.1)
 
     def test_energy_matches_count_arithmetic(self):
@@ -165,9 +165,9 @@ def test_ping_pong_suppression_static_positions():
     stations = {1: _bs(1, 100, 0), 2: _bs(2, 80, 0)}
     serving = 1
     executed = 0
-    for epoch in range(10):
+    for _ in range(10):
         neighbors = [s for sid, s in stations.items() if sid != serving]
-        ev = _ul_rs(mch, stations[serving], neighbors, time=float(epoch))
+        ev = _ul_rs(mch, stations[serving], neighbors)
         if ev.executed:
             executed += 1
             serving = ev.target_bs
@@ -188,11 +188,11 @@ def test_trace_comparison_ul_rs_dominates_baseline():
     serving = 1
     ul_events: list[HandoverEvent] = []
     base_events: list[HandoverEvent] = []
-    for epoch in range(1000):
+    for _ in range(1000):
         step_mobility(nodes, 1.0, rng, arena=(300.0, 300.0), speed_range=(2.0, 8.0))
-        reports = measure(ue, stations.values(), PL, 1000.0, float(epoch))
-        ul = ul_rs_handover(ue, stations[serving], reports, time=float(epoch))
-        base = baseline_handover(ue, stations[serving], reports, time=float(epoch))
+        reports = measure(ue, stations.values(), PL, 1000.0)
+        ul = ul_rs_handover(ue, stations[serving], reports)
+        base = baseline_handover(ue, stations[serving], reports)
         assert ul.target_bs == base.target_bs  # identical radio snapshot
         ul_events.append(ul)
         base_events.append(base)
@@ -358,7 +358,7 @@ def test_stepper_matches_the_reference_property(data, arena, dt, walk_share,
 # -- reference: the handover loop before one snapshot per epoch ----------
 
 
-def _reference_measure(mch, stations, pathloss, max_range, time):
+def _reference_measure(mch, stations, pathloss, max_range):
     reports = []
     for stn in sorted(stations, key=lambda s: s.id):
         if mch.distance_to(stn) <= max_range:
@@ -377,20 +377,18 @@ def _reference_decide(reports, serving_id, hysteresis_db):
 
 
 def _reference_event(name, mch, serving, neighbors, pathloss, max_range,
-                     hysteresis_db, time):
-    """One epoch of one procedure, measuring the radio on its own; None
-    on a radio link failure."""
+                     hysteresis_db):
+    """One epoch of one procedure, measuring the radio on its own:
+    (target, ue_tx, ue_rx, network), or None on a radio link failure."""
     reports = _reference_measure(mch, [serving, *neighbors], pathloss,
-                                 max_range, time)
+                                 max_range)
     if not reports:
         return None
     target = _reference_decide(reports, serving.id, hysteresis_db)
     executed = int(target != serving.id)
     if name == "ul_rs":
-        tx, rx, network = 1, executed, len(reports)
-    else:
-        tx, rx, network = 1 + executed, len(reports) + executed, 1 + executed
-    return HandoverEvent(mch.id, serving.id, target, tx, rx, network, time)
+        return target, 1, executed, len(reports)
+    return target, 1 + executed, len(reports) + executed, 1 + executed
 
 
 def reference_handover_summary(scenario):
@@ -406,28 +404,28 @@ def reference_handover_summary(scenario):
     mch = nodes[msc.head]
     devices = [n for n in nodes.values() if n.kind is NodeKind.UE]
     serving = {name: nodes[msc.gateway_bs] for name in totals}
-    for epoch in range(scenario.ho_epochs):
+    for _ in range(scenario.ho_epochs):
         _reference_step_mobility(devices, scenario.epoch_duration, mobility_rng,
                                  (scenario.arena_width, scenario.arena_height),
                                  (scenario.speed_min, scenario.speed_max))
-        time = (epoch + 1) * scenario.epoch_duration
         targets = {}
         for name, bucket in totals.items():
             neighbors = [b for b in stations if b.id != serving[name].id]
             event = _reference_event(name, mch, serving[name], neighbors,
                                      pathloss, scenario.cellular_range,
-                                     scenario.hysteresis_db, time)
+                                     scenario.hysteresis_db)
             if event is None:
                 summary["link_failures"] += 1
                 targets[name] = serving[name].id
                 continue
-            bucket["ue_tx"] += event.ue_tx_messages
-            bucket["ue_rx"] += event.ue_rx_messages
-            bucket["network"] += event.network_messages
-            bucket["energy"] += ho_energy(event)
-            bucket["executed"] += int(event.executed)
-            targets[name] = event.target_bs
-            serving[name] = nodes[event.target_bs]
+            target, tx, rx, network = event
+            bucket["ue_tx"] += tx
+            bucket["ue_rx"] += rx
+            bucket["network"] += network
+            bucket["energy"] += tx * 1.0 + rx * 0.1
+            bucket["executed"] += int(target != serving[name].id)
+            targets[name] = target
+            serving[name] = nodes[target]
         if targets["ul_rs"] != targets["baseline"]:
             summary["decisions_match"] = False
     return summary
@@ -469,7 +467,7 @@ def test_reference_reaches_radio_link_failures():
        hysteresis=st.sampled_from([0.0, 2.0, 3.0, 4.5]))
 def test_single_pass_decision_matches_the_reference_rule(reports, serving,
                                                           hysteresis):
-    snapshot = [MeasurementReport(bs_id, power, 0.0) for bs_id, power in reports]
+    snapshot = [MeasurementReport(bs_id, power) for bs_id, power in reports]
     assert (_decide(snapshot, serving, hysteresis)
             == _reference_decide(reports, serving, hysteresis))
 

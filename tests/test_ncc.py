@@ -399,13 +399,12 @@ def decoder_unicast_session(cloud, config, seed):
                 while True:
                     status = sim.transmit(link, bs, [Endpoint(member)],
                                           channel_rng)[0].status
-                    sim.advance(link.slot_duration)
                     ok = status is DeliveryStatus.DELIVERED
                     innovative = codec.ingest(member, pkt) if ok else False
                     assert innovative == ok
-                    records.append(SlotRecord(len(records), "cellular", sim.now(),
-                                              bs.id, gen.id, (member,),
-                                              (ok,), (innovative,)))
+                    records.append(SlotRecord(len(records), "cellular", bs.id,
+                                              gen.id, (member,), (ok,),
+                                              (innovative,)))
                     if ok:
                         break
     assert codec.all_decoded() and codec.decoding_ratio() == 1.0

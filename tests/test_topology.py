@@ -1,4 +1,4 @@
-"""Formation, election, reselection, mobility, and gateway tests."""
+"""Formation, election, mobility, and gateway tests."""
 
 import math
 
@@ -11,13 +11,11 @@ from mscsim.topology import (
     Node,
     NodeKind,
     PathLoss,
-    ReselectionTrigger,
     Role,
     TopologyError,
     associate_gateway,
     form_msc,
     max_step_walk,
-    reselect_mch,
     step_mobility,
     topology_snapshot,
 )
@@ -82,55 +80,6 @@ def test_membership_and_validate():
     assert cell.head == 1
     assert cell.members == {1, 2}
     cell.validate(nodes_by_id([a, b, c]))
-
-
-def test_reselection_on_battery_trigger():
-    a = ue(1, 0.0, 0.0, battery=0.05)
-    b = ue(2, 5.0, 0.0, battery=0.9)
-    cell = form_msc([a, b], ElectionPolicy(), 50.0)
-    # force incumbent head to the depleted node for the scenario
-    cell.head = 1
-    nodes = nodes_by_id([a, b])
-    out = reselect_mch(cell, ReselectionTrigger.BATTERY_BELOW_THRESHOLD, ElectionPolicy(), nodes)
-    assert out.head == 2
-    assert a.role is not Role.MCH
-
-
-def test_hysteresis_retains_incumbent():
-    a = ue(1, 0.0, 0.0, battery=0.80)
-    b = ue(2, 1.0, 0.0, battery=0.82)  # challenger within margin
-    cell = form_msc([a, b], ElectionPolicy(), 50.0)
-    cell.head = 1
-    a.role, b.role = Role.MCH, Role.MEMBER
-    out = reselect_mch(cell, ReselectionTrigger.NEW_CAPABLE_NODE_IN_RANGE, ElectionPolicy(), nodes_by_id([a, b]))
-    assert out.head == 1
-
-
-def test_challenger_beyond_margin_wins():
-    a = ue(1, 0.0, 0.0, battery=0.5)
-    b = ue(2, 1.0, 0.0, battery=0.9)
-    cell = MobileSmallCell(0, 1, {1, 2}, 50.0)
-    out = reselect_mch(cell, ReselectionTrigger.QOS_REQUEST, ElectionPolicy(), nodes_by_id([a, b]))
-    assert out.head == 2
-
-
-def test_no_eligible_member_dissolves():
-    a = ue(1, battery=0.05)
-    b = ue(2, battery=0.02)
-    cell = MobileSmallCell(0, 1, {1, 2}, 50.0)
-    out = reselect_mch(cell, ReselectionTrigger.BATTERY_BELOW_THRESHOLD, ElectionPolicy(), nodes_by_id([a, b]))
-    assert out.dissolved
-    assert out.members == set()
-
-
-def test_static_topology_never_flaps():
-    nodes = [ue(i, 3.0 * i, 0.0, battery=0.8) for i in range(5)]
-    cell = form_msc(nodes, ElectionPolicy(), 50.0)
-    head = cell.head
-    lookup = nodes_by_id(nodes)
-    for _ in range(10):
-        cell = reselect_mch(cell, ReselectionTrigger.NEW_CAPABLE_NODE_IN_RANGE, ElectionPolicy(), lookup)
-        assert cell.head == head
 
 
 def test_mobility_zero_velocity():
