@@ -66,17 +66,23 @@ def measure(mch: Node, stations: Sequence[Node], pathloss: PathLoss,
 
     Stations given in id order, as the runner gives them, cost no
     reordering; the final sort only compares ids, which are unique.
+    Powers are `pathloss.received_power_dbm` inlined, operation for operation.
     """
     x, y = mch.position
     tx_power = mch.tx_power_dbm
-    received = pathloss.received_power_dbm
+    pl0 = pathloss.pl0_db
+    slope = 10.0 * pathloss.exponent
+    d0 = pathloss.ref_distance
     hypot = math.hypot
+    log10 = math.log10
     reports = []
     for stn in stations:
         sx, sy = stn.position
         distance = hypot(x - sx, y - sy)
         if distance <= max_range:
-            reports.append(MeasurementReport(stn.id, received(tx_power, distance)))
+            d = distance if distance > d0 else d0
+            reports.append(MeasurementReport(
+                stn.id, tx_power - (pl0 + slope * log10(d / d0))))
     reports.sort()
     return reports
 

@@ -125,7 +125,8 @@ def self_generate_certificate(credential: ProxyCredential, holder_keys: KeyPair,
     draft = Certificate(credential.holder_id, subject_keys.public, issued_at,
                         expires_at, credential,
                         signature=Signature(0, 0))
-    sig = sign_single(params, holder_keys.private, draft.body(), rng)
+    sig = sign_single(params, holder_keys.private, holder_keys.public,
+                      draft.body(), rng)
     return Certificate(draft.subject_id, draft.subject_public, draft.issued_at,
                        draft.expires_at, draft.credential, sig)
 

@@ -9,13 +9,15 @@ format below.
 
 Powers of the fixed generator (key generation, nonce points, the
 G**z half of every verification) dominate the control plane, so each
-group builds a radix-16 fixed-base table once, when it is validated:
-row i holds G**(d * 16**i) for every hex digit d, and G**e is then one
-table product per nonzero hex digit of e mod q (Brickell, Gordon,
-McCurley & Wilson, "Fast Exponentiation with Precomputation",
-EUROCRYPT '92; Handbook of Applied Cryptography, sec. 14.6.3). Powers
-of any other base still go through pow(). Radix 16 keeps the 2048-bit
-group's table near a quarter of a MiB; radix 256 would need ~2.3 MiB.
+group builds a Lim-Lee fixed-base comb once, when it is validated
+(Lim & Lee, "More Flexible Exponentiation with Precomputation", CRYPTO
+'94; Handbook of Applied Cryptography, sec. 14.6.3, Alg. 14.117). A
+t-bit exponent is cut into 8 teeth of 2b bits, b = ceil(t / 16); two
+tables of 255 entries hold G**e for every e whose bits sit in one
+column of the low or of the high b-bit halves of the teeth. G**e is
+then b - 1 squarings and at most 2b products: 15 and 32 for the 2048-bit
+group's 256-bit q, from 510 entries (about 128 KiB). Other bases go
+through pow().
 
 Every group gets the structural checks when it is built: q | p-1,
 1 < g < p and g**q = 1 (mod p). Primality of p and q is the costly
@@ -116,6 +118,9 @@ def is_probable_prime(n: int, rng=None, rounds: int = 40) -> bool:
     return all(witness_passes(a) for a in witnesses)
 
 
+_TEETH = 8  # rows of the fixed-base comb: each table has 2**8 - 1 entries
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Schnorr group (p, q, g): g generates the order-q subgroup mod p."""
@@ -137,32 +142,37 @@ class GroupParams:
         if pow(self.g, self.q, self.p) != 1:
             raise GroupError("generator order is not q")
         # not a field: equality, hash, repr and the text format ignore it
-        object.__setattr__(self, "_table", self._fixed_base_table())
+        object.__setattr__(self, "_comb", self._comb_tables())
 
-    def _fixed_base_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row i is (G**(d * 16**i) mod p for d in 0..15), one row per
-        hex digit of an exponent below q."""
-        rows = []
-        base = self.g
-        for _ in range((self.q.bit_length() + 3) // 4):
-            row = [1, base]
-            for _ in range(14):
-                row.append(row[-1] * base % self.p)
-            rows.append(tuple(row))
-            base = row[-1] * base % self.p
-        return tuple(rows)
+    def _comb_tables(self) -> tuple[int, str, tuple[int, ...], tuple[int, ...]]:
+        """(b, exponent bit format, low table, high table): low[i] is the
+        product of G**(2**(2b*s)) over the bits s of i; high[i] is low[i]**(2**b)."""
+        p = self.p
+        b = -(-self.q.bit_length() // (2 * _TEETH))
+        bases = [self.g]            # G**(2**(b*m)) for m = 0 .. 2*teeth-1
+        for _ in range(2 * _TEETH - 1):
+            bases.append(pow(bases[-1], 1 << b, p))
+        low, high = [1], [1]
+        for tooth in range(_TEETH):
+            for table, base in ((low, bases[2 * tooth]), (high, bases[2 * tooth + 1])):
+                table += [base] + [y * base % p for y in table[1:]]
+        return b, f"0{2 * _TEETH * b}b", tuple(low), tuple(high)
 
     def exp(self, e: int) -> int:
-        """G**e mod p, equal to pow(g, e % q, p)."""
-        e %= self.q
+        """G**e mod p, equal to pow(g, e % q, p). In the bit string of e,
+        bits[k::2b] is column 2b-1-k of the teeth, the top tooth first."""
+        b, fmt, low, high = self._comb
+        bits = format(e % self.q, fmt)
+        p = self.p
         acc = 1
-        for row in self._table:
-            if not e:
-                break
-            digit = e & 15
-            if digit:
-                acc = acc * row[digit] % self.p
-            e >>= 4
+        for k in range(b):          # columns b-1-k (low) and 2b-1-k (high)
+            acc = acc * acc % p
+            i = int(bits[k::2 * b], 2)
+            if i:
+                acc = acc * high[i] % p
+            i = int(bits[b + k::2 * b], 2)
+            if i:
+                acc = acc * low[i] % p
         return acc
 
     def mul(self, a: int, b: int) -> int:

@@ -64,10 +64,12 @@ def challenge(params: GroupParams, R: int, Y: int, message: bytes) -> int:
                         params.element_bytes(Y), message)
 
 
-def sign_single(params: GroupParams, private: int, message: bytes, rng) -> Signature:
-    """Ordinary one-key Schnorr signature (certificate subjects use this)."""
+def sign_single(params: GroupParams, private: int, public: int, message: bytes,
+                rng) -> Signature:
+    """Ordinary one-key Schnorr signature (certificate subjects use this).
+    `public` must be G**private, or `verify` rejects the signature."""
     k = params.random_scalar(rng)
-    c = challenge(params, params.exp(k), params.exp(private), message)
+    c = challenge(params, params.exp(k), public, message)
     return Signature(c, (k + c * private) % params.q)
 
 

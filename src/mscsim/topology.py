@@ -167,13 +167,13 @@ def step_mobility(nodes: Iterable[Node], dt: float, rng,
         raise TopologyError("dt must be positive")
     width, height = arena
     low, high = speed_range
-    limit = max_step_walk(width, height)
+    hypot = math.hypot
+    limit = MAX_STEP_DIAGONALS * hypot(width, height)  # as in max_step_walk
     if high * dt > limit:
         raise TopologyError(
             f"a step of {dt} s at {high} m/s walks more than "
             f"{MAX_STEP_DIAGONALS:g} diagonals of a {width} x {height} arena")
     uniform = rng.uniform
-    hypot = math.hypot
     base_station = NodeKind.BASE_STATION
     for node in nodes:
         if node.kind is base_station:

@@ -57,6 +57,19 @@ cellular_loss = 0.2
 shortrange_loss = 0.15
 """
 
+# The handover comparison with credentials in the 2048-bit group, the
+# only golden scenario that signs and verifies at full size. Its digests
+# were recorded with the radix-16 fixed-base rows the comb replaced.
+HO_2048 = """\
+[scenario]
+preset = ho-comparison
+[handover]
+epochs = 300
+[km]
+group = 2048
+requesters = 2
+"""
+
 SCENARIOS = {
     "ambulance": "[scenario]\npreset = ambulance\n",
     "baseline-unicast": "[scenario]\npreset = baseline-unicast\n",
@@ -66,6 +79,7 @@ SCENARIOS = {
     "odd-sequential": ODD_SHAPES.format(mode="sequential", protocol="ncc"),
     "odd-parallel": ODD_SHAPES.format(mode="parallel", protocol="ncc"),
     "odd-unicast": ODD_SHAPES.format(mode="sequential", protocol="unicast"),
+    "ho-2048": HO_2048,
 }
 
 # numpy major version -> (scenario, seed) -> sha256 of the records file
@@ -103,6 +117,10 @@ GOLDEN = {
             "be0d4ddc197c296a83b99085ff42728ff3197f5aae3cd8230d7bd949586d406f",
         ("odd-unicast", 20240):
             "fb3583862b220a263322ba48d100c166de236acc0abcb4b6c6bba64e96bf949a",
+        ("ho-2048", 1):
+            "04118dd14d9ae774e9fd5b7999e7b445b5a4bc06bcaf1a97757c363d192731f6",
+        ("ho-2048", 20240):
+            "a89de2f8ac254371966eac2a852b7ec81f6ec1329884a6aeb40aa3854113963e",
     },
 }
 

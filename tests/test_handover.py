@@ -73,6 +73,47 @@ class TestMeasure:
         assert measure(_mch(), [_bs(1, 100, 0)], PL, 99.9) == []
 
 
+# a station's distance as a multiple of ref_distance: below, at and
+# just around it, and far above
+_REF_SHARES = (st.sampled_from([0.0, 0.25, 1.0 - 2 ** -40, 1.0, 1.0 + 2 ** -40,
+                                10.0])
+               | st.floats(0.0, 200.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       pathloss=st.builds(PathLoss, pl0_db=st.floats(0.0, 90.0),
+                          exponent=st.floats(1.0, 6.0),
+                          ref_distance=st.floats(0.01, 100.0)),
+       tx_power=st.floats(-20.0, 60.0),
+       head=st.just((0.0, 0.0))
+       | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_measure_powers_equal_received_power_bit_for_bit(data, pathloss,
+                                                         tx_power, head):
+    """`measure` inlines the pathloss formula; every report must still be
+    `PathLoss.received_power_dbm` at the station's distance. A head at
+    the origin puts a station at angle 0 exactly at its share of
+    ref_distance."""
+    count = data.draw(st.integers(1, 6), label="stations")
+    ids = data.draw(st.permutations(range(1, count + 1)), label="ids")
+    stations = []
+    for bs_id in ids:
+        share = data.draw(_REF_SHARES, label="distance / ref_distance")
+        angle = data.draw(st.sampled_from([0.0, 0.5 * math.pi])
+                          | st.floats(0.0, 2 * math.pi), label="angle")
+        r = share * pathloss.ref_distance
+        stations.append(_bs(bs_id, head[0] + r * math.cos(angle),
+                            head[1] + r * math.sin(angle)))
+    mch = Node(0, NodeKind.UE, head, tx_power_dbm=tx_power)
+    reports = measure(mch, stations, pathloss, math.inf)
+    assert [r.bs_id for r in reports] == sorted(ids)
+    by_id = {s.id: s for s in stations}
+    for bs_id, power in reports:
+        expected = pathloss.received_power_dbm(tx_power,
+                                               mch.distance_to(by_id[bs_id]))
+        assert power.hex() == expected.hex()
+
+
 class TestUlRs:
     def test_serving_strongest_no_handover(self):
         ev = _ul_rs(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)])

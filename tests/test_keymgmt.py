@@ -11,8 +11,12 @@ import contextlib
 import hashlib
 import itertools
 import math
+import os
 import signal
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,7 @@ from mscsim.keymgmt.threshold import (
     SigningError,
     SigningSession,
     Signature,
+    challenge,
     combine_partials,
     sign_single,
     verify,
@@ -428,16 +433,55 @@ class TestThresholdSigning:
     def test_single_key_schnorr_round_trip(self):
         rng = np.random.default_rng(10)
         key = DEMO_GROUP.random_scalar(rng)
-        sig = sign_single(DEMO_GROUP, key, b"hello", rng)
+        sig = sign_single(DEMO_GROUP, key, DEMO_GROUP.exp(key), b"hello", rng)
         assert verify(DEMO_GROUP, DEMO_GROUP.exp(key), b"hello", sig)
         assert not verify(DEMO_GROUP, DEMO_GROUP.exp(key), b"hellO", sig)
         assert not verify(DEMO_GROUP, DEMO_GROUP.exp(key + 1), b"hello", sig)
+
+    @pytest.mark.parametrize("group", [TOY_GROUP, DEMO_GROUP], ids=["toy", "demo"])
+    def test_sign_single_matches_the_form_that_recomputes_the_key(self, group):
+        for seed in range(5):
+            key = group.random_scalar(np.random.default_rng(seed))
+            rng, ref_rng = (np.random.default_rng(100 + seed) for _ in range(2))
+            sig = sign_single(group, key, group.exp(key), b"cert body", rng)
+            # reference: challenge(G**k, G**x, m) with both powers by pow()
+            k = group.random_scalar(ref_rng)
+            c = challenge(group, pow(group.g, k, group.p),
+                          pow(group.g, key, group.p), b"cert body")
+            assert sig == Signature(c, (k + c * key) % group.q)
+            assert rng.integers(2 ** 63) == ref_rng.integers(2 ** 63)
+
+    def test_sign_single_under_a_wrong_public_key_is_rejected(self):
+        rng = np.random.default_rng(11)
+        key = DEMO_GROUP.random_scalar(rng)
+        public, wrong = DEMO_GROUP.exp(key), DEMO_GROUP.exp(key + 1)
+        sig = sign_single(DEMO_GROUP, key, wrong, b"hello", rng)
+        assert not verify(DEMO_GROUP, public, b"hello", sig)
+        assert not verify(DEMO_GROUP, wrong, b"hello", sig)
 
     def test_deterministic_given_seed(self):
         m1, _, s1, _ = self._session(DEMO_GROUP, seed=12)
         m2, _, s2, _ = self._session(DEMO_GROUP, seed=12)
         assert combine_partials(s1.partials(), 3, DEMO_GROUP) == \
             combine_partials(s2.partials(), 3, DEMO_GROUP)
+
+
+def test_importing_the_runner_builds_no_2048_bit_table():
+    """The 2048-bit comb takes milliseconds to build, so only a run that
+    asks for the group may build it; a fresh interpreter shows whether
+    the import alone did."""
+    # the child does not inherit pytest's `pythonpath`, so it is given
+    # the src directory this package was imported from
+    src = str(Path(groups.__file__).resolve().parents[2])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import mscsim.runner\n"
+         "from mscsim.keymgmt import groups\n"
+         "print(groups._group_2048_cache is None)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 # derandomized so the suite stays reproducible run to run
