@@ -15,6 +15,7 @@ from .config import (
     ConfigError,
     PRESETS,
     parse_config,
+    preset_settings,
     scenario_hash,
     serialize_scenario,
 )
@@ -122,8 +123,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_presets() -> int:
     for name in sorted(PRESETS):
         print(f"[{name}]")
-        for field, value in sorted(PRESETS[name].items()):
-            print(f"  {field} = {value}")
+        for dotted, value in preset_settings(name).items():
+            print(f"  {dotted} = {value}")
     return EXIT_OK
 
 

@@ -1,16 +1,21 @@
 """Scenario configuration.
 
-Flat `key = value` text grouped under `[section]` headers. Every key is
-declared in a registry with its type and allowed range, so a bad file
-fails with the offending key and line number. A scenario serializes to
-one canonical form; its hash is therefore independent of how the input
-file happened to order keys.
+Flat `key = value` text grouped under `[section]` headers. Each key is
+declared once, as a `Scenario` field: its default, and in the field's
+metadata its section, its name in the file, its allowed range and the
+text that describes that range; the field's type gives its parser. Every
+`Scenario`, whether parsed from a file, made by `apply_overrides` or
+`default_scenario`, or constructed directly, passes the same per-key and
+cross-key checks, so a bad file fails with the offending key and line
+number. A scenario serializes to one canonical form, in field order; its
+hash is therefore independent of how the input file happened to order
+keys.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Callable, NamedTuple, Optional
 
 from .topology import MAX_STEP_DIAGONALS, max_step_walk
 
@@ -18,6 +23,7 @@ __all__ = [
     "ConfigError",
     "Scenario",
     "PRESETS",
+    "preset_settings",
     "parse_config",
     "serialize_scenario",
     "scenario_hash",
@@ -28,71 +34,108 @@ __all__ = [
 
 
 class ConfigError(Exception):
-    def __init__(self, message: str, line: Optional[int] = None):
+    """A rejected scenario. ``involved`` names the `Scenario` fields a
+    check found at fault, so that the file parser can name their line."""
+
+    def __init__(self, message: str, line: Optional[int] = None,
+                 involved: tuple = ()):
         self.line = line
+        self.involved = involved
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-_MISSING = object()
+def _key(section: str, default=MISSING, check=lambda v: True, expect="",
+         name=""):
+    """A `Scenario` field that is the key ``section.name`` (``name``
+    defaults to the field's own), valid where ``check`` holds."""
+    return field(default=default, metadata={
+        "section": section, "name": name, "check": check, "expect": expect})
+
+
+def _one_of(*options):
+    """The check and expect text of a key that takes one of ``options``."""
+    return (lambda v: v in options), "one of: " + ", ".join(options)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    seed: int
-    preset: str = ""
-    sessions: int = 1
+    """A resolved scenario, one field per config key. The field order is
+    the canonical key order, so reordering fields changes every hash."""
 
-    arena_width: float = 500.0
-    arena_height: float = 500.0
-    base_stations: int = 1
-    ue_count: int = 8
+    seed: int = _key("scenario", MISSING, lambda v: 0 <= v < 2 ** 63,
+                     "an integer in [0, 2^63)")
+    preset: str = _key("scenario", "")
+    sessions: int = _key("scenario", 1, lambda v: v >= 0,
+                         "a nonnegative integer")
 
-    speed_min: float = 1.0
-    speed_max: float = 5.0
-    epoch_duration: float = 1.0
+    arena_width: float = _key("arena", 500.0, lambda v: v > 0, "positive",
+                              "width")
+    arena_height: float = _key("arena", 500.0, lambda v: v > 0, "positive",
+                               "height")
+    # the runner numbers stations 1..99, devices 101..999 and authority
+    # shareholders from 1001, so these caps keep the id blocks apart
+    base_stations: int = _key("nodes", 1, lambda v: 1 <= v <= 99,
+                              "in [1, 99]")
+    ue_count: int = _key("nodes", 8, lambda v: 1 <= v <= 899, "in [1, 899]")
 
-    protocol: str = "ncc"              # ncc | unicast
-    phase_mode: str = "sequential"     # sequential | parallel
-    generation_size: int = 64
-    generations: int = 1
-    redundancy: float = 1.0
-    payload_bytes: int = 32
+    speed_min: float = _key("mobility", 1.0, lambda v: v >= 0, "nonnegative")
+    speed_max: float = _key("mobility", 5.0, lambda v: v > 0, "positive")
+    epoch_duration: float = _key("mobility", 1.0, lambda v: v > 0, "positive")
 
-    cellular_rate: float = 1.0
-    cellular_loss: float = 0.0
-    cellular_energy: float = 1.0
-    cellular_range: float = 1000.0
-    shortrange_rate: float = 4.0
-    shortrange_loss: float = 0.0
-    shortrange_energy: float = 0.2
-    shortrange_range: float = 50.0
+    protocol: str = _key("ncc", "ncc", *_one_of("ncc", "unicast"))
+    phase_mode: str = _key("ncc", "sequential",
+                           *_one_of("sequential", "parallel"))
+    generation_size: int = _key("ncc", 64, lambda v: 1 <= v <= 1024,
+                                "in [1, 1024]")
+    generations: int = _key("ncc", 1, lambda v: v >= 1, "at least 1")
+    redundancy: float = _key("ncc", 1.0, lambda v: v >= 1.0, "at least 1.0")
+    payload_bytes: int = _key("ncc", 32, lambda v: v >= 1, "at least 1")
 
-    ho_epochs: int = 0
-    hysteresis_db: float = 3.0
+    cellular_rate: float = _key("links", 1.0, lambda v: v > 0, "positive")
+    cellular_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
+                                "in [0, 1)")
+    cellular_energy: float = _key("links", 1.0, lambda v: v >= 0,
+                                  "nonnegative")
+    cellular_range: float = _key("links", 1000.0, lambda v: v > 0, "positive")
+    shortrange_rate: float = _key("links", 4.0, lambda v: v > 0, "positive")
+    shortrange_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
+                                  "in [0, 1)")
+    shortrange_energy: float = _key("links", 0.2, lambda v: v >= 0,
+                                    "nonnegative")
+    shortrange_range: float = _key("links", 50.0, lambda v: v > 0, "positive")
 
-    km_shareholders: int = 5
-    km_threshold: int = 3
-    km_group: str = "demo"             # toy | demo | 2048
-    km_requesters: int = 0
+    ho_epochs: int = _key("handover", 0, lambda v: v >= 0,
+                          "a nonnegative integer", "epochs")
+    hysteresis_db: float = _key("handover", 3.0, lambda v: v >= 0,
+                                "nonnegative")
 
+    km_shareholders: int = _key("km", 5, lambda v: v >= 1, "at least 1",
+                                "shareholders")
+    km_threshold: int = _key("km", 3, lambda v: v >= 1, "at least 1",
+                             "threshold")
+    km_group: str = _key("km", "demo", *_one_of("toy", "demo", "2048"),
+                         "group")
+    km_requesters: int = _key("km", 0, lambda v: v >= 0,
+                              "a nonnegative integer", "requesters")
 
-def _int(raw: str) -> int:
-    return int(raw.strip())
+    def __post_init__(self):
+        for key in _KEYS:
+            value = getattr(self, key.field)
+            if not key.check(value):
+                raise ConfigError(
+                    f"{key.section}.{key.name} = {value!r} out of range, "
+                    f"expected {key.expect}", involved=(key.field,))
+        _cross_validate(self)
 
 
 def _float(raw: str) -> float:
-    value = float(raw.strip())
+    value = float(raw)
     if math.isnan(value) or math.isinf(value):
         raise ValueError("not a finite number")
     return value
 
 
-def _word(raw: str) -> str:
-    return raw.strip()
-
-
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     section: str
     name: str
     field: str
@@ -101,78 +144,13 @@ class _Key:
     expect: str
 
 
-def _choice(*options):
-    return lambda v: v in options
-
-
-_KEYS = [
-    _Key("scenario", "seed", "seed", _int, lambda v: 0 <= v < 2 ** 63,
-         "an integer in [0, 2^63)"),
-    _Key("scenario", "preset", "preset", _word, lambda v: True, ""),
-    _Key("scenario", "sessions", "sessions", _int, lambda v: v >= 0,
-         "a nonnegative integer"),
-    _Key("arena", "width", "arena_width", _float, lambda v: v > 0, "positive"),
-    _Key("arena", "height", "arena_height", _float, lambda v: v > 0, "positive"),
-    # the runner numbers stations 1..99, devices 101..999 and authority
-    # shareholders from 1001, so these caps keep the id blocks apart
-    _Key("nodes", "base_stations", "base_stations", _int,
-         lambda v: 1 <= v <= 99, "in [1, 99]"),
-    _Key("nodes", "ue_count", "ue_count", _int, lambda v: 1 <= v <= 899,
-         "in [1, 899]"),
-    _Key("mobility", "speed_min", "speed_min", _float, lambda v: v >= 0,
-         "nonnegative"),
-    _Key("mobility", "speed_max", "speed_max", _float, lambda v: v > 0,
-         "positive"),
-    _Key("mobility", "epoch_duration", "epoch_duration", _float,
-         lambda v: v > 0, "positive"),
-    _Key("ncc", "protocol", "protocol", _word, _choice("ncc", "unicast"),
-         "one of: ncc, unicast"),
-    _Key("ncc", "phase_mode", "phase_mode", _word,
-         _choice("sequential", "parallel"), "one of: sequential, parallel"),
-    _Key("ncc", "generation_size", "generation_size", _int,
-         lambda v: 1 <= v <= 1024, "in [1, 1024]"),
-    _Key("ncc", "generations", "generations", _int, lambda v: v >= 1,
-         "at least 1"),
-    _Key("ncc", "redundancy", "redundancy", _float, lambda v: v >= 1.0,
-         "at least 1.0"),
-    _Key("ncc", "payload_bytes", "payload_bytes", _int, lambda v: v >= 1,
-         "at least 1"),
-    _Key("links", "cellular_rate", "cellular_rate", _float, lambda v: v > 0,
-         "positive"),
-    _Key("links", "cellular_loss", "cellular_loss", _float,
-         lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    _Key("links", "cellular_energy", "cellular_energy", _float,
-         lambda v: v >= 0, "nonnegative"),
-    _Key("links", "cellular_range", "cellular_range", _float, lambda v: v > 0,
-         "positive"),
-    _Key("links", "shortrange_rate", "shortrange_rate", _float,
-         lambda v: v > 0, "positive"),
-    _Key("links", "shortrange_loss", "shortrange_loss", _float,
-         lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    _Key("links", "shortrange_energy", "shortrange_energy", _float,
-         lambda v: v >= 0, "nonnegative"),
-    _Key("links", "shortrange_range", "shortrange_range", _float,
-         lambda v: v > 0, "positive"),
-    _Key("handover", "epochs", "ho_epochs", _int, lambda v: v >= 0,
-         "a nonnegative integer"),
-    _Key("handover", "hysteresis_db", "hysteresis_db", _float,
-         lambda v: v >= 0, "nonnegative"),
-    _Key("km", "shareholders", "km_shareholders", _int, lambda v: v >= 1,
-         "at least 1"),
-    _Key("km", "threshold", "km_threshold", _int, lambda v: v >= 1,
-         "at least 1"),
-    _Key("km", "group", "km_group", _word, _choice("toy", "demo", "2048"),
-         "one of: toy, demo, 2048"),
-    _Key("km", "requesters", "km_requesters", _int, lambda v: v >= 0,
-         "a nonnegative integer"),
-]
-
+_KEYS = [_Key(f.metadata["section"], f.metadata["name"] or f.name, f.name,
+              {int: int, float: _float, str: str.strip}[f.type],
+              f.metadata["check"], f.metadata["expect"])
+         for f in fields(Scenario)]
 _BY_SECTION_KEY = {(k.section, k.name): k for k in _KEYS}
 _BY_DOTTED = {f"{k.section}.{k.name}": k for k in _KEYS}
-_SECTIONS = []
-for _k in _KEYS:
-    if _k.section not in _SECTIONS:
-        _SECTIONS.append(_k.section)
+_SECTIONS = list(dict.fromkeys(k.section for k in _KEYS))
 
 
 _AMBULANCE = {
@@ -258,60 +236,48 @@ def _scan(text: str):
     return pairs
 
 
-def _convert(spec: _Key, raw, line_no=None):
+def _parse(spec: _Key, raw, line_no=None):
+    """A key's value from its text; a value that is not text passes."""
     try:
-        value = spec.parse(raw) if isinstance(raw, str) else raw
+        return spec.parse(raw) if isinstance(raw, str) else raw
     except ValueError:
         raise ConfigError(
             f"{spec.section}.{spec.name}: cannot parse {raw!r}", line_no
         ) from None
-    if not spec.check(value):
-        raise ConfigError(
-            f"{spec.section}.{spec.name} = {value!r} out of range, "
-            f"expected {spec.expect}", line_no)
-    return value
 
 
-def _cross_validate(values: dict, lines: Optional[dict] = None) -> None:
-    """Reject combinations of individually valid values.
-
-    ``lines`` maps a field to the line that set it: its own key, or the
-    ``preset =`` line for a value taken from a preset. An error names the
-    last such line among the fields it involves, i.e. the line at which
-    the file became inconsistent; values with no line (defaults and
-    overrides) leave the error without one.
-    """
+def _cross_validate(s: Scenario) -> None:
+    """Reject combinations of individually valid values."""
     def fail(message: str, *involved: str):
-        found = [lines[f] for f in involved if lines and f in lines]
-        raise ConfigError(message, max(found) if found else None)
+        raise ConfigError(message, involved=involved)
 
-    if values["km_threshold"] > values["km_shareholders"]:
+    if s.km_threshold > s.km_shareholders:
         fail("km.threshold exceeds km.shareholders",
              "km_threshold", "km_shareholders")
-    if values["km_group"] == "toy" and values["km_shareholders"] > 10:
+    if s.km_group == "toy" and s.km_shareholders > 10:
         fail("the toy group supports at most 10 shareholders",
              "km_group", "km_shareholders")
-    if values["speed_min"] > values["speed_max"]:
+    if s.speed_min > s.speed_max:
         fail("mobility.speed_min exceeds mobility.speed_max",
              "speed_min", "speed_max")
-    walk = values["speed_max"] * values["epoch_duration"]
-    if walk > max_step_walk(values["arena_width"], values["arena_height"]):
+    walk = s.speed_max * s.epoch_duration
+    if walk > max_step_walk(s.arena_width, s.arena_height):
         # each epoch's walk hops waypoint to waypoint until spent, so an
         # unbounded walk per arena would mean unbounded work per epoch
         fail(f"mobility.speed_max x mobility.epoch_duration = {walk!r} m "
              f"exceeds {MAX_STEP_DIAGONALS:g} arena diagonals "
-             f"({values['arena_width']!r} x {values['arena_height']!r})",
+             f"({s.arena_width!r} x {s.arena_height!r})",
              "speed_max", "epoch_duration", "arena_width", "arena_height")
-    product = values["redundancy"] * values["generation_size"]
+    product = s.redundancy * s.generation_size
     # a product that overflows to inf is too many packets for any g
     coded = math.ceil(product) if math.isfinite(product) else product
-    if coded > 256 ** values["generation_size"] - 1:
+    if coded > 256 ** s.generation_size - 1:
         # each coded packet of a generation carries a distinct nonzero
         # coefficient vector, and only 256^g - 1 of those exist
-        fail(f"ncc.redundancy = {values['redundancy']!r} needs {coded} distinct "
+        fail(f"ncc.redundancy = {s.redundancy!r} needs {coded} distinct "
              f"coded packets per generation, but generation_size = "
-             f"{values['generation_size']} allows at most "
-             f"{256 ** values['generation_size'] - 1}",
+             f"{s.generation_size} allows at most "
+             f"{256 ** s.generation_size - 1}",
              "redundancy", "generation_size")
 
 
@@ -321,37 +287,44 @@ def parse_config(text: str, seed: Optional[int] = None) -> Scenario:
     ``seed`` (e.g. from a command-line flag) overrides or supplies the
     mandatory scenario.seed. Preset values apply first; explicit keys in
     the file win over the preset.
+
+    A rejected value or combination names the last line that set one of
+    the fields involved: the field's own key, or the ``preset =`` line
+    for a value taken from a preset. Defaults and the ``seed`` argument
+    have no line; an error that involves only those has none either.
     """
     pairs = _scan(text)
-    values = {f.name: f.default for f in fields(Scenario) if f.name != "seed"}
-    values["seed"] = _MISSING
+    values = {f.name: f.default for f in fields(Scenario)
+              if f.default is not MISSING}
     lines = {}
 
     for line_no, spec, raw in pairs:
         if spec.field == "preset":
-            name = raw
-            if name not in PRESETS:
+            if raw not in PRESETS:
                 known = ", ".join(sorted(PRESETS))
-                raise ConfigError(f"unknown preset {name!r}; known: {known}",
+                raise ConfigError(f"unknown preset {raw!r}; known: {known}",
                                   line_no)
-            values.update(PRESETS[name])
-            values["preset"] = name
-            lines.update(dict.fromkeys(PRESETS[name], line_no))
+            values.update(PRESETS[raw], preset=raw)
+            lines.update(dict.fromkeys(PRESETS[raw], line_no))
             break
 
     for line_no, spec, raw in pairs:
         if spec.field == "preset":
             continue
-        values[spec.field] = _convert(spec, raw, line_no)
+        values[spec.field] = _parse(spec, raw, line_no)
         lines[spec.field] = line_no
 
     if seed is not None:
-        values["seed"] = _convert(_BY_DOTTED["scenario.seed"], str(seed))
-    if values["seed"] is _MISSING:
+        values["seed"] = _parse(_BY_DOTTED["scenario.seed"], str(seed))
+        lines.pop("seed", None)
+    if "seed" not in values:
         raise ConfigError("scenario.seed is required (no implicit seeding)")
 
-    _cross_validate(values, lines)
-    return Scenario(**values)
+    try:
+        return Scenario(**values)
+    except ConfigError as err:
+        found = [lines[f] for f in err.involved if f in lines]
+        raise ConfigError(str(err), max(found, default=None)) from None
 
 
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
@@ -362,24 +335,12 @@ def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
         spec = _BY_DOTTED.get(dotted)
         if spec is None:
             raise ConfigError(f"unknown key {dotted!r}")
-        changes[spec.field] = _convert(spec, raw)
-    updated = replace(scenario, **changes)
-    _cross_validate({f.name: getattr(updated, f.name)
-                     for f in fields(Scenario)})
-    return updated
+        changes[spec.field] = _parse(spec, raw)
+    return replace(scenario, **changes)
 
 
 def default_scenario(seed: int, **overrides) -> Scenario:
-    scenario = Scenario(seed=seed, **overrides)
-    _cross_validate({f.name: getattr(scenario, f.name)
-                     for f in fields(Scenario)})
-    return scenario
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return Scenario(seed=seed, **overrides)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -392,10 +353,17 @@ def serialize_scenario(scenario: Scenario) -> str:
                 continue
             if key.field == "preset" and not scenario.preset:
                 continue
-            lines.append(f"{key.name} = "
-                         f"{_format_value(getattr(scenario, key.field))}")
+            # str of a float is its shortest round-trip repr
+            lines.append(f"{key.name} = {getattr(scenario, key.field)}")
         lines.append("")
     return "\n".join(lines)
+
+
+def preset_settings(name: str) -> dict:
+    """A preset's values by dotted `section.key` name, in canonical order."""
+    preset = PRESETS[name]
+    return {f"{k.section}.{k.name}": preset[k.field]
+            for k in _KEYS if k.field in preset}
 
 
 def field_value(scenario: Scenario, dotted: str):

@@ -1,9 +1,9 @@
 """Random linear network coding over GF(2^8).
 
-A generation is a fixed block of g source packets of equal length L.
+A generation is one uint8 (g, L) matrix whose row i is source packet i.
 Coded packets carry a g-element coefficient vector plus the combined
 payload. Recoding draws a fresh random combination of whatever a node
-currently holds.
+currently holds, and decoding returns the rows as `SourcePacket`s.
 
 The decoder keeps its rows in reduced row echelon form (RREF), so rank
 queries and final decoding are immediate. Restricted to its pivot
@@ -36,48 +36,43 @@ class NotDecodableError(CodingError):
 
 @dataclass(frozen=True)
 class SourcePacket:
+    """A decoded source packet: row ``index`` of its generation."""
+
     index: int
     payload: np.ndarray  # uint8, length L
-
-    def __post_init__(self):
-        object.__setattr__(self, "payload", np.asarray(self.payload, dtype=np.uint8))
 
 
 @dataclass
 class Generation:
-    """g source packets coded together, indexed 0..g-1."""
+    """g source packets of L bytes coded together: row i of the uint8
+    ``(g, L)`` matrix ``payload`` is source packet i."""
 
     id: int
-    packets: list[SourcePacket]
+    payload: np.ndarray
 
     def __post_init__(self):
-        if not self.packets:
-            raise CodingError("generation must contain at least one packet")
-        if [p.index for p in self.packets] != list(range(len(self.packets))):
-            raise CodingError("packets must be indexed 0..g-1 without gaps")
-        lengths = {len(p.payload) for p in self.packets}
-        if len(lengths) != 1:
-            raise CodingError("all packets in a generation share one length")
+        self.payload = np.asarray(self.payload, dtype=np.uint8)
+        if self.payload.ndim != 2 or not len(self.payload):
+            raise CodingError("a generation is a (g, L) matrix with g >= 1, "
+                              f"got shape {self.payload.shape}")
 
     @property
     def size(self) -> int:
-        return len(self.packets)
+        return self.payload.shape[0]
 
     @property
     def payload_len(self) -> int:
-        return len(self.packets[0].payload)
+        return self.payload.shape[1]
 
-    def payload_matrix(self) -> np.ndarray:
-        cached = getattr(self, "_matrix", None)
-        if cached is None:
-            cached = np.stack([p.payload for p in self.packets])
-            self._matrix = cached
-        return cached
+    @property
+    def packets(self) -> list[SourcePacket]:
+        """The rows as the `SourcePacket`s a full decode returns."""
+        return [SourcePacket(i, row) for i, row in enumerate(self.payload)]
 
     @classmethod
     def random(cls, gen_id: int, size: int, payload_len: int, rng) -> "Generation":
-        data = rng.integers(0, 256, size=(size, payload_len), dtype=np.uint8)
-        return cls(gen_id, [SourcePacket(i, data[i]) for i in range(size)])
+        return cls(gen_id, rng.integers(0, 256, size=(size, payload_len),
+                                        dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ def encode(gen: Generation, coeffs: np.ndarray) -> CodedPacket:
     coeffs = np.asarray(coeffs, dtype=np.uint8)
     if coeffs.shape != (gen.size,):
         raise CodingError(f"need {gen.size} coefficients, got {coeffs.shape}")
-    payload = np.bitwise_xor.reduce(mul_rows(coeffs, gen.payload_matrix()), axis=0)
+    payload = np.bitwise_xor.reduce(mul_rows(coeffs, gen.payload), axis=0)
     return CodedPacket(gen.id, coeffs, payload)
 
 

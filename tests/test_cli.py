@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import mscsim
 from mscsim.cli import EXIT_BAD_CONFIG, EXIT_OK, main
+from mscsim.config import PRESETS, apply_overrides, default_scenario, parse_config
 
 AMBULANCE = "[scenario]\npreset = ambulance\nseed = 7\n"
 SMALL = """\
@@ -127,6 +129,23 @@ class TestOtherVerbs:
         for name in ("ambulance", "baseline-unicast", "ho-comparison",
                      "km-bootstrap"):
             assert f"[{name}]" in out
+
+    def test_presets_prints_settings_the_parser_accepts(self, capsys):
+        # every printed `section.key = value` line, applied as overrides,
+        # rebuilds the scenario the preset itself gives
+        assert main(["presets"]) == EXIT_OK
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("["):
+                settings = printed[line.strip("[]")] = {}
+            else:
+                dotted, _, value = line.partition(" = ")
+                settings[dotted.strip()] = value
+        assert set(printed) == set(PRESETS)
+        for name, settings in printed.items():
+            expected = parse_config(f"[scenario]\npreset = {name}\nseed = 1\n")
+            applied = apply_overrides(default_scenario(1), settings)
+            assert replace(applied, preset=name) == expected, name
 
     def test_validate_prints_hash_and_canonical_form(self, workdir, capsys):
         cfg = write(workdir, "a.cfg", AMBULANCE)

@@ -1,5 +1,7 @@
 """Scenario file parsing, presets, canonical form, and hashing."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,10 +226,11 @@ class TestCanonicalForm:
             assert key.check(values[key.field]), key.field
         if values["speed_max"] * values["epoch_duration"] > max_step_walk(
                 values["arena_width"], values["arena_height"]):
-            # an epoch walks too many arena diagonals: the text is rejected
-            # too; redraw the mobility keys from ranges that always meet it
+            # an epoch walks too many arena diagonals: no such scenario
+            # can be made; redraw the mobility keys from ranges that
+            # always meet the bound
             with pytest.raises(ConfigError, match="arena diagonals"):
-                parse_config(serialize_scenario(Scenario(**values)))
+                Scenario(**values)
             for name in ("arena_width", "arena_height"):
                 values[name] = data.draw(st.floats(100.0, 1e4), label=name)
             values["speed_min"], values["speed_max"] = sorted(
@@ -238,10 +241,10 @@ class TestCanonicalForm:
         try:
             s = default_scenario(**values)
         except ConfigError:
-            # more coded packets than nonzero coefficient vectors: the
-            # text is rejected too; retry with a redundancy any g allows
+            # more coded packets than nonzero coefficient vectors: no such
+            # scenario can be made; retry with a redundancy any g allows
             with pytest.raises(ConfigError, match="distinct coded packets"):
-                parse_config(serialize_scenario(Scenario(**values)))
+                Scenario(**values)
             values["redundancy"] = data.draw(st.floats(1.0, 255.0),
                                              label="redundancy")
             s = default_scenario(**values)
@@ -284,6 +287,53 @@ class TestOverrides:
             apply_overrides(s, {"links.cellular_loss": "1.0"})
         with pytest.raises(ConfigError, match="threshold exceeds"):
             apply_overrides(s, {"km.shareholders": "1"})
+
+
+class TestEveryConstructionIsChecked:
+    @pytest.mark.parametrize("field, value, dotted", [
+        # no devices: the run would fail to form a cell
+        ("ue_count", 0, "nodes.ue_count"),
+        # devices 101..1050 would overlap the shareholder ids from 1001
+        ("ue_count", 950, "nodes.ue_count"),
+        # an empty generation: the run would fail in the coding layer
+        ("generation_size", 0, "ncc.generation_size"),
+    ])
+    def test_key_ranges_hold_however_a_scenario_is_made(self, field, value,
+                                                        dotted):
+        match = f"{dotted} = {value} out of range"
+        with pytest.raises(ConfigError, match=match) as err:
+            default_scenario(1, **{field: value})
+        assert err.value.line is None
+        with pytest.raises(ConfigError, match=match):
+            Scenario(seed=1, **{field: value})
+        with pytest.raises(ConfigError, match=match):
+            replace(default_scenario(1), **{field: value})
+        with pytest.raises(ConfigError, match=match):
+            apply_overrides(default_scenario(1), {dotted: str(value)})
+
+    def test_cross_checks_hold_for_direct_construction(self):
+        with pytest.raises(ConfigError, match="threshold exceeds"):
+            Scenario(seed=1, km_threshold=6)
+        with pytest.raises(ConfigError, match="arena diagonals"):
+            default_scenario(1, speed_max=1e300)
+
+    def test_seed_stays_required(self):
+        with pytest.raises(TypeError):
+            Scenario()
+        with pytest.raises(ConfigError, match="scenario.seed = -1 out of range"):
+            default_scenario(-1)
+
+    def test_a_value_out_of_range_names_the_line_that_set_it(self,
+                                                             monkeypatch):
+        # a preset's values are checked like any other, at the preset line
+        monkeypatch.setitem(PRESETS, "ambulance",
+                            dict(PRESETS["ambulance"], ue_count=0))
+        with pytest.raises(ConfigError, match="line 3: nodes.ue_count = 0"):
+            parse_config("[scenario]\nseed = 1\npreset = ambulance\n")
+        # a seed argument replaces the file's, and has no line
+        with pytest.raises(ConfigError, match="scenario.seed = -1") as err:
+            parse_config(MINIMAL, seed=-1)
+        assert err.value.line is None
 
 
 class TestPresets:

@@ -183,7 +183,7 @@ class TestCooperativePhase:
         cfg = SessionConfig(content=gens)
         codec = SessionCodec(cloud, gens)
         # only member 2 holds anything
-        codec.ingest(2, CodedPacket(0, np.array([1], np.uint8), gens[0].packets[0].payload))
+        codec.ingest(2, CodedPacket(0, np.array([1], np.uint8), gens[0].payload[0]))
         records = []
         cooperative_phase(cloud, cfg, codec, Simulator(), records,
                           channel_rng=RunSeed(0).channel(),
@@ -395,7 +395,7 @@ def decoder_unicast_session(cloud, config, seed):
                 unit = np.zeros(gen.size, dtype=np.uint8)
                 unit[k] = 1
                 pkt = encode(gen, unit)
-                assert np.array_equal(pkt.payload, gen.payload_matrix()[k])
+                assert np.array_equal(pkt.payload, gen.payload[k])
                 while True:
                     status = sim.transmit(link, bs, [Endpoint(member)],
                                           channel_rng)[0].status

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mscsim.engine import ReadAheadBytes
 from mscsim.gf256 import gf_inv, gf_mul, mul_rows, vec_scale
 from mscsim.rlnc import (
     CodedPacket,
@@ -58,15 +59,34 @@ def make_gen(seed=0, size=4, payload_len=8, gen_id=7):
 
 
 def test_generation_validation():
-    with pytest.raises(CodingError):
-        Generation(0, [])
-    with pytest.raises(CodingError):
-        Generation(0, [SourcePacket(1, np.zeros(4, dtype=np.uint8))])
-    with pytest.raises(CodingError):
-        Generation(0, [
-            SourcePacket(0, np.zeros(4, dtype=np.uint8)),
-            SourcePacket(1, np.zeros(5, dtype=np.uint8)),
-        ])
+    # a generation is one (g, L) matrix with g >= 1; L = 0 is allowed
+    for bad in ([], np.zeros((0, 4), np.uint8), np.zeros(4, np.uint8),
+                np.zeros((2, 3, 4), np.uint8)):
+        with pytest.raises(CodingError, match="matrix"):
+            Generation(0, bad)
+    empty_rows = Generation(0, np.zeros((3, 0), np.uint8))
+    assert (empty_rows.size, empty_rows.payload_len) == (3, 0)
+    assert not encode(empty_rows, np.array([1, 2, 3], np.uint8)).payload.size
+
+
+def test_packets_are_the_rows():
+    gen = make_gen(size=5, payload_len=3)
+    assert (gen.size, gen.payload_len) == gen.payload.shape == (5, 3)
+    assert [p.index for p in gen.packets] == list(range(5))
+    for row, packet in zip(gen.payload, gen.packets):
+        assert isinstance(packet, SourcePacket)
+        assert np.array_equal(packet.payload, row)
+
+
+def test_random_draws_the_same_bytes_read_ahead():
+    # one integers(0, 256, (g, L), uint8) draw, whichever stream serves it
+    raw = np.random.default_rng(3)
+    ahead = ReadAheadBytes(np.random.default_rng(3))
+    for gen_id, (g, L) in enumerate([(4, 8), (1, 1), (3, 0), (16, 33)]):
+        a = Generation.random(gen_id, g, L, raw)
+        b = Generation.random(gen_id, g, L, ahead)
+        assert a.payload.shape == b.payload.shape == (g, L)
+        assert np.array_equal(a.payload, b.payload)
 
 
 def test_encode_unit_vector_returns_source():
@@ -83,10 +103,7 @@ def test_encode_zero_and_xor():
     zero = encode(gen, np.zeros(gen.size, dtype=np.uint8))
     assert not zero.payload.any()
 
-    two = Generation(1, [
-        SourcePacket(0, np.array([0x01], dtype=np.uint8)),
-        SourcePacket(1, np.array([0x02], dtype=np.uint8)),
-    ])
+    two = Generation(1, np.array([[0x01], [0x02]], dtype=np.uint8))
     pkt = encode(two, np.array([1, 1], dtype=np.uint8))
     assert list(pkt.payload) == [0x03]
 
@@ -259,7 +276,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 
 def draw_generation(draw, g):
     data = draw(hnp.arrays(np.uint8, (g, draw(st.integers(1, 6)))))
-    return Generation(3, [SourcePacket(i, data[i]) for i in range(g)])
+    return Generation(3, data)
 
 
 @PROPERTY
@@ -369,7 +386,7 @@ def packet_stream(draw):
     g = draw(st.integers(1, 24))
     payload_len = draw(st.integers(0, 8))
     data = draw(hnp.arrays(np.uint8, (g, payload_len)))
-    gen = Generation(3, [SourcePacket(i, data[i]) for i in range(g)])
+    gen = Generation(3, data)
     packets = []
     count = draw(st.integers(0, 2 * g + 6))
     kinds = draw(st.sampled_from([
