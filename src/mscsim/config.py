@@ -6,10 +6,10 @@ metadata its section, its name in the file, its allowed range and the
 text that describes that range; the field's type gives its parser. Every
 `Scenario`, whether parsed from a file, made by `apply_overrides` or
 `default_scenario`, or constructed directly, passes the same per-key and
-cross-key checks, so a bad file fails with the offending key and line
-number. A scenario serializes to one canonical form, in field order; its
-hash is therefore independent of how the input file happened to order
-keys.
+cross-key checks (a float key must also be finite), so a bad file fails
+with the offending key and line number. A scenario serializes to one
+canonical form, in field order; its hash is therefore independent of
+how the input file happened to order keys.
 """
 
 import hashlib
@@ -121,18 +121,16 @@ class Scenario:
     def __post_init__(self):
         for key in _KEYS:
             value = getattr(self, key.field)
+            # a one-sided range holds inf, which no run can use
+            if key.parse is float and not math.isfinite(value):
+                raise ConfigError(
+                    f"{key.section}.{key.name} = {value!r} is not a finite "
+                    f"number", involved=(key.field,))
             if not key.check(value):
                 raise ConfigError(
                     f"{key.section}.{key.name} = {value!r} out of range, "
                     f"expected {key.expect}", involved=(key.field,))
         _cross_validate(self)
-
-
-def _float(raw: str) -> float:
-    value = float(raw)
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError("not a finite number")
-    return value
 
 
 class _Key(NamedTuple):
@@ -145,7 +143,7 @@ class _Key(NamedTuple):
 
 
 _KEYS = [_Key(f.metadata["section"], f.metadata["name"] or f.name, f.name,
-              {int: int, float: _float, str: str.strip}[f.type],
+              {int: int, float: float, str: str.strip}[f.type],
               f.metadata["check"], f.metadata["expect"])
          for f in fields(Scenario)]
 _BY_SECTION_KEY = {(k.section, k.name): k for k in _KEYS}

@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass
 from typing import Union
 
-from .groups import GroupParams
+from .groups import Comb, GroupParams
 from .threshold import Signature, sign_single, verify
 
 
@@ -90,7 +90,7 @@ class ProxyCredential:
         return credential_body(self.holder_id, self.holder_public, self.warrant)
 
 
-def verify_credential(cred: ProxyCredential, master_public: int,
+def verify_credential(cred: ProxyCredential, master_public: int | Comb,
                       params: GroupParams) -> bool:
     return verify(params, master_public, cred.body(), cred.signature)
 
@@ -131,9 +131,10 @@ def self_generate_certificate(credential: ProxyCredential, holder_keys: KeyPair,
                        draft.expires_at, draft.credential, sig)
 
 
-def verify_certificate(cert: Certificate, master_public: int, now: float,
+def verify_certificate(cert: Certificate, master_public: int | Comb, now: float,
                        params: GroupParams) -> tuple[bool, str]:
-    """Both signature layers plus freshness; reason names the first failure."""
+    """Both signature layers plus freshness; reason names the first failure.
+    `master_public` is an int or its key table, as for threshold.verify."""
     if not verify_credential(cert.credential, master_public, params):
         return False, "bad-credential"
     if not verify(params, cert.credential.holder_public, cert.body(), cert.signature):

@@ -55,12 +55,15 @@ class KMService:
     """Shared-roster view of the distributed authority.
 
     Holds only the master PUBLIC key; the private key exists nowhere
-    after bootstrap, it is implied by the shares in the roster.
+    after bootstrap, it is implied by the shares in the roster. Every
+    credential is checked against that key, so the service builds its
+    key table (`master_key`) once, here.
     """
 
     def __init__(self, params: GroupParams, master_public: int, threshold: int, rng):
         self.params = params
         self.master_public = master_public
+        self.master_key = params.key_table(master_public)
         self.threshold = threshold
         self.rng = rng
         self.roster: dict[int, Shareholder] = {}
@@ -121,7 +124,7 @@ class KMService:
                                  [h.share for h in quorum], self.threshold, self.rng)
         sig = combine_partials(session.partials(), self.threshold, self.params)
         cred = ProxyCredential(requester_id, requester_public, warrant, sig)
-        if not verify(self.params, self.master_public, body, sig):
+        if not verify(self.params, self.master_key, body, sig):
             self.transcript.append(TranscriptEntry(
                 "credential", now, requester_id,
                 tuple(h.node_id for h in quorum), "signature-failure"))
@@ -141,7 +144,7 @@ class KMService:
             raise RosterError(f"node {joining_id} already holds a share")
         if credential.holder_id != joining_id:
             raise RosterError("credential names a different node")
-        if not verify_credential(credential, self.master_public, self.params):
+        if not verify_credential(credential, self.master_key, self.params):
             raise RosterError("invalid credential")
         x_new = self._next_index
         if x_new >= self.params.q:

@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .groups import GroupParams
+from .groups import Comb, GroupParams
 from .shamir import (
     InsufficientSharesError,
     KeyShare,
@@ -73,12 +73,22 @@ def sign_single(params: GroupParams, private: int, public: int, message: bytes,
     return Signature(c, (k + c * private) % params.q)
 
 
-def verify(params: GroupParams, public: int, message: bytes, sig: Signature) -> bool:
-    """Accept iff the commitment recovered from (c, z) rehashes to c."""
+def verify(params: GroupParams, public: int | Comb, message: bytes,
+           sig: Signature) -> bool:
+    """Accept iff the commitment recovered from (c, z) rehashes to c.
+
+    `public` is the key as an int, or a comb built from it by
+    params.key_table; both give the same result, the comb sooner when
+    the key checks many signatures.
+    """
     if not (0 <= sig.c < params.q and 0 <= sig.z < params.q):
         return False
-    r = params.mul(params.exp(sig.z), pow(public, (params.q - sig.c) % params.q, params.p))
-    return challenge(params, r, public, message) == sig.c
+    e = (params.q - sig.c) % params.q
+    if isinstance(public, Comb):
+        y, y_e = public.y, public.power(e)
+    else:
+        y, y_e = public, pow(public, e, params.p)
+    return challenge(params, params.mul(params.exp(sig.z), y_e), y, message) == sig.c
 
 
 class SigningSession:

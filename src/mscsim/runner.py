@@ -181,7 +181,7 @@ def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
                                          issued_at=float(k),
                                          expires_at=float(k) + 1e6,
                                          params=group, rng=crypto_rng)
-        ok, _ = verify_certificate(cert, service.master_public, float(k) + 1.0,
+        ok, _ = verify_certificate(cert, service.master_key, float(k) + 1.0,
                                    group)
         verified += int(ok)
 

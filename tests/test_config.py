@@ -1,5 +1,7 @@
 """Scenario file parsing, presets, canonical form, and hashing."""
 
+import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -310,6 +312,28 @@ class TestEveryConstructionIsChecked:
             replace(default_scenario(1), **{field: value})
         with pytest.raises(ConfigError, match=match):
             apply_overrides(default_scenario(1), {dotted: str(value)})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", [k for k in _KEYS if k.parse is float],
+                             ids=lambda k: f"{k.section}.{k.name}")
+    def test_float_keys_are_finite_however_a_scenario_is_made(self, key,
+                                                              value):
+        dotted = f"{key.section}.{key.name}"
+        match = re.escape(f"{dotted} = {value!r} is not a finite number")
+        makers = (
+            lambda: default_scenario(1, **{key.field: value}),
+            lambda: Scenario(seed=1, **{key.field: value}),
+            lambda: replace(default_scenario(1), **{key.field: value}),
+            lambda: apply_overrides(default_scenario(1), {dotted: value}),
+        )
+        for make in makers:
+            with pytest.raises(ConfigError, match=match) as err:
+                make()
+            assert err.value.involved == (key.field,)
+            assert err.value.line is None
+        with pytest.raises(ConfigError, match="line 4: " + match):
+            parse_config(f"[scenario]\nseed = 1\n[{key.section}]\n"
+                         f"{key.name} = {value}\n")
 
     def test_cross_checks_hold_for_direct_construction(self):
         with pytest.raises(ConfigError, match="threshold exceeds"):

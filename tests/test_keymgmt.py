@@ -27,6 +27,7 @@ from mscsim.keymgmt import groups
 from mscsim.keymgmt.credentials import pack
 from mscsim.keymgmt.groups import (
     DEMO_GROUP,
+    KEY_TEETH,
     TOY_GROUP,
     GroupError,
     GroupParams,
@@ -507,6 +508,62 @@ def test_fixed_base_exp_equals_pow(name, data):
     group = GROUPS[name]()
     e = data.draw(st.integers(-2 * group.q, 2 * group.q))
     assert group.exp(e) == pow(group.g, e % group.q, group.p)
+
+
+def _bases(group, rng):
+    """The edge bases 1, g and p - 1 (order 2, outside the subgroup),
+    then random subgroup elements."""
+    return [1, group.g, group.p - 1] + [group.exp(group.random_scalar(rng))
+                                        for _ in range(3)]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_key_table_power_at_the_edges_and_column_boundaries(name):
+    group = GROUPS[name]()
+    p, q = group.p, group.q
+    b = -(-q.bit_length() // (2 * KEY_TEETH))
+    exponents = [0, 1, q - 1, q, q + 1]
+    for k in range(1, 2 * KEY_TEETH + 1):       # the last bit of column k
+        exponents += [(1 << (k * b)) - 1, 1 << (k * b)]
+    for y in _bases(group, np.random.default_rng(5)):
+        table = group.key_table(y)
+        assert table.y == y
+        for e in exponents:
+            assert table.power(e) == pow(y, e % q, p), (y, e)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_key_table_power_equals_pow(name, seed, data):
+    group = GROUPS[name]()
+    y = data.draw(st.sampled_from(_bases(group, np.random.default_rng(seed))))
+    e = data.draw(st.integers(0, 2 * group.q - 1))
+    assert group.key_table(y).power(e) == pow(y, e % group.q, group.p)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@settings(PROPERTY, max_examples=25)   # ~50 ms an example in the 2048-bit group
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_gives_the_same_answer_for_a_key_and_its_table(name, seed):
+    group = GROUPS[name]()
+    rng = np.random.default_rng(seed)
+    key = group.random_scalar(rng)
+    public = group.exp(key)
+    other = group.exp(group.random_scalar(rng))
+    sig = sign_single(group, key, public, b"body", rng)
+    q = group.q
+    cases = [(public, b"body", sig), (public, b"bodY", sig),
+             (other, b"body", sig)]
+    # a c or z out of [0, q), with the other one valid or not
+    cases += [(public, b"body", Signature(c, z))
+              for c in (sig.c, -1, q, q + sig.c)
+              for z in (sig.z, -1, q, q + sig.z) if (c, z) != (sig.c, sig.z)]
+    tables = {public: group.key_table(public), other: group.key_table(other)}
+    for y, message, signature in cases:
+        assert verify(group, tables[y], message, signature) == \
+            verify(group, y, message, signature), (y, message, signature)
+    assert verify(group, tables[public], b"body", sig)
 
 
 @PROPERTY

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mscsim.config import parse_config
 from mscsim.keymgmt import (
     CredentialError,
     DEMO_GROUP,
@@ -26,10 +27,14 @@ from mscsim.keymgmt import (
     verify_certificate,
     verify_credential,
 )
+from mscsim.keymgmt import threshold
 from mscsim.keymgmt.credentials import Certificate
+from mscsim.keymgmt.groups import GroupParams
 from mscsim.keymgmt.service import Shareholder
 from mscsim.keymgmt.shamir import lagrange_weight
+from mscsim.runner import run
 from reference import reconstruct
+from test_golden import HO_2048
 
 WARRANT = Warrant(0.0, 1000.0)
 
@@ -355,3 +360,38 @@ class TestBootstrap:
         blobs = [getattr(svc, name) for name in vars(svc)]
         assert all(not isinstance(b, tuple) or "private" not in str(b)
                    for b in blobs)
+
+
+class TestBigIntegerWork:
+    def test_a_2048_bit_run_raises_only_the_holder_keys_with_pow(
+            self, monkeypatch, tmp_path):
+        """Counts, not times, so a slower path fails on any host: the
+        master key goes through one table per service, and pow() serves
+        only the holder keys, one certificate check each."""
+        powers, tables, services = [], [], []
+
+        def counting_pow(base, exponent, modulus=None):
+            if modulus is not None and modulus.bit_length() == 2048:
+                powers.append(base)
+            return pow(base, exponent, modulus)
+
+        key_table = GroupParams.key_table
+        service_init = KMService.__init__
+
+        def counting_key_table(group, y):
+            tables.append(y)
+            return key_table(group, y)
+
+        def counting_init(service, *args, **kwargs):
+            services.append(service)
+            service_init(service, *args, **kwargs)
+
+        monkeypatch.setattr(threshold, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(GroupParams, "key_table", counting_key_table)
+        monkeypatch.setattr(KMService, "__init__", counting_init)
+        result = run(parse_config(HO_2048, seed=1), str(tmp_path / "r.jsonl"))
+        assert result.exit_code == 0
+        (service,) = services
+        assert len(powers) == 2
+        assert service.master_public not in powers
+        assert tables == [service.master_public]
