@@ -17,6 +17,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
+from .engine import CHOICE_MAX
 from .topology import MAX_STEP_DIAGONALS, max_step_walk
 
 __all__ = [
@@ -109,8 +110,9 @@ class Scenario:
     hysteresis_db: float = _key("handover", 3.0, lambda v: v >= 0,
                                 "nonnegative")
 
-    km_shareholders: int = _key("km", 5, lambda v: v >= 1, "at least 1",
-                                "shareholders")
+    # a quorum is a `Stream.choice` sample of the roster
+    km_shareholders: int = _key("km", 5, lambda v: 1 <= v <= CHOICE_MAX,
+                                f"in [1, {CHOICE_MAX}]", "shareholders")
     km_threshold: int = _key("km", 3, lambda v: v >= 1, "at least 1",
                              "threshold")
     km_group: str = _key("km", "demo", *_one_of("toy", "demo", "2048"),

@@ -19,18 +19,17 @@ the call: their distance is 0 and range_m is positive, so they are in
 range. (`math.hypot` is not a substitute for `np.hypot`: it differs in
 the last bit on some inputs.)
 
-The runner reads both per-packet streams ahead, because a numpy draw
-costs several microseconds of argument handling however little it
-draws. `ReadAheadFloats` serves the channel stream's scalar `random()`
-calls from one `random(n)` block; a block of n doubles is the n scalar
-draws in order. `ReadAheadBytes` serves the coding stream's
-`integers(0, 256, size, np.uint8)` calls from one block of whole 32-bit
-words. numpy fills a uint8 draw from ceil(size / 4) fresh 32-bit words,
-low byte first, and drops the rest of its last word; so the words of one
-block draw hold every later draw back to back, each starting on a word
-boundary. Neither changes a drawn byte. What they read past the last
-draw is never used, because the runner's session phase makes both
-streams for itself alone.
+Every draw of a run comes from a `Stream` over the raw words w of
+`PCG64(SeedSequence(entropy))`, which NEP 19 keeps stable, with its own
+transforms in place of numpy's `Generator` methods (equal to numpy 2's):
+`random()` is `(w >> 11) * 2**-53`, `uniform(a, b)` is
+`a + (b - a) * random()`, and the 32-bit draws (`integers`, and
+`choice` by Floyd's sample and a shuffle, Lemire-bounded) read each
+word's bytes in explicit `'<u8'` order as two `'<u4'` halves, low half
+first. A stream serves one family, 64-bit or 32-bit draws: its first
+draw fixes it and a draw from the other raises, so PCG64's spare half,
+which numpy shares between the two, needs no model. Any call form the
+library does not make raises too.
 """
 
 from __future__ import annotations
@@ -88,103 +87,141 @@ DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, rate=1.0, p_loss=0.0, tx_energy=
 DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, rate=4.0, p_loss=0.0, tx_energy=0.2, range_m=50.0)
 
 
-# The stream id of each subsystem's generator.
+# The stream id of each subsystem's stream.
 MOBILITY_STREAM, CHANNEL_STREAM, CODING_STREAM, CRYPTO_STREAM = range(4)
+
+
+# Words a stream reads ahead at a time.
+_BLOCK_WORDS = 4096
+
+# Above this population numpy's choice may take a tail shuffle instead.
+CHOICE_MAX = 10_000
+
+
+def _count(size) -> int:
+    dims = [operator.index(d) for d in (size if type(size) is tuple else (size,))]
+    if min(dims, default=0) < 0:
+        raise ValueError(f"negative dimensions are not allowed: {size}")
+    return math.prod(dims)
+
+
+class Stream:
+    """Raw words read ahead in blocks; nothing else reads the bit
+    generator, so what is read ahead is never seen."""
+
+    __slots__ = ("_bitgen", "_family", "_ahead", "_block", "_pos")
+
+    def __init__(self, entropy):
+        self._bitgen = np.random.PCG64(np.random.SeedSequence(entropy))
+        self._family = None
+        self._ahead: list[float] = []                 # next float last
+        self._block = np.empty(0, dtype=np.uint8)     # bytes of halves
+        self._pos = 0                                 # on a half boundary
+
+    def _claim(self, family: str) -> None:
+        if self._family not in (None, family):
+            raise ValueError(f"this stream serves {self._family} draws")
+        self._family = family
+
+    def random(self) -> float:
+        """`(w >> 11) * 2**-53` for the next word w."""
+        ahead = self._ahead
+        if not ahead:
+            self._claim("64-bit")
+            words = self._bitgen.random_raw(_BLOCK_WORDS)
+            ahead = self._ahead = ((words >> 11) * 2.0 ** -53)[::-1].tolist()
+        return ahead.pop()
+
+    def uniform(self, low, high) -> float:
+        """`low + (high - low) * random()`, with numpy's range checks."""
+        low, high = float(low), float(high)
+        span = high - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span < 0:
+            raise ValueError("high - low < 0")
+        return low + span * self.random()
+
+    def _take(self, nbytes: int) -> np.ndarray:
+        """The next `nbytes` bytes; the draw after starts on a fresh half."""
+        if self._family != "32-bit":
+            self._claim("32-bit")
+        pos, end = self._pos, self._pos + nbytes
+        if end > len(self._block):
+            rest = self._block[pos:]
+            words = max(_BLOCK_WORDS, (nbytes - len(rest) + 7) // 8)
+            fresh = self._bitgen.random_raw(words).astype("<u8", copy=False)
+            self._block = np.concatenate((rest, fresh.view(np.uint8)))
+            pos, end = 0, nbytes
+        self._pos = (end + 3) & ~3
+        return self._block[pos:end]
+
+    def integers(self, low, high, size, dtype) -> np.ndarray:
+        """`(0, 2**32, n, np.uint64)` is the next n halves; `(0, 256, n,
+        np.uint8)` the first n bytes of the next ceil(n / 4) halves, as a
+        view into the block (no two draws share a byte)."""
+        n = size if type(size) is int and size >= 0 else _count(size)
+        if low == 0 and high == 256 and dtype is np.uint8:
+            out = self._take(n)
+        elif low == 0 and high == 1 << 32 and dtype is np.uint64:
+            out = self._take(4 * n).view("<u4").astype(np.uint64)
+        else:
+            raise ValueError("only integers(0, 256, size, np.uint8) and "
+                             "integers(0, 2**32, size, np.uint64) are served")
+        return out.reshape(size) if type(size) is tuple else out
+
+    def _below(self, bound: int) -> int:
+        """Lemire's draw in [0, bound); bound 1 draws nothing."""
+        if bound == 1:
+            return 0
+        threshold = (1 << 32) % bound   # the low products that would bias
+        while True:
+            m = int.from_bytes(self._take(4), "little") * bound
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def choice(self, a, size, replace=True) -> np.ndarray:
+        """`choice(a, k, replace=False)`. Floyd: for j from a - k to a - 1,
+        take a draw in [0, j], or j if it is taken already; then for i
+        from k - 1 down to 1, swap i with a draw in [0, i]."""
+        k, pop = operator.index(size), operator.index(a)
+        if replace or not 0 <= k <= pop <= CHOICE_MAX:
+            raise ValueError("only choice(a, k, replace=False) with "
+                             f"0 <= k <= a <= {CHOICE_MAX} is served")
+        self._claim("32-bit")
+        picked = {}                     # an insertion-ordered set
+        for j in range(pop - k, pop):
+            v = self._below(j + 1)
+            picked[j if v in picked else v] = None
+        out = list(picked)
+        for i in range(k - 1, 0, -1):
+            j = self._below(i + 1)
+            out[i], out[j] = out[j], out[i]
+        return np.array(out, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class RunSeed:
-    """One master seed, split into a generator per stream id.
-
-    Distinct stream ids give independent deterministic generators, so
-    e.g. drawing from another crypto stream id cannot disturb the
-    mobility or channel draws.
-    """
+    """One master seed, split into an independent stream per stream id,
+    so that e.g. another crypto stream id cannot disturb the mobility or
+    channel draws."""
 
     seed: int
 
-    def stream(self, stream_id: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, stream_id)))
+    def stream(self, stream_id: int) -> Stream:
+        return Stream((self.seed, stream_id))
 
-    def mobility(self) -> np.random.Generator:
+    def mobility(self) -> Stream:
         return self.stream(MOBILITY_STREAM)
 
-    def channel(self) -> np.random.Generator:
+    def channel(self) -> Stream:
         return self.stream(CHANNEL_STREAM)
 
-    def coding(self) -> np.random.Generator:
+    def coding(self) -> Stream:
         return self.stream(CODING_STREAM)
 
-    def crypto(self) -> np.random.Generator:
+    def crypto(self) -> Stream:
         return self.stream(CRYPTO_STREAM)
-
-
-# Read-ahead block sizes: whole 32-bit words of the coding stream, and
-# doubles of the channel stream.
-_BYTE_BLOCK = 32 * 1024
-_FLOAT_BLOCK = 1024
-
-
-class ReadAheadBytes:
-    """A generator's ``integers(0, 256, size, np.uint8)`` draws, read ahead.
-
-    Returns the bytes the generator itself would return for the same
-    sequence of calls, as views into one block; no two draws share a
-    byte, so writing into one changes no other. ``size`` is an int or a
-    tuple of ints; any other bounds, dtype or size raises, and so does
-    any other method.
-    """
-
-    __slots__ = ("_rng", "_block", "_pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._block = np.empty(0, dtype=np.uint8)
-        self._pos = 0          # always on a word boundary
-
-    def integers(self, low, high, size, dtype) -> np.ndarray:
-        if low != 0 or high != 256 or dtype is not np.uint8:
-            raise ValueError("only integers(0, 256, size, np.uint8) is read ahead")
-        if type(size) is tuple:
-            shape = tuple(map(operator.index, size))
-            n = math.prod(shape) if min(shape, default=0) >= 0 else -1
-        else:
-            shape, n = None, operator.index(size)
-        if n < 0:
-            raise ValueError(f"negative dimensions are not allowed: {size}")
-        pos = self._pos
-        end = pos + n
-        if end > len(self._block):
-            self._refill(n)
-            pos, end = 0, n
-        # the draw's last word is spent even where it ends early
-        self._pos = (end + 3) & ~3
-        out = self._block[pos:end]
-        return out if shape is None else out.reshape(shape)
-
-    def _refill(self, n: int) -> None:
-        rest = self._block[self._pos:]
-        # whole words, so that every later draw starts on a word boundary
-        need = max(_BYTE_BLOCK, (n - len(rest) + 3) & ~3)
-        fresh = self._rng.integers(0, 256, size=need, dtype=np.uint8)
-        self._block = np.concatenate((rest, fresh)) if len(rest) else fresh
-        self._pos = 0
-
-
-class ReadAheadFloats:
-    """A generator's scalar ``random()`` draws, read ahead as Python floats."""
-
-    __slots__ = ("_rng", "_ahead")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._ahead: list[float] = []   # next draw last
-
-    def random(self) -> float:
-        ahead = self._ahead
-        if not ahead:
-            ahead = self._ahead = self._rng.random(_FLOAT_BLOCK)[::-1].tolist()
-        return ahead.pop()
 
 
 class Delivery(NamedTuple):

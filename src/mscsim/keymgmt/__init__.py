@@ -29,7 +29,6 @@ from .groups import (
 from .service import (
     KMService,
     RosterError,
-    ServiceUnavailable,
     Shareholder,
     TranscriptEntry,
 )

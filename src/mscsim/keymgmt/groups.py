@@ -54,13 +54,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import Stream
+
 
 class GroupError(Exception):
     pass
 
 
 def rand_below(rng, bound: int) -> int:
-    """Uniform integer in [0, bound) from a numpy generator.
+    """Uniform integer in [0, bound) from a stream's 32-bit draws.
 
     Draws bound.bit_length() bits and rejection-samples, so it works for
     arbitrarily large bounds and stays reproducible from the stream.
@@ -124,7 +126,7 @@ def is_probable_prime(n: int, rng=None, rounds: int = 40) -> bool:
         witnesses = [a for a in _SMALL_WITNESSES if a < n - 1]
     else:
         if rng is None:
-            rng = np.random.default_rng(0xD1CE)
+            rng = Stream(0xD1CE)
         witnesses = [rand_range(rng, 2, n - 1) for _ in range(rounds)]
     return all(witness_passes(a) for a in witnesses)
 

@@ -12,7 +12,7 @@ the shareholder set grows with the network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .credentials import (
     CredentialError,
@@ -26,10 +26,6 @@ from .shamir import KMConfig, KeyShare, lagrange_weight, setup
 from .threshold import SigningSession, combine_partials, verify
 
 
-class ServiceUnavailable(Exception):
-    pass
-
-
 class RosterError(Exception):
     pass
 
@@ -38,7 +34,6 @@ class RosterError(Exception):
 class Shareholder:
     node_id: int
     share: KeyShare
-    reachable: bool = True
 
 
 @dataclass(frozen=True)
@@ -91,21 +86,9 @@ class KMService:
 
     # --- roster ------------------------------------------------------
 
-    def reachable_servers(self) -> list[Shareholder]:
-        return [h for _, h in sorted(self.roster.items()) if h.reachable]
-
-    def set_reachable(self, node_id: int, flag: bool) -> None:
-        self.roster[node_id].reachable = flag
-
-    def is_shareholder(self, node_id: int) -> bool:
-        return node_id in self.roster
-
     def _quorum(self) -> list[Shareholder]:
-        """Uniformly random t-subset of the reachable servers."""
-        servers = self.reachable_servers()
-        if len(servers) < self.threshold:
-            raise ServiceUnavailable(
-                f"{len(servers)} reachable servers, threshold {self.threshold}")
+        """Uniformly random t-subset of the roster, in node id order."""
+        servers = [h for _, h in sorted(self.roster.items())]
         picks = self.rng.choice(len(servers), size=self.threshold, replace=False)
         return [servers[i] for i in sorted(picks)]
 
@@ -113,12 +96,7 @@ class KMService:
 
     def request_credential(self, requester_id, requester_public: int,
                            warrant: Warrant, now: float = 0.0) -> ProxyCredential:
-        try:
-            quorum = self._quorum()
-        except ServiceUnavailable:
-            self.transcript.append(TranscriptEntry(
-                "credential", now, requester_id, (), "unavailable"))
-            raise
+        quorum = self._quorum()
         body = credential_body(requester_id, requester_public, warrant)
         session = SigningSession(self.params, self.master_public, body,
                                  [h.share for h in quorum], self.threshold, self.rng)
@@ -149,12 +127,7 @@ class KMService:
         x_new = self._next_index
         if x_new >= self.params.q:
             raise RosterError("share index space exhausted for this group")
-        try:
-            quorum = self._quorum()
-        except ServiceUnavailable:
-            self.transcript.append(TranscriptEntry(
-                "share-issue", now, joining_id, (), "unavailable"))
-            raise
+        quorum = self._quorum()
 
         q = self.params.q
         indices = [h.share.index for h in quorum]

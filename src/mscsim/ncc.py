@@ -309,14 +309,6 @@ def _run_seed(seed) -> RunSeed:
     return seed if isinstance(seed, RunSeed) else RunSeed(seed if seed is not None else 0)
 
 
-def _resolve_rngs(seed, channel_rng, coding_rng):
-    if channel_rng is not None and coding_rng is not None:
-        return channel_rng, coding_rng
-    rs = _run_seed(seed)
-    return (channel_rng if channel_rng is not None else rs.channel(),
-            coding_rng if coding_rng is not None else rs.coding())
-
-
 def _metrics(cloud: CooperativeCloud, config: SessionConfig, sim: Simulator,
              records: list, decoding_ratio: float, truncated: bool) -> SessionMetrics:
     cell_tx = sr_tx = 0
@@ -341,7 +333,10 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 seed=None, channel_rng=None, coding_rng=None,
                 nodes=None, bs=None) -> SessionMetrics:
     """Both phases plus the offloading metrics for one content item."""
-    channel_rng, coding_rng = _resolve_rngs(seed, channel_rng, coding_rng)
+    if channel_rng is None:
+        channel_rng = _run_seed(seed).channel()
+    if coding_rng is None:
+        coding_rng = _run_seed(seed).coding()
     codec = SessionCodec(cloud, config.content)
     sim = Simulator()
     records: list[SlotRecord] = []

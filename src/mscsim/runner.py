@@ -27,7 +27,7 @@ from .config import (
     scenario_hash,
     scenario_to_dict,
 )
-from .engine import LinkKind, LinkModel, ReadAheadBytes, ReadAheadFloats, RunSeed
+from .engine import LinkKind, LinkModel, RunSeed
 from .handover import (
     RadioLinkFailure,
     baseline_handover,
@@ -202,9 +202,8 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit) -> dict:
     cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head,
                              short_range=short)
     gateway = Endpoint(msc.gateway_bs if msc.gateway_bs is not None else -1)
-    # the same draws as the raw streams, at a fraction of the per-call cost
-    channel_rng = ReadAheadFloats(rs.channel())
-    coding_rng = ReadAheadBytes(rs.coding())
+    channel_rng = rs.channel()
+    coding_rng = rs.coding()
 
     utilizations, ratios = [], []
     total_energy = 0.0

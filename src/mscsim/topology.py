@@ -55,16 +55,7 @@ class MobileSmallCell:
     id: int
     head: int                            # node id of the MCH
     members: set[int] = field(default_factory=set)
-    coverage_radius: float = 50.0
     gateway_bs: Optional[int] = None
-
-    def validate(self, nodes: dict[int, Node]) -> None:
-        if self.head not in self.members:
-            raise TopologyError("cell head must be a member of its own cell")
-        head = nodes[self.head]
-        for mid in self.members:
-            if nodes[mid].distance_to(head) > self.coverage_radius + 1e-9:
-                raise TopologyError(f"member {mid} outside coverage of head {self.head}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,7 @@ def form_msc(candidates: Iterable[Node], policy: ElectionPolicy, radius: float,
             n.role = Role.MCH
         elif n.id in members:
             n.role = Role.MEMBER
-    return MobileSmallCell(cell_id, head_id, members, radius)
+    return MobileSmallCell(cell_id, head_id, members)
 
 
 # Longest walk of one mobility step, in arena diagonals. A device hops

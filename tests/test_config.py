@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mscsim.cli import EXIT_BAD_CONFIG, main
 from mscsim.config import (
     _KEYS,
     ConfigError,
@@ -98,6 +99,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"nodes.{key}"):
             apply_overrides(default_scenario(1), {f"nodes.{key}": str(largest + 1)})
 
+    def test_shareholders_stay_within_the_quorum_draw(self, tmp_path, capsys):
+        # a quorum is a Stream.choice sample of the roster, which serves
+        # populations up to 10000
+        text = "[scenario]\nseed = 1\n[km]\nshareholders = {}\n"
+        assert parse_config(text.format(10000)).km_shareholders == 10000
+        for value in (10001, 100000000):
+            with pytest.raises(ConfigError,
+                               match="line 4: km.shareholders") as err:
+                parse_config(text.format(value))
+            assert err.value.line == 4
+        cfg = tmp_path / "roster.cfg"
+        cfg.write_text(text.format(100000000))
+        assert main(["validate", str(cfg)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "line 4: km.shareholders = 100000000 out of range" in err
+
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError, match="threshold exceeds") as err:
             parse_config("[scenario]\nseed = 1\n[km]\nshareholders = 2\n"
@@ -185,6 +202,7 @@ RANGES = {
     "in [1, 1024]": st.integers(1, 1024),
     "in [1, 99]": st.integers(1, 99),
     "in [1, 899]": st.integers(1, 899),
+    "in [1, 10000]": st.integers(1, 10000),
     "positive": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     "nonnegative": st.floats(min_value=0.0, allow_infinity=False),
     "at least 1.0": st.floats(min_value=1.0, allow_infinity=False),
@@ -219,8 +237,8 @@ class TestCanonicalForm:
         # meet _cross_validate's pairwise rules by construction
         values["speed_min"], values["speed_max"] = sorted(
             (values["speed_min"], values["speed_max"]))
-        values["km_threshold"], values["km_shareholders"] = sorted(
-            (values["km_threshold"], values["km_shareholders"]))
+        values["km_threshold"] = min(values["km_threshold"],
+                                     values["km_shareholders"])
         if values["km_group"] == "toy":
             values["km_shareholders"] = min(values["km_shareholders"], 10)
             values["km_threshold"] = min(values["km_threshold"], 10)

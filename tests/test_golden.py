@@ -5,9 +5,13 @@ These pin "same behaviour" byte for byte. A change that moves a digest
 changes what the simulator computes, not just how fast it computes it,
 and must say why when it updates the table.
 
-numpy's Generator streams are not guaranteed stable across numpy
-releases (NEP 19), so the digests are keyed to the numpy major version
-they were recorded under; on any other major version the test skips.
+Every draw comes from an `engine.Stream`, which transforms raw PCG64
+words itself, so the digests rest on numpy's PCG64 and SeedSequence
+alone; NEP 19 keeps both stable, and tests/test_engine.py pins their
+first draws. The digests are still keyed to the numpy major version
+they were recorded under, and the test skips on any other: no numpy 1.x
+was available to verify them on, and NEP 50 changed the integer
+promotion rules that the uint8 arithmetic relies on.
 """
 
 import hashlib

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mscsim.engine import ReadAheadBytes
+from mscsim.engine import Stream
 from mscsim.gf256 import gf_inv, gf_mul, mul_rows, vec_scale
 from mscsim.rlnc import (
     CodedPacket,
@@ -78,13 +78,14 @@ def test_packets_are_the_rows():
         assert np.array_equal(packet.payload, row)
 
 
-def test_random_draws_the_same_bytes_read_ahead():
-    # one integers(0, 256, (g, L), uint8) draw, whichever stream serves it
+def test_random_draws_the_same_bytes_from_a_stream():
+    # one integers(0, 256, (g, L), uint8) draw, from a numpy generator or
+    # from the stream over the same bit generator
     raw = np.random.default_rng(3)
-    ahead = ReadAheadBytes(np.random.default_rng(3))
+    stream = Stream(3)
     for gen_id, (g, L) in enumerate([(4, 8), (1, 1), (3, 0), (16, 33)]):
         a = Generation.random(gen_id, g, L, raw)
-        b = Generation.random(gen_id, g, L, ahead)
+        b = Generation.random(gen_id, g, L, stream)
         assert a.payload.shape == b.payload.shape == (g, L)
         assert np.array_equal(a.payload, b.payload)
 

@@ -72,14 +72,13 @@ def test_weights_validation():
         ElectionPolicy(w_battery=-0.1, w_link=0.9, w_degree=0.2)
 
 
-def test_membership_and_validate():
+def test_membership_within_the_head_radius():
     a = ue(1, 0.0, 0.0, battery=1.0)
     b = ue(2, 10.0, 0.0, battery=0.4)
     c = ue(3, 200.0, 0.0, battery=0.4)  # outside any head radius near the origin
     cell = form_msc([a, b, c], ElectionPolicy(), radius=50.0)
     assert cell.head == 1
     assert cell.members == {1, 2}
-    cell.validate(nodes_by_id([a, b, c]))
 
 
 def test_mobility_zero_velocity():
@@ -152,14 +151,14 @@ def test_random_waypoint_center_concentration():
 
 def test_gateway_single_and_tie_break():
     head = ue(1, 100.0, 0.0)
-    cell = MobileSmallCell(0, 1, {1}, 50.0)
+    cell = MobileSmallCell(0, 1, {1})
     stations = [bs(10, 0.0, 0.0)]
     associate_gateway(cell, stations, PathLoss(), nodes_by_id([head] + stations))
     assert cell.gateway_bs == 10
 
     # equidistant identical stations: lower id wins
     stations = [bs(11, 200.0, 0.0), bs(10, 0.0, 0.0)]
-    cell = MobileSmallCell(0, 1, {1}, 50.0)
+    cell = MobileSmallCell(0, 1, {1})
     associate_gateway(cell, stations, PathLoss(), nodes_by_id([head] + stations))
     assert cell.gateway_bs == 10
 
@@ -168,7 +167,7 @@ def test_gateway_prefers_nearer_station():
     head = ue(1, 0.0, 0.0)
     near = bs(5, 100.0, 0.0)
     far = bs(4, 400.0, 0.0)
-    cell = MobileSmallCell(0, 1, {1}, 50.0)
+    cell = MobileSmallCell(0, 1, {1})
     associate_gateway(cell, [far, near], PathLoss(), nodes_by_id([head, near, far]))
     assert cell.gateway_bs == 5
 
