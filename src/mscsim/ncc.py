@@ -50,6 +50,12 @@ class ProtocolError(Exception):
     pass
 
 
+# Unicast gives up on a packet after ceil(UNICAST_RETRY_SCALE / (1 - p))
+# consecutive erasures at cellular loss p: a bound on the work of every
+# session, met with probability at most e^-UNICAST_RETRY_SCALE per packet.
+UNICAST_RETRY_SCALE = 64
+
+
 @dataclass(frozen=True)
 class Endpoint:
     """Minimal radio endpoint; topology nodes substitute structurally."""
@@ -356,7 +362,11 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
 
     The comparison denominator: no coding, no cooperation, cellular only.
     Erasures are retried; a member out of the base station's cellular
-    range can never be served, so it raises ProtocolError.
+    range can never be served, so it raises ProtocolError. Retries are
+    bounded: once one packet has been erased
+    ceil(UNICAST_RETRY_SCALE / (1 - cellular_loss)) times in a row, the
+    session raises ProtocolError. At loss p a packet meets the bound with
+    probability p^(UNICAST_RETRY_SCALE / (1 - p)) <= e^-UNICAST_RETRY_SCALE.
 
     No decoder runs. Source packet k of a generation is the unit vector
     e_k, sent once to each member in order of k and retried until it
@@ -369,25 +379,42 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
         channel_rng = _run_seed(seed).channel()
     bs_node, nodes = _endpoints(cloud, nodes, bs)
     link = replace(config.cellular, p_loss=config.cellular_loss)
+    cap = math.ceil(UNICAST_RETRY_SCALE / (1.0 - config.cellular_loss))
     sim = Simulator()
     records: list[SlotRecord] = []
+    # bound once, outside the ~1 us attempt; `tuple.__new__` skips the
+    # NamedTuple constructor's ~0.2 us, and tests/test_ncc.py pins the arity
+    transmit, append, new = sim.transmit, records.append, tuple.__new__
+    bs_id = bs_node.id
     delivered, erased = (True,), (False,)
+    slot = 0
 
     for member in cloud.members:
         receivers = [nodes[member]]
         to = (member,)
         for gen in config.content:
-            for _ in range(gen.size):
+            gen_id = gen.id
+            for k in range(gen.size):
+                erasures = 0
                 while True:
-                    status = sim.transmit(link, bs_node, receivers,
-                                          channel_rng)[0].status
-                    if status is _OUT_OF_RANGE:
+                    status = transmit(link, bs_node, receivers, channel_rng)[0].status
+                    if status is _DELIVERED:
+                        ok = delivered
+                    elif status is _OUT_OF_RANGE:
                         raise ProtocolError(
                             f"member {member} is out of cellular range of "
-                            f"base station {bs_node.id}")
-                    ok = delivered if status is _DELIVERED else erased
-                    records.append(SlotRecord(len(records), "cellular",
-                                              bs_node.id, gen.id, to, ok, ok))
+                            f"base station {bs_id}")
+                    else:
+                        erasures += 1
+                        if erasures == cap:
+                            raise ProtocolError(
+                                f"member {member}: packet {k} of generation "
+                                f"{gen_id} erased {cap} times in a row at "
+                                f"cellular loss {config.cellular_loss}")
+                        ok = erased
+                    append(new(SlotRecord, (slot, "cellular", bs_id, gen_id,
+                                            to, ok, ok, False)))
+                    slot += 1
                     if ok is delivered:
                         break
 

@@ -60,37 +60,41 @@ CODED_LAYERS = ("ncc.session", "ncc.cellular_phase", "ncc.cooperative_phase",
                 "engine.transmit")
 
 
-def _traced_spans(**overrides) -> Counter:
-    """Span count per layer of one traced `runner.run` of a tiny scenario."""
+def _traced_spans(**overrides) -> tuple[Counter, list]:
+    """`_traced_run` of a tiny scenario."""
     return _traced_run(default_scenario(
         5, sessions=2, ue_count=4, generation_size=8, payload_bytes=4,
         shortrange_loss=0.2, ho_epochs=0, km_group="toy", km_shareholders=3,
         km_threshold=2, km_requesters=1, **overrides))
 
 
-def _traced_run(scenario) -> Counter:
+def _traced_run(scenario) -> tuple[Counter, list]:
+    """Span count per layer of one traced `runner.run`, and its records."""
     tracer = _tracing.Tracer()
     hooks = _tracing.Hooks(tracer)
     hooks.install()
     try:
-        assert runner.run(scenario).exit_code == 0
+        result = runner.run(scenario)
+        assert result.exit_code == 0
     finally:
         hooks.remove()
-    return Counter(tracer.layers[i] for i in tracer.layer)
+    return Counter(tracer.layers[i] for i in tracer.layer), result.records
 
 
 @pytest.mark.parametrize("phase_mode", ["sequential", "parallel"])
 def test_coded_sessions_call_every_session_layer(phase_mode):
-    spans = _traced_spans(protocol="ncc", phase_mode=phase_mode)
+    spans, _ = _traced_spans(protocol="ncc", phase_mode=phase_mode)
     assert {layer: spans[layer] for layer in CODED_LAYERS if not spans[layer]} == {}
     assert spans["ncc.session"] == 2
     assert spans["ncc.cellular_phase"] == spans["ncc.cooperative_phase"] == 2
 
 
 def test_unicast_sessions_run_no_decoder():
-    spans = _traced_spans(protocol="unicast")
-    assert spans["ncc.session"] == 2
-    assert spans["engine.transmit"] > 0
+    # the loss makes retries, each of which must be one traced transmit
+    spans, records = _traced_spans(protocol="unicast", cellular_loss=0.3)
+    slots = [r["completion_slots"] for r in records if r["type"] == "session"]
+    assert spans["ncc.session"] == len(slots) == 2
+    assert spans["engine.transmit"] == sum(slots)
     assert spans["rlnc.ingest"] == 0
 
 
@@ -102,7 +106,7 @@ HANDOVER_LAYERS = ("topology.step_mobility", "handover.ul_rs_handover",
 def test_every_handover_epoch_calls_the_hooked_names(cellular_range):
     # a procedure bound at import time would run untraced; the 1 m range
     # makes every epoch a radio link failure, which must be traced too
-    spans = _traced_run(parse_config(
+    spans, _ = _traced_run(parse_config(
         "[scenario]\npreset = ho-comparison\nseed = 4\n"
         f"[links]\ncellular_range = {cellular_range}\n"
         "[handover]\nepochs = 7\n"))

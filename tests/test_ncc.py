@@ -5,6 +5,7 @@ rules; the lossy-baseline test uses the geometric-distribution mean as
 its oracle, and session energy is replayed from the slot records.
 """
 
+import math
 import struct
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from mscsim.engine import (
     RX_ENERGY_FRACTION,
+    Delivery,
     DeliveryStatus,
     LinkKind,
     RunSeed,
@@ -378,6 +380,44 @@ class TestBaselineUnicast:
         with pytest.raises(ProtocolError, match="member 2 is out of cellular range"):
             baseline_unicast_session(cloud, cfg, seed=0, nodes=nodes, bs=bs)
 
+    @pytest.mark.parametrize("loss, cap", [(0.5, 128), (0.3, 92)])
+    def test_gives_up_after_the_retry_bound(self, loss, cap):
+        # every draw erases; the stub stops a loop that never gives up
+        channel = ScriptedChannel(lambda i: 0.0)
+        cloud = CooperativeCloud([3, 7], head_id=3)
+        cfg = SessionConfig(content=_content(g=4, count=2), cellular_loss=loss)
+        with pytest.raises(ProtocolError, match=(
+                rf"member 3: packet 0 of generation 0 erased {cap} times in a "
+                rf"row at cellular loss {loss}")):
+            baseline_unicast_session(cloud, cfg, channel_rng=channel)
+        assert channel.draws == cap
+
+    def test_the_retry_bound_counts_each_packet_afresh(self):
+        # 127 erasures and then a delivery, for every packet: one short of
+        # the bound at loss 0.5 each time, so the session completes
+        channel = ScriptedChannel(lambda i: 0.0 if i % 128 < 127 else 0.99)
+        cloud = CooperativeCloud([1, 2], head_id=1)
+        cfg = SessionConfig(content=_content(g=3), cellular_loss=0.5)
+        m = baseline_unicast_session(cloud, cfg, channel_rng=channel)
+        assert m.cellular_tx_count == channel.draws == 6 * 128
+        assert sum(r.delivered == (True,) for r in m.records) == 6
+
+
+class ScriptedChannel:
+    """A channel stream whose i-th draw (from 0) is `draw(i)`. It raises
+    after 100,000 draws, so a retry loop without a bound fails the test
+    instead of hanging it."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.draws = 0
+
+    def random(self) -> float:
+        if self.draws == 100_000:
+            raise RuntimeError("the retry loop did not give up")
+        self.draws += 1
+        return self.draw(self.draws - 1)
+
 
 def decoder_unicast_session(cloud, config, seed):
     """The unicast baseline as a decoder sees it: every delivered packet
@@ -513,6 +553,70 @@ def test_slot_schedule_in_both_phase_modes(data):
     # the session ends once all have decoded or the budget is gone
     assert (size == 1 or decoded[-1] or len(coop) == cfg.cooperative_budget)
     assert m.truncated == (size > 1 and not decoded[-1])
+
+
+@PROPERTY
+@given(st.data())
+def test_exact_per_session_identities(data):
+    """Counts that hold for every session, whatever the draws: unicast
+    sends n * sum(g) packets plus one per erasure, one slot each and
+    every delivery innovative; NCC's cellular phase sends its plan of
+    ceil(r * g) packets per generation and nothing more."""
+    n = data.draw(st.integers(1, 6))
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    content = [Generation.random(i, g, 2, rng) for i, g in enumerate(sizes)]
+    cloud = CooperativeCloud(range(n), head_id=0)
+    loss = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    seed = data.draw(st.integers(0, 2 ** 16))
+
+    cfg = SessionConfig(content=content, cellular_loss=loss)
+    m = baseline_unicast_session(cloud, cfg, seed=seed)
+    erasures = sum(r.delivered == (False,) for r in m.records)
+    assert m.cellular_tx_count == n * sum(sizes) + erasures
+    assert m.completion_time == m.cellular_tx_count == len(m.records)
+    assert [r.slot for r in m.records] == list(range(len(m.records)))
+    assert all(r.innovative == r.delivered for r in m.records)
+    assert m.decoding_ratio == 1.0 and not m.truncated
+
+    redundancy = data.draw(st.sampled_from([1.0, 1.05, 1.25, 2.0]))
+    planned = sum(math.ceil(redundancy * g) for g in sizes)
+    for mode in ("sequential", "parallel"):
+        cfg = SessionConfig(content=content, redundancy=redundancy,
+                            phase_mode=mode, cellular_loss=loss)
+        m = run_session(cloud, cfg, seed=seed)
+        assert m.cellular_tx_count == planned
+
+
+def test_records_and_deliveries_have_their_types_arity(monkeypatch):
+    """Records and deliveries built by `tuple.__new__` skip the
+    NamedTuple field-count check; a field added to either type must
+    fail here, by name."""
+    deliveries = []
+    transmit = Simulator.transmit
+
+    def recording(self, *args):
+        out = transmit(self, *args)
+        deliveries.extend(out)
+        return out
+
+    monkeypatch.setattr(Simulator, "transmit", recording)
+    cloud = CooperativeCloud([1, 2, 3], head_id=1)
+    records = []
+    for mode in ("sequential", "parallel", "unicast"):
+        cfg = SessionConfig(content=_content(g=4, count=2), redundancy=1.25,
+                            phase_mode="sequential" if mode == "unicast" else mode,
+                            cellular_loss=0.3, short_range_loss=0.3)
+        session = baseline_unicast_session if mode == "unicast" else run_session
+        records += session(cloud, cfg, seed=2).records
+    assert {r.phase for r in records} == {"cellular", "cooperative"}
+    assert {d.status for d in deliveries} == {DeliveryStatus.DELIVERED,
+                                              DeliveryStatus.ERASED}
+    for kind, built in ((SlotRecord, records), (Delivery, deliveries)):
+        for r in built:
+            assert type(r) is kind
+            assert len(r) == len(kind._fields), (kind.__name__, kind._fields, tuple(r))
+            assert r == kind(*r)
 
 
 def replay_energy(metrics, cellular, short_range):
