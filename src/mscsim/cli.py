@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Verbs: run one scenario, sweep a parameter grid, list the presets,
-or validate a config file without running anything. Output location
-may be overridden with MSCSIM_OUT_DIR; nothing else reads the
-environment, and no code path consults the wall clock.
+or validate a config file without running anything. `run --trace PATH`
+also writes the slot trace, one line per slot, beside the records.
+Output location may be overridden with MSCSIM_OUT_DIR; nothing else
+reads the environment, and no code path consults the wall clock.
 """
 
 import argparse
@@ -40,6 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override (or supply) scenario.seed")
     run_p.add_argument("--out", default=None,
                        help="output records path (default: <config>-metrics.jsonl)")
+    run_p.add_argument("--trace", default=None, metavar="PATH",
+                       help="also write one JSONL line per session slot to PATH")
 
     sweep_p = sub.add_parser("sweep", help="run a grid of scenario variants")
     sweep_p.add_argument("config", help="path to the template scenario file")
@@ -94,7 +97,9 @@ def _parse_grid(axes: list[str]) -> dict:
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.config, args.seed)
     out = _out_path(args.out, args.config, "metrics")
-    result = run(scenario, out_path=out)
+    trace = (None if args.trace is None
+             else _out_path(args.trace, args.config, "trace"))
+    result = run(scenario, out_path=out, trace_path=trace)
     summary = result.records[-1]
     if summary.get("status") == "ok":
         parts = [f"sessions={summary['sessions']}"]
@@ -107,6 +112,8 @@ def _cmd_run(args) -> int:
         print(f"run failed: {summary['error']}: {summary['message']}",
               file=sys.stderr)
     print(f"wrote {len(result.records)} records to {out}")
+    if trace is not None:
+        print(f"wrote the slot trace to {trace}")
     return EXIT_OK if result.exit_code == 0 else EXIT_RUN_FAILED
 
 

@@ -10,16 +10,18 @@ has decoded everything or the slot budget runs out. A session is always
 first sends only the distribution plan. In parallel mode it follows each
 cellular slot with one cooperative slot while the cloud has not all
 decoded, and `cooperative_phase` continues the rotation alone once the
-plan is exhausted. Every slot of a session is one `SlotRecord` in
-`SessionMetrics.records`, the only per-slot trace. Slots are counted,
-not timed: a session's `completion_time` is its number of slots.
+plan is exhausted. Slots are counted, not timed: a session's
+`completion_time` is its number of slots. The sessions keep their slot
+counts as plain integers; the per-slot trace, one `SlotRecord` per slot,
+is built only when the caller passes a list as `trace`, and
+`SessionMetrics.records` is empty otherwise.
 
 A plain multi-unicast session over the cellular link with
 retransmit-until-delivered is included as the comparison point. It runs
 no decoder: it sends each member the source packets themselves (the
 unit vectors e_k, in order, once each) and retries each until it is
 delivered, so every delivery raises that member's rank by one and a
-finished session has decoded everything. Its slot records mark every
+finished session has decoded everything. Its slot trace marks every
 delivered packet innovative, exactly what a decoder would report.
 
 `SessionCodec` counts, per generation, the members that have not yet
@@ -140,6 +142,10 @@ class SessionConfig:
 
 @dataclass
 class SessionMetrics:
+    """One session's counts. `records` is its slot trace, one `SlotRecord`
+    per slot in slot order, when the session was given a `trace` list, and
+    `()` otherwise: no run builds a slot object it was not asked for."""
+
     cellular_tx_count: int
     short_range_tx_count: int
     cellular_utilization: float
@@ -243,11 +249,15 @@ def _pick_generation(codec: SessionCodec, member_id: int) -> Optional[int]:
 
 
 def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
-                      sender_index, slot) -> SlotRecord:
+                      sender_index, trace) -> bool:
+    """One rotation slot; False when the sender had nothing to send."""
     sender = cloud.members[sender_index]
     gen_id = _pick_generation(codec, sender)
     if gen_id is None:
-        return SlotRecord(slot, "cooperative", sender, -1, (), (), (), skipped=True)
+        if trace is not None:
+            trace.append(SlotRecord(len(trace), "cooperative", sender, -1,
+                                    (), (), (), skipped=True))
+        return False
     pkt = codec.decoder(sender, gen_id).recode(coding_rng)
     others = cloud.members[:sender_index] + cloud.members[sender_index + 1:]
     deliveries = sim.transmit(link, nodes[sender], [nodes[m] for m in others],
@@ -255,60 +265,71 @@ def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
     ok = tuple(d.status is _DELIVERED for d in deliveries)
     innovative = tuple(codec.ingest(m, pkt) if got else False
                        for m, got in zip(others, ok))
-    return SlotRecord(slot, "cooperative", sender, gen_id, others, ok, innovative)
+    if trace is not None:
+        trace.append(SlotRecord(len(trace), "cooperative", sender, gen_id,
+                                others, ok, innovative))
+    return True
 
 
 def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
-                   codec: SessionCodec, sim: Simulator, records: list, *,
-                   channel_rng, coding_rng, nodes=None, bs=None) -> None:
+                   codec: SessionCodec, sim: Simulator, *,
+                   channel_rng, coding_rng, nodes=None, bs=None,
+                   trace: Optional[list] = None) -> tuple[int, int]:
     """Round-robin unicast of the coded content; no retransmissions.
 
     Plan packet k goes to member k mod n, in plan order. In parallel mode
     each cellular slot is followed by one cooperative slot while the
     cloud has not all decoded, the rotation starting at member 0. The
     plan has total_coded packets, a quarter of the cooperative budget, so
-    the budget cannot run out here.
+    the budget cannot run out here. Returns the cooperative slots
+    interleaved and how many of them were not skipped. With `trace`, each
+    slot's `SlotRecord` is appended to it, numbered by its position.
     """
     bs_node, nodes = _endpoints(cloud, nodes, bs)
     link = replace(config.cellular, p_loss=config.cellular_loss)
     members, size = cloud.members, cloud.size
     interleave = config.phase_mode == "parallel" and size > 1
     short_range = replace(cloud.short_range, p_loss=config.short_range_loss)
-    coop_slots = 0
+    coop_slots = coop_sent = 0
     for gen, k, coeffs in _cellular_plan(config, coding_rng):
         member = members[k % size]
         pkt = encode(gen, coeffs)
         ok = sim.transmit(link, bs_node, [nodes[member]], channel_rng)[0].status is _DELIVERED
         innovative = codec.ingest(member, pkt) if ok else False
-        records.append(SlotRecord(len(records), "cellular", bs_node.id, gen.id,
-                                  (member,), (ok,), (innovative,)))
+        if trace is not None:
+            trace.append(SlotRecord(len(trace), "cellular", bs_node.id, gen.id,
+                                    (member,), (ok,), (innovative,)))
         if interleave and not codec.all_decoded():
-            records.append(_cooperative_slot(cloud, codec, sim, short_range, nodes,
-                                             channel_rng, coding_rng,
-                                             coop_slots % size, len(records)))
+            coop_sent += _cooperative_slot(cloud, codec, sim, short_range, nodes,
+                                           channel_rng, coding_rng,
+                                           coop_slots % size, trace)
             coop_slots += 1
+    return coop_slots, coop_sent
 
 
 def cooperative_phase(cloud: CooperativeCloud, config: SessionConfig,
-                      codec: SessionCodec, sim: Simulator, records: list, *,
-                      channel_rng, coding_rng, nodes=None) -> None:
+                      codec: SessionCodec, sim: Simulator, *,
+                      channel_rng, coding_rng, nodes=None, used: int = 0,
+                      trace: Optional[list] = None) -> tuple[int, int]:
     """Short-range TDMA rotation until all decode or the budget is gone.
 
-    Cooperative slots already in ``records`` (the ones `cellular_phase`
-    interleaves in parallel mode) count against the budget, and the
-    rotation resumes after them.
+    `used` cooperative slots already count against the budget (the ones
+    `cellular_phase` interleaves in parallel mode), and the rotation
+    resumes after them. Returns the cooperative slots this phase sent and
+    how many of them were not skipped; `trace` is as for `cellular_phase`.
     """
     if cloud.size == 1:
-        return  # nobody to multicast to
+        return 0, 0  # nobody to multicast to
     _, nodes = _endpoints(cloud, nodes, None)
     link = replace(cloud.short_range, p_loss=config.short_range_loss)
-    used = sum(1 for r in records if r.phase == "cooperative")
     budget = config.cooperative_budget
-    while used < budget and not codec.all_decoded():
-        records.append(_cooperative_slot(cloud, codec, sim, link, nodes,
-                                         channel_rng, coding_rng,
-                                         used % cloud.size, len(records)))
-        used += 1
+    slots = sent = 0
+    while used + slots < budget and not codec.all_decoded():
+        sent += _cooperative_slot(cloud, codec, sim, link, nodes,
+                                  channel_rng, coding_rng,
+                                  (used + slots) % cloud.size, trace)
+        slots += 1
+    return slots, sent
 
 
 def _run_seed(seed) -> RunSeed:
@@ -316,48 +337,51 @@ def _run_seed(seed) -> RunSeed:
 
 
 def _metrics(cloud: CooperativeCloud, config: SessionConfig, sim: Simulator,
-             records: list, decoding_ratio: float, truncated: bool) -> SessionMetrics:
-    cell_tx = sr_tx = 0
-    for r in records:
-        if r.phase == "cellular":
-            cell_tx += 1
-        elif not r.skipped:
-            sr_tx += 1
+             trace: Optional[list], *, cellular: int, cooperative: int,
+             sent: int, decoding_ratio: float, truncated: bool) -> SessionMetrics:
     return SessionMetrics(
-        cellular_tx_count=cell_tx,
-        short_range_tx_count=sr_tx,
-        cellular_utilization=cell_tx / (cloud.size * config.source_packet_total),
+        cellular_tx_count=cellular,
+        short_range_tx_count=sent,
+        cellular_utilization=cellular / (cloud.size * config.source_packet_total),
         decoding_ratio=decoding_ratio,
         total_energy=sim.total_energy(),
-        completion_time=len(records),
+        completion_time=cellular + cooperative,
         truncated=truncated,
-        records=tuple(records),
+        records=() if trace is None else tuple(trace),
     )
 
 
 def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 seed=None, channel_rng=None, coding_rng=None,
-                nodes=None, bs=None) -> SessionMetrics:
-    """Both phases plus the offloading metrics for one content item."""
+                nodes=None, bs=None, trace: Optional[list] = None) -> SessionMetrics:
+    """Both phases plus the offloading metrics for one content item.
+
+    Pass an empty list as `trace` to get the session's `SlotRecord`s,
+    appended to it in slot order and returned as `SessionMetrics.records`.
+    """
     if channel_rng is None:
         channel_rng = _run_seed(seed).channel()
     if coding_rng is None:
         coding_rng = _run_seed(seed).coding()
     codec = SessionCodec(cloud, config.content)
     sim = Simulator()
-    records: list[SlotRecord] = []
-    cellular_phase(cloud, config, codec, sim, records, channel_rng=channel_rng,
-                   coding_rng=coding_rng, nodes=nodes, bs=bs)
-    cooperative_phase(cloud, config, codec, sim, records, channel_rng=channel_rng,
-                      coding_rng=coding_rng, nodes=nodes)
+    interleaved, sent = cellular_phase(
+        cloud, config, codec, sim, channel_rng=channel_rng,
+        coding_rng=coding_rng, nodes=nodes, bs=bs, trace=trace)
+    rotated, rotated_sent = cooperative_phase(
+        cloud, config, codec, sim, channel_rng=channel_rng,
+        coding_rng=coding_rng, nodes=nodes, used=interleaved, trace=trace)
+    cellular = config.total_coded  # the whole plan, one slot each
     # cooperation stops short of full decoding only at its budget
-    return _metrics(cloud, config, sim, records, codec.decoding_ratio(),
-                    cloud.size > 1 and not codec.all_decoded())
+    return _metrics(cloud, config, sim, trace, cellular=cellular,
+                    cooperative=interleaved + rotated, sent=sent + rotated_sent,
+                    decoding_ratio=codec.decoding_ratio(),
+                    truncated=cloud.size > 1 and not codec.all_decoded())
 
 
 def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
-                             seed=None, channel_rng=None,
-                             nodes=None, bs=None) -> SessionMetrics:
+                             seed=None, channel_rng=None, nodes=None, bs=None,
+                             trace: Optional[list] = None) -> SessionMetrics:
     """Per-user unicast of every source packet, retransmit until delivered.
 
     The comparison denominator: no coding, no cooperation, cellular only.
@@ -373,7 +397,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     arrives, so each delivery is innovative (its pivot column k is new)
     and a member holds the whole generation once the loop passes it. A
     session that returns has therefore decoded everything: decoding
-    ratio 1.0, never truncated.
+    ratio 1.0, never truncated. `trace` is as for `run_session`.
     """
     if channel_rng is None:
         channel_rng = _run_seed(seed).channel()
@@ -381,13 +405,11 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     link = replace(config.cellular, p_loss=config.cellular_loss)
     cap = math.ceil(UNICAST_RETRY_SCALE / (1.0 - config.cellular_loss))
     sim = Simulator()
-    records: list[SlotRecord] = []
     # bound once, outside the ~1 us attempt; `tuple.__new__` skips the
     # NamedTuple constructor's ~0.2 us, and tests/test_ncc.py pins the arity
-    transmit, append, new = sim.transmit, records.append, tuple.__new__
+    transmit, new = sim.transmit, tuple.__new__
     bs_id = bs_node.id
-    delivered, erased = (True,), (False,)
-    slot = 0
+    erased = 0  # the session's erasures; every other slot is a delivery
 
     for member in cloud.members:
         receivers = [nodes[member]]
@@ -398,24 +420,24 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 erasures = 0
                 while True:
                     status = transmit(link, bs_node, receivers, channel_rng)[0].status
+                    if trace is not None and status is not _OUT_OF_RANGE:
+                        ok = (status is _DELIVERED,)
+                        trace.append(new(SlotRecord, (len(trace), "cellular", bs_id,
+                                                      gen_id, to, ok, ok, False)))
                     if status is _DELIVERED:
-                        ok = delivered
-                    elif status is _OUT_OF_RANGE:
+                        break
+                    if status is _OUT_OF_RANGE:
                         raise ProtocolError(
                             f"member {member} is out of cellular range of "
                             f"base station {bs_id}")
-                    else:
-                        erasures += 1
-                        if erasures == cap:
-                            raise ProtocolError(
-                                f"member {member}: packet {k} of generation "
-                                f"{gen_id} erased {cap} times in a row at "
-                                f"cellular loss {config.cellular_loss}")
-                        ok = erased
-                    append(new(SlotRecord, (slot, "cellular", bs_id, gen_id,
-                                            to, ok, ok, False)))
-                    slot += 1
-                    if ok is delivered:
-                        break
+                    erased += 1
+                    erasures += 1
+                    if erasures == cap:
+                        raise ProtocolError(
+                            f"member {member}: packet {k} of generation "
+                            f"{gen_id} erased {cap} times in a row at "
+                            f"cellular loss {config.cellular_loss}")
 
-    return _metrics(cloud, config, sim, records, 1.0, False)
+    cellular = cloud.size * config.source_packet_total + erased
+    return _metrics(cloud, config, sim, trace, cellular=cellular, cooperative=0,
+                    sent=0, decoding_ratio=1.0, truncated=False)

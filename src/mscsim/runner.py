@@ -5,7 +5,8 @@ head, bootstrap the distributed key authority, stream content through
 offloading sessions, then drive the mobility trace with both handover
 procedures side by side. Results go out as line-delimited JSON records;
 every record carries the seed, the scenario hash, and the full config
-echo, so any single line suffices to reproduce its run.
+echo, so any single line suffices to reproduce its run. On request, a
+second file holds the slot trace: one line per slot of every session.
 
 Output files are written to a temporary name and renamed into place, so
 a crash never leaves a partially written file behind.
@@ -197,7 +198,11 @@ def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
     }
 
 
-def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit) -> dict:
+def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
+                   traces: Optional[list] = None) -> dict:
+    """The offloading sessions, one `session` record each. With `traces`,
+    each session is asked for its slot trace, and `(index, records)` is
+    appended to it once the session returns."""
     cellular, short = _links(scenario)
     cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head,
                              short_range=short)
@@ -218,13 +223,17 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit) -> dict:
                                cellular_loss=scenario.cellular_loss,
                                short_range_loss=scenario.shortrange_loss,
                                cellular=cellular)
+        trace = None if traces is None else []
         if scenario.protocol == "unicast":
             metrics = baseline_unicast_session(cloud, config,
                                                channel_rng=channel_rng,
-                                               bs=gateway)
+                                               bs=gateway, trace=trace)
         else:
             metrics = run_session(cloud, config, channel_rng=channel_rng,
-                                  coding_rng=coding_rng, bs=gateway)
+                                  coding_rng=coding_rng, bs=gateway,
+                                  trace=trace)
+        if traces is not None:
+            traces.append((index, metrics.records))
         utilizations.append(metrics.cellular_utilization)
         ratios.append(metrics.decoding_ratio)
         total_energy += metrics.total_energy
@@ -328,18 +337,26 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations, msc,
 
 
 def run(scenario: Scenario, out_path: Optional[str] = None, *,
-        crypto_stream: Optional[int] = None) -> RunResult:
+        crypto_stream: Optional[int] = None,
+        trace_path: Optional[str] = None) -> RunResult:
     """Execute one scenario; nonzero exit code means the run aborted and
-    the last record is a structured error."""
+    the last record is a structured error.
+
+    With `trace_path`, the slot trace of every session that finished is
+    written there, one line per slot: the run's ids, the session index
+    and the `SlotRecord` fields. The records and `out_path` are the same
+    with or without it.
+    """
     digest = scenario_hash(scenario)
-    base = {
+    ids = {
         "schema": SCHEMA_VERSION,
         "run_id": f"{digest[:12]}-s{scenario.seed}",
         "scenario_hash": digest,
         "seed": scenario.seed,
-        "config": scenario_to_dict(scenario),
     }
+    base = {**ids, "config": scenario_to_dict(scenario)}
     records: list[dict] = []
+    traces: list[tuple[int, tuple]] = []
 
     def emit(record_type: str, **payload):
         records.append({**base, "type": record_type, **payload})
@@ -362,7 +379,8 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
         km = _km_phase(scenario, crypto_rng, devices)
         emit("km-summary", **km)
 
-        sessions = _session_phase(scenario, rs, msc, emit)
+        sessions = _session_phase(scenario, rs, msc, emit,
+                                  None if trace_path is None else traces)
 
         handover = _handover_phase(scenario, mobility_rng, nodes, stations,
                                    msc, pathloss)
@@ -379,6 +397,10 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
 
     if out_path is not None:
         write_records(records, out_path)
+    if trace_path is not None:
+        # one dict at a time: the trace is held as slot tuples, not lines
+        write_records(({**ids, "session": index, **r._asdict()}
+                       for index, trace in traces for r in trace), trace_path)
     return RunResult(records, exit_code, out_path)
 
 

@@ -100,6 +100,43 @@ class TestRunVerb:
         assert "cannot read" in capsys.readouterr().err
 
 
+class TestTraceFlag:
+    @pytest.mark.parametrize("preset", ["ambulance", "baseline-unicast"])
+    def test_trace_counts_give_back_the_session_records(self, workdir, preset):
+        cfg = write(workdir, "p.cfg", f"[scenario]\npreset = {preset}\n")
+        assert main(["run", cfg, "--seed", "3", "--out", "plain.jsonl"]) == EXIT_OK
+        assert main(["run", cfg, "--seed", "3", "--out", "main.jsonl",
+                     "--trace", "slots.jsonl"]) == EXIT_OK
+        main_bytes = (workdir / "main.jsonl").read_bytes()
+        assert main_bytes == (workdir / "plain.jsonl").read_bytes()
+
+        sessions = [r for r in map(json.loads, main_bytes.decode().splitlines())
+                    if r["type"] == "session"]
+        slots = [json.loads(l)
+                 for l in (workdir / "slots.jsonl").read_text().splitlines()]
+        assert len(slots) == sum(s["completion_slots"] for s in sessions)
+        assert {s["run_id"] for s in slots} == {sessions[0]["run_id"]}
+        keys = ("cellular_tx", "short_range_tx", "completion_slots")
+        counted = {s["index"]: dict.fromkeys(keys, 0) for s in sessions}
+        for slot in slots:
+            counts = counted[slot["session"]]
+            counts["completion_slots"] += 1
+            if slot["phase"] == "cellular":
+                counts["cellular_tx"] += 1
+            elif not slot["skipped"]:
+                counts["short_range_tx"] += 1
+        assert counted == {s["index"]: {key: s[key] for key in keys}
+                           for s in sessions}
+
+    def test_trace_path_follows_the_output_directory(self, workdir,
+                                                     monkeypatch):
+        box = workdir / "box"
+        monkeypatch.setenv("MSCSIM_OUT_DIR", str(box))
+        cfg = write(workdir, "s.cfg", SMALL)
+        assert main(["run", cfg, "--trace", "t.jsonl"]) == EXIT_OK
+        assert (box / "s-metrics.jsonl").exists() and (box / "t.jsonl").exists()
+
+
 class TestSweepVerb:
     def test_grid_axis_runs_every_point(self, workdir):
         cfg = write(workdir, "s.cfg", SMALL)

@@ -229,7 +229,7 @@ class TestCanonicalForm:
         s = default_scenario(3, ue_count=2, redundancy=1.5)
         assert parse_config(serialize_scenario(s)) == s
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(st.data())
     def test_any_valid_scenario_round_trips(self, data):
         values = {key.field: data.draw(key_values(key), label=key.field)

@@ -24,10 +24,6 @@ from mscsim.engine import (
     Stream,
 )
 
-# derandomized so the suite stays reproducible run to run
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None)
-
 
 @dataclass
 class FakeNode:
@@ -193,7 +189,7 @@ _WORD_DRAWS = st.one_of(
 )
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        draws=st.lists(_WORD_DRAWS, min_size=1, max_size=30))
 def test_word_draws_equal_the_generator(seed, draws):
@@ -241,7 +237,7 @@ def _half_draw(rng, kind, arg):
     return rng.choice(pop, size=size, replace=False)
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        draws=st.lists(_HALF_DRAWS, min_size=1, max_size=30))
 def test_half_draws_equal_the_generator(seed, draws):

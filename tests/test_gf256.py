@@ -17,10 +17,6 @@ from mscsim import gf256
 from mscsim.gf256 import gf_inv, gf_mul, mul_rows, vec_scale
 from reference import matmul
 
-# derandomized so the suite stays reproducible run to run
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
-
 
 def peasant_mul(a: int, b: int, poly: int = 0x11D) -> int:
     """Bitwise shift-and-reduce multiplication oracle."""
@@ -154,7 +150,7 @@ def factors_and_rows(draw):
     return draw(hnp.arrays(np.uint8, r)), draw(hnp.arrays(np.uint8, (r, n)))
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(factors_and_rows())
 def test_mul_rows_matches_two_array_table_index(case):
     factors, rows = case
@@ -185,7 +181,7 @@ def factors_and_row(draw):
     return factors, draw(hnp.arrays(np.uint8, 3 * n))[1::3]
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(factors_and_row())
 def test_mul_rows_one_row_matches_two_array_table_index(case):
     # one row scaled by every factor, the outer-product form

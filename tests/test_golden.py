@@ -136,6 +136,8 @@ def records_digest(text: str, seed: int, tmp_path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+# no run builds a slot object: the digests hold with `SlotRecord` unbuildable
+@pytest.mark.usefixtures("no_slot_records")
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_records_digest_is_pinned(name, seed, tmp_path):

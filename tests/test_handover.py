@@ -80,7 +80,7 @@ _REF_SHARES = (st.sampled_from([0.0, 0.25, 1.0 - 2 ** -40, 1.0, 1.0 + 2 ** -40,
                | st.floats(0.0, 200.0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(data=st.data(),
        pathloss=st.builds(PathLoss, pl0_db=st.floats(0.0, 90.0),
                           exponent=st.floats(1.0, 6.0),
@@ -371,7 +371,7 @@ def test_stepper_matches_reference_in_a_strip():
     assert sum(draws) > 10
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data(),
        arena=st.tuples(st.floats(0.5, 2000.0), st.floats(0.5, 2000.0)),
        dt=st.floats(0.01, 10.0),
@@ -498,7 +498,7 @@ def test_reference_reaches_radio_link_failures():
     assert reference_handover_summary(scenario)["link_failures"] > 0
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(reports=st.lists(st.tuples(st.integers(1, 6),
                                   st.sampled_from([-80.0, -75.5, -72.0, -70.0])
                                   | st.floats(-120.0, -40.0)),

@@ -485,10 +485,6 @@ def test_importing_the_runner_builds_no_2048_bit_table():
     assert proc.stdout.split() == ["True"]
 
 
-# derandomized so the suite stays reproducible run to run
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None)
-
 GROUPS = {"toy": lambda: TOY_GROUP, "demo": lambda: DEMO_GROUP,
           "2048": group_2048}
 
@@ -502,7 +498,7 @@ def test_fixed_base_exp_at_the_edges_of_the_exponent_range(name):
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
-@PROPERTY
+@settings(max_examples=100)
 @given(data=st.data())
 def test_fixed_base_exp_equals_pow(name, data):
     group = GROUPS[name]()
@@ -533,7 +529,7 @@ def test_key_table_power_at_the_edges_and_column_boundaries(name):
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
-@PROPERTY
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_key_table_power_equals_pow(name, seed, data):
     group = GROUPS[name]()
@@ -543,7 +539,7 @@ def test_key_table_power_equals_pow(name, seed, data):
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
-@settings(PROPERTY, max_examples=25)   # ~50 ms an example in the 2048-bit group
+@settings(max_examples=25)   # ~50 ms an example in the 2048-bit group
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_verify_gives_the_same_answer_for_a_key_and_its_table(name, seed):
     group = GROUPS[name]()
@@ -566,7 +562,7 @@ def test_verify_gives_the_same_answer_for_a_key_and_its_table(name, seed):
     assert verify(group, tables[public], b"body", sig)
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 32 - 1), p_bits=st.integers(24, 80),
        data=st.data())
 def test_group_text_round_trip_keeps_equality_and_hash(seed, p_bits, data):
@@ -615,7 +611,7 @@ def _as_lists(item):
     return item
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(values=st.lists(st.lists(_PACKABLE, max_size=3), min_size=2,
                        max_size=12))
 def test_pack_is_injective(values):
@@ -632,7 +628,7 @@ def test_pack_separates_every_short_tuple_of_look_alike_leaves():
     assert len({pack(*c) for c in combos}) == len(combos)
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(items=st.lists(_PACKABLE, max_size=4))
 def test_pack_treats_lists_and_tuples_alike(items):
     assert pack(*items) == pack(*map(_as_lists, items))

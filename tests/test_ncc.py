@@ -38,10 +38,6 @@ from mscsim.ncc import (
 )
 from mscsim.rlnc import CodedPacket, DecoderState, Generation, encode
 
-# derandomized so the suite stays reproducible run to run
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None)
-
 
 def _content(g=4, payload=8, gen_seed=99, count=1):
     rng = np.random.default_rng(gen_seed)
@@ -85,8 +81,8 @@ class TestCooperativeCloud:
 
     def test_list_built_cloud_gives_the_same_records(self):
         cfg = SessionConfig(content=_content(g=4), short_range_loss=0.2)
-        from_list = run_session(CooperativeCloud([1, 2], 1), cfg, seed=0)
-        from_tuple = run_session(CooperativeCloud((1, 2), 1), cfg, seed=0)
+        from_list = run_session(CooperativeCloud([1, 2], 1), cfg, seed=0, trace=[])
+        from_tuple = run_session(CooperativeCloud((1, 2), 1), cfg, seed=0, trace=[])
         assert from_list.records == from_tuple.records
         assert all(type(r.receivers) is tuple for r in from_list.records)
 
@@ -131,8 +127,8 @@ class TestCellularPhase:
         codec = SessionCodec(cloud, cfg.content)
         seed = RunSeed(0)
         records = []
-        cellular_phase(cloud, cfg, codec, Simulator(), records,
-                       channel_rng=seed.channel(), coding_rng=seed.coding())
+        cellular_phase(cloud, cfg, codec, Simulator(), channel_rng=seed.channel(),
+                       coding_rng=seed.coding(), trace=records)
         assert len(records) == 4  # the whole plan: nothing cuts it short
         assert [r.receivers[0] for r in records] == [10, 11, 12, 13]
         for m in cloud.members:
@@ -144,8 +140,8 @@ class TestCellularPhase:
         codec = SessionCodec(cloud, cfg.content)
         seed = RunSeed(3)
         records = []
-        cellular_phase(cloud, cfg, codec, Simulator(), records,
-                       channel_rng=seed.channel(), coding_rng=seed.coding())
+        cellular_phase(cloud, cfg, codec, Simulator(), channel_rng=seed.channel(),
+                       coding_rng=seed.coding(), trace=records)
         assert len(records) == 8  # exactly ceil(r*g), regardless of erasures
         lost = [r for r in records if not r.delivered[0]]
         assert lost, "seed produced no erasures at 40% loss"
@@ -159,9 +155,10 @@ class TestCooperativePhase:
         cfg = SessionConfig(content=_content(g=4))
         codec = SessionCodec(cloud, cfg.content)
         records = []
-        cooperative_phase(cloud, cfg, codec, Simulator(), records,
-                          channel_rng=RunSeed(0).channel(),
-                          coding_rng=RunSeed(0).coding())
+        assert cooperative_phase(cloud, cfg, codec, Simulator(),
+                                 channel_rng=RunSeed(0).channel(),
+                                 coding_rng=RunSeed(0).coding(),
+                                 trace=records) == (0, 0)
         assert records == []
 
     def test_two_members_two_slots(self):
@@ -171,7 +168,7 @@ class TestCooperativePhase:
         gens = _content(g=2, gen_seed=7)
         cloud = CooperativeCloud([3, 9], head_id=3)
         cfg = SessionConfig(content=gens)
-        m = run_session(cloud, cfg, seed=0)
+        m = run_session(cloud, cfg, seed=0, trace=[])
         coop = [r for r in m.records if r.phase == "cooperative"]
         assert len(coop) == 2
         assert coop[0].sender == 3 and coop[0].receivers == (9,)
@@ -187,9 +184,10 @@ class TestCooperativePhase:
         # only member 2 holds anything
         codec.ingest(2, CodedPacket(0, np.array([1], np.uint8), gens[0].payload[0]))
         records = []
-        cooperative_phase(cloud, cfg, codec, Simulator(), records,
-                          channel_rng=RunSeed(0).channel(),
-                          coding_rng=RunSeed(0).coding())
+        assert cooperative_phase(cloud, cfg, codec, Simulator(),
+                                 channel_rng=RunSeed(0).channel(),
+                                 coding_rng=RunSeed(0).coding(),
+                                 trace=records) == (2, 1)
         assert records[0].skipped
         assert records[0].sender == 1
         assert records[0].generation_id == -1
@@ -203,7 +201,7 @@ class TestCooperativePhase:
         cloud = CooperativeCloud([1, 2], head_id=1)
         cfg = SessionConfig(content=gens, short_range_loss=0.9,
                             phase_mode=phase_mode)
-        m = run_session(cloud, cfg, seed=0)
+        m = run_session(cloud, cfg, seed=0, trace=[])
         assert m.truncated
         assert m.decoding_ratio == 0.0
         coop_slots = sum(1 for r in m.records if r.phase == "cooperative")
@@ -256,13 +254,12 @@ class TestRunSession:
         seed = RunSeed(4)
         sim = Simulator()
         codec = SessionCodec(cloud, gens)
-        records = []
-        cellular_phase(cloud, cfg, codec, sim, records,
-                       channel_rng=seed.channel(), coding_rng=seed.coding())
+        cellular_phase(cloud, cfg, codec, sim, channel_rng=seed.channel(),
+                       coding_rng=seed.coding())
         coding_rng = seed.coding()  # fresh stream replays the plan draws
         plan = _cellular_plan(cfg, coding_rng)
-        cooperative_phase(cloud, cfg, codec, sim, records,
-                          channel_rng=seed.channel(), coding_rng=coding_rng)
+        cooperative_phase(cloud, cfg, codec, sim, channel_rng=seed.channel(),
+                          coding_rng=coding_rng)
         for gen in gens:
             bs_vectors = [coeffs for (pg, _, coeffs) in plan if pg.id == gen.id]
             base = _coeff_rank(bs_vectors, gen.size)
@@ -273,7 +270,7 @@ class TestRunSession:
     def test_sequential_before_cooperative(self):
         cloud = CooperativeCloud([1, 2, 3, 4], head_id=1)
         cfg = SessionConfig(content=_content(g=4))
-        m = run_session(cloud, cfg, seed=0)
+        m = run_session(cloud, cfg, seed=0, trace=[])
         phases = [r.phase for r in m.records]
         first_coop = phases.index("cooperative")
         assert all(p == "cellular" for p in phases[:first_coop])
@@ -283,7 +280,7 @@ class TestRunSession:
         cloud = CooperativeCloud([0, 1, 2, 3], head_id=0)
         cfg = SessionConfig(content=_content(g=8, gen_seed=1), redundancy=1.25,
                             phase_mode="parallel")
-        m = run_session(cloud, cfg, seed=0)
+        m = run_session(cloud, cfg, seed=0, trace=[])
         assert m.decoding_ratio == 1.0
         assert not m.truncated
         assert m.records[0].phase == "cellular"
@@ -300,9 +297,9 @@ class TestRunSession:
         cloud = CooperativeCloud([1, 2, 3], head_id=1)
         cfg = SessionConfig(content=_content(g=8), redundancy=1.25,
                             cellular_loss=0.1, short_range_loss=0.1)
-        a = run_session(cloud, cfg, seed=42)
-        b = run_session(cloud, cfg, seed=42)
-        c = run_session(cloud, cfg, seed=43)
+        a = run_session(cloud, cfg, seed=42, trace=[])
+        b = run_session(cloud, cfg, seed=42, trace=[])
+        c = run_session(cloud, cfg, seed=43, trace=[])
         assert a == b
         assert a.records == b.records
         assert a.records != c.records
@@ -339,7 +336,7 @@ class TestBaselineUnicast:
         cloud = CooperativeCloud(range(1, members + 1), head_id=1)
         cfg = SessionConfig(content=_content(g=g, payload=5, count=2),
                             cellular_loss=cellular_loss)
-        got = baseline_unicast_session(cloud, cfg, seed=seed)
+        got = baseline_unicast_session(cloud, cfg, seed=seed, trace=[])
         want = decoder_unicast_session(cloud, cfg, seed)
         assert got == want
         assert got.records == want.records
@@ -398,7 +395,7 @@ class TestBaselineUnicast:
         channel = ScriptedChannel(lambda i: 0.0 if i % 128 < 127 else 0.99)
         cloud = CooperativeCloud([1, 2], head_id=1)
         cfg = SessionConfig(content=_content(g=3), cellular_loss=0.5)
-        m = baseline_unicast_session(cloud, cfg, channel_rng=channel)
+        m = baseline_unicast_session(cloud, cfg, channel_rng=channel, trace=[])
         assert m.cellular_tx_count == channel.draws == 6 * 128
         assert sum(r.delivered == (True,) for r in m.records) == 6
 
@@ -461,7 +458,7 @@ def decoder_unicast_session(cloud, config, seed):
     )
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(st.data())
 def test_codec_counters_match_the_decoders(data):
     members = data.draw(st.integers(1, 5))
@@ -496,7 +493,7 @@ def test_codec_counters_match_the_decoders(data):
         check()
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(st.data())
 def test_slot_schedule_in_both_phase_modes(data):
     """The schedule rules, checked on the records alone: the plan's
@@ -516,7 +513,7 @@ def test_slot_schedule_in_both_phase_modes(data):
         cellular_loss=data.draw(st.sampled_from([0.0, 0.3])),
         short_range_loss=data.draw(st.sampled_from([0.0, 0.3, 0.9])))
     m = run_session(CooperativeCloud(members, head_id=members[0]), cfg,
-                    seed=data.draw(st.integers(0, 2 ** 16)))
+                    seed=data.draw(st.integers(0, 2 ** 16)), trace=[])
     records = m.records
 
     # cellular slot k of a generation goes to members[k % size], in plan order
@@ -555,7 +552,7 @@ def test_slot_schedule_in_both_phase_modes(data):
     assert m.truncated == (size > 1 and not decoded[-1])
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(st.data())
 def test_exact_per_session_identities(data):
     """Counts that hold for every session, whatever the draws: unicast
@@ -571,7 +568,7 @@ def test_exact_per_session_identities(data):
     seed = data.draw(st.integers(0, 2 ** 16))
 
     cfg = SessionConfig(content=content, cellular_loss=loss)
-    m = baseline_unicast_session(cloud, cfg, seed=seed)
+    m = baseline_unicast_session(cloud, cfg, seed=seed, trace=[])
     erasures = sum(r.delivered == (False,) for r in m.records)
     assert m.cellular_tx_count == n * sum(sizes) + erasures
     assert m.completion_time == m.cellular_tx_count == len(m.records)
@@ -586,6 +583,45 @@ def test_exact_per_session_identities(data):
                             phase_mode=mode, cellular_loss=loss)
         m = run_session(cloud, cfg, seed=seed)
         assert m.cellular_tx_count == planned
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_counts_match_the_trace(data):
+    """A session keeps its slot counts without a trace. Asked for one,
+    it returns the same metrics, energy bit for bit, and the trace
+    accounts for every count: slots 0..N-1, the cellular ones, the
+    cooperative ones not skipped, and a cooperative budget that the
+    interleaved slots count against and a truncated session used up."""
+    n = data.draw(st.integers(1, 6))
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    content = [Generation.random(i, g, 2, rng) for i, g in enumerate(sizes)]
+    cloud = CooperativeCloud(range(n), head_id=0)
+    losses = st.sampled_from([0.0, 0.1, 0.5, 0.9])
+    mode = data.draw(st.sampled_from(["sequential", "parallel", "unicast"]))
+    cfg = SessionConfig(content=content,
+                        redundancy=data.draw(st.sampled_from([1.0, 1.05, 1.25, 2.0])),
+                        phase_mode="sequential" if mode == "unicast" else mode,
+                        cellular_loss=data.draw(losses),
+                        short_range_loss=data.draw(losses))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    session = baseline_unicast_session if mode == "unicast" else run_session
+
+    plain = session(cloud, cfg, seed=seed)
+    trace = []
+    traced = session(cloud, cfg, seed=seed, trace=trace)
+    assert plain.records == () and traced.records == tuple(trace)
+    assert traced == plain
+    assert struct.pack("<d", traced.total_energy) == struct.pack("<d", plain.total_energy)
+
+    assert [r.slot for r in trace] == list(range(plain.completion_time))
+    coop = [r for r in trace if r.phase == "cooperative"]
+    assert plain.cellular_tx_count == sum(r.phase == "cellular" for r in trace)
+    assert plain.short_range_tx_count == sum(not r.skipped for r in coop)
+    assert len(coop) <= cfg.cooperative_budget
+    if plain.truncated:
+        assert len(coop) == cfg.cooperative_budget
 
 
 def test_records_and_deliveries_have_their_types_arity(monkeypatch):
@@ -608,7 +644,7 @@ def test_records_and_deliveries_have_their_types_arity(monkeypatch):
                             phase_mode="sequential" if mode == "unicast" else mode,
                             cellular_loss=0.3, short_range_loss=0.3)
         session = baseline_unicast_session if mode == "unicast" else run_session
-        records += session(cloud, cfg, seed=2).records
+        records += session(cloud, cfg, seed=2, trace=[]).records
     assert {r.phase for r in records} == {"cellular", "cooperative"}
     assert {d.status for d in deliveries} == {DeliveryStatus.DELIVERED,
                                               DeliveryStatus.ERASED}
@@ -648,7 +684,7 @@ class TestEnergyReplay:
                             phase_mode=mode, cellular_loss=0.2,
                             short_range_loss=0.3)
         session = baseline_unicast_session if case == "unicast" else run_session
-        m = session(cloud, cfg, seed=6)
+        m = session(cloud, cfg, seed=6, trace=[])
         delivered = [got for r in m.records for got in r.delivered]
         assert any(delivered) and not all(delivered)  # erasures on the trace
         assert m.total_energy == replay_energy(m, cfg.cellular, cloud.short_range)

@@ -270,17 +270,13 @@ def test_rank_matches_brute_oracle():
         assert dec.rank == brute_rank(np.stack([p.coeffs for p in pkts]))
 
 
-# derandomized so the suite stays reproducible run to run
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
-                    database=None)
-
 
 def draw_generation(draw, g):
     data = draw(hnp.arrays(np.uint8, (g, draw(st.integers(1, 6)))))
     return Generation(3, data)
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(st.data())
 def test_decoder_rank_matches_reference_elimination(data):
     g = data.draw(st.integers(1, 8))
@@ -294,7 +290,7 @@ def test_decoder_rank_matches_reference_elimination(data):
     assert dec.rank == innovative == brute_rank(coeffs)
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(st.data())
 def test_any_full_rank_set_decodes_to_the_source(data):
     g = data.draw(st.integers(1, 8))
@@ -429,7 +425,7 @@ def packet_stream(draw):
     return gen, packets
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(packet_stream(), st.integers(0, 2**32 - 1))
 def test_decoder_matches_sorted_rref_reference(stream, seed):
     gen, packets = stream

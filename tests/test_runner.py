@@ -11,6 +11,7 @@ import pytest
 
 from mscsim import runner
 from mscsim.config import ConfigError, default_scenario, parse_config
+from mscsim.ncc import SlotRecord
 from mscsim.runner import RunResult, derive_subseed, expand_grid, run, sweep
 
 BASE_FIELDS = {"schema", "run_id", "scenario_hash", "seed", "config", "type"}
@@ -263,6 +264,51 @@ class TestSweep:
         with pytest.raises(ConfigError, match="out of range"):
             sweep(small_scenario(), {"links.cellular_loss": ["0.5", "1.0"]})
         assert calls == []
+
+
+SMALL_PRESET = """\
+[scenario]
+preset = {preset}
+seed = 2
+sessions = 2
+[ncc]
+generation_size = 8
+phase_mode = {mode}
+[links]
+cellular_loss = 0.2
+shortrange_loss = 0.2
+"""
+
+
+class TestSlotTrace:
+    @pytest.mark.parametrize("preset, mode", [("ambulance", "sequential"),
+                                              ("ambulance", "parallel"),
+                                              ("baseline-unicast", "sequential")])
+    def test_no_run_builds_a_slot_object(self, no_slot_records, tmp_path,
+                                         preset, mode):
+        scenario = parse_config(SMALL_PRESET.format(preset=preset, mode=mode))
+        result = run(scenario)
+        assert result.exit_code == 0, result.records[-1]
+        assert [r["type"] for r in result.records].count("session") == 2
+        # the stand-in does bite: asked for a trace, the run fails
+        traced = run(scenario, trace_path=str(tmp_path / "trace.jsonl"))
+        assert traced.exit_code == 1
+        assert traced.records[-1]["error"] in ("AssertionError", "TypeError")
+
+    def test_trace_lines_carry_the_run_ids_and_the_slot_fields(self, tmp_path):
+        scenario = small_scenario(shortrange_loss=0.3)
+        out, trace, plain = (tmp_path / n for n in ("r.jsonl", "t.jsonl",
+                                                    "plain.jsonl"))
+        result = run(scenario, out_path=str(out), trace_path=str(trace))
+        run(scenario, out_path=str(plain))
+        assert out.read_bytes() == plain.read_bytes()
+        ids = {k: result.records[0][k]
+               for k in ("schema", "run_id", "scenario_hash", "seed")}
+        lines = [json.loads(l) for l in trace.read_text().splitlines()]
+        assert lines
+        for line in lines:
+            assert set(line) == {*ids, "session", *SlotRecord._fields}
+            assert {k: line[k] for k in ids} == ids
 
 
 class TestPresetRuns:
