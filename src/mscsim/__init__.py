@@ -4,7 +4,7 @@ Subpackages and modules:
 
 * ``gf256``   - GF(2^8) arithmetic (log/antilog tables, vector helpers)
 * ``rlnc``    - random linear network coding: encoder, recoder, decoder
-* ``engine``  - slot clock, seeded streams, link models, energy accounting
+* ``engine``  - seeded streams, link models, transmission and energy accounting
 * ``topology``- nodes, mobility, small-cell formation and head election
 * ``handover``- uplink-reference-signal vs. baseline handover accounting
 * ``ncc``     - two-phase network-coded cooperation protocol

@@ -3,7 +3,9 @@
 Everything a run observes flows through here so that a run is
 reproducible from (seed, config) alone: random streams are derived per
 subsystem from one 64-bit seed, and every transmission is charged to its
-link's energy total. Time is counted in slots: the per-slot trace is the
+link's energy total. A `LinkModel` holds a link's rate, energy and
+reach; its erasure probability is the session's, passed to each
+`Simulator.transmit`. Time is counted in slots: the per-slot trace is the
 session layer's (`ncc.SlotRecord`), and no record reads a slot's
 duration.
 
@@ -56,17 +58,14 @@ class DeliveryStatus(Enum):
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Rate, loss, energy and reach of one link technology."""
+    """Rate, energy and reach of one link technology."""
 
     kind: LinkKind
     rate: float            # packets per slot
-    p_loss: float          # independent per-receiver erasure probability
     tx_energy: float       # per transmitted packet, charged once per broadcast
     range_m: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_loss < 1.0:
-            raise ValueError(f"p_loss must be in [0, 1), got {self.p_loss}")
         # written so that NaN fails every comparison and is rejected
         if not (self.rate > 0 and self.tx_energy >= 0 and self.range_m > 0):
             raise ValueError("rate and range must be positive, energy nonnegative")
@@ -83,8 +82,8 @@ RX_ENERGY_FRACTION = 0.1
 # Default link constants. Only the orderings are load-bearing (short
 # range is faster and cheaper than cellular); the values are recorded in
 # every output header and overridable from config.
-DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, rate=1.0, p_loss=0.0, tx_energy=1.0, range_m=1000.0)
-DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, rate=4.0, p_loss=0.0, tx_energy=0.2, range_m=50.0)
+DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, rate=1.0, tx_energy=1.0, range_m=1000.0)
+DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, rate=4.0, tx_energy=0.2, range_m=50.0)
 
 
 # The stream id of each subsystem's stream.
@@ -251,19 +250,20 @@ class Simulator:
         self._cellular_energy = 0.0
         self._short_range_energy = 0.0
 
-    def transmit(self, link: LinkModel, sender, receivers: Iterable, rng) -> list[Delivery]:
+    def transmit(self, link: LinkModel, p_loss: float, sender,
+                 receivers: Iterable, rng) -> list[Delivery]:
         """Broadcast one packet; returns per-receiver outcomes.
 
         The sender is charged one packet energy regardless of outcomes;
         each delivered receiver is charged the receive fraction.
         Receivers beyond the link range are undeliverable, which is
-        distinct from a channel erasure.
+        distinct from a channel erasure, drawn independently per
+        receiver in range with probability `p_loss` (none at 0).
         """
         cellular = link.kind is _CELLULAR
         energy = self._cellular_energy if cellular else self._short_range_energy
         energy += link.tx_energy
         rx_energy = link.tx_energy * RX_ENERGY_FRACTION
-        p_loss = link.p_loss
         sx, sy = sender.position
         deliveries = []
         for recv in receivers:

@@ -18,6 +18,10 @@ only in who signals, never in where the device ends up. An empty
 snapshot is a radio link failure for either procedure. An event holds
 only its stations and message counts; no record reads when a decision
 was made.
+
+The caller passes the hysteresis margin (the scenario's
+`handover.hysteresis_db`) to each procedure. The path-loss law and the
+per-message energies are module constants that no scenario key sets.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .topology import Node, PathLoss
+from .topology import PL0_DB, REF_DISTANCE, SLOPE_DB, Node
 
 
 class RadioLinkFailure(Exception):
@@ -56,23 +60,24 @@ class HandoverEvent:
         return self.target_bs != self.serving_bs
 
 
-DEFAULT_HYSTERESIS_DB = 3.0
+# Device-side energy of one signaling message sent or received.
+HO_TX_ENERGY = 1.0
+HO_RX_ENERGY = 0.1
 
 
-def measure(mch: Node, stations: Sequence[Node], pathloss: PathLoss,
+def measure(mch: Node, stations: Sequence[Node],
             max_range: float) -> list[MeasurementReport]:
     """The radio snapshot of one epoch: a report for every station within
     `max_range` of the cell head, in ascending station id.
 
     Stations given in id order, as the runner gives them, cost no
     reordering; the final sort only compares ids, which are unique.
-    Powers are `pathloss.received_power_dbm` inlined, operation for operation.
+    Powers are `topology.received_power_dbm` inlined, operation for
+    operation.
     """
     x, y = mch.position
     tx_power = mch.tx_power_dbm
-    pl0 = pathloss.pl0_db
-    slope = 10.0 * pathloss.exponent
-    d0 = pathloss.ref_distance
+    pl0, slope, d0 = PL0_DB, SLOPE_DB, REF_DISTANCE
     hypot = math.hypot
     log10 = math.log10
     reports = []
@@ -105,7 +110,7 @@ def _decide(reports: Sequence[MeasurementReport], serving_id: int,
 
 def ul_rs_handover(mch: Node, serving_bs: Node,
                    reports: Sequence[MeasurementReport],
-                   hysteresis_db: float = DEFAULT_HYSTERESIS_DB) -> HandoverEvent:
+                   hysteresis_db: float) -> HandoverEvent:
     """One decision epoch of the uplink-reference-signal procedure over
     the epoch's snapshot from `measure`.
     """
@@ -124,7 +129,7 @@ def ul_rs_handover(mch: Node, serving_bs: Node,
 
 def baseline_handover(mch: Node, serving_bs: Node,
                       reports: Sequence[MeasurementReport],
-                      hysteresis_db: float = DEFAULT_HYSTERESIS_DB) -> HandoverEvent:
+                      hysteresis_db: float) -> HandoverEvent:
     """Device-measured downlink procedure used as the comparison point,
     over the epoch's snapshot from `measure`.
 
@@ -145,6 +150,6 @@ def baseline_handover(mch: Node, serving_bs: Node,
         1 + (1 if executed else 0))              # network
 
 
-def ho_energy(event: HandoverEvent, e_tx: float = 1.0, e_rx: float = 0.1) -> float:
+def ho_energy(event: HandoverEvent) -> float:
     """Device-side signaling energy of one handover event."""
-    return event.ue_tx_messages * e_tx + event.ue_rx_messages * e_rx
+    return event.ue_tx_messages * HO_TX_ENERGY + event.ue_rx_messages * HO_RX_ENERGY

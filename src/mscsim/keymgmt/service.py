@@ -39,7 +39,6 @@ class Shareholder:
 @dataclass(frozen=True)
 class TranscriptEntry:
     kind: str                        # bootstrap | credential | share-issue
-    time: float
     requester: object
     participants: tuple[int, ...]    # node ids of the serving quorum
     outcome: str                     # "ok" or a failure reason
@@ -80,7 +79,7 @@ class KMService:
             service.roster[node_id] = Shareholder(node_id, share)
         service._next_index = config.n + 1
         service.transcript.append(TranscriptEntry(
-            "bootstrap", 0.0, None, tuple(sorted(node_ids)), "ok",
+            "bootstrap", None, tuple(sorted(node_ids)), "ok",
             {"n": config.n, "t": config.t}))
         return service
 
@@ -95,7 +94,7 @@ class KMService:
     # --- credential issuance ------------------------------------------
 
     def request_credential(self, requester_id, requester_public: int,
-                           warrant: Warrant, now: float = 0.0) -> ProxyCredential:
+                           warrant: Warrant) -> ProxyCredential:
         quorum = self._quorum()
         body = credential_body(requester_id, requester_public, warrant)
         session = SigningSession(self.params, self.master_public, body,
@@ -104,18 +103,17 @@ class KMService:
         cred = ProxyCredential(requester_id, requester_public, warrant, sig)
         if not verify(self.params, self.master_key, body, sig):
             self.transcript.append(TranscriptEntry(
-                "credential", now, requester_id,
+                "credential", requester_id,
                 tuple(h.node_id for h in quorum), "signature-failure"))
             raise CredentialError("quorum produced an invalid signature")
         self.transcript.append(TranscriptEntry(
-            "credential", now, requester_id,
+            "credential", requester_id,
             tuple(h.node_id for h in quorum), "ok"))
         return cred
 
     # --- share issuance -------------------------------------------------
 
-    def issue_share(self, joining_id: int, credential: ProxyCredential,
-                    now: float = 0.0) -> KeyShare:
+    def issue_share(self, joining_id: int, credential: ProxyCredential) -> KeyShare:
         """Blinded quorum evaluation of the sharing polynomial at a fresh
         index; the joining node becomes a shareholder."""
         if joining_id in self.roster:
@@ -149,7 +147,7 @@ class KMService:
         self.roster[joining_id] = Shareholder(joining_id, share)
         self._next_index += 1
         self.transcript.append(TranscriptEntry(
-            "share-issue", now, joining_id, tuple(ids), "ok",
+            "share-issue", joining_id, tuple(ids), "ok",
             {"index": x_new, "blinded_contributions": masked, "blinds": blinds}))
         return share
 

@@ -9,7 +9,7 @@ only place the key lives, which is the whole point of the service.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .groups import GroupParams, rand_below
 
@@ -83,23 +83,17 @@ def lagrange_at(points: Sequence[tuple[int, int]], x0: int, q: int) -> int:
     return acc
 
 
-def setup(config: KMConfig, params: GroupParams, rng,
-          indices: Optional[Sequence[int]] = None) -> tuple[MasterKeyPair, list[KeyShare]]:
-    """Deal n shares of a fresh master key with threshold t.
+def setup(config: KMConfig, params: GroupParams, rng) -> tuple[MasterKeyPair, list[KeyShare]]:
+    """Deal n shares of a fresh master key with threshold t, at indices
+    1..n.
 
     The returned private key is for the caller to discard (or to keep in
     a test as the reconstruction oracle); no module state retains it.
     """
-    if indices is None:
-        indices = list(range(1, config.n + 1))
-    indices = [i % params.q for i in indices]
-    if len(indices) != config.n:
-        raise ShareError(f"need {config.n} indices, got {len(indices)}")
-    if 0 in indices:
-        raise ShareError("index 0 (mod q) would expose the master key")
-    if len(set(indices)) != len(indices):
-        raise ShareError("duplicate share indices")
+    if config.n >= params.q:
+        raise ShareError("index q (0 mod q) would expose the master key")
     secret = params.random_scalar(rng)
     coeffs = share_polynomial(secret, config.t, params.q, rng)
-    shares = [KeyShare(x, poly_eval(coeffs, x, params.q)) for x in indices]
+    shares = [KeyShare(x, poly_eval(coeffs, x, params.q))
+              for x in range(1, config.n + 1)]
     return MasterKeyPair(secret, params.exp(secret)), shares

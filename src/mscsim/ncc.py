@@ -31,7 +31,7 @@ decoded it, so the "all decoded" tests each slot makes cost O(1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -248,7 +248,7 @@ def _pick_generation(codec: SessionCodec, member_id: int) -> Optional[int]:
     return None
 
 
-def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
+def _cooperative_slot(cloud, codec, sim, config, nodes, channel_rng, coding_rng,
                       sender_index, trace) -> bool:
     """One rotation slot; False when the sender had nothing to send."""
     sender = cloud.members[sender_index]
@@ -260,7 +260,8 @@ def _cooperative_slot(cloud, codec, sim, link, nodes, channel_rng, coding_rng,
         return False
     pkt = codec.decoder(sender, gen_id).recode(coding_rng)
     others = cloud.members[:sender_index] + cloud.members[sender_index + 1:]
-    deliveries = sim.transmit(link, nodes[sender], [nodes[m] for m in others],
+    deliveries = sim.transmit(cloud.short_range, config.short_range_loss,
+                              nodes[sender], [nodes[m] for m in others],
                               channel_rng)
     ok = tuple(d.status is _DELIVERED for d in deliveries)
     innovative = tuple(codec.ingest(m, pkt) if got else False
@@ -286,21 +287,20 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
     slot's `SlotRecord` is appended to it, numbered by its position.
     """
     bs_node, nodes = _endpoints(cloud, nodes, bs)
-    link = replace(config.cellular, p_loss=config.cellular_loss)
+    link, loss = config.cellular, config.cellular_loss
     members, size = cloud.members, cloud.size
     interleave = config.phase_mode == "parallel" and size > 1
-    short_range = replace(cloud.short_range, p_loss=config.short_range_loss)
     coop_slots = coop_sent = 0
     for gen, k, coeffs in _cellular_plan(config, coding_rng):
         member = members[k % size]
         pkt = encode(gen, coeffs)
-        ok = sim.transmit(link, bs_node, [nodes[member]], channel_rng)[0].status is _DELIVERED
+        ok = sim.transmit(link, loss, bs_node, [nodes[member]], channel_rng)[0].status is _DELIVERED
         innovative = codec.ingest(member, pkt) if ok else False
         if trace is not None:
             trace.append(SlotRecord(len(trace), "cellular", bs_node.id, gen.id,
                                     (member,), (ok,), (innovative,)))
         if interleave and not codec.all_decoded():
-            coop_sent += _cooperative_slot(cloud, codec, sim, short_range, nodes,
+            coop_sent += _cooperative_slot(cloud, codec, sim, config, nodes,
                                            channel_rng, coding_rng,
                                            coop_slots % size, trace)
             coop_slots += 1
@@ -321,11 +321,10 @@ def cooperative_phase(cloud: CooperativeCloud, config: SessionConfig,
     if cloud.size == 1:
         return 0, 0  # nobody to multicast to
     _, nodes = _endpoints(cloud, nodes, None)
-    link = replace(cloud.short_range, p_loss=config.short_range_loss)
     budget = config.cooperative_budget
     slots = sent = 0
     while used + slots < budget and not codec.all_decoded():
-        sent += _cooperative_slot(cloud, codec, sim, link, nodes,
+        sent += _cooperative_slot(cloud, codec, sim, config, nodes,
                                   channel_rng, coding_rng,
                                   (used + slots) % cloud.size, trace)
         slots += 1
@@ -402,8 +401,8 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     if channel_rng is None:
         channel_rng = _run_seed(seed).channel()
     bs_node, nodes = _endpoints(cloud, nodes, bs)
-    link = replace(config.cellular, p_loss=config.cellular_loss)
-    cap = math.ceil(UNICAST_RETRY_SCALE / (1.0 - config.cellular_loss))
+    link, loss = config.cellular, config.cellular_loss
+    cap = math.ceil(UNICAST_RETRY_SCALE / (1.0 - loss))
     sim = Simulator()
     # bound once, outside the ~1 us attempt; `tuple.__new__` skips the
     # NamedTuple constructor's ~0.2 us, and tests/test_ncc.py pins the arity
@@ -419,7 +418,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
             for k in range(gen.size):
                 erasures = 0
                 while True:
-                    status = transmit(link, bs_node, receivers, channel_rng)[0].status
+                    status = transmit(link, loss, bs_node, receivers, channel_rng)[0].status
                     if trace is not None and status is not _OUT_OF_RANGE:
                         ok = (status is _DELIVERED,)
                         trace.append(new(SlotRecord, (len(trace), "cellular", bs_id,

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (
+    ConfigError,
     Scenario,
     apply_overrides,
     field_value,
@@ -54,10 +55,8 @@ from .ncc import (
 )
 from .rlnc import Generation
 from .topology import (
-    ElectionPolicy,
     Node,
     NodeKind,
-    PathLoss,
     associate_gateway,
     form_msc,
     step_mobility,
@@ -116,10 +115,10 @@ def write_records(records, out_path: str) -> None:
 def _links(scenario: Scenario) -> tuple[LinkModel, LinkModel]:
     # erasure probabilities ride on the session config, not the link
     cellular = LinkModel(LinkKind.CELLULAR, rate=scenario.cellular_rate,
-                         p_loss=0.0, tx_energy=scenario.cellular_energy,
+                         tx_energy=scenario.cellular_energy,
                          range_m=scenario.cellular_range)
     short = LinkModel(LinkKind.SHORT_RANGE, rate=scenario.shortrange_rate,
-                      p_loss=0.0, tx_energy=scenario.shortrange_energy,
+                      tx_energy=scenario.shortrange_energy,
                       range_m=scenario.shortrange_range)
     return cellular, short
 
@@ -157,10 +156,9 @@ def _build_topology(scenario: Scenario, mobility_rng):
         nodes[ue.id] = ue
         devices.append(ue)
 
-    msc = form_msc(devices, ElectionPolicy(), scenario.shortrange_range)
-    pathloss = PathLoss()
-    associate_gateway(msc, stations, pathloss, nodes)
-    return nodes, stations, devices, msc, pathloss
+    msc = form_msc(devices, scenario.shortrange_range)
+    associate_gateway(msc, stations, nodes)
+    return nodes, stations, devices, msc
 
 
 def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
@@ -175,8 +173,7 @@ def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
     for k in range(scenario.km_requesters):
         requester = devices[k % len(devices)].id
         holder = generate_keypair(group, crypto_rng)
-        cred = service.request_credential(requester, holder.public, warrant,
-                                          now=float(k))
+        cred = service.request_credential(requester, holder.public, warrant)
         subject = generate_keypair(group, crypto_rng)
         cert = self_generate_certificate(cred, holder, subject,
                                          issued_at=float(k),
@@ -259,8 +256,8 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
     }
 
 
-def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations, msc,
-                    pathloss) -> dict:
+def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
+                    msc) -> dict:
     """Both procedures over one mobility trace, each deciding on its own.
 
     The counters live in locals and go into the summary once; each
@@ -287,7 +284,7 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations, msc,
     for _ in range(epochs):
         step_mobility(devices, dt, mobility_rng, arena, speed_range)
         # one radio snapshot, read by both procedures
-        reports = measure(mch, stations, pathloss, max_range)
+        reports = measure(mch, stations, max_range)
 
         try:
             event = ul_rs_handover(mch, ul_serving, reports,
@@ -345,8 +342,13 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
     With `trace_path`, the slot trace of every session that finished is
     written there, one line per slot: the run's ids, the session index
     and the `SlotRecord` fields. The records and `out_path` are the same
-    with or without it.
+    with or without it. Both paths naming one file is a ConfigError,
+    raised before the run starts.
     """
+    if (out_path is not None and trace_path is not None
+            and os.path.realpath(out_path) == os.path.realpath(trace_path)):
+        raise ConfigError("the records and the slot trace would both go to "
+                          f"{os.path.realpath(out_path)}")
     digest = scenario_hash(scenario)
     ids = {
         "schema": SCHEMA_VERSION,
@@ -368,8 +370,7 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
         crypto_rng = (rs.crypto() if crypto_stream is None
                       else rs.stream(crypto_stream))
 
-        nodes, stations, devices, msc, pathloss = _build_topology(
-            scenario, mobility_rng)
+        nodes, stations, devices, msc = _build_topology(scenario, mobility_rng)
         emit("topology",
              head=msc.head,
              gateway=msc.gateway_bs,
@@ -383,7 +384,7 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
                                   None if trace_path is None else traces)
 
         handover = _handover_phase(scenario, mobility_rng, nodes, stations,
-                                   msc, pathloss)
+                                   msc)
         emit("handover-summary", **handover)
 
         emit("run-summary", status="ok", **sessions,

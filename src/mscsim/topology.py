@@ -5,6 +5,9 @@ elected cell head; the head carries the gateway association to the best
 fixed base station. Election scores weigh battery, mean link quality to
 the other candidates, and neighbor degree. A run elects its head once,
 when the cell forms, and keeps it for the whole run.
+
+The election weights and the log-distance path-loss law are module
+constants: no scenario key sets them, and every run uses the same ones.
 """
 
 from __future__ import annotations
@@ -58,57 +61,42 @@ class MobileSmallCell:
     gateway_bs: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PathLoss:
-    """Log-distance pathloss: PL(d) = pl0 + 10 * exponent * log10(d / d0)."""
-
-    pl0_db: float = 40.0
-    exponent: float = 3.5
-    ref_distance: float = 1.0
-
-    def loss_db(self, distance: float) -> float:
-        d = max(distance, self.ref_distance)
-        return self.pl0_db + 10.0 * self.exponent * math.log10(d / self.ref_distance)
-
-    def received_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
-        return tx_power_dbm - self.loss_db(distance)
+# Log-distance path loss, PL(d) = PL0_DB + SLOPE_DB * log10(d / REF_DISTANCE)
+# with d held at REF_DISTANCE or above: 40 dB at 1 m, exponent 3.5.
+PL0_DB = 40.0
+SLOPE_DB = 10.0 * 3.5
+REF_DISTANCE = 1.0
 
 
-@dataclass(frozen=True)
-class ElectionPolicy:
+def received_power_dbm(tx_power_dbm: float, distance: float) -> float:
+    d = max(distance, REF_DISTANCE)
+    return tx_power_dbm - (PL0_DB + SLOPE_DB * math.log10(d / REF_DISTANCE))
+
+
+# Head election weights of battery, mean link quality and degree.
+W_BATTERY, W_LINK, W_DEGREE = 0.5, 0.3, 0.2
+
+
+def election_score(candidate: Node, peers: Sequence[Node], radius: float) -> float:
     """Weighted score over battery, mean link quality, and degree."""
-
-    w_battery: float = 0.5
-    w_link: float = 0.3
-    w_degree: float = 0.2
-
-    def __post_init__(self):
-        weights = (self.w_battery, self.w_link, self.w_degree)
-        if any(w < 0 for w in weights):
-            raise TopologyError("election weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise TopologyError("election weights must sum to 1")
-
-    def score(self, candidate: Node, peers: Sequence[Node], radius: float) -> float:
-        others = [p for p in peers if p.id != candidate.id]
-        if not others:
-            return self.w_battery * candidate.battery + self.w_link + self.w_degree
-        dists = [candidate.distance_to(o) for o in others]
-        in_range = [d for d in dists if d <= radius]
-        # link quality decays linearly with distance inside the radius
-        quality = sum(max(0.0, 1.0 - d / radius) for d in dists) / len(others)
-        degree = len(in_range) / len(others)
-        return (self.w_battery * candidate.battery
-                + self.w_link * quality
-                + self.w_degree * degree)
+    others = [p for p in peers if p.id != candidate.id]
+    if not others:
+        return W_BATTERY * candidate.battery + W_LINK + W_DEGREE
+    dists = [candidate.distance_to(o) for o in others]
+    in_range = [d for d in dists if d <= radius]
+    # link quality decays linearly with distance inside the radius
+    quality = sum(max(0.0, 1.0 - d / radius) for d in dists) / len(others)
+    degree = len(in_range) / len(others)
+    return (W_BATTERY * candidate.battery
+            + W_LINK * quality
+            + W_DEGREE * degree)
 
 
-def form_msc(candidates: Iterable[Node], policy: ElectionPolicy, radius: float,
-             cell_id: int = 0) -> MobileSmallCell:
+def form_msc(candidates: Iterable[Node], radius: float) -> MobileSmallCell:
     """Elect a head among candidates and attach those within its radius.
 
     Candidates are expected to be mutually within twice the radius; the
-    returned cell contains the head plus every candidate it covers.
+    returned cell, id 0, contains the head plus every candidate it covers.
     """
     cand = sorted(candidates, key=lambda n: n.id)
     if not cand:
@@ -116,7 +104,7 @@ def form_msc(candidates: Iterable[Node], policy: ElectionPolicy, radius: float,
     ids = [n.id for n in cand]
     if len(set(ids)) != len(ids):
         raise TopologyError("duplicate node ids among candidates")
-    scores = {c.id: policy.score(c, cand, radius) for c in cand}
+    scores = {c.id: election_score(c, cand, radius) for c in cand}
     # argmax with lowest-id tie break
     head_id = min(scores, key=lambda nid: (-scores[nid], nid))
     head = next(n for n in cand if n.id == head_id)
@@ -126,7 +114,7 @@ def form_msc(candidates: Iterable[Node], policy: ElectionPolicy, radius: float,
             n.role = Role.MCH
         elif n.id in members:
             n.role = Role.MEMBER
-    return MobileSmallCell(cell_id, head_id, members)
+    return MobileSmallCell(0, head_id, members)
 
 
 # Longest walk of one mobility step, in arena diagonals. A device hops
@@ -143,7 +131,7 @@ def max_step_walk(width: float, height: float) -> float:
 
 
 def step_mobility(nodes: Iterable[Node], dt: float, rng,
-                  arena: tuple[float, float], speed_range: tuple[float, float] = (1.0, 5.0)) -> None:
+                  arena: tuple[float, float], speed_range: tuple[float, float]) -> None:
     """Random-waypoint step: advance each UE toward its waypoint.
 
     On arrival a fresh waypoint is drawn uniformly in the arena and a
@@ -201,7 +189,7 @@ def step_mobility(nodes: Iterable[Node], dt: float, rng,
 
 
 def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
-                      pathloss: PathLoss, nodes: dict[int, Node]) -> MobileSmallCell:
+                      nodes: dict[int, Node]) -> MobileSmallCell:
     """Point the cell's gateway link at the base station heard loudest
     by the head (lowest id on ties)."""
     if not base_stations:
@@ -209,7 +197,7 @@ def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
     head = nodes[msc.head]
     best = min(
         base_stations,
-        key=lambda bs: (-pathloss.received_power_dbm(bs.tx_power_dbm, head.distance_to(bs)), bs.id),
+        key=lambda bs: (-received_power_dbm(bs.tx_power_dbm, head.distance_to(bs)), bs.id),
     )
     msc.gateway_bs = best.id
     return msc

@@ -136,6 +136,28 @@ class TestTraceFlag:
         assert main(["run", cfg, "--trace", "t.jsonl"]) == EXIT_OK
         assert (box / "s-metrics.jsonl").exists() and (box / "t.jsonl").exists()
 
+    def test_trace_and_records_in_one_file_are_rejected(self, workdir,
+                                                        monkeypatch, capsys):
+        # the trace would replace the records; nothing is run or written
+        cfg = write(workdir, "s.cfg", SMALL)
+        (workdir / "sub").mkdir()
+        for out, trace in (("same.jsonl", "same.jsonl"),
+                           ("same.jsonl", "sub/../same.jsonl"),
+                           (str(workdir / "same.jsonl"), "same.jsonl")):
+            assert main(["run", cfg, "--out", out, "--trace", trace]) == \
+                EXIT_BAD_CONFIG
+            assert "same.jsonl" in capsys.readouterr().err
+            assert not (workdir / "same.jsonl").exists()
+        # MSCSIM_OUT_DIR places the default records name beside the trace
+        box = workdir / "box"
+        monkeypatch.setenv("MSCSIM_OUT_DIR", str(box))
+        assert main(["run", cfg, "--trace", "s-metrics.jsonl"]) == \
+            EXIT_BAD_CONFIG
+        assert main(["run", cfg, "--trace", str(box / "s-metrics.jsonl")]) == \
+            EXIT_BAD_CONFIG
+        assert not box.exists()
+        assert main(["run", cfg, "--trace", "t.jsonl"]) == EXIT_OK
+
 
 class TestSweepVerb:
     def test_grid_axis_runs_every_point(self, workdir):

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mscsim import engine
+from mscsim.config import default_scenario
 from mscsim.engine import (
     CHANNEL_STREAM,
     CODING_STREAM,
     CRYPTO_STREAM,
+    DEFAULT_CELLULAR,
+    DEFAULT_SHORT_RANGE,
     DeliveryStatus,
     LinkKind,
     LinkModel,
@@ -31,36 +34,43 @@ class FakeNode:
     position: tuple
 
 
-def test_p_loss_range_enforced():
-    with pytest.raises(ValueError):
-        LinkModel(LinkKind.CELLULAR, 1.0, 1.0, 1.0, 100.0)
-    LinkModel(LinkKind.CELLULAR, 1.0, 0.999, 1.0, 100.0)  # boundary ok
+def test_default_links_are_the_scenario_defaults():
+    # sessions built on SessionConfig's and CooperativeCloud's default
+    # links (the acceptance criteria) see the links an unchanged
+    # scenario gives a run
+    s = default_scenario(1)
+    assert ((DEFAULT_CELLULAR.rate, DEFAULT_CELLULAR.tx_energy,
+             DEFAULT_CELLULAR.range_m)
+            == (s.cellular_rate, s.cellular_energy, s.cellular_range))
+    assert ((DEFAULT_SHORT_RANGE.rate, DEFAULT_SHORT_RANGE.tx_energy,
+             DEFAULT_SHORT_RANGE.range_m)
+            == (s.shortrange_rate, s.shortrange_energy, s.shortrange_range))
 
 
 @pytest.mark.parametrize("field", ["rate", "tx_energy", "range_m"])
 def test_nan_link_constant_rejected(field):
     # NaN compares false against every bound, so a check written as
     # `rate <= 0` would let it through and make slot_duration NaN
-    values = dict(rate=1.0, p_loss=0.0, tx_energy=1.0, range_m=100.0)
+    values = dict(rate=1.0, tx_energy=1.0, range_m=100.0)
     values[field] = float("nan")
     with pytest.raises(ValueError):
         LinkModel(LinkKind.CELLULAR, **values)
 
 
 def test_transmit_lossless_delivers_in_range():
-    link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.0, 0.2, 50.0)
+    link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.2, 50.0)
     sim = Simulator()
     rng = np.random.default_rng(0)
     sender = FakeNode(0, (0.0, 0.0))
     near = FakeNode(1, (10.0, 0.0))
     far = FakeNode(2, (60.0, 0.0))
-    out = sim.transmit(link, sender, [near, far], rng)
+    out = sim.transmit(link, 0.0, sender, [near, far], rng)
     assert out[0].status is DeliveryStatus.DELIVERED
     assert out[1].status is DeliveryStatus.OUT_OF_RANGE
 
 
 def test_transmit_binomial_delivery_rate():
-    link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.1, 0.2, 50.0)
+    link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.2, 50.0)
     sim = Simulator()
     rng = np.random.default_rng(13)
     sender = FakeNode(0, (0.0, 0.0))
@@ -68,7 +78,7 @@ def test_transmit_binomial_delivery_rate():
     trials = 100_000
     delivered = 0
     for _ in range(trials):
-        delivered = delivered + (sim.transmit(link, sender, [recv], rng)[0].status is DeliveryStatus.DELIVERED)
+        delivered = delivered + (sim.transmit(link, 0.1, sender, [recv], rng)[0].status is DeliveryStatus.DELIVERED)
     p = 0.9
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(delivered / trials - p) < 3 * sigma
@@ -98,8 +108,9 @@ def test_seed_streams_independent():
 # still be exactly `np.hypot(dx, dy) > range_m`.
 
 def _expect_hypot_decisions(sender, receivers, range_m):
-    link = LinkModel(LinkKind.CELLULAR, 1.0, 0.0, 1.0, range_m)
-    out = Simulator().transmit(link, sender, receivers, np.random.default_rng(0))
+    link = LinkModel(LinkKind.CELLULAR, 1.0, 1.0, range_m)
+    out = Simulator().transmit(link, 0.0, sender, receivers,
+                               np.random.default_rng(0))
     assert [d.receiver for d in out] == [r.id for r in receivers]
     sx, sy = sender.position
     for d, recv in zip(out, receivers):

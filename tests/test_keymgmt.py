@@ -303,15 +303,13 @@ class TestShamir:
             assert reconstruct(list(sub), DEMO_GROUP.q) == master.private
         assert DEMO_GROUP.exp(master.private) == master.public
 
-    def test_setup_rejects_duplicate_indices(self):
-        with pytest.raises(ShareError):
-            setup(KMConfig(3, 2), TOY_GROUP, np.random.default_rng(0),
-                  indices=[1, 2, 2])
-
     def test_setup_rejects_index_zero(self):
-        with pytest.raises(ShareError):
-            setup(KMConfig(2, 2), TOY_GROUP, np.random.default_rng(0),
-                  indices=[0, 1])
+        # shares sit at 1..n, so n >= q would put one at q, which is 0 mod q
+        _, shares = setup(KMConfig(10, 2), TOY_GROUP, np.random.default_rng(0))
+        assert [s.index for s in shares] == list(range(1, 11))
+        for n in (11, 12):
+            with pytest.raises(ShareError):
+                setup(KMConfig(n, 2), TOY_GROUP, np.random.default_rng(0))
         with pytest.raises(ShareError):
             KeyShare(0, 5)
 

@@ -47,10 +47,10 @@ def demo_service(seed=11, n=13, t=3):
     return svc, rng
 
 
-def enroll(svc, node_id, rng, now=0.0):
+def enroll(svc, node_id, rng):
     """Credential request followed by a locally minted certificate."""
     holder = generate_keypair(svc.params, rng)
-    cred = svc.request_credential(node_id, holder.public, WARRANT, now=now)
+    cred = svc.request_credential(node_id, holder.public, WARRANT)
     subject = generate_keypair(svc.params, rng)
     cert = self_generate_certificate(cred, holder, subject, issued_at=1.0,
                                      expires_at=500.0, params=svc.params, rng=rng)

@@ -7,7 +7,6 @@ its oracle, and session energy is replayed from the slot records.
 
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +116,15 @@ class TestSessionConfig:
         cfg = SessionConfig(content=_content(g=64), redundancy=1.05)
         assert cfg.coded_count(cfg.content[0]) == 68
         assert cfg.cooperative_budget == 4 * 68
+
+    @pytest.mark.parametrize("field", ["cellular_loss", "short_range_loss"])
+    def test_p_loss_range_enforced(self, field):
+        # the one loss check: a link carries no loss of its own
+        for loss in (1.0, float("nan"), -0.1):
+            with pytest.raises(ProtocolError, match="outside"):
+                SessionConfig(content=_content(), **{field: loss})
+        assert getattr(SessionConfig(content=_content(), **{field: 0.999}),
+                       field) == 0.999  # boundary ok
 
 
 class TestCellularPhase:
@@ -422,7 +430,6 @@ def decoder_unicast_session(cloud, config, seed):
     must be innovative; at the end the decoding ratio must be 1."""
     channel_rng = RunSeed(seed).channel()
     bs = Endpoint(-1)
-    link = replace(config.cellular, p_loss=config.cellular_loss)
     codec = SessionCodec(cloud, config.content)
     sim = Simulator()
     records = []
@@ -434,7 +441,8 @@ def decoder_unicast_session(cloud, config, seed):
                 pkt = encode(gen, unit)
                 assert np.array_equal(pkt.payload, gen.payload[k])
                 while True:
-                    status = sim.transmit(link, bs, [Endpoint(member)],
+                    status = sim.transmit(config.cellular, config.cellular_loss,
+                                          bs, [Endpoint(member)],
                                           channel_rng)[0].status
                     ok = status is DeliveryStatus.DELIVERED
                     innovative = codec.ingest(member, pkt) if ok else False

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from mscsim.topology import (
-    ElectionPolicy,
     MobileSmallCell,
     Node,
     NodeKind,
-    PathLoss,
     Role,
     TopologyError,
     associate_gateway,
+    election_score,
     form_msc,
     max_step_walk,
+    received_power_dbm,
     step_mobility,
     topology_snapshot,
 )
@@ -34,7 +34,7 @@ def nodes_by_id(nodes):
 
 
 def test_single_candidate_becomes_head():
-    cell = form_msc([ue(7)], ElectionPolicy(), radius=50.0)
+    cell = form_msc([ue(7)], radius=50.0)
     assert cell.head == 7
     assert cell.members == {7}
 
@@ -42,7 +42,7 @@ def test_single_candidate_becomes_head():
 def test_higher_battery_elected():
     a = ue(1, 0.0, 0.0, battery=0.9)
     b = ue(2, 1.0, 0.0, battery=0.5)
-    cell = form_msc([a, b], ElectionPolicy(), radius=50.0)
+    cell = form_msc([a, b], radius=50.0)
     assert cell.head == 1
     assert a.role is Role.MCH
     assert b.role is Role.MEMBER
@@ -52,45 +52,37 @@ def test_tie_break_lowest_id():
     # two mirror-image candidates score identically; id 2 wins the tie
     a = ue(4, 0.0, 0.0)
     b = ue(2, 10.0, 0.0)
-    policy = ElectionPolicy()
-    assert policy.score(a, [a, b], 50.0) == pytest.approx(policy.score(b, [a, b], 50.0))
-    cell = form_msc([a, b], policy, radius=50.0)
+    assert election_score(a, [a, b], 50.0) == pytest.approx(election_score(b, [a, b], 50.0))
+    cell = form_msc([a, b], radius=50.0)
     assert cell.head == 2
 
 
 def test_empty_and_duplicate_candidates_rejected():
     with pytest.raises(TopologyError):
-        form_msc([], ElectionPolicy(), 50.0)
+        form_msc([], 50.0)
     with pytest.raises(TopologyError):
-        form_msc([ue(1), ue(1, 1.0)], ElectionPolicy(), 50.0)
-
-
-def test_weights_validation():
-    with pytest.raises(TopologyError):
-        ElectionPolicy(w_battery=0.9, w_link=0.3, w_degree=0.2)
-    with pytest.raises(TopologyError):
-        ElectionPolicy(w_battery=-0.1, w_link=0.9, w_degree=0.2)
+        form_msc([ue(1), ue(1, 1.0)], 50.0)
 
 
 def test_membership_within_the_head_radius():
     a = ue(1, 0.0, 0.0, battery=1.0)
     b = ue(2, 10.0, 0.0, battery=0.4)
     c = ue(3, 200.0, 0.0, battery=0.4)  # outside any head radius near the origin
-    cell = form_msc([a, b, c], ElectionPolicy(), radius=50.0)
+    cell = form_msc([a, b, c], radius=50.0)
     assert cell.head == 1
     assert cell.members == {1, 2}
 
 
 def test_mobility_zero_velocity():
     n = ue(1, 10.0, 20.0, speed=0.0)
-    step_mobility([n], 1.0, np.random.default_rng(0), (100.0, 100.0))
+    step_mobility([n], 1.0, np.random.default_rng(0), (100.0, 100.0), (1.0, 5.0))
     assert n.position == (10.0, 20.0)
 
 
 def test_mobility_straight_segment_displacement():
     n = ue(1, 0.0, 0.0, speed=7.0)
     n.waypoint = (100.0, 0.0)
-    step_mobility([n], 1.0, np.random.default_rng(0), (200.0, 200.0))
+    step_mobility([n], 1.0, np.random.default_rng(0), (200.0, 200.0), (1.0, 5.0))
     assert n.position[0] == pytest.approx(7.0)
     assert n.position[1] == pytest.approx(0.0)
 
@@ -98,7 +90,7 @@ def test_mobility_straight_segment_displacement():
 def test_mobility_bs_fixed():
     b = bs(1, 50.0, 50.0)
     b.speed = 99.0
-    step_mobility([b], 10.0, np.random.default_rng(0), (100.0, 100.0))
+    step_mobility([b], 10.0, np.random.default_rng(0), (100.0, 100.0), (1.0, 5.0))
     assert b.position == (50.0, 50.0)
 
 
@@ -124,7 +116,7 @@ def test_mobility_rejects_a_walk_of_many_diagonals():
     # a device already faster than the limit allows
     n = ue(2, 5.0, 5.0, speed=200.0)
     with pytest.raises(TopologyError, match="node 2 at 200.0 m/s"):
-        step_mobility([n], 1.0, np.random.default_rng(0), (10.0, 10.0))
+        step_mobility([n], 1.0, np.random.default_rng(0), (10.0, 10.0), (1.0, 5.0))
     # right at the limit is still a step
     n = ue(3, 0.0, 0.0, speed=500.0)
     step_mobility([n], 1.0, np.random.default_rng(0), (30.0, 40.0),
@@ -153,13 +145,13 @@ def test_gateway_single_and_tie_break():
     head = ue(1, 100.0, 0.0)
     cell = MobileSmallCell(0, 1, {1})
     stations = [bs(10, 0.0, 0.0)]
-    associate_gateway(cell, stations, PathLoss(), nodes_by_id([head] + stations))
+    associate_gateway(cell, stations, nodes_by_id([head] + stations))
     assert cell.gateway_bs == 10
 
     # equidistant identical stations: lower id wins
     stations = [bs(11, 200.0, 0.0), bs(10, 0.0, 0.0)]
     cell = MobileSmallCell(0, 1, {1})
-    associate_gateway(cell, stations, PathLoss(), nodes_by_id([head] + stations))
+    associate_gateway(cell, stations, nodes_by_id([head] + stations))
     assert cell.gateway_bs == 10
 
 
@@ -168,14 +160,15 @@ def test_gateway_prefers_nearer_station():
     near = bs(5, 100.0, 0.0)
     far = bs(4, 400.0, 0.0)
     cell = MobileSmallCell(0, 1, {1})
-    associate_gateway(cell, [far, near], PathLoss(), nodes_by_id([head, near, far]))
+    associate_gateway(cell, [far, near], nodes_by_id([head, near, far]))
     assert cell.gateway_bs == 5
 
 
 def test_pathloss_monotone():
-    pl = PathLoss()
-    assert pl.loss_db(1.0) == pytest.approx(40.0)
-    assert pl.loss_db(100.0) > pl.loss_db(10.0) > pl.loss_db(1.0)
+    assert received_power_dbm(0.0, 1.0) == pytest.approx(-40.0)
+    assert received_power_dbm(0.0, 0.5) == received_power_dbm(0.0, 1.0)
+    assert (received_power_dbm(0.0, 100.0) < received_power_dbm(0.0, 10.0)
+            < received_power_dbm(0.0, 1.0))
 
 
 def test_topology_snapshot_records():
@@ -183,9 +176,9 @@ def test_topology_snapshot_records():
         Node(3, NodeKind.UE, (1.0, 2.0)),
         Node(1, NodeKind.BASE_STATION, (0.0, 0.0)),
     ]
-    cell = form_msc([nodes[0]], ElectionPolicy(), 50.0, cell_id=9)
+    cell = form_msc([nodes[0]], 50.0)
     recs = topology_snapshot(2.5, nodes, [cell])
     assert [r["node"] for r in recs] == [1, 3]  # sorted by id
-    assert recs[1]["msc"] == 9 and recs[1]["role"] == "mch"
+    assert recs[1]["msc"] == 0 and recs[1]["role"] == "mch"
     assert recs[0]["msc"] is None
     assert recs[0]["time"] == 2.5
