@@ -67,6 +67,10 @@ def _load_scenario(path: str, seed):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path} is not UTF-8 text (byte "
+                          f"0x{exc.object[exc.start]:02x})", line) from None
     return parse_config(text, seed=seed)
 
 
@@ -99,7 +103,11 @@ def _cmd_run(args) -> int:
     out = _out_path(args.out, args.config, "metrics")
     trace = (None if args.trace is None
              else _out_path(args.trace, args.config, "trace"))
-    result = run(scenario, out_path=out, trace_path=trace)
+    try:
+        result = run(scenario, out_path=out, trace_path=trace)
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     summary = result.records[-1]
     if summary.get("status") == "ok":
         parts = [f"sessions={summary['sessions']}"]
@@ -121,7 +129,11 @@ def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.config, args.seed)
     grid = _parse_grid(args.grid)
     out = _out_path(args.out, args.config, "sweep")
-    result = sweep(scenario, grid, out_path=out)
+    try:
+        result = sweep(scenario, grid, out_path=out)
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     runs = len({r["run_id"] for r in result.records})
     print(f"{runs} runs, {len(result.records)} records -> {out}")
     return EXIT_OK if result.exit_code == 0 else EXIT_RUN_FAILED

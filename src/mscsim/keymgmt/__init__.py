@@ -1,15 +1,14 @@
 """Fully-distributed threshold key management.
 
-Submodules: groups (Schnorr-group algebra), shamir (threshold sharing),
-threshold (quorum signatures), credentials (proxy credentials and
-self-generated certificates), service (roster, quorum selection, share
-issuance, fairness audit).
+Submodules: groups (Schnorr-group algebra, built-in groups, key pairs),
+shamir (threshold sharing), threshold (quorum signatures), credentials
+(proxy credentials and self-generated certificates), service (roster,
+quorum selection, share issuance, service counts, fairness audit).
 """
 
 from .credentials import (
     Certificate,
     CredentialError,
-    KeyPair,
     ProxyCredential,
     Warrant,
     generate_keypair,
@@ -22,21 +21,19 @@ from .groups import (
     TOY_GROUP,
     GroupError,
     GroupParams,
+    KeyPair,
     group_2048,
     is_probable_prime,
-    load_group,
 )
 from .service import (
     KMService,
     RosterError,
     Shareholder,
-    TranscriptEntry,
 )
 from .shamir import (
     InsufficientSharesError,
     KeyShare,
     KMConfig,
-    MasterKeyPair,
     ShareError,
     lagrange_at,
     poly_eval,

@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass
 from typing import Union
 
-from .groups import Comb, GroupParams
+from .groups import Comb, GroupParams, KeyPair
 from .threshold import Signature, sign_single, verify
 
 
@@ -49,12 +49,6 @@ def pack(*items) -> bytes:
             raise TypeError(f"cannot pack {type(item).__name__}")
         out += tag + len(raw).to_bytes(4, "big") + raw
     return bytes(out)
-
-
-@dataclass(frozen=True)
-class KeyPair:
-    private: int
-    public: int
 
 
 def generate_keypair(params: GroupParams, rng) -> KeyPair:

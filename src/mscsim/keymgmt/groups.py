@@ -3,9 +3,9 @@
 Everything downstream signs and verifies inside a Schnorr group: a
 subgroup of order q (prime) inside the multiplicative group mod p
 (prime, q | p-1), written multiplicatively with generator G. The
-embedded groups are educational-grade test fixtures, not vetted
-production parameters; realism runs can load their own via the text
-format below.
+built-in groups are educational-grade test fixtures, not vetted
+production parameters; other parameters can be built directly as
+GroupParams(p, q, g).
 
 One Lim-Lee fixed-base comb (Lim & Lee, "More Flexible Exponentiation
 with Precomputation", CRYPTO '94; Handbook of Applied Cryptography,
@@ -35,17 +35,10 @@ Every group gets the structural checks when it is built: q | p-1,
 check: 40 Miller-Rabin rounds on the 2048-bit p take over a second, and
 each process would repeat them for each built-in group. So the
 built-ins' primes are checked once, by the test suite:
-tests/test_keymgmt.py pins the sha256 of each built-in text and runs
-the full rounds on its p and q. Only a group whose (p, q, g) equals a
-pinned built-in skips the rounds; any other group, built directly or
-loaded with load_group, gets the full primality check.
-
-Group file format (hex values, '#' comments, blank lines ignored, each
-field once):
-
-    p = <hex>
-    q = <hex>
-    g = <hex>
+tests/test_keymgmt.py pins the sha256 of each built-in (p, q, g) and
+runs the full rounds on its p and q. Only a group whose (p, q, g)
+equals a pinned built-in skips the rounds; any other group gets the
+full primality check.
 """
 
 from __future__ import annotations
@@ -196,7 +189,7 @@ class GroupParams:
             raise GroupError("generator out of range")
         if pow(self.g, self.q, self.p) != 1:
             raise GroupError("generator order is not q")
-        # not a field: equality, hash, repr and the text format ignore it
+        # not a field: equality, hash and repr ignore it
         object.__setattr__(self, "_comb", Comb(self.p, self.q, self.g, G_TEETH))
 
     def exp(self, e: int) -> int:
@@ -219,62 +212,32 @@ class GroupParams:
         return rand_range(rng, 1, self.q)
 
 
-def _parse_group(text: str) -> tuple[int, int, int]:
-    """(p, q, g) from the text format, unchecked."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise GroupError(f"line {lineno}: expected 'name = hexvalue'")
-        name, _, value = line.partition("=")
-        name = name.strip().lower()
-        if name not in ("p", "q", "g"):
-            raise GroupError(f"line {lineno}: unknown field {name!r}")
-        if name in values:
-            raise GroupError(f"line {lineno}: duplicate field {name!r}")
-        try:
-            values[name] = int(value.strip(), 16)
-        except ValueError:
-            raise GroupError(f"line {lineno}: invalid hex value") from None
-    missing = {"p", "q", "g"} - set(values)
-    if missing:
-        raise GroupError(f"missing fields: {', '.join(sorted(missing))}")
-    return values["p"], values["q"], values["g"]
+@dataclass(frozen=True)
+class KeyPair:
+    private: int
+    public: int
 
 
-def load_group(text: str) -> GroupParams:
-    return GroupParams(*_parse_group(text))
+# Pre-generated Schnorr groups (p, q, g), frozen so results are stable
+# across runs. |p| = 512 and |q| = 160 bits: the demo group carries
+# scenarios whose shareholder count exceeds the toy field's ten indices.
+_DEMO = (0x9c535b99b712f57e14c95f373762b9965160d4681873c39eaf967b29893a8e0e1eb42af09cdbe2e0acf829bc785c59938f85aef671a62eafcaccff3bea4ff36b,
+         0xcfa295643437225c5a62c41a4f3981b3a86f016f,
+         0x5cfea6f19819ceb97285fa4bd3484be0f4ea784ddb60fe68989f65158ec32673dc9ec8e5ac3d5ef6f3b75c51d09c49b86586aeacab6b660ca0fe6f5891143fb0)
 
+# |p| = 2048 and |q| = 256 bits
+_GROUP_2048 = (0x8487c39d7f5262dcccc4e02c518919ed1eedacf54a2268ed15a65c0cbda3015b68006d0b7ef5ab6e19e0c66dfa0003574e29e1e3d2ce3a2b2507401a5cf1af0ece8234d80b500069dbe83a41d7f66c551af3e3cb2cf1e510281054269245f4d4c8cc56b596a8786997c5f298ec7fff8b662375cc7c96055591eeb8a9f17db417c5c0afc6b8f6ce4850e7fcfa0873cf803074c78a7e5d5822d3f842fa9b26c364c13c4cc73c653c19d95c031a4a4a8fd48fd4d92b53ef7078e9e812c7e1740898bc78de54907db38b8a3aebb17455922faefbd8178d4bfe2672ecd506b98f1c9982e02a2c31f424b933d27d06c25aedf0e027f7f881a553f35d4ae46e93a0e4a7,
+               0xcc4f12568c3cb8130e2c83d6ae3c1298a363e51beee37b00859dda504cc066ab,
+               0x24cce60b608070d48ed4499fa05335ce996ebeae038a89f3b3a9655e97dee75223937f3f41e67cfed3d80dfd54ebf43967f0a32e7cc67d0fa0da7559774088e0852129954b034efadf60eba7a8bcaaf1197c3e370361b33c314d3a0ddf6de98343d2e5d4d693433453d360eaee4f45be8e72e4f27dbdb48c5e7ec2618ed66de68dae6b17b7348f9711f9e90d1b6ad637b4f30cc3d9d5df0c825f364395fce3d5cd8515e99b20a5333efae3764e9b8ab9689a2ed7f527602a0a33c38cc780ab5229d2c70d670c1641231eaafeeeea510105c5e9a1b4e2fcc0db14bcca6faed3f21a7d6338e078f53aa9ee1fc451041dda1e4ad653c83f6cc9432277e8c8c0ea2e)
 
-# Pre-generated fixtures, frozen so results are stable across runs.
-# DEMO_GROUP carries scenarios whose shareholder count exceeds the ten
-# nonzero indices the toy field offers.
-_DEMO_TEXT = """
-# Schnorr group: |p| = 512 bits, |q| = 160 bits
-p = 9c535b99b712f57e14c95f373762b9965160d4681873c39eaf967b29893a8e0e1eb42af09cdbe2e0acf829bc785c59938f85aef671a62eafcaccff3bea4ff36b
-q = cfa295643437225c5a62c41a4f3981b3a86f016f
-g = 5cfea6f19819ceb97285fa4bd3484be0f4ea784ddb60fe68989f65158ec32673dc9ec8e5ac3d5ef6f3b75c51d09c49b86586aeacab6b660ca0fe6f5891143fb0
-"""
-
-_GROUP_2048_TEXT = """
-# Schnorr group: |p| = 2048 bits, |q| = 256 bits
-p = 8487c39d7f5262dcccc4e02c518919ed1eedacf54a2268ed15a65c0cbda3015b68006d0b7ef5ab6e19e0c66dfa0003574e29e1e3d2ce3a2b2507401a5cf1af0ece8234d80b500069dbe83a41d7f66c551af3e3cb2cf1e510281054269245f4d4c8cc56b596a8786997c5f298ec7fff8b662375cc7c96055591eeb8a9f17db417c5c0afc6b8f6ce4850e7fcfa0873cf803074c78a7e5d5822d3f842fa9b26c364c13c4cc73c653c19d95c031a4a4a8fd48fd4d92b53ef7078e9e812c7e1740898bc78de54907db38b8a3aebb17455922faefbd8178d4bfe2672ecd506b98f1c9982e02a2c31f424b933d27d06c25aedf0e027f7f881a553f35d4ae46e93a0e4a7
-q = cc4f12568c3cb8130e2c83d6ae3c1298a363e51beee37b00859dda504cc066ab
-g = 24cce60b608070d48ed4499fa05335ce996ebeae038a89f3b3a9655e97dee75223937f3f41e67cfed3d80dfd54ebf43967f0a32e7cc67d0fa0da7559774088e0852129954b034efadf60eba7a8bcaaf1197c3e370361b33c314d3a0ddf6de98343d2e5d4d693433453d360eaee4f45be8e72e4f27dbdb48c5e7ec2618ed66de68dae6b17b7348f9711f9e90d1b6ad637b4f30cc3d9d5df0c825f364395fce3d5cd8515e99b20a5333efae3764e9b8ab9689a2ed7f527602a0a33c38cc780ab5229d2c70d670c1641231eaafeeeea510105c5e9a1b4e2fcc0db14bcca6faed3f21a7d6338e078f53aa9ee1fc451041dda1e4ad653c83f6cc9432277e8c8c0ea2e
-"""
-
-# The built-in groups whose p and q skip the Miller-Rabin rounds.
-# tests/test_keymgmt.py pins the sha256 of each text and runs the full
-# 40 rounds on its p and q.
-_PINNED = frozenset(map(_parse_group, (_DEMO_TEXT, _GROUP_2048_TEXT)))
+# The built-in groups, whose p and q skip the Miller-Rabin rounds
+_PINNED = frozenset((_DEMO, _GROUP_2048))
 
 # Exhaustively checkable group for unit tests: 2 generates the order-11
 # subgroup of Z_23 (2^11 = 2048 = 89*23 + 1).
 TOY_GROUP = GroupParams(p=23, q=11, g=2)
 
-DEMO_GROUP = load_group(_DEMO_TEXT)
+DEMO_GROUP = GroupParams(*_DEMO)
 
 _group_2048_cache: GroupParams | None = None
 
@@ -283,5 +246,5 @@ def group_2048() -> GroupParams:
     """2048-bit-class fixture; validated on first use, then cached."""
     global _group_2048_cache
     if _group_2048_cache is None:
-        _group_2048_cache = load_group(_GROUP_2048_TEXT)
+        _group_2048_cache = GroupParams(*_GROUP_2048)
     return _group_2048_cache

@@ -6,12 +6,14 @@ joining node is computed as a blinded sum of Lagrange-weighted share
 contributions, so the joining node learns exactly f(x_new) and nothing
 about any server's own share. The roster is the single replicated
 record of who holds which index; joining nodes are appended to it, so
-the shareholder set grows with the network.
+the shareholder set grows with the network. The service keeps no blind,
+and of each quorum only a count per member (`served`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 from .credentials import (
@@ -36,15 +38,6 @@ class Shareholder:
     share: KeyShare
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    kind: str                        # bootstrap | credential | share-issue
-    requester: object
-    participants: tuple[int, ...]    # node ids of the serving quorum
-    outcome: str                     # "ok" or a failure reason
-    audit: dict = field(default_factory=dict, hash=False, compare=False)
-
-
 class KMService:
     """Shared-roster view of the distributed authority.
 
@@ -61,7 +54,8 @@ class KMService:
         self.threshold = threshold
         self.rng = rng
         self.roster: dict[int, Shareholder] = {}
-        self.transcript: list[TranscriptEntry] = []
+        # node id -> successful credentials and share issues it served in
+        self.served: Counter[int] = Counter()
         self._next_index = 1
 
     @classmethod
@@ -78,9 +72,6 @@ class KMService:
         for node_id, share in zip(node_ids, shares):
             service.roster[node_id] = Shareholder(node_id, share)
         service._next_index = config.n + 1
-        service.transcript.append(TranscriptEntry(
-            "bootstrap", None, tuple(sorted(node_ids)), "ok",
-            {"n": config.n, "t": config.t}))
         return service
 
     # --- roster ------------------------------------------------------
@@ -102,13 +93,8 @@ class KMService:
         sig = combine_partials(session.partials(), self.threshold, self.params)
         cred = ProxyCredential(requester_id, requester_public, warrant, sig)
         if not verify(self.params, self.master_key, body, sig):
-            self.transcript.append(TranscriptEntry(
-                "credential", requester_id,
-                tuple(h.node_id for h in quorum), "signature-failure"))
             raise CredentialError("quorum produced an invalid signature")
-        self.transcript.append(TranscriptEntry(
-            "credential", requester_id,
-            tuple(h.node_id for h in quorum), "ok"))
+        self.served.update(h.node_id for h in quorum)
         return cred
 
     # --- share issuance -------------------------------------------------
@@ -129,16 +115,14 @@ class KMService:
 
         q = self.params.q
         indices = [h.share.index for h in quorum]
-        raw = {h.node_id: lagrange_weight(indices, h.share.index, x_new, q)
-               * h.share.value % q for h in quorum}
-        # pairwise zero-sum blinds: (a adds r, b subtracts r) per pair
-        blinds = {}
-        masked = dict(raw)
+        # each server's Lagrange term, masked by one zero-sum blind per
+        # pair (a adds r, b subtracts r); no blind is kept
+        masked = {h.node_id: lagrange_weight(indices, h.share.index, x_new, q)
+                  * h.share.value % q for h in quorum}
         ids = [h.node_id for h in quorum]
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 r = rand_below(self.rng, q)
-                blinds[(a, b)] = r
                 masked[a] = (masked[a] + r) % q
                 masked[b] = (masked[b] - r) % q
         value = sum(masked.values()) % q
@@ -146,21 +130,14 @@ class KMService:
         share = KeyShare(x_new, value)
         self.roster[joining_id] = Shareholder(joining_id, share)
         self._next_index += 1
-        self.transcript.append(TranscriptEntry(
-            "share-issue", joining_id, tuple(ids), "ok",
-            {"index": x_new, "blinded_contributions": masked, "blinds": blinds}))
+        self.served.update(ids)
         return share
 
     # --- audit ---------------------------------------------------------
 
     def fairness_audit(self) -> dict:
         """Service counts per shareholder plus a dispersion statistic."""
-        counts = {node_id: 0 for node_id in self.roster}
-        for entry in self.transcript:
-            if entry.kind in ("credential", "share-issue") and entry.outcome == "ok":
-                for node_id in entry.participants:
-                    if node_id in counts:
-                        counts[node_id] += 1
+        counts = {node_id: self.served[node_id] for node_id in self.roster}
         values = list(counts.values())
         mean = sum(values) / len(values) if values else 0.0
         ratio = max(values) / mean if mean > 0 else 1.0

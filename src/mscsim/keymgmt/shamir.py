@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import GroupParams, rand_below
+from .groups import GroupParams, KeyPair, rand_below
 
 
 class ShareError(Exception):
@@ -30,12 +30,6 @@ class KMConfig:
     def __post_init__(self):
         if not 1 <= self.t <= self.n:
             raise ShareError(f"threshold {self.t} not in [1, {self.n}]")
-
-
-@dataclass(frozen=True)
-class MasterKeyPair:
-    private: int
-    public: int
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ def lagrange_at(points: Sequence[tuple[int, int]], x0: int, q: int) -> int:
     return acc
 
 
-def setup(config: KMConfig, params: GroupParams, rng) -> tuple[MasterKeyPair, list[KeyShare]]:
+def setup(config: KMConfig, params: GroupParams, rng) -> tuple[KeyPair, list[KeyShare]]:
     """Deal n shares of a fresh master key with threshold t, at indices
     1..n.
 
@@ -96,4 +90,4 @@ def setup(config: KMConfig, params: GroupParams, rng) -> tuple[MasterKeyPair, li
     coeffs = share_polynomial(secret, config.t, params.q, rng)
     shares = [KeyShare(x, poly_eval(coeffs, x, params.q))
               for x in range(1, config.n + 1)]
-    return MasterKeyPair(secret, params.exp(secret)), shares
+    return KeyPair(secret, params.exp(secret)), shares

@@ -110,9 +110,7 @@ class SigningSession:
         if len(set(indices)) != len(indices):
             raise ShareError("duplicate share indices in quorum")
         self.params = params
-        self.master_public = master_public
         self.message = bytes(message)
-        self.threshold = threshold
         self._shares = {s.index: s for s in quorum}
         self.violations: list[str] = []
 
@@ -134,7 +132,6 @@ class SigningSession:
         R = 1
         for r in self.nonce_points.values():
             R = params.mul(R, r)
-        self.aggregate_nonce = R
         self.c = challenge(params, R, master_public, self.message)
         self.session_id = hashlib.sha256(
             params.element_bytes(R) + params.element_bytes(master_public)

@@ -86,30 +86,34 @@ def write_records(records, out_path: str) -> None:
     flushed and fsynced before the rename, so the target never names
     data that has not reached the disk, and the directory is fsynced
     after it, so the rename itself survives a crash. If writing fails,
-    the temp file is removed and any earlier file is left as it was.
+    the temp file is removed and any earlier file is left as it was; an
+    OSError names `out_path`, whichever step failed.
     """
-    parent = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(parent, exist_ok=True)
-    # "x" never opens an existing file; unlike mkstemp's private 0600,
-    # the file gets the mode the umask gives a plain open()
-    tmp = f"{out_path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, out_path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    dir_fd = os.open(parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+        parent = os.path.dirname(os.path.abspath(out_path))
+        os.makedirs(parent, exist_ok=True)
+        # "x" never opens an existing file; unlike mkstemp's private 0600,
+        # the file gets the mode the umask gives a plain open()
+        tmp = f"{out_path}.{os.urandom(8).hex()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                for record in records:
+                    fh.write(json.dumps(record, sort_keys=True))
+                    fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        dir_fd = os.open(parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out_path) from exc
 
 
 def _links(scenario: Scenario) -> tuple[LinkModel, LinkModel]:
@@ -416,9 +420,11 @@ def derive_subseed(base_seed: int, point: dict) -> int:
 def expand_grid(scenario: Scenario, grid: dict) -> list[tuple[dict, Scenario]]:
     """Validate every axis up front, then build one scenario per point."""
     axes = sorted(grid)
+    for dotted in axes:     # every key first: an empty axis hides none
+        field_value(scenario, dotted)
     for dotted in axes:
         if not grid[dotted]:
-            return []
+            raise ConfigError(f"grid axis {dotted!r} has no values")
         for value in grid[dotted]:
             apply_overrides(scenario, {dotted: value})
     if not axes:

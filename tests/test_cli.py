@@ -99,6 +99,33 @@ class TestRunVerb:
         assert main(["run", "nowhere.cfg"]) == EXIT_BAD_CONFIG
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+    def test_a_file_that_is_not_utf8_names_the_line(self, workdir, capsys,
+                                                    verb):
+        # a Latin-1 e-acute in a comment on line 4
+        path = workdir / "latin1.cfg"
+        path.write_bytes(SMALL.replace("[nodes]", "# caf\xe9\n[nodes]")
+                         .encode("latin-1"))
+        assert main([verb, str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "line 4" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", "afile/out.jsonl"],
+        ["run", "--trace", "afile/trace.jsonl"],
+        ["sweep", "--grid", "nodes.ue_count=2", "--out", "afile/sw.jsonl"],
+    ], ids=["run-out", "run-trace", "sweep-out"])
+    def test_an_unwritable_output_path_is_reported(self, workdir, capsys,
+                                                   argv):
+        # a regular file where a directory would have to be
+        (workdir / "afile").write_text("")
+        cfg = write(workdir, "s.cfg", SMALL)
+        assert main([argv[0], cfg, *argv[1:]]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {argv[-1]}: ")
+        assert "Traceback" not in err
+
 
 class TestTraceFlag:
     @pytest.mark.parametrize("preset", ["ambulance", "baseline-unicast"])
@@ -179,6 +206,18 @@ class TestSweepVerb:
         assert main(["sweep", cfg, "--grid", "justwords"]) == EXIT_BAD_CONFIG
         assert main(["sweep", cfg, "--grid", "nodes.ue_count=2",
                      "--grid", "nodes.ue_count=4"]) == EXIT_BAD_CONFIG
+
+    def test_an_empty_axis_is_rejected(self, workdir, capsys):
+        cfg = write(workdir, "s.cfg", SMALL)
+        for axes in (["no.such_key="], ["ncc.redundancy=", "zzz.bad=1"],
+                     ["ncc.redundancy=,"]):
+            argv = ["sweep", cfg, "--out", "sw.jsonl"]
+            for axis in axes:
+                argv += ["--grid", axis]
+            assert main(argv) == EXIT_BAD_CONFIG, axes
+            err = capsys.readouterr().err
+            assert "unknown key" in err or "no values" in err
+        assert not (workdir / "sw.jsonl").exists()
 
 
 class TestOtherVerbs:

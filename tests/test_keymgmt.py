@@ -33,7 +33,6 @@ from mscsim.keymgmt.groups import (
     GroupParams,
     group_2048,
     is_probable_prime,
-    load_group,
     rand_below,
 )
 from mscsim.keymgmt.shamir import (
@@ -146,36 +145,14 @@ class TestGroups:
         assert DEMO_GROUP.p.bit_length() == 512
         assert DEMO_GROUP.q.bit_length() == 160
 
-    def test_dump_load_round_trip(self):
-        assert load_group("p = 17\nq = b\ng = 2\n") == TOY_GROUP
+    def test_rebuilt_builtin_groups_keep_equality_and_hash(self):
         # the fixed-base table is no field: equality and hash ignore it
-        for text, group in ((groups._DEMO_TEXT, DEMO_GROUP),
-                            (groups._GROUP_2048_TEXT, group_2048())):
-            reformatted = (f"# reformatted\n\nP = {group.p:X}  # upper case\n"
-                           f"\n  q={group.q:X}\n# g follows\n\ng = {group.g:X}\n")
-            for dumped in (text, reformatted):
-                loaded = load_group(dumped)
-                assert loaded == group
-                assert hash(loaded) == hash(group)
-                assert loaded.exp(group.q - 1) == pow(group.g, group.q - 1, group.p)
-
-    def test_load_errors_carry_line_numbers(self):
-        with pytest.raises(GroupError, match="line 2"):
-            load_group("p = 17\nq = zz\ng = 2")
-        with pytest.raises(GroupError, match="missing"):
-            load_group("p = 17\n")
-        with pytest.raises(GroupError, match="line 1"):
-            load_group("modulus = 17")
-
-    @pytest.mark.parametrize("text, line, field", [
-        ("p = 16\nq = b\ng = 2\np = 17\n", 4, "p"),
-        ("p = 17\nq = b\ng = 3\n\n# again\ng = 2\n", 6, "g"),
-        ("p = 17\nQ = b\nq = b\ng = 2\n", 3, "q"),
-    ], ids=["p-last", "g-after-comment", "q-any-case"])
-    def test_load_rejects_a_repeated_field(self, text, line, field):
-        # a last-value-wins parser would load the first two as TOY_GROUP
-        with pytest.raises(GroupError, match=f"line {line}: duplicate field '{field}'"):
-            load_group(text)
+        for group in (TOY_GROUP, DEMO_GROUP, group_2048()):
+            rebuilt = GroupParams(group.p, group.q, group.g)
+            assert rebuilt == group
+            assert hash(rebuilt) == hash(group)
+            assert repr(rebuilt) == repr(group)
+            assert rebuilt.exp(group.q - 1) == pow(group.g, group.q - 1, group.p)
 
     def test_rand_below_uniform_and_bounded(self):
         rng = np.random.default_rng(3)
@@ -194,12 +171,13 @@ class TestGroups:
         assert a == b
 
 
-# sha256 of each built-in group text whose p and q skip the Miller-Rabin
-# rounds at construction. Editing a text fails the pin test below until
-# its primes have been checked again and its digest here updated.
-PINNED_TEXTS = {
-    "_DEMO_TEXT": "d86f40891a90ae5b444994a3e630e2c05b7b80237718a68c970dc9d1aa2f155a",
-    "_GROUP_2048_TEXT": "def4f08d5f2c9d7ed661bc94fdab9fe8a3060e2d05a06ab1b15b2577447b4d82",
+# sha256 of the hex form of each built-in (p, q, g) whose p and q skip
+# the Miller-Rabin rounds at construction. Editing a value fails the pin
+# test below until its primes have been checked again and its digest
+# here updated.
+PINNED = {
+    "_DEMO": "ad9c83673324f31cdb5988a07c507631f4f6e44a0ec682b66e7fe30b61ed20cd",
+    "_GROUP_2048": "199cbc771e69c16231667d25941f1cabf9938b811ff2462ff80ed503a12cd936",
 }
 
 
@@ -234,23 +212,23 @@ def _composite_modulus_with_an_order_q_element(q):
 
 
 class TestPinnedGroups:
-    @pytest.mark.parametrize("name", sorted(PINNED_TEXTS))
-    def test_pinned_text_is_unchanged_and_its_p_and_q_are_prime(self, name):
-        text = getattr(groups, name)
-        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TEXTS[name]
-        p, q, _ = groups._parse_group(text)
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_group_is_unchanged_and_its_p_and_q_are_prime(self, name):
+        values = getattr(groups, name)
+        hex_form = " ".join(map(hex, values))
+        assert hashlib.sha256(hex_form.encode()).hexdigest() == PINNED[name]
+        p, q, _ = values
         assert is_probable_prime(p, rounds=40)
         assert is_probable_prime(q, rounds=40)
 
-    def test_only_the_checked_texts_are_pinned(self):
-        assert groups._PINNED == {groups._parse_group(getattr(groups, name))
-                                  for name in PINNED_TEXTS}
+    def test_only_the_checked_groups_are_pinned(self):
+        assert groups._PINNED == {getattr(groups, name) for name in PINNED}
 
     def test_building_a_builtin_group_runs_no_primality_rounds(
             self, prime_tests, monkeypatch):
         monkeypatch.setattr(groups, "_group_2048_cache", None)
         groups.group_2048()
-        load_group(groups._DEMO_TEXT)
+        GroupParams(*groups._DEMO)
         GroupParams(DEMO_GROUP.p, DEMO_GROUP.q, DEMO_GROUP.g)
         assert prime_tests == []
 
@@ -364,6 +342,20 @@ class TestThresholdSigning:
             z = lagrange_at([(p.index, p.z) for p in sub], 0, DEMO_GROUP.q)
             forged = Signature(good.c, z)
             assert not verify(DEMO_GROUP, master.public, b"credential body", forged)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), group=st.sampled_from(["toy", "demo"]),
+           data=st.data())
+    def test_any_t_partials_combine_to_one_signature(self, seed, group, data):
+        group = GROUPS[group]()
+        n = data.draw(st.integers(1, 7))
+        t = data.draw(st.integers(1, n))
+        master, _, sess, _ = self._session(group, n=n, t=t, seed=seed)
+        parts = sess.partials()
+        full = combine_partials(parts, t, group)
+        assert verify(group, master.public, b"credential body", full)
+        for sub in itertools.combinations(parts, t):
+            assert combine_partials(list(sub), t, group) == full
 
     def test_surplus_partials_equal_any_subset(self):
         master, _, sess, _ = self._session(DEMO_GROUP, n=6, t=3)
@@ -563,18 +555,18 @@ def test_verify_gives_the_same_answer_for_a_key_and_its_table(name, seed):
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 32 - 1), p_bits=st.integers(24, 80),
        data=st.data())
-def test_group_text_round_trip_keeps_equality_and_hash(seed, p_bits, data):
+def test_rebuilt_group_keeps_equality_hash_repr_and_exp(seed, p_bits, data):
     # any gap of 3 bits or more holds a group; narrow ones redraw q
     q_bits = data.draw(st.integers(4, p_bits - 3))
     with _time_limit(5):
         group = generate_group(p_bits, q_bits, np.random.default_rng(seed))
-    loaded = load_group(f"p = {group.p:x}\nq = {group.q:x}\ng = {group.g:x}\n")
-    assert loaded == group
-    assert hash(loaded) == hash(group)
-    assert repr(loaded) == f"GroupParams(p={group.p}, q={group.q}, g={group.g})"
+    rebuilt = GroupParams(group.p, group.q, group.g)
+    assert rebuilt == group
+    assert hash(rebuilt) == hash(group)
+    assert repr(rebuilt) == f"GroupParams(p={group.p}, q={group.q}, g={group.g})"
     # q of any bit length, not only the fixtures' multiples of four
     e = data.draw(st.integers(-2 * group.q, 2 * group.q))
-    assert loaded.exp(e) == group.exp(e) == pow(group.g, e % group.q, group.p)
+    assert rebuilt.exp(e) == group.exp(e) == pow(group.g, e % group.q, group.p)
 
 
 # Leaves pack accepts, from small alphabets so that near-collisions such

@@ -6,6 +6,7 @@ demo group; hand-computed value checks use the toy group, whose sharing
 field Z_11 is small enough to evaluate by hand.
 """
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -28,16 +29,35 @@ from mscsim.keymgmt import (
     verify_certificate,
     verify_credential,
 )
-from mscsim.keymgmt import threshold
+from mscsim.keymgmt import service, threshold
 from mscsim.keymgmt.credentials import Certificate, credential_body
 from mscsim.keymgmt.groups import GroupParams
 from mscsim.keymgmt.service import Shareholder
-from mscsim.keymgmt.shamir import lagrange_weight
 from mscsim.runner import run
 from reference import reconstruct
 from test_golden import HO_2048
 
 WARRANT = Warrant(0.0, 1000.0)
+
+
+def reachable_ints(root):
+    """Every int reachable from root through dicts, lists, tuples, sets
+    and dataclass fields."""
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, int):
+            found.add(obj)
+        elif isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            stack += [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    return found
 
 
 def demo_service(seed=11, n=13, t=3):
@@ -63,10 +83,10 @@ class TestCredentialIssuance:
         keys = generate_keypair(DEMO_GROUP, rng)
         cred = svc.request_credential(7, keys.public, WARRANT)
         assert verify_credential(cred, svc.master_public, DEMO_GROUP)
-        entry = svc.transcript[-1]
-        assert entry.kind == "credential" and entry.outcome == "ok"
-        assert len(entry.participants) == 3
-        assert all(n in svc.roster for n in entry.participants)
+        # one count for each of the three quorum members
+        assert len(svc.served) == 3
+        assert set(svc.served.values()) == {1}
+        assert all(n in svc.roster for n in svc.served)
 
     def test_three_requesters_served_by_thirteen_shareholders(self):
         svc, rng = demo_service()
@@ -87,18 +107,18 @@ class TestCredentialIssuance:
 
 class TestCertificates:
     def test_minting_is_local(self):
-        # no transcript growth: the authority never hears about it
+        # no service count moves: the authority never hears about it
         svc, rng = demo_service()
         holder = generate_keypair(DEMO_GROUP, rng)
         cred = svc.request_credential(9, holder.public, WARRANT)
-        before = len(svc.transcript)
+        before = dict(svc.served)
         for _ in range(5):
             subject = generate_keypair(DEMO_GROUP, rng)
             cert = self_generate_certificate(cred, holder, subject, 1.0, 500.0,
                                              DEMO_GROUP, rng)
             assert verify_certificate(cert, svc.master_public, 2.0,
                                       DEMO_GROUP) == (True, "ok")
-        assert len(svc.transcript) == before
+        assert svc.served == before
 
     def test_each_certificate_uses_a_fresh_subject_key(self):
         svc, rng = demo_service()
@@ -203,37 +223,22 @@ class TestShareIssuance:
         assert reconstruct([new, olds[0], olds[1]], DEMO_GROUP.q) == base
         assert reconstruct([new, olds[3], olds[4]], DEMO_GROUP.q) == base
 
-    def test_issuance_transcript_shows_only_blinded_contributions(self):
+    def test_issuance_keeps_no_blind(self, monkeypatch):
+        # a kept blind lets its reader strip the masks off the quorum's
+        # contributions and recover t shares, hence the master key
         svc, rng = demo_service(seed=17, n=5, t=3)
         keys = generate_keypair(DEMO_GROUP, rng)
         cred = svc.request_credential(300, keys.public, WARRANT)
-        new = svc.issue_share(300, cred)
-        entry = svc.transcript[-1]
-        assert entry.kind == "share-issue" and entry.outcome == "ok"
-        audit = entry.audit
-        q = DEMO_GROUP.q
-        masked = audit["blinded_contributions"]
-        blinds = audit["blinds"]
+        blinds, draw = [], service.rand_below
 
-        # masked contributions sum to the issued share value
-        assert sum(masked.values()) % q == new.value
+        def recording(rng, bound):
+            blinds.append(draw(rng, bound))
+            return blinds[-1]
 
-        # pairwise blinds are zero-sum overall
-        net = {node: 0 for node in masked}
-        for (a, b), r in blinds.items():
-            net[a] = (net[a] + r) % q
-            net[b] = (net[b] - r) % q
-        assert sum(net.values()) % q == 0
-
-        # stripping the blinds exposes the underlying Lagrange terms,
-        # and each published value differs from its raw term
-        indices = [svc.roster[n].share.index for n in masked]
-        for node in masked:
-            holder = svc.roster[node]
-            raw = lagrange_weight(indices, holder.share.index, new.index, q) \
-                * holder.share.value % q
-            assert (masked[node] - net[node]) % q == raw
-            assert masked[node] != raw
+        monkeypatch.setattr(service, "rand_below", recording)
+        svc.issue_share(300, cred)
+        assert len(blinds) == 3          # one per pair of the quorum
+        assert not set(blinds) & reachable_ints(vars(svc))
 
     def test_roster_growth_keeps_the_service_alive(self):
         svc, rng = demo_service(seed=17, n=5, t=3)
@@ -297,19 +302,42 @@ class TestFairness:
             svc = KMService.bootstrap(KMConfig(7, 3), TOY_GROUP, rng,
                                       node_ids=range(7))
             keys = generate_keypair(TOY_GROUP, rng)
+            quorums = []
+
+            def recording():
+                quorum = pick()
+                quorums.append([h.node_id for h in quorum])
+                return quorum
+
+            pick, svc._quorum = svc._quorum, recording
             for _ in range(20):
                 svc.request_credential(9, keys.public, WARRANT)
-            return [e.participants for e in svc.transcript]
+            return quorums
 
         assert participants(8) == participants(8)
         assert participants(8) != participants(9)
+
+    def test_each_operation_counts_its_t_servers(self):
+        svc, rng = demo_service(seed=17, n=5, t=3)
+        credentials = issuances = 0
+        for node in (300, 301, 302):
+            keys = generate_keypair(DEMO_GROUP, rng)
+            cred = svc.request_credential(node, keys.public, WARRANT)
+            credentials += 1
+            if node != 301:
+                svc.issue_share(node, cred)
+                issuances += 1
+        # a refused issuance serves no one
+        with pytest.raises(RosterError):
+            svc.issue_share(300, cred)
+        assert sum(svc.served.values()) == svc.threshold * (credentials + issuances)
+        assert svc.fairness_audit()["counts"] == {n: svc.served[n] for n in svc.roster}
 
 
 class TestBootstrap:
     def test_roster_matches_the_configuration(self):
         svc, _ = demo_service()
         assert len(svc.roster) == 13
-        assert svc.transcript[0].kind == "bootstrap"
         indices = sorted(h.share.index for h in svc.roster.values())
         assert indices == list(range(1, 14))
 

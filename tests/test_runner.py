@@ -263,6 +263,14 @@ class TestSweep:
                                      "ncc.bogus": ["1"]})
         with pytest.raises(ConfigError, match="out of range"):
             sweep(small_scenario(), {"links.cellular_loss": ["0.5", "1.0"]})
+        # every key is checked, even beside an axis with no values
+        with pytest.raises(ConfigError, match="unknown key 'zzz.bad'"):
+            sweep(small_scenario(), {"ncc.redundancy": [], "zzz.bad": ["1"]})
+        with pytest.raises(ConfigError, match="unknown key 'no.such_key'"):
+            sweep(small_scenario(), {"no.such_key": []})
+        with pytest.raises(ConfigError, match="'ncc.redundancy' has no values"):
+            sweep(small_scenario(), {"ncc.redundancy": [],
+                                     "nodes.ue_count": ["2"]})
         assert calls == []
 
 
