@@ -24,14 +24,14 @@ the last bit on some inputs.)
 Every draw of a run comes from a `Stream` over the raw words w of
 `PCG64(SeedSequence(entropy))`, which NEP 19 keeps stable, with its own
 transforms in place of numpy's `Generator` methods (equal to numpy 2's):
-`random()` is `(w >> 11) * 2**-53`, `uniform(a, b)` is
-`a + (b - a) * random()`, and the 32-bit draws (`integers`, and
-`choice` by Floyd's sample and a shuffle, Lemire-bounded) read each
-word's bytes in explicit `'<u8'` order as two `'<u4'` halves, low half
-first. A stream serves one family, 64-bit or 32-bit draws: its first
-draw fixes it and a draw from the other raises, so PCG64's spare half,
-which numpy shares between the two, needs no model. Any call form the
-library does not make raises too.
+`random()` is `(w >> 11) * 2**-53` and `floats(k)` the next k of those
+as one array, `uniform(a, b)` is `a + (b - a) * random()`, and the
+32-bit draws (`integers`, and `choice` by Floyd's sample and a shuffle,
+Lemire-bounded) read each word's bytes in explicit `'<u8'` order as two
+`'<u4'` halves, low half first. A stream serves one family, 64-bit or
+32-bit draws: its first draw fixes it and a draw from the other raises,
+so PCG64's spare half, which numpy shares between the two, needs no
+model. Any call form the library does not make raises too.
 """
 
 from __future__ import annotations
@@ -130,6 +130,18 @@ class Stream:
             words = self._bitgen.random_raw(_BLOCK_WORDS)
             ahead = self._ahead = ((words >> 11) * 2.0 ** -53)[::-1].tolist()
         return ahead.pop()
+
+    def floats(self, k: int) -> np.ndarray:
+        """The next k `random()` draws as one float64 array."""
+        out = np.empty(operator.index(k))   # k < 0 raises, drawing nothing
+        self._claim("64-bit")
+        ahead = self._ahead
+        if k > len(ahead):
+            words = self._bitgen.random_raw(max(_BLOCK_WORDS, k - len(ahead)))
+            ahead[:0] = ((words >> 11) * 2.0 ** -53)[::-1].tolist()
+        out[:] = ahead[:-k - 1:-1]
+        del ahead[len(ahead) - k:]
+        return out
 
     def uniform(self, low, high) -> float:
         """`low + (high - low) * random()`, with numpy's range checks."""

@@ -22,7 +22,9 @@ no decoder: it sends each member the source packets themselves (the
 unit vectors e_k, in order, once each) and retries each until it is
 delivered, so every delivery raises that member's rank by one and a
 finished session has decoded everything. Its slot trace marks every
-delivered packet innovative, exactly what a decoder would report.
+delivered packet innovative, exactly what a decoder would report. An
+attempt is one channel draw, so the session draws `Stream.floats`
+blocks and folds in their energy with `np.add.accumulate`, in sequence.
 
 `SessionCodec` counts, per generation, the members that have not yet
 decoded it, so the "all decoded" tests each slot makes cost O(1).
@@ -39,11 +41,11 @@ import numpy as np
 from .engine import (
     DEFAULT_CELLULAR,
     DEFAULT_SHORT_RANGE,
+    RX_ENERGY_FRACTION,
     LinkModel,
     RunSeed,
     Simulator,
     _DELIVERED,
-    _OUT_OF_RANGE,
 )
 from .rlnc import CodedPacket, DecoderState, Generation, draw_coeffs, encode
 
@@ -335,7 +337,7 @@ def _run_seed(seed) -> RunSeed:
     return seed if isinstance(seed, RunSeed) else RunSeed(seed if seed is not None else 0)
 
 
-def _metrics(cloud: CooperativeCloud, config: SessionConfig, sim: Simulator,
+def _metrics(cloud: CooperativeCloud, config: SessionConfig, energy: float,
              trace: Optional[list], *, cellular: int, cooperative: int,
              sent: int, decoding_ratio: float, truncated: bool) -> SessionMetrics:
     return SessionMetrics(
@@ -343,7 +345,7 @@ def _metrics(cloud: CooperativeCloud, config: SessionConfig, sim: Simulator,
         short_range_tx_count=sent,
         cellular_utilization=cellular / (cloud.size * config.source_packet_total),
         decoding_ratio=decoding_ratio,
-        total_energy=sim.total_energy(),
+        total_energy=energy,
         completion_time=cellular + cooperative,
         truncated=truncated,
         records=() if trace is None else tuple(trace),
@@ -372,7 +374,7 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
         coding_rng=coding_rng, nodes=nodes, used=interleaved, trace=trace)
     cellular = config.total_coded  # the whole plan, one slot each
     # cooperation stops short of full decoding only at its budget
-    return _metrics(cloud, config, sim, trace, cellular=cellular,
+    return _metrics(cloud, config, sim.total_energy(), trace, cellular=cellular,
                     cooperative=interleaved + rotated, sent=sent + rotated_sent,
                     decoding_ratio=codec.decoding_ratio(),
                     truncated=cloud.size > 1 and not codec.all_decoded())
@@ -384,59 +386,55 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     """Per-user unicast of every source packet, retransmit until delivered.
 
     The comparison denominator: no coding, no cooperation, cellular only.
-    Erasures are retried; a member out of the base station's cellular
-    range can never be served, so it raises ProtocolError. Retries are
-    bounded: once one packet has been erased
-    ceil(UNICAST_RETRY_SCALE / (1 - cellular_loss)) times in a row, the
-    session raises ProtocolError. At loss p a packet meets the bound with
-    probability p^(UNICAST_RETRY_SCALE / (1 - p)) <= e^-UNICAST_RETRY_SCALE.
-
-    No decoder runs. Source packet k of a generation is the unit vector
-    e_k, sent once to each member in order of k and retried until it
-    arrives, so each delivery is innovative (its pivot column k is new)
-    and a member holds the whole generation once the loop passes it. A
-    session that returns has therefore decoded everything: decoding
-    ratio 1.0, never truncated. `trace` is as for `run_session`.
+    The first member out of the base station's cellular range raises
+    ProtocolError before any draw, as does a packet erased
+    cap = ceil(UNICAST_RETRY_SCALE / (1 - cellular_loss)) times in a row.
+    A pass draws min(need - got, cap - run) floats, `got` of `need`
+    deliveries done and `run` erasures on the packet in service: the run
+    can reach the cap only at its last draw, so each is one the
+    attempt-by-attempt loop takes too. `np.add.accumulate` adds in the
+    pass's energy, tx and then rx on a delivery, in sequence. `trace` is
+    as for `run_session`; a session that raises appends nothing to it.
     """
     if channel_rng is None:
         channel_rng = _run_seed(seed).channel()
     bs_node, nodes = _endpoints(cloud, nodes, bs)
     link, loss = config.cellular, config.cellular_loss
+    sx, sy = bs_node.position
+    for member in cloud.members:    # `Simulator.transmit`'s range test
+        px, py = nodes[member].position
+        dx, dy = sx - px, sy - py
+        if not (dx == 0 and dy == 0) and np.hypot(dx, dy) > link.range_m:
+            raise ProtocolError(f"member {member} is out of cellular range "
+                                f"of base station {bs_node.id}")
+    packets = ((m, g.id, k) for m in cloud.members for g in config.content for k in range(g.size))
+    need = cloud.size * config.source_packet_total
     cap = math.ceil(UNICAST_RETRY_SCALE / (1.0 - loss))
-    sim = Simulator()
-    # bound once, outside the ~1 us attempt; `tuple.__new__` skips the
-    # NamedTuple constructor's ~0.2 us, and tests/test_ncc.py pins the arity
-    transmit, new = sim.transmit, tuple.__new__
-    bs_id = bs_node.id
-    erased = 0  # the session's erasures; every other slot is a delivery
-
-    for member in cloud.members:
-        receivers = [nodes[member]]
-        to = (member,)
-        for gen in config.content:
-            gen_id = gen.id
-            for k in range(gen.size):
-                erasures = 0
-                while True:
-                    status = transmit(link, loss, bs_node, receivers, channel_rng)[0].status
-                    if trace is not None and status is not _OUT_OF_RANGE:
-                        ok = (status is _DELIVERED,)
-                        trace.append(new(SlotRecord, (len(trace), "cellular", bs_id,
-                                                      gen_id, to, ok, ok, False)))
-                    if status is _DELIVERED:
-                        break
-                    if status is _OUT_OF_RANGE:
-                        raise ProtocolError(
-                            f"member {member} is out of cellular range of "
-                            f"base station {bs_id}")
-                    erased += 1
-                    erasures += 1
-                    if erasures == cap:
-                        raise ProtocolError(
-                            f"member {member}: packet {k} of generation "
-                            f"{gen_id} erased {cap} times in a row at "
-                            f"cellular loss {config.cellular_loss}")
-
-    cellular = cloud.size * config.source_packet_total + erased
-    return _metrics(cloud, config, sim, trace, cellular=cellular, cooperative=0,
+    energy, got, run, sent, passes = 0.0, 0, 0, 0, []
+    while got < need:
+        # at loss 0 `transmit` draws nothing: every attempt is a delivery
+        k = min(need - got, cap - run) if loss > 0.0 else need
+        ok = channel_rng.floats(k) >= loss if loss > 0.0 else np.ones(k, dtype=bool)
+        terms = np.empty(2 * k + 1)     # adding 0.0 keeps a sum's bytes
+        terms[0], terms[1::2] = energy, link.tx_energy
+        terms[2::2] = np.where(ok, link.tx_energy * RX_ENERGY_FRACTION, 0.0)
+        energy = float(np.add.accumulate(terms)[-1])
+        delivered = int(np.count_nonzero(ok))
+        got, sent = got + delivered, sent + k
+        run = int(ok[::-1].argmax()) if delivered else run + k
+        if trace is not None:
+            passes.append(ok)
+        if run == cap:
+            member, gen_id, k = list(packets)[got]
+            raise ProtocolError(
+                f"member {member}: packet {k} of generation {gen_id} erased "
+                f"{cap} times in a row at cellular loss {config.cellular_loss}")
+    if trace is not None:
+        ends = np.flatnonzero(np.concatenate(passes)).tolist()
+        for (member, gen_id, _), start, end in zip(packets, [-1] + ends, ends):
+            for attempt in range(start + 1, end + 1):
+                ok = (attempt == end,)
+                trace.append(SlotRecord(len(trace), "cellular", bs_node.id,
+                                        gen_id, (member,), ok, ok))
+    return _metrics(cloud, config, energy, trace, cellular=sent, cooperative=0,
                     sent=0, decoding_ratio=1.0, truncated=False)

@@ -197,6 +197,10 @@ _WORD_DRAWS = st.one_of(
         lambda t: (t[0], *sorted(t[1:]))),
     # across a read-ahead block boundary
     st.tuples(st.just("burst"), st.integers(_BLOCK - 3, _BLOCK + 3)),
+    # none, a few, across a block boundary, or more than a whole block
+    st.tuples(st.just("floats"), st.one_of(
+        st.just(0), st.integers(1, 20), st.integers(_BLOCK - 3, _BLOCK + 3),
+        st.integers(2 * _BLOCK, 3 * _BLOCK))),
 )
 
 
@@ -209,8 +213,23 @@ def test_word_draws_equal_the_generator(seed, draws):
         if kind == "burst":
             _same([stream.random() for _ in range(args[0])],
                   gen.random(args[0]).tolist())
+        elif kind == "floats":
+            _same(stream.floats(args[0]), gen.random(args[0]))
         else:
             _same(getattr(stream, kind)(*args), getattr(gen, kind)(*args))
+
+
+# scalar draws, then one array that starts at `first` within the
+# read-ahead block and takes k, then scalar draws again
+@pytest.mark.parametrize("first, k", [
+    (0, 0), (5, 0), (0, 1), (0, _BLOCK), (0, _BLOCK + 1), (1, _BLOCK - 1),
+    (_BLOCK - 2, 5), (_BLOCK, 3), (10, 3 * _BLOCK + 7)])
+def test_floats_equal_the_scalar_draws_around_a_block(first, k):
+    stream, gen = Stream(11), _generator(11)
+    _same([stream.random() for _ in range(first)], gen.random(first).tolist())
+    _same(stream.floats(k), gen.random(k))
+    _same([stream.random() for _ in range(_BLOCK + 2)],
+          gen.random(_BLOCK + 2).tolist())
 
 
 # a draw's size: empty, short, a (g, L) block with empty rows or columns,
@@ -282,7 +301,9 @@ def test_uniform_refuses_what_the_generator_refuses(low, high):
 
 
 _FIRST_WORD = {"random": lambda s: s.random(),
-               "uniform": lambda s: s.uniform(0.0, 1.0)}
+               "uniform": lambda s: s.uniform(0.0, 1.0),
+               "floats": lambda s: s.floats(3),
+               "no floats": lambda s: s.floats(0)}
 _FIRST_HALF = {"bytes": lambda s: s.integers(0, 256, 4, np.uint8),
                "no bytes": lambda s: s.integers(0, 256, 0, np.uint8),
                "words": lambda s: s.integers(0, 1 << 32, 2, np.uint64),
@@ -316,6 +337,9 @@ def test_a_stream_serves_one_family(first, then):
     ("integers(0, 256, (-2, -2), np.uint8)", ValueError),
     ("random(4)", TypeError),
     ("uniform(0.0, 1.0, 3)", TypeError),
+    ("floats()", TypeError),
+    ("floats(2.0)", TypeError),
+    ("floats(-1)", ValueError),
     ("choice(5, 2)", ValueError),
     ("choice(5, None, replace=False)", TypeError),
     ("choice(5, (1, 2), replace=False)", TypeError),

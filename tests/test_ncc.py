@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mscsim.engine import (
+    DEFAULT_CELLULAR,
     RX_ENERGY_FRACTION,
     Delivery,
     DeliveryStatus,
@@ -377,13 +378,20 @@ class TestBaselineUnicast:
         assert coop.total_energy < base.total_energy
 
     def test_out_of_range_member_raises_instead_of_retrying(self):
+        """Range is checked for every member, in order, before any draw:
+        an out-of-range second member raises with no channel draw taken,
+        and a partial trace is no longer appended before the raise."""
         cloud = CooperativeCloud([1, 2], head_id=1)
-        cfg = SessionConfig(content=_content(g=4))
         bs = Endpoint(-1, (0.0, 0.0))
-        far = cfg.cellular.range_m * 2
+        far = DEFAULT_CELLULAR.range_m * 2
         nodes = {-1: bs, 1: Endpoint(1, (10.0, 0.0)), 2: Endpoint(2, (far, 0.0))}
-        with pytest.raises(ProtocolError, match="member 2 is out of cellular range"):
-            baseline_unicast_session(cloud, cfg, seed=0, nodes=nodes, bs=bs)
+        for loss in (0.0, 0.3):
+            cfg = SessionConfig(content=_content(g=4), cellular_loss=loss)
+            channel, trace = ScriptedChannel(lambda i: 0.99), []
+            with pytest.raises(ProtocolError, match="member 2 is out of cellular range"):
+                baseline_unicast_session(cloud, cfg, channel_rng=channel,
+                                         nodes=nodes, bs=bs, trace=trace)
+            assert channel.draws == 0 and trace == []
 
     @pytest.mark.parametrize("loss, cap", [(0.5, 128), (0.3, 92)])
     def test_gives_up_after_the_retry_bound(self, loss, cap):
@@ -407,28 +415,47 @@ class TestBaselineUnicast:
         assert m.cellular_tx_count == channel.draws == 6 * 128
         assert sum(r.delivered == (True,) for r in m.records) == 6
 
+    def test_the_give_up_draws_blocks_no_larger_than_the_need(self):
+        # at loss 0.999 every draw erases and the bound is 64,000 draws;
+        # no single request may outgrow the 2 * 8 packets still to go
+        channel = ScriptedChannel(lambda i: 0.5)
+        cloud = CooperativeCloud([1, 2], head_id=1)
+        cfg = SessionConfig(content=_content(g=8), cellular_loss=0.999)
+        with pytest.raises(ProtocolError, match=(
+                "member 1: packet 0 of generation 0 erased 64000 times")):
+            baseline_unicast_session(cloud, cfg, channel_rng=channel)
+        assert channel.draws == 64_000
+        assert channel.largest == 16
+
 
 class ScriptedChannel:
-    """A channel stream whose i-th draw (from 0) is `draw(i)`. It raises
-    after 100,000 draws, so a retry loop without a bound fails the test
-    instead of hanging it."""
+    """A channel stream whose i-th draw (from 0) is `draw(i)`, served k at
+    a time by `floats(k)`. It counts the draws it hands out, keeps the
+    largest k asked for, and raises beyond 100,000 draws, so a retry loop
+    without a bound fails the test instead of hanging it."""
 
     def __init__(self, draw):
         self.draw = draw
         self.draws = 0
+        self.largest = 0
 
-    def random(self) -> float:
-        if self.draws == 100_000:
+    def floats(self, k: int) -> np.ndarray:
+        if self.draws + k > 100_000:
             raise RuntimeError("the retry loop did not give up")
-        self.draws += 1
-        return self.draw(self.draws - 1)
+        self.largest = max(self.largest, k)
+        self.draws += k
+        return np.array([self.draw(i) for i in range(self.draws - k, self.draws)],
+                        dtype=np.float64)
 
 
-def decoder_unicast_session(cloud, config, seed):
+def decoder_unicast_session(cloud, config, seed, channel_rng=None):
     """The unicast baseline as a decoder sees it: every delivered packet
     is `encode(gen, e_k)`, fed to that member's real `DecoderState`, and
-    must be innovative; at the end the decoding ratio must be 1."""
-    channel_rng = RunSeed(seed).channel()
+    must be innovative; at the end the decoding ratio must be 1. One
+    `Simulator.transmit` per attempt, drawing from `channel_rng` (seed's
+    channel stream by default)."""
+    if channel_rng is None:
+        channel_rng = RunSeed(seed).channel()
     bs = Endpoint(-1)
     codec = SessionCodec(cloud, config.content)
     sim = Simulator()
@@ -464,6 +491,29 @@ def decoder_unicast_session(cloud, config, seed):
         truncated=cloud.size > 1 and not codec.all_decoded(),
         records=tuple(records),
     )
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_unicast_passes_match_the_decoder_based_loop(data):
+    """The pass-wise unicast session against the attempt-by-attempt
+    oracle, over wider clouds and generations: the same metrics, records
+    and energy bytes, and both channel streams left at the same draw."""
+    members = data.draw(st.integers(1, 8))
+    sizes = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    cfg = SessionConfig(
+        content=[Generation.random(i, g, 2, rng) for i, g in enumerate(sizes)],
+        cellular_loss=data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])))
+    cloud = CooperativeCloud(range(members), head_id=0)
+    seed = data.draw(st.integers(0, 2 ** 16))
+    got_rng, want_rng = RunSeed(seed).channel(), RunSeed(seed).channel()
+    got = baseline_unicast_session(cloud, cfg, channel_rng=got_rng, trace=[])
+    want = decoder_unicast_session(cloud, cfg, seed, channel_rng=want_rng)
+    assert got == want
+    assert got.records == want.records
+    assert struct.pack("<d", got.total_energy) == struct.pack("<d", want.total_energy)
+    assert got_rng.random() == want_rng.random()
 
 
 @settings(max_examples=100)
