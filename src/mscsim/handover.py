@@ -13,24 +13,24 @@ then read that one report list:
   every base station in range, reports them uplink, and on a handover
   executes a random access toward the target.
 
-Both use the same argmax-with-hysteresis decision rule, so they differ
-only in who signals, never in where the device ends up. An empty
-snapshot is a radio link failure for either procedure. An event holds
-only its stations and message counts; no record reads when a decision
-was made.
-
-The caller passes the hysteresis margin (the scenario's
-`handover.hysteresis_db`) to each procedure. The path-loss law and the
-per-message energies are module constants that no scenario key sets.
+Both procedures, and the gateway choice when the cell forms, decide on
+the head's distances, held at 1 m or above. Every station transmits at
+one power under one log-distance path loss, so the nearest station is
+the strongest: it wins, lowest id on a tie, unless the serving station
+is within K = 10^(h / SLOPE_DB) times its distance, h being the margin
+`handover.hysteresis_db`. The procedures thus differ only in who
+signals, never in where the device ends up. An empty snapshot is a
+radio link failure for either procedure.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .topology import PL0_DB, REF_DISTANCE, SLOPE_DB, Node
+from .topology import MobileSmallCell, Node
 
 
 class RadioLinkFailure(Exception):
@@ -43,7 +43,7 @@ class RadioLinkFailure(Exception):
 
 class MeasurementReport(NamedTuple):
     bs_id: int
-    rx_power_dbm: float
+    distance: float             # head to station (m), held at 1 m or above
 
 
 @dataclass(slots=True)
@@ -64,83 +64,91 @@ class HandoverEvent:
 HO_TX_ENERGY = 1.0
 HO_RX_ENERGY = 0.1
 
+SLOPE_DB = 10.0 * 3.5       # path loss, dB per decade of distance
+
+
+def hysteresis_ratio(hysteresis_db: float) -> float:
+    """K, in `decimal` rather than libm. A margin too large for a float
+    gives inf: the serving station always stays, as it would in dB."""
+    ctx = decimal.Context(prec=34, traps=[decimal.InvalidOperation])
+    return float(ctx.power(10, ctx.divide(decimal.Decimal(hysteresis_db),
+                                          decimal.Decimal(SLOPE_DB))))
+
 
 def measure(mch: Node, stations: Sequence[Node],
             max_range: float) -> list[MeasurementReport]:
     """The radio snapshot of one epoch: a report for every station within
-    `max_range` of the cell head, in ascending station id.
-
-    Stations given in id order, as the runner gives them, cost no
-    reordering; the final sort only compares ids, which are unique.
-    Powers are `topology.received_power_dbm` inlined, operation for
-    operation.
-    """
+    `max_range` of the cell head, in ascending station id (a sort of
+    unique ids, which costs nothing on stations given in id order)."""
     x, y = mch.position
-    tx_power = mch.tx_power_dbm
-    pl0, slope, d0 = PL0_DB, SLOPE_DB, REF_DISTANCE
     hypot = math.hypot
-    log10 = math.log10
     reports = []
     for stn in stations:
         sx, sy = stn.position
         distance = hypot(x - sx, y - sy)
         if distance <= max_range:
-            d = distance if distance > d0 else d0
             reports.append(MeasurementReport(
-                stn.id, tx_power - (pl0 + slope * log10(d / d0))))
+                stn.id, distance if distance > 1.0 else 1.0))
     reports.sort()
     return reports
 
 
-def _decide(reports: Sequence[MeasurementReport], serving_id: int,
-            hysteresis_db: float) -> int:
-    """Target selection: strongest station (lowest id on a tie), but a
-    challenger must beat the serving station by the hysteresis margin."""
-    best_id, best_power = reports[0].bs_id, reports[0].rx_power_dbm
-    serving_power = None
-    for bs_id, power in reports:
-        if power > best_power or (power == best_power and bs_id < best_id):
-            best_id, best_power = bs_id, power
+def _decide(mch: Node, reports: Sequence[MeasurementReport],
+            serving_id: Optional[int], ratio: float) -> int:
+    """Target selection: the nearest station (lowest id on a tie), unless
+    the serving station is within `ratio` times the nearest distance. A
+    `best * ratio` that overflows to inf exceeds every distance anyway.
+    No station to pick is a radio link failure of `mch`."""
+    if not reports:
+        raise RadioLinkFailure(mch.id)
+    best_id, best = reports[0]
+    serving = None
+    for bs_id, distance in reports:
+        if distance < best or (distance == best and bs_id < best_id):
+            best_id, best = bs_id, distance
         if bs_id == serving_id:
-            serving_power = power
-    if serving_power is not None and best_power <= serving_power + hysteresis_db:
+            serving = distance
+    if serving is not None and serving <= best * ratio:
         return serving_id
     return best_id
 
 
+def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
+                      nodes: dict[int, Node]) -> None:
+    """Point the cell's gateway link at the base station nearest the head
+    (lowest id on ties): the handover rule with no serving station."""
+    head = nodes[msc.head]
+    msc.gateway_bs = _decide(head, measure(head, base_stations, math.inf),
+                             None, 1.0)
+
+
 def ul_rs_handover(mch: Node, serving_bs: Node,
                    reports: Sequence[MeasurementReport],
-                   hysteresis_db: float) -> HandoverEvent:
+                   ratio: float) -> HandoverEvent:
     """One decision epoch of the uplink-reference-signal procedure over
-    the epoch's snapshot from `measure`.
-    """
-    if not reports:
-        raise RadioLinkFailure(mch.id)
+    the epoch's snapshot from `measure`, with K as `ratio`."""
     serving_id = serving_bs.id
-    target = _decide(reports, serving_id, hysteresis_db)
-    executed = target != serving_id
+    target = _decide(mch, reports, serving_id, ratio)
     # positional, to skip keyword matching on the per-epoch path
     return HandoverEvent(
         mch.id, serving_id, target,
         1,                      # ue_tx: the UL RS broadcast itself
-        1 if executed else 0,   # ue_rx: handover command downlink
+        1 if target != serving_id else 0,   # ue_rx: handover command
         len(reports))           # network: per-BS reports to the controller
 
 
 def baseline_handover(mch: Node, serving_bs: Node,
                       reports: Sequence[MeasurementReport],
-                      hysteresis_db: float) -> HandoverEvent:
+                      ratio: float) -> HandoverEvent:
     """Device-measured downlink procedure used as the comparison point,
-    over the epoch's snapshot from `measure`.
+    over the epoch's snapshot from `measure`, with K as `ratio`.
 
     The device receives a reference signal from every station in range,
     transmits one measurement report, and on an executed handover also
     receives the command and transmits the random access to the target.
     """
-    if not reports:
-        raise RadioLinkFailure(mch.id)
     serving_id = serving_bs.id
-    target = _decide(reports, serving_id, hysteresis_db)
+    target = _decide(mch, reports, serving_id, ratio)
     executed = target != serving_id
     return HandoverEvent(
         mch.id, serving_id, target,

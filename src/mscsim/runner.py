@@ -12,6 +12,7 @@ Output files are written to a temporary name and renamed into place, so
 a crash never leaves a partially written file behind.
 """
 
+import errno
 import hashlib
 import itertools
 import json
@@ -32,8 +33,10 @@ from .config import (
 from .engine import LinkKind, LinkModel, RunSeed
 from .handover import (
     RadioLinkFailure,
+    associate_gateway,
     baseline_handover,
     ho_energy,
+    hysteresis_ratio,
     measure,
     ul_rs_handover,
 )
@@ -57,7 +60,6 @@ from .rlnc import Generation
 from .topology import (
     Node,
     NodeKind,
-    associate_gateway,
     form_msc,
     step_mobility,
     topology_snapshot,
@@ -78,6 +80,30 @@ class RunResult:
     out_path: Optional[str] = None
 
 
+def _open_temp(out_path: str):
+    """A fresh temp file beside `out_path`: (file, name, directory)."""
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    parent = os.path.dirname(os.path.abspath(out_path))
+    os.makedirs(parent, exist_ok=True)
+    # "x" never opens an existing file; unlike mkstemp's private 0600,
+    # the file gets the mode the umask gives a plain open()
+    tmp = f"{out_path}.{os.urandom(8).hex()}.tmp"
+    return open(tmp, "x", encoding="utf-8"), tmp, parent
+
+
+def prepare_outputs(*paths: Optional[str]) -> None:
+    """Fail before any work, with an OSError naming it, where `write_records`
+    could not write one of `paths` (None and "" are skipped)."""
+    for path in filter(None, paths):
+        try:
+            fh, tmp, _ = _open_temp(path)
+            fh.close()
+            os.unlink(tmp)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 def write_records(records, out_path: str) -> None:
     """One JSON object per line; write-then-rename, never partial.
 
@@ -90,12 +116,7 @@ def write_records(records, out_path: str) -> None:
     OSError names `out_path`, whichever step failed.
     """
     try:
-        parent = os.path.dirname(os.path.abspath(out_path))
-        os.makedirs(parent, exist_ok=True)
-        # "x" never opens an existing file; unlike mkstemp's private 0600,
-        # the file gets the mode the umask gives a plain open()
-        tmp = f"{out_path}.{os.urandom(8).hex()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
+        fh, tmp, parent = _open_temp(out_path)
         try:
             with fh:
                 for record in records:
@@ -143,8 +164,7 @@ def _build_topology(scenario: Scenario, mobility_rng):
     width, height = scenario.arena_width, scenario.arena_height
     for i in range(scenario.base_stations):
         bs = Node(_BS_BASE + i + 1, NodeKind.BASE_STATION,
-                  (width * (i + 1) / (scenario.base_stations + 1), height / 2),
-                  tx_power_dbm=43.0)
+                  (width * (i + 1) / (scenario.base_stations + 1), height / 2))
         nodes[bs.id] = bs
         stations.append(bs)
 
@@ -282,7 +302,7 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
     arena = (scenario.arena_width, scenario.arena_height)
     speed_range = (scenario.speed_min, scenario.speed_max)
     max_range = scenario.cellular_range
-    hysteresis_db = scenario.hysteresis_db
+    ratio = hysteresis_ratio(scenario.hysteresis_db)
     ul_serving = base_serving = nodes[msc.gateway_bs]
 
     for _ in range(epochs):
@@ -291,8 +311,7 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
         reports = measure(mch, stations, max_range)
 
         try:
-            event = ul_rs_handover(mch, ul_serving, reports,
-                                   hysteresis_db=hysteresis_db)
+            event = ul_rs_handover(mch, ul_serving, reports, ratio)
         except RadioLinkFailure:
             link_failures += 1
             ul_target = ul_serving.id
@@ -307,8 +326,7 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
                 ul_serving = nodes[ul_target]
 
         try:
-            event = baseline_handover(mch, base_serving, reports,
-                                      hysteresis_db=hysteresis_db)
+            event = baseline_handover(mch, base_serving, reports, ratio)
         except RadioLinkFailure:
             link_failures += 1
             base_target = base_serving.id
@@ -346,13 +364,14 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
     With `trace_path`, the slot trace of every session that finished is
     written there, one line per slot: the run's ids, the session index
     and the `SlotRecord` fields. The records and `out_path` are the same
-    with or without it. Both paths naming one file is a ConfigError,
-    raised before the run starts.
+    with or without it. Both paths naming one file is a ConfigError, and
+    an unwritable path an OSError, raised before the run starts.
     """
     if (out_path is not None and trace_path is not None
             and os.path.realpath(out_path) == os.path.realpath(trace_path)):
         raise ConfigError("the records and the slot trace would both go to "
                           f"{os.path.realpath(out_path)}")
+    prepare_outputs(out_path, trace_path)
     digest = scenario_hash(scenario)
     ids = {
         "schema": SCHEMA_VERSION,
@@ -449,6 +468,7 @@ def sweep(scenario: Scenario, grid: dict,
     no-op. Record content does not depend on execution order.
     """
     points = expand_grid(scenario, grid)
+    prepare_outputs(out_path)
     records: list[dict] = []
     exit_code = 0
     for point, derived in points:

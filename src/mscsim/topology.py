@@ -6,8 +6,7 @@ fixed base station. Election scores weigh battery, mean link quality to
 the other candidates, and neighbor degree. A run elects its head once,
 when the cell forms, and keeps it for the whole run.
 
-The election weights and the log-distance path-loss law are module
-constants: no scenario key sets them, and every run uses the same ones.
+The election weights are module constants that no scenario key sets.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class Node:
     role: Role = Role.IDLE
     speed: float = 0.0
     waypoint: Optional[tuple[float, float]] = None
-    tx_power_dbm: float = 23.0
 
     def __post_init__(self):
         if not 0.0 <= self.battery <= 1.0:
@@ -59,18 +57,6 @@ class MobileSmallCell:
     head: int                            # node id of the MCH
     members: set[int] = field(default_factory=set)
     gateway_bs: Optional[int] = None
-
-
-# Log-distance path loss, PL(d) = PL0_DB + SLOPE_DB * log10(d / REF_DISTANCE)
-# with d held at REF_DISTANCE or above: 40 dB at 1 m, exponent 3.5.
-PL0_DB = 40.0
-SLOPE_DB = 10.0 * 3.5
-REF_DISTANCE = 1.0
-
-
-def received_power_dbm(tx_power_dbm: float, distance: float) -> float:
-    d = max(distance, REF_DISTANCE)
-    return tx_power_dbm - (PL0_DB + SLOPE_DB * math.log10(d / REF_DISTANCE))
 
 
 # Head election weights of battery, mean link quality and degree.
@@ -147,7 +133,7 @@ def step_mobility(nodes: Iterable[Node], dt: float, rng,
     width, height = arena
     low, high = speed_range
     hypot = math.hypot
-    limit = MAX_STEP_DIAGONALS * hypot(width, height)  # as in max_step_walk
+    limit = max_step_walk(width, height)
     if high * dt > limit:
         raise TopologyError(
             f"a step of {dt} s at {high} m/s walks more than "
@@ -186,21 +172,6 @@ def step_mobility(nodes: Iterable[Node], dt: float, rng,
                 x, y = x + dx * frac, y + dy * frac
                 break
         node.position = (x, y)
-
-
-def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
-                      nodes: dict[int, Node]) -> MobileSmallCell:
-    """Point the cell's gateway link at the base station heard loudest
-    by the head (lowest id on ties)."""
-    if not base_stations:
-        raise TopologyError("no base stations available")
-    head = nodes[msc.head]
-    best = min(
-        base_stations,
-        key=lambda bs: (-received_power_dbm(bs.tx_power_dbm, head.distance_to(bs)), bs.id),
-    )
-    msc.gateway_bs = best.id
-    return msc
 
 
 def topology_snapshot(time: float, nodes: Iterable[Node],

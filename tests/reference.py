@@ -5,16 +5,20 @@ No simulation run calls any of this, so it lives with the tests:
 - ``matmul``, a GF(2^8) matrix product built on ``gf256.mul_rows``;
 - ``reconstruct``, the Shamir master key from t shares;
 - ``generate_group``, a fresh Schnorr group of any size, for property
-  tests that need groups other than the built-in ones.
+  tests that need groups other than the built-in ones;
+- ``received_power_dbm``, the log-distance path loss that the handover
+  layer's distance rule stands for, so that tests can decide in dB.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from mscsim.gf256 import mul_rows
+from mscsim.handover import SLOPE_DB
 from mscsim.keymgmt.groups import GroupError, GroupParams, is_probable_prime, rand_range
 from mscsim.keymgmt.shamir import KeyShare, lagrange_at
 
@@ -75,3 +79,16 @@ def generate_group(p_bits: int, q_bits: int, rng) -> GroupParams:
         g = pow(h, (p - 1) // q, p)
         if g != 1:
             return GroupParams(p, q, g)
+
+
+# Log-distance path loss, PL(d) = PL0_DB + SLOPE_DB * log10(d / REF_DISTANCE)
+# with d held at REF_DISTANCE or above: 40 dB at 1 m, exponent 3.5. A
+# device transmits at DEVICE_TX_POWER_DBM.
+PL0_DB = 40.0
+REF_DISTANCE = 1.0
+DEVICE_TX_POWER_DBM = 23.0
+
+
+def received_power_dbm(tx_power_dbm: float, distance: float) -> float:
+    d = max(distance, REF_DISTANCE)
+    return tx_power_dbm - (PL0_DB + SLOPE_DB * math.log10(d / REF_DISTANCE))

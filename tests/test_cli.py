@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import mscsim
+from mscsim import runner
 from mscsim.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from mscsim.config import PRESETS, apply_overrides, default_scenario, parse_config
 
@@ -125,6 +126,33 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot write {argv[-1]}: ")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--trace", "afile/trace.jsonl"],
+        ["run", "--out", "afile/out.jsonl", "--trace", "t.jsonl"],
+        ["run", "--out", "adir"],
+        ["sweep", "--grid", "nodes.ue_count=2,3", "--out", "afile/sw.jsonl"],
+    ], ids=["run-trace", "run-out-before-trace", "run-out-is-a-directory",
+            "sweep-out"])
+    def test_an_unwritable_output_path_fails_before_any_session(
+            self, workdir, monkeypatch, capsys, argv):
+        # a regular file where a directory would have to be, and a
+        # directory where the records file would have to be
+        (workdir / "afile").write_text("")
+        (workdir / "adir").mkdir()
+        cfg = write(workdir, "s.cfg", SMALL)
+        built = []
+        build = runner._build_topology
+        monkeypatch.setattr(runner, "_build_topology",
+                            lambda *a: built.append(a) or build(*a))
+        assert main([argv[0], cfg, *argv[1:]]) == EXIT_BAD_CONFIG
+        bad = next(a for a in argv if a.startswith(("afile", "adir")))
+        assert capsys.readouterr().err.startswith(f"cannot write {bad}: ")
+        assert built == []
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "adir", "afile", "s.cfg"]
+        assert list((workdir / "adir").iterdir()) == []
 
 
 class TestTraceFlag:

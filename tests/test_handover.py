@@ -6,13 +6,15 @@ per executed handover, lower mean device energy) rather than absolute
 figures. The runner's handover summary is checked against the loop it
 replaced, in which each procedure measured the radio on its own and the
 devices moved by the random-waypoint stepper kept here as a reference.
+That loop decides in dB, through `reference.received_power_dbm`, so it
+also checks the distance rule against the path-loss law it stands for.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mscsim import runner
@@ -25,17 +27,17 @@ from mscsim.handover import (
     _decide,
     baseline_handover,
     ho_energy,
+    hysteresis_ratio,
     measure,
     ul_rs_handover,
 )
 from mscsim.topology import (
-    REF_DISTANCE,
     Node,
     NodeKind,
     max_step_walk,
-    received_power_dbm,
     step_mobility,
 )
+from reference import DEVICE_TX_POWER_DBM, REF_DISTANCE, received_power_dbm
 
 
 def _mch(x=0.0, y=0.0, node_id=0):
@@ -46,16 +48,20 @@ def _bs(node_id, x, y):
     return Node(node_id, NodeKind.BASE_STATION, (x, y))
 
 
+# the distance ratio of the default 3 dB margin
+RATIO_3DB = hysteresis_ratio(3.0)
+
+
 # both procedures over the snapshot of [serving, *neighbors] at 1000 m,
-# with the default 3 dB margin
+# with the default margin
 def _ul_rs(mch, serving, neighbors):
     reports = measure(mch, [serving, *neighbors], 1000.0)
-    return ul_rs_handover(mch, serving, reports, hysteresis_db=3.0)
+    return ul_rs_handover(mch, serving, reports, RATIO_3DB)
 
 
 def _baseline(mch, serving, neighbors):
     reports = measure(mch, [serving, *neighbors], 1000.0)
-    return baseline_handover(mch, serving, reports, hysteresis_db=3.0)
+    return baseline_handover(mch, serving, reports, RATIO_3DB)
 
 
 class TestMeasure:
@@ -64,8 +70,9 @@ class TestMeasure:
         stations = [_bs(3, 0, 90), _bs(1, 60, 0), _bs(4, 5000, 0), _bs(2, 80, 0)]
         reports = measure(mch, stations, 1000.0)
         assert [r.bs_id for r in reports] == [1, 2, 3]
-        assert reports[0] == MeasurementReport(
-            1, received_power_dbm(mch.tx_power_dbm, 60.0))
+        assert reports[0] == MeasurementReport(1, 60.0)
+        assert measure(mch, [_bs(5, 0.5, 0)], 1000.0) == [
+            MeasurementReport(5, 1.0)]
 
     def test_range_is_inclusive(self):
         assert [r.bs_id for r in measure(_mch(), [_bs(1, 100, 0)],
@@ -82,14 +89,12 @@ _REF_SHARES = (st.sampled_from([0.0, 0.25, 1.0 - 2 ** -40, 1.0, 1.0 + 2 ** -40,
 
 @settings(max_examples=200)
 @given(data=st.data(),
-       tx_power=st.floats(-20.0, 60.0),
        head=st.just((0.0, 0.0))
        | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
-def test_measure_powers_equal_received_power_bit_for_bit(data, tx_power,
-                                                         head):
-    """`measure` inlines the pathloss formula; every report must still be
-    `received_power_dbm` at the station's distance. A head at the origin
-    puts a station at angle 0 exactly at its share of REF_DISTANCE."""
+def test_measure_distances_equal_the_clamped_distance_bit_for_bit(data, head):
+    """Every report is the head's distance to the station, held at 1 m or
+    above. A head at the origin puts a station at angle 0 exactly at its
+    share of 1 m."""
     count = data.draw(st.integers(1, 6), label="stations")
     ids = data.draw(st.permutations(range(1, count + 1)), label="ids")
     stations = []
@@ -100,13 +105,13 @@ def test_measure_powers_equal_received_power_bit_for_bit(data, tx_power,
         r = share * REF_DISTANCE
         stations.append(_bs(bs_id, head[0] + r * math.cos(angle),
                             head[1] + r * math.sin(angle)))
-    mch = Node(0, NodeKind.UE, head, tx_power_dbm=tx_power)
+    mch = _mch(*head)
     reports = measure(mch, stations, math.inf)
     assert [r.bs_id for r in reports] == sorted(ids)
     by_id = {s.id: s for s in stations}
-    for bs_id, power in reports:
-        expected = received_power_dbm(tx_power, mch.distance_to(by_id[bs_id]))
-        assert power.hex() == expected.hex()
+    for bs_id, distance in reports:
+        expected = max(mch.distance_to(by_id[bs_id]), 1.0)
+        assert distance.hex() == expected.hex()
 
 
 class TestUlRs:
@@ -135,7 +140,7 @@ class TestUlRs:
         serving = _bs(1, 60, 0)
         neighbors = [_bs(2, 80, 0), _bs(3, 0, 90), _bs(4, 5000, 0)]
         reports = measure(_mch(), [serving, *neighbors], 1000.0)
-        ev = ul_rs_handover(_mch(), serving, reports, hysteresis_db=3.0)
+        ev = ul_rs_handover(_mch(), serving, reports, RATIO_3DB)
         assert ev.network_messages == 3  # the 5 km station never hears the UL RS
         assert {r.bs_id for r in reports} == {1, 2, 3}
 
@@ -227,9 +232,8 @@ def test_trace_comparison_ul_rs_dominates_baseline():
     for _ in range(1000):
         step_mobility(nodes, 1.0, rng, arena=(300.0, 300.0), speed_range=(2.0, 8.0))
         reports = measure(ue, stations.values(), 1000.0)
-        ul = ul_rs_handover(ue, stations[serving], reports, hysteresis_db=3.0)
-        base = baseline_handover(ue, stations[serving], reports,
-                                 hysteresis_db=3.0)
+        ul = ul_rs_handover(ue, stations[serving], reports, RATIO_3DB)
+        base = baseline_handover(ue, stations[serving], reports, RATIO_3DB)
         assert ul.target_bs == base.target_bs  # identical radio snapshot
         ul_events.append(ul)
         base_events.append(base)
@@ -396,15 +400,19 @@ def test_stepper_matches_the_reference_property(data, arena, dt, walk_share,
 
 
 def _reference_measure(mch, stations, max_range):
+    """(station id, received power in dBm) for each station in range."""
     reports = []
     for stn in sorted(stations, key=lambda s: s.id):
         if mch.distance_to(stn) <= max_range:
-            power = received_power_dbm(mch.tx_power_dbm, mch.distance_to(stn))
+            power = received_power_dbm(DEVICE_TX_POWER_DBM,
+                                       mch.distance_to(stn))
             reports.append((stn.id, power))
     return reports
 
 
 def _reference_decide(reports, serving_id, hysteresis_db):
+    """The strongest station (lowest id on a tie), unless it beats the
+    serving station by no more than the margin."""
     by_id = dict(reports)
     best = min(by_id, key=lambda b: (-by_id[b], b))
     if serving_id in by_id and best != serving_id:
@@ -438,7 +446,9 @@ def reference_handover_summary(scenario):
                "link_failures": 0, **totals}
     mch = nodes[msc.head]
     devices = [n for n in nodes.values() if n.kind is NodeKind.UE]
-    serving = {name: nodes[msc.gateway_bs] for name in totals}
+    gateway = _reference_decide(_reference_measure(mch, stations, math.inf),
+                                None, 0.0)
+    serving = {name: nodes[gateway] for name in totals}
     for _ in range(scenario.ho_epochs):
         _reference_step_mobility(devices, scenario.epoch_duration, mobility_rng,
                                  (scenario.arena_width, scenario.arena_height),
@@ -492,17 +502,88 @@ def test_reference_reaches_radio_link_failures():
     assert reference_handover_summary(scenario)["link_failures"] > 0
 
 
+def _reference_nearest(reports, serving_id, ratio):
+    """The distance rule in two passes: the nearest station (lowest id on
+    a tie), unless the serving one is within `ratio` times as far."""
+    by_id = dict(reports)
+    best = min(by_id, key=lambda b: (by_id[b], b))
+    if serving_id in by_id and by_id[serving_id] <= by_id[best] * ratio:
+        return serving_id
+    return best
+
+
 @settings(max_examples=200)
 @given(reports=st.lists(st.tuples(st.integers(1, 6),
-                                  st.sampled_from([-80.0, -75.5, -72.0, -70.0])
-                                  | st.floats(-120.0, -40.0)),
+                                  st.sampled_from([1.0, 10.0, 12.5, 80.0])
+                                  | st.floats(1.0, 1e4)),
                         min_size=1, max_size=6,
                         unique_by=lambda r: r[0]),
        serving=st.integers(1, 7),
        hysteresis=st.sampled_from([0.0, 2.0, 3.0, 4.5]))
 def test_single_pass_decision_matches_the_reference_rule(reports, serving,
                                                           hysteresis):
-    snapshot = [MeasurementReport(bs_id, power) for bs_id, power in reports]
-    assert (_decide(snapshot, serving, hysteresis)
-            == _reference_decide(reports, serving, hysteresis))
+    snapshot = [MeasurementReport(bs_id, d) for bs_id, d in reports]
+    ratio = hysteresis_ratio(hysteresis)
+    assert (_decide(_mch(), snapshot, serving, ratio)
+            == _reference_nearest(reports, serving, ratio))
 
+
+# a station's distance from the head: within 1 m, around it, and near
+# and far beyond it
+_DISTANCES = (st.sampled_from([0.0, 0.5, 1.0 - 2 ** -40, 1.0, 1.0 + 2 ** -40,
+                               10.0, 1e4])
+              | st.floats(0.0, 2.0) | st.floats(0.0, 300.0)
+              | st.floats(1e3, 1e6))
+
+# margins (dB) closer than this to a decision boundary are left out
+_DB_BAND = 1e-9
+
+
+@settings(max_examples=500)
+@given(data=st.data(),
+       head=st.just((0.0, 0.0))
+       | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       serving=st.integers(1, 7),
+       hysteresis=st.sampled_from([0.0, 2.0, 3.0, 4.5]) | st.floats(0.0, 30.0))
+def test_distance_decision_matches_the_decibel_rule(data, head, serving,
+                                                     hysteresis):
+    """`_decide` over `measure`, with the ratio of the margin, picks the
+    station that the path-loss rule picks in dB.
+
+    Landing tolerance: a case is skipped only when a dB margin lies
+    within 1e-9 dB (`_DB_BAND`) of a decision boundary: the strongest
+    station's lead over a serving station at another distance within
+    the band of the hysteresis, or two stations at different distances
+    within the band of the strongest power. There the two rules may
+    round to different sides.
+    """
+    # Some cases put station 2, then serving, this many dB beyond the
+    # hysteresis boundary of station 1's distance (at 1 m or above).
+    edge = data.draw(st.none() | st.sampled_from([-1e-3, -1e-7, 1e-7, 1e-3]),
+                     label="dB beyond the boundary")
+    count = data.draw(st.integers(1 if edge is None else 2, 6),
+                      label="stations")
+    stations = []
+    for bs_id in range(1, count + 1):
+        r = data.draw(_DISTANCES, label="distance")
+        if bs_id == 1:
+            first = max(r, 1.0)
+        elif bs_id == 2 and edge is not None:
+            r = first * 10 ** ((hysteresis + edge) / 35)
+            serving = 2
+        angle = data.draw(st.sampled_from([0.0, 0.5 * math.pi])
+                          | st.floats(0.0, 2 * math.pi), label="angle")
+        stations.append(_bs(bs_id, head[0] + r * math.cos(angle),
+                            head[1] + r * math.sin(angle)))
+    mch = _mch(*head)
+    reports = measure(mch, stations, math.inf)
+    db = _reference_measure(mch, stations, math.inf)
+    best = max(p for _, p in db)
+    # stations level with the strongest in dB must be at one distance
+    assume(len({d for (_, d), (_, p) in zip(reports, db)
+                if best - p <= _DB_BAND}) == 1)
+    distance, power = dict(reports), dict(db)
+    if serving in power and distance[serving] != min(distance.values()):
+        assume(abs(best - power[serving] - hysteresis) > _DB_BAND)
+    assert (_decide(mch, reports, serving, hysteresis_ratio(hysteresis))
+            == _reference_decide(db, serving, hysteresis))

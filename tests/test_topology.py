@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from mscsim.handover import RadioLinkFailure, associate_gateway
 from mscsim.topology import (
     MobileSmallCell,
     Node,
     NodeKind,
     Role,
     TopologyError,
-    associate_gateway,
     election_score,
     form_msc,
     max_step_walk,
-    received_power_dbm,
     step_mobility,
     topology_snapshot,
 )
@@ -164,11 +163,23 @@ def test_gateway_prefers_nearer_station():
     assert cell.gateway_bs == 5
 
 
-def test_pathloss_monotone():
-    assert received_power_dbm(0.0, 1.0) == pytest.approx(-40.0)
-    assert received_power_dbm(0.0, 0.5) == received_power_dbm(0.0, 1.0)
-    assert (received_power_dbm(0.0, 100.0) < received_power_dbm(0.0, 10.0)
-            < received_power_dbm(0.0, 1.0))
+def test_gateway_within_one_metre_is_a_tie():
+    # the loss is flat below 1 m: a nearer station there wins no tie
+    head = ue(1, 0.0, 0.0)
+    stations = [bs(7, 0.25, 0.0), bs(8, 0.0, 0.9), bs(9, 1.5, 0.0)]
+    cell = MobileSmallCell(0, 1, {1})
+    associate_gateway(cell, stations, nodes_by_id([head] + stations))
+    assert cell.gateway_bs == 7
+    stations = [bs(8, 0.25, 0.0), bs(7, 0.0, 0.9)]
+    associate_gateway(cell, stations, nodes_by_id([head] + stations))
+    assert cell.gateway_bs == 7
+
+
+def test_no_station_for_the_gateway_is_a_radio_link_failure():
+    cell = MobileSmallCell(0, 1, {1})
+    with pytest.raises(RadioLinkFailure) as exc:
+        associate_gateway(cell, [], nodes_by_id([ue(1)]))
+    assert exc.value.entity_id == 1 and cell.gateway_bs is None
 
 
 def test_topology_snapshot_records():
