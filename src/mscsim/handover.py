@@ -1,9 +1,6 @@
 """Handover signaling accounting.
 
-Two procedures over the same radio snapshot. `measure` takes the
-snapshot once per decision epoch: one report per base station within
-range of the moving cell head, in station-id order. Both procedures
-then read that one report list:
+Two procedures over the same radio snapshots of a moving cell head:
 
 * uplink-reference-signal: the moving cell head broadcasts one UL
   reference signal; every base station in range measures it and reports
@@ -19,16 +16,17 @@ one power under one log-distance path loss, so the nearest station is
 the strongest: it wins, lowest id on a tie, unless the serving station
 is within K = 10^(h / SLOPE_DB) times its distance, h being the margin
 `handover.hysteresis_db`. The procedures thus differ only in who
-signals, never in where the device ends up. An empty snapshot is a
+signals, never in where the device ends up, so `decide` makes the one
+decision of each epoch for both, over the head's whole track, and
+`ul_rs_handover` and `baseline_handover` total each procedure's
+signaling over its outcome. An epoch with no station in range is a
 radio link failure for either procedure.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .topology import MobileSmallCell, Node
 
@@ -41,25 +39,6 @@ class RadioLinkFailure(Exception):
         self.entity_id = entity_id
 
 
-class MeasurementReport(NamedTuple):
-    bs_id: int
-    distance: float             # head to station (m), held at 1 m or above
-
-
-@dataclass(slots=True)
-class HandoverEvent:
-    entity_id: int
-    serving_bs: int
-    target_bs: int
-    ue_tx_messages: int
-    ue_rx_messages: int
-    network_messages: int
-
-    @property
-    def executed(self) -> bool:
-        return self.target_bs != self.serving_bs
-
-
 # Device-side energy of one signaling message sent or received.
 HO_TX_ENERGY = 1.0
 HO_RX_ENERGY = 0.1
@@ -70,94 +49,107 @@ SLOPE_DB = 10.0 * 3.5       # path loss, dB per decade of distance
 def hysteresis_ratio(hysteresis_db: float) -> float:
     """K, in `decimal` rather than libm. A margin too large for a float
     gives inf: the serving station always stays, as it would in dB."""
+    import decimal      # here, so that a run without epochs never loads it
     ctx = decimal.Context(prec=34, traps=[decimal.InvalidOperation])
     return float(ctx.power(10, ctx.divide(decimal.Decimal(hysteresis_db),
                                           decimal.Decimal(SLOPE_DB))))
 
 
-def measure(mch: Node, stations: Sequence[Node],
-            max_range: float) -> list[MeasurementReport]:
-    """The radio snapshot of one epoch: a report for every station within
-    `max_range` of the cell head, in ascending station id (a sort of
-    unique ids, which costs nothing on stations given in id order)."""
-    x, y = mch.position
+def decide(xs: Sequence[float], ys: Sequence[float], stations: Sequence[Node],
+           max_range: float, serving: Optional[int],
+           ratio: float) -> tuple[list[int], list[int]]:
+    """The decision of each epoch, for a head at (xs[e], ys[e]) in epoch e
+    and `serving` the station id before the first epoch (or None).
+
+    Returns, per epoch, the number of stations within `max_range` and the
+    target: the nearest of them (distances held at 1 m or above, lowest
+    id on a tie), unless the serving station is within `ratio` times the
+    nearest distance. A `best * ratio` that overflows to inf exceeds
+    every distance anyway. With no station in range, a radio link
+    failure, the target is the serving station. Each target serves the
+    next epoch.
+    """
     hypot = math.hypot
-    reports = []
-    for stn in stations:
-        sx, sy = stn.position
-        distance = hypot(x - sx, y - sy)
-        if distance <= max_range:
-            reports.append(MeasurementReport(
-                stn.id, distance if distance > 1.0 else 1.0))
-    reports.sort()
-    return reports
-
-
-def _decide(mch: Node, reports: Sequence[MeasurementReport],
-            serving_id: Optional[int], ratio: float) -> int:
-    """Target selection: the nearest station (lowest id on a tie), unless
-    the serving station is within `ratio` times the nearest distance. A
-    `best * ratio` that overflows to inf exceeds every distance anyway.
-    No station to pick is a radio link failure of `mch`."""
-    if not reports:
-        raise RadioLinkFailure(mch.id)
-    best_id, best = reports[0]
-    serving = None
-    for bs_id, distance in reports:
-        if distance < best or (distance == best and bs_id < best_id):
-            best_id, best = bs_id, distance
-        if bs_id == serving_id:
-            serving = distance
-    if serving is not None and serving <= best * ratio:
-        return serving_id
-    return best_id
+    sites = sorted((s.id, *s.position) for s in stations)
+    in_range, targets = [], []
+    for x, y in zip(xs, ys):
+        count = 0
+        best_id = kept = None
+        for bs_id, sx, sy in sites:
+            distance = hypot(x - sx, y - sy)
+            if distance <= max_range:
+                if distance < 1.0:
+                    distance = 1.0
+                count += 1
+                if best_id is None or distance < best:
+                    best_id, best = bs_id, distance
+                if bs_id == serving:
+                    kept = distance
+        if count and (kept is None or kept > best * ratio):
+            serving = best_id
+        in_range.append(count)
+        targets.append(serving)
+    return in_range, targets
 
 
 def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
                       nodes: dict[int, Node]) -> None:
     """Point the cell's gateway link at the base station nearest the head
-    (lowest id on ties): the handover rule with no serving station."""
+    (lowest id on ties): the handover rule with no serving station. No
+    station at all is a radio link failure of the head."""
     head = nodes[msc.head]
-    msc.gateway_bs = _decide(head, measure(head, base_stations, math.inf),
-                             None, 1.0)
+    (count,), (target,) = decide((head.position[0],), (head.position[1],),
+                                 base_stations, math.inf, None, 1.0)
+    if not count:
+        raise RadioLinkFailure(head.id)
+    msc.gateway_bs = target
 
 
-def ul_rs_handover(mch: Node, serving_bs: Node,
-                   reports: Sequence[MeasurementReport],
-                   ratio: float) -> HandoverEvent:
-    """One decision epoch of the uplink-reference-signal procedure over
-    the epoch's snapshot from `measure`, with K as `ratio`."""
-    serving_id = serving_bs.id
-    target = _decide(mch, reports, serving_id, ratio)
-    # positional, to skip keyword matching on the per-epoch path
-    return HandoverEvent(
-        mch.id, serving_id, target,
-        1,                      # ue_tx: the UL RS broadcast itself
-        1 if target != serving_id else 0,   # ue_rx: handover command
-        len(reports))           # network: per-BS reports to the controller
+def ul_rs_handover(serving: int, in_range: Sequence[int],
+                   targets: Sequence[int]) -> dict:
+    """Signaling totals of the uplink-reference-signal procedure from
+    station `serving` over the epochs of `decide`. Per epoch the device
+    sends the UL RS broadcast and receives the command of an executed
+    handover; each station in range reports to the controller. An epoch
+    with no station in range signals nothing."""
+    tx = rx = network = executed = 0
+    energy = 0.0
+    for count, target in zip(in_range, targets):
+        if not count:
+            continue
+        moved = 1 if target != serving else 0
+        serving = target
+        tx += 1
+        rx += moved
+        network += count
+        executed += moved
+        energy += 1 * HO_TX_ENERGY + moved * HO_RX_ENERGY
+    return {"ue_tx": tx, "ue_rx": rx, "network": network, "energy": energy,
+            "executed": executed}
 
 
-def baseline_handover(mch: Node, serving_bs: Node,
-                      reports: Sequence[MeasurementReport],
-                      ratio: float) -> HandoverEvent:
-    """Device-measured downlink procedure used as the comparison point,
-    over the epoch's snapshot from `measure`, with K as `ratio`.
+def baseline_handover(serving: int, in_range: Sequence[int],
+                      targets: Sequence[int]) -> dict:
+    """Signaling totals of the device-measured downlink procedure, the
+    comparison point, from station `serving` over the epochs of `decide`.
 
-    The device receives a reference signal from every station in range,
-    transmits one measurement report, and on an executed handover also
-    receives the command and transmits the random access to the target.
+    Per epoch the device receives a reference signal from every station
+    in range and transmits one measurement report, which the network
+    forwards to the controller. On an executed handover the device also
+    receives the command and transmits the random access to the target,
+    and the network prepares the target.
     """
-    serving_id = serving_bs.id
-    target = _decide(mch, reports, serving_id, ratio)
-    executed = target != serving_id
-    return HandoverEvent(
-        mch.id, serving_id, target,
-        2 if executed else 1,                    # ue_tx
-        len(reports) + (1 if executed else 0),   # ue_rx
-        # report forwarded to the controller, plus target preparation on HO
-        1 + (1 if executed else 0))              # network
-
-
-def ho_energy(event: HandoverEvent) -> float:
-    """Device-side signaling energy of one handover event."""
-    return event.ue_tx_messages * HO_TX_ENERGY + event.ue_rx_messages * HO_RX_ENERGY
+    tx = rx = network = executed = 0
+    energy = 0.0
+    for count, target in zip(in_range, targets):
+        if not count:
+            continue
+        moved = 1 if target != serving else 0
+        serving = target
+        tx += 1 + moved
+        rx += count + moved
+        network += 1 + moved
+        executed += moved
+        energy += (1 + moved) * HO_TX_ENERGY + (count + moved) * HO_RX_ENERGY
+    return {"ue_tx": tx, "ue_rx": rx, "network": network, "energy": energy,
+            "executed": executed}

@@ -32,12 +32,10 @@ from .config import (
 )
 from .engine import LinkKind, LinkModel, RunSeed
 from .handover import (
-    RadioLinkFailure,
     associate_gateway,
     baseline_handover,
-    ho_energy,
+    decide,
     hysteresis_ratio,
-    measure,
     ul_rs_handover,
 )
 from .keymgmt import (
@@ -282,76 +280,36 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
 
 def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
                     msc) -> dict:
-    """Both procedures over one mobility trace, each deciding on its own.
-
-    The counters live in locals and go into the summary once; each
-    procedure's energy still sums its events in epoch order. The hooked
-    `step_mobility`, `ul_rs_handover` and `baseline_handover` are looked
-    up as module globals on every call.
+    """Both procedures over one mobility trace, in three passes of one
+    call each: the walk of every UE (`step_mobility`, which returns the
+    head's track), one decision per epoch that both procedures take
+    (`decide`), and each procedure's signaling totals over it
+    (`ul_rs_handover`, `baseline_handover`). The hooked names are looked
+    up as module globals. A run without epochs makes none of the calls
+    and never computes K.
     """
     epochs = scenario.ho_epochs
-    ul_tx = ul_rx = ul_network = ul_executed = 0
-    base_tx = base_rx = base_network = base_executed = 0
-    ul_energy = base_energy = 0.0
-    link_failures = 0
-    decisions_match = True
-
-    mch = nodes[msc.head]
-    devices = [n for n in nodes.values() if n.kind is NodeKind.UE]
-    dt = scenario.epoch_duration
-    arena = (scenario.arena_width, scenario.arena_height)
-    speed_range = (scenario.speed_min, scenario.speed_max)
-    max_range = scenario.cellular_range
-    ratio = hysteresis_ratio(scenario.hysteresis_db)
-    ul_serving = base_serving = nodes[msc.gateway_bs]
-
-    for _ in range(epochs):
-        step_mobility(devices, dt, mobility_rng, arena, speed_range)
-        # one radio snapshot, read by both procedures
-        reports = measure(mch, stations, max_range)
-
-        try:
-            event = ul_rs_handover(mch, ul_serving, reports, ratio)
-        except RadioLinkFailure:
-            link_failures += 1
-            ul_target = ul_serving.id
-        else:
-            ul_tx += event.ue_tx_messages
-            ul_rx += event.ue_rx_messages
-            ul_network += event.network_messages
-            ul_energy += ho_energy(event)
-            ul_target = event.target_bs
-            if ul_target != ul_serving.id:
-                ul_executed += 1
-                ul_serving = nodes[ul_target]
-
-        try:
-            event = baseline_handover(mch, base_serving, reports, ratio)
-        except RadioLinkFailure:
-            link_failures += 1
-            base_target = base_serving.id
-        else:
-            base_tx += event.ue_tx_messages
-            base_rx += event.ue_rx_messages
-            base_network += event.network_messages
-            base_energy += ho_energy(event)
-            base_target = event.target_bs
-            if base_target != base_serving.id:
-                base_executed += 1
-                base_serving = nodes[base_target]
-
-        if ul_target != base_target:
-            decisions_match = False
-
+    if not epochs:
+        idle = {"ue_tx": 0, "ue_rx": 0, "network": 0, "energy": 0.0,
+                "executed": 0}
+        return {"epochs": 0, "decisions_match": True, "link_failures": 0,
+                "ul_rs": idle, "baseline": idle}
+    xs, ys = step_mobility(nodes.values(), scenario.epoch_duration, epochs,
+                           mobility_rng,
+                           (scenario.arena_width, scenario.arena_height),
+                           (scenario.speed_min, scenario.speed_max),
+                           track=nodes[msc.head])
+    in_range, targets = decide(xs, ys, stations, scenario.cellular_range,
+                               msc.gateway_bs,
+                               hysteresis_ratio(scenario.hysteresis_db))
     return {
         "epochs": epochs,
-        "decisions_match": decisions_match,
-        "link_failures": link_failures,
-        "ul_rs": {"ue_tx": ul_tx, "ue_rx": ul_rx, "network": ul_network,
-                  "energy": ul_energy, "executed": ul_executed},
-        "baseline": {"ue_tx": base_tx, "ue_rx": base_rx,
-                     "network": base_network, "energy": base_energy,
-                     "executed": base_executed},
+        # one decision serves both procedures
+        "decisions_match": True,
+        # a radio link failure of each procedure
+        "link_failures": 2 * in_range.count(0),
+        "ul_rs": ul_rs_handover(msc.gateway_bs, in_range, targets),
+        "baseline": baseline_handover(msc.gateway_bs, in_range, targets),
     }
 
 

@@ -12,8 +12,10 @@ The election weights are module constants that no scenario key sets.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 
@@ -116,9 +118,11 @@ def max_step_walk(width: float, height: float) -> float:
     return MAX_STEP_DIAGONALS * math.hypot(width, height)
 
 
-def step_mobility(nodes: Iterable[Node], dt: float, rng,
-                  arena: tuple[float, float], speed_range: tuple[float, float]) -> None:
-    """Random-waypoint step: advance each UE toward its waypoint.
+def step_mobility(nodes: Iterable[Node], dt: float, steps: int, rng,
+                  arena: tuple[float, float], speed_range: tuple[float, float],
+                  track: Optional[Node] = None) -> tuple[array, array]:
+    """`steps` random-waypoint steps of `dt`, each of which advances every
+    UE toward its waypoint, UEs in the order given.
 
     On arrival a fresh waypoint is drawn uniformly in the arena and a
     fresh speed from the configured range. Base stations never move.
@@ -126,7 +130,17 @@ def step_mobility(nodes: Iterable[Node], dt: float, rng,
     A step walks speed * dt and hops waypoint to waypoint until that is
     spent, so a walk of many arena diagonals means many hops. A walk
     above `max_step_walk(*arena)`, either the range's top speed times
-    `dt` or a device's own speed times `dt`, raises TopologyError.
+    `dt` or a device's own speed times `dt`, raises TopologyError and
+    leaves every node as it was.
+
+    Only a fresh waypoint or an arrival draws, so each UE runs ahead on
+    its own through the steps that draw nothing. A step that draws waits
+    on a heap keyed (step, UE order), which keeps the draws in the order
+    of stepping every UE once per step. The UEs' state lives in locals
+    and is written back to the nodes once, at the end.
+
+    Returns the x and y of `track`, a UE among `nodes`, after each step;
+    both are empty without `track`.
     """
     if dt <= 0:
         raise TopologyError("dt must be positive")
@@ -138,40 +152,69 @@ def step_mobility(nodes: Iterable[Node], dt: float, rng,
         raise TopologyError(
             f"a step of {dt} s at {high} m/s walks more than "
             f"{MAX_STEP_DIAGONALS:g} diagonals of a {width} x {height} arena")
+    walkers = [n for n in nodes if n.kind is not NodeKind.BASE_STATION]
+    head = next((i for i, n in enumerate(walkers) if n is track), None)
+    if track is not None and head is None:
+        raise TopologyError(f"tracked node {track.id} is not a moving UE")
+    track_x = array("d", [0.0]) * (steps if track is not None else 0)
+    track_y = array("d", track_x)
+    state = [(*n.position, n.waypoint, n.speed) for n in walkers]
     uniform = rng.uniform
-    base_station = NodeKind.BASE_STATION
-    for node in nodes:
-        if node.kind is base_station:
-            continue
-        speed = node.speed
-        remaining = speed * dt
-        if not remaining > 1e-12:
-            continue
-        if remaining > limit:
-            raise TopologyError(
-                f"node {node.id} at {speed} m/s walks more than "
-                f"{MAX_STEP_DIAGONALS:g} arena diagonals in one step")
-        x, y = node.position
-        waypoint = node.waypoint
-        while remaining > 1e-12:
-            if waypoint is None:
-                node.waypoint = waypoint = (float(uniform(0, width)),
-                                            float(uniform(0, height)))
-                if speed <= 0:
+    pending = [(0, i) for i in range(len(walkers))]
+    while pending:
+        start, i = heappop(pending)
+        x, y, waypoint, speed = state[i]
+        for step in range(start, steps):
+            remaining = speed * dt
+            if not remaining > 1e-12:       # no walk and no draw, ever again
+                if i == head:
+                    track_x[step:] = array("d", [x]) * (steps - step)
+                    track_y[step:] = array("d", [y]) * (steps - step)
+                break
+            if remaining > limit:
+                raise TopologyError(
+                    f"node {walkers[i].id} at {speed} m/s walks more than "
+                    f"{MAX_STEP_DIAGONALS:g} arena diagonals in one step")
+            if step > start:                # a step ahead of its turn
+                if waypoint is None:
+                    heappush(pending, (step, i))
                     break
-            dx = waypoint[0] - x
-            dy = waypoint[1] - y
-            dist = hypot(dx, dy)
-            if dist <= remaining:
-                x, y = waypoint
-                node.waypoint = waypoint = None
-                remaining -= dist
-                node.speed = speed = float(uniform(low, high))
-            else:
+                dx = waypoint[0] - x
+                dy = waypoint[1] - y
+                dist = hypot(dx, dy)
+                if dist <= remaining:
+                    heappush(pending, (step, i))
+                    break
                 frac = remaining / dist
                 x, y = x + dx * frac, y + dy * frac
-                break
+            else:
+                while remaining > 1e-12:
+                    if waypoint is None:
+                        waypoint = (float(uniform(0, width)),
+                                    float(uniform(0, height)))
+                        if speed <= 0:
+                            break
+                    dx = waypoint[0] - x
+                    dy = waypoint[1] - y
+                    dist = hypot(dx, dy)
+                    if dist <= remaining:
+                        x, y = waypoint
+                        waypoint = None
+                        remaining -= dist
+                        speed = float(uniform(low, high))
+                    else:
+                        frac = remaining / dist
+                        x, y = x + dx * frac, y + dy * frac
+                        break
+            if i == head:
+                track_x[step] = x
+                track_y[step] = y
+        state[i] = (x, y, waypoint, speed)
+    for node, (x, y, waypoint, speed) in zip(walkers, state):
         node.position = (x, y)
+        node.waypoint = waypoint
+        node.speed = speed
+    return track_x, track_y
 
 
 def topology_snapshot(time: float, nodes: Iterable[Node],

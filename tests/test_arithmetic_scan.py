@@ -31,7 +31,7 @@ ALLOWED = {
         "the mobility walk bound; a sqrt form moves the digests",
     ("topology", "step_mobility", "math.hypot"):
         "device positions; a sqrt form moves the digests",
-    ("handover", "measure", "math.hypot"):
+    ("handover", "decide", "math.hypot"):
         "the head-to-station distance; positions already rest on hypot",
     ("engine", "Simulator.transmit", "numpy.hypot"):
         "the link range test, pinned to np.hypot by its tests",

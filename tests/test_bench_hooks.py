@@ -104,12 +104,21 @@ HANDOVER_LAYERS = ("topology.step_mobility", "handover.ul_rs_handover",
 
 
 @pytest.mark.parametrize("cellular_range", [1000.0, 1.0])
-def test_every_handover_epoch_calls_the_hooked_names(cellular_range):
-    # a procedure bound at import time would run untraced; the 1 m range
-    # makes every epoch a radio link failure, which must be traced too
-    spans, _ = _traced_run(parse_config(
+def test_every_handover_run_calls_the_hooked_names(cellular_range):
+    # the phase calls each hooked pass once per run; a pass bound at
+    # import time would run untraced. The 1 m range makes every epoch a
+    # radio link failure, which must be traced too.
+    spans, records = _traced_run(parse_config(
         "[scenario]\npreset = ho-comparison\nseed = 4\n"
         f"[links]\ncellular_range = {cellular_range}\n"
         "[handover]\nepochs = 7\n"))
     assert {layer: spans[layer] for layer in HANDOVER_LAYERS} == dict.fromkeys(
-        HANDOVER_LAYERS, 7)
+        HANDOVER_LAYERS, 1)
+    summary = next(r for r in records if r["type"] == "handover-summary")
+    assert summary["link_failures"] == (14 if cellular_range == 1.0 else 0)
+
+
+def test_a_run_without_handover_epochs_calls_none_of_them():
+    spans, _ = _traced_spans()
+    assert {layer: spans[layer] for layer in HANDOVER_LAYERS} == dict.fromkeys(
+        HANDOVER_LAYERS, 0)

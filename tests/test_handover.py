@@ -1,13 +1,14 @@
 """Handover signaling counts: decision rule, message taxonomy, energy.
 
 The trace comparison runs both procedures over the same mobility trace
-and checks the structural claims (same targets, 1 vs 2 uplink messages
-per executed handover, lower mean device energy) rather than absolute
-figures. The runner's handover summary is checked against the loop it
-replaced, in which each procedure measured the radio on its own and the
-devices moved by the random-waypoint stepper kept here as a reference.
-That loop decides in dB, through `reference.received_power_dbm`, so it
-also checks the distance rule against the path-loss law it stands for.
+and checks the structural claims (1 vs 2 uplink messages per executed
+handover, lower mean device energy) rather than absolute figures. The
+runner's handover summary is checked against the loop it replaced, in
+which each procedure measured the radio and decided on its own every
+epoch and the devices moved by the random-waypoint stepper kept here as
+a reference. That loop decides in dB, through
+`reference.received_power_dbm`, so it also checks the distance rule
+against the path-loss law it stands for.
 """
 
 import math
@@ -21,14 +22,9 @@ from mscsim import runner
 from mscsim.config import parse_config
 from mscsim.engine import RunSeed
 from mscsim.handover import (
-    HandoverEvent,
-    MeasurementReport,
-    RadioLinkFailure,
-    _decide,
     baseline_handover,
-    ho_energy,
+    decide,
     hysteresis_ratio,
-    measure,
     ul_rs_handover,
 )
 from mscsim.topology import (
@@ -52,32 +48,44 @@ def _bs(node_id, x, y):
 RATIO_3DB = hysteresis_ratio(3.0)
 
 
-# both procedures over the snapshot of [serving, *neighbors] at 1000 m,
-# with the default margin
+def _epoch(mch, stations, serving_id, max_range=1000.0, ratio=RATIO_3DB):
+    """`decide` for one epoch of a head at `mch`: (stations in range,
+    target)."""
+    (count,), (target,) = decide((mch.position[0],), (mch.position[1],),
+                                 stations, max_range, serving_id, ratio)
+    return count, target
+
+
+# one epoch of each procedure from `serving` over [serving, *neighbors]
+# at 1000 m, with the default margin: (target, signaling totals)
 def _ul_rs(mch, serving, neighbors):
-    reports = measure(mch, [serving, *neighbors], 1000.0)
-    return ul_rs_handover(mch, serving, reports, RATIO_3DB)
+    count, target = _epoch(mch, [serving, *neighbors], serving.id)
+    return target, ul_rs_handover(serving.id, [count], [target])
 
 
 def _baseline(mch, serving, neighbors):
-    reports = measure(mch, [serving, *neighbors], 1000.0)
-    return baseline_handover(mch, serving, reports, RATIO_3DB)
+    count, target = _epoch(mch, [serving, *neighbors], serving.id)
+    return target, baseline_handover(serving.id, [count], [target])
 
 
-class TestMeasure:
-    def test_reports_in_station_id_order_within_range(self):
-        mch = _mch()
+class TestDecide:
+    def test_counts_stations_in_range_and_picks_the_nearest(self):
         stations = [_bs(3, 0, 90), _bs(1, 60, 0), _bs(4, 5000, 0), _bs(2, 80, 0)]
-        reports = measure(mch, stations, 1000.0)
-        assert [r.bs_id for r in reports] == [1, 2, 3]
-        assert reports[0] == MeasurementReport(1, 60.0)
-        assert measure(mch, [_bs(5, 0.5, 0)], 1000.0) == [
-            MeasurementReport(5, 1.0)]
+        assert _epoch(_mch(), stations, None) == (3, 1)
+        # 0.5 m and 0.9 m are both held at 1 m: the lower id wins the tie
+        assert _epoch(_mch(), [_bs(6, 0.5, 0), _bs(5, 0, 0.9)], None) == (2, 5)
 
     def test_range_is_inclusive(self):
-        assert [r.bs_id for r in measure(_mch(), [_bs(1, 100, 0)],
-                                         100.0)] == [1]
-        assert measure(_mch(), [_bs(1, 100, 0)], 99.9) == []
+        assert _epoch(_mch(), [_bs(1, 100, 0)], None, 100.0) == (1, 1)
+        assert _epoch(_mch(), [_bs(1, 100, 0)], None, 99.9) == (0, None)
+
+    def test_each_target_serves_the_next_epoch(self):
+        # the head walks from station 1 to station 2 and back out of
+        # range; a failed epoch keeps the serving station
+        stations = [_bs(1, 0, 0), _bs(2, 100, 0)]
+        xs, ys = [10.0, 50.0, 54.0, 90.0, 500.0, 52.0], [0.0] * 6
+        assert decide(xs, ys, stations, 200.0, 1, RATIO_3DB) == (
+            [2, 2, 2, 2, 0, 2], [1, 1, 1, 2, 2, 2])
 
 
 # a station's distance as a multiple of REF_DISTANCE: below, at and
@@ -90,11 +98,13 @@ _REF_SHARES = (st.sampled_from([0.0, 0.25, 1.0 - 2 ** -40, 1.0, 1.0 + 2 ** -40,
 @settings(max_examples=200)
 @given(data=st.data(),
        head=st.just((0.0, 0.0))
-       | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
-def test_measure_distances_equal_the_clamped_distance_bit_for_bit(data, head):
-    """Every report is the head's distance to the station, held at 1 m or
-    above. A head at the origin puts a station at angle 0 exactly at its
-    share of 1 m."""
+       | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       serving=st.integers(1, 7))
+def test_decide_reads_the_clamped_distance_bit_for_bit(data, head, serving):
+    """The decision is the distance rule over the head's distance to each
+    station, held at 1 m or above, in station-id order. A head at the
+    origin puts a station at angle 0 exactly at its share of 1 m, so
+    ties at and below 1 m are frequent."""
     count = data.draw(st.integers(1, 6), label="stations")
     ids = data.draw(st.permutations(range(1, count + 1)), label="ids")
     stations = []
@@ -106,153 +116,122 @@ def test_measure_distances_equal_the_clamped_distance_bit_for_bit(data, head):
         stations.append(_bs(bs_id, head[0] + r * math.cos(angle),
                             head[1] + r * math.sin(angle)))
     mch = _mch(*head)
-    reports = measure(mch, stations, math.inf)
-    assert [r.bs_id for r in reports] == sorted(ids)
-    by_id = {s.id: s for s in stations}
-    for bs_id, distance in reports:
-        expected = max(mch.distance_to(by_id[bs_id]), 1.0)
-        assert distance.hex() == expected.hex()
+    reports = [(s.id, max(mch.distance_to(s), 1.0)) for s in stations]
+    assert _epoch(mch, stations, serving, math.inf) == (
+        count, _reference_nearest(reports, serving, RATIO_3DB))
 
 
 class TestUlRs:
     def test_serving_strongest_no_handover(self):
-        ev = _ul_rs(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)])
-        assert ev.target_bs == ev.serving_bs == 1
-        assert not ev.executed
-        assert ev.ue_tx_messages == 1
-        assert ev.ue_rx_messages == 0
+        target, ev = _ul_rs(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)])
+        assert target == 1
+        assert ev["executed"] == 0
+        assert ev["ue_tx"] == 1
+        assert ev["ue_rx"] == 0
 
     def test_strong_neighbor_triggers_handover(self):
         # 50 m vs 100 m is a 10.5 dB gap, far past the 3 dB margin
-        ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)])
-        assert ev.executed
-        assert ev.target_bs == 2
-        assert ev.ue_tx_messages == 1
-        assert ev.ue_rx_messages == 1
+        target, ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)])
+        assert ev["executed"] == 1
+        assert target == 2
+        assert ev["ue_tx"] == 1
+        assert ev["ue_rx"] == 1
 
     def test_within_margin_no_handover(self):
         # 95 m vs 100 m is about 0.8 dB, inside the margin
-        ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 95, 0)])
-        assert not ev.executed
-        assert ev.target_bs == 1
+        target, ev = _ul_rs(_mch(), _bs(1, 100, 0), [_bs(2, 95, 0)])
+        assert ev["executed"] == 0
+        assert target == 1
 
     def test_network_messages_counts_stations_in_range(self):
-        serving = _bs(1, 60, 0)
-        neighbors = [_bs(2, 80, 0), _bs(3, 0, 90), _bs(4, 5000, 0)]
-        reports = measure(_mch(), [serving, *neighbors], 1000.0)
-        ev = ul_rs_handover(_mch(), serving, reports, RATIO_3DB)
-        assert ev.network_messages == 3  # the 5 km station never hears the UL RS
-        assert {r.bs_id for r in reports} == {1, 2, 3}
+        target, ev = _ul_rs(_mch(), _bs(1, 60, 0),
+                            [_bs(2, 80, 0), _bs(3, 0, 90), _bs(4, 5000, 0)])
+        assert ev["network"] == 3  # the 5 km station never hears the UL RS
 
     def test_serving_out_of_range_forces_handover(self):
-        ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(2, 100, 0)])
-        assert ev.executed
-        assert ev.target_bs == 2
+        target, ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(2, 100, 0)])
+        assert ev["executed"] == 1
+        assert target == 2
 
     def test_no_station_in_range_is_radio_link_failure(self):
-        with pytest.raises(RadioLinkFailure) as exc:
-            _ul_rs(_mch(node_id=9), _bs(1, 5000, 0), [_bs(2, 0, 7000)])
-        assert exc.value.entity_id == 9
+        # the serving station stays, and the failed epoch signals nothing
+        target, ev = _ul_rs(_mch(node_id=9), _bs(1, 5000, 0), [_bs(2, 0, 7000)])
+        assert target == 1
+        assert ev == {"ue_tx": 0, "ue_rx": 0, "network": 0, "energy": 0.0,
+                      "executed": 0}
 
     def test_equidistant_neighbors_prefer_lowest_id(self):
-        ev = _ul_rs(_mch(), _bs(1, 5000, 0), [_bs(7, 100, 0), _bs(3, 0, 100)])
-        assert ev.target_bs == 3
+        target, _ = _ul_rs(_mch(), _bs(1, 5000, 0),
+                           [_bs(7, 100, 0), _bs(3, 0, 100)])
+        assert target == 3
 
 
 class TestBaseline:
     def test_no_handover_report_only(self):
-        ev = _baseline(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)])
-        assert not ev.executed
-        assert ev.ue_tx_messages == 1
-        assert ev.ue_rx_messages == 2  # downlink RS from both stations
+        target, ev = _baseline(_mch(), _bs(1, 50, 0), [_bs(2, 100, 0)])
+        assert ev["executed"] == 0
+        assert ev["ue_tx"] == 1
+        assert ev["ue_rx"] == 2  # downlink RS from both stations
+        assert ev["network"] == 1
 
     def test_executed_handover_message_counts(self):
-        ev = _baseline(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)])
-        assert ev.executed
-        assert ev.ue_tx_messages == 2
-        assert ev.ue_rx_messages >= 2
-
-    def test_same_target_as_ul_rs(self):
-        serving = _bs(1, 100, 0)
-        neighbors = [_bs(2, 50, 0), _bs(3, 40, 40), _bs(4, 200, 0)]
-        a = _ul_rs(_mch(), serving, neighbors)
-        b = _baseline(_mch(), serving, neighbors)
-        assert a.target_bs == b.target_bs
+        target, ev = _baseline(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0)])
+        assert ev["executed"] == 1
+        assert ev["ue_tx"] == 2
+        assert ev["ue_rx"] == 3
+        assert ev["network"] == 2
 
     def test_no_station_in_range_is_radio_link_failure(self):
-        with pytest.raises(RadioLinkFailure):
-            _baseline(_mch(), _bs(1, 5000, 0), [])
+        target, ev = _baseline(_mch(), _bs(1, 5000, 0), [])
+        assert target == 1
+        assert ev == {"ue_tx": 0, "ue_rx": 0, "network": 0, "energy": 0.0,
+                      "executed": 0}
 
 
 class TestEnergy:
     def test_zero_messages_zero_energy(self):
-        ev = HandoverEvent(0, 1, 1, 0, 0, 0)
-        assert ho_energy(ev) == 0.0
+        for totals in (ul_rs_handover, baseline_handover):
+            assert totals(1, [], [])["energy"] == 0.0
+            assert totals(1, [0], [1])["energy"] == 0.0
 
     def test_ul_rs_event_energy(self):
-        ev = HandoverEvent(0, 1, 2, 1, 1, 2)
-        assert ho_energy(ev) == 1.0 + 0.1
+        assert ul_rs_handover(1, [2], [2])["energy"] == 1.0 + 0.1
 
     def test_energy_matches_count_arithmetic(self):
-        ev = _baseline(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0), _bs(3, 0, 70)])
-        assert (ev.ue_tx_messages, ev.ue_rx_messages) == (2, 4)
-        assert ho_energy(ev) == 2 * 1.0 + 4 * 0.1
+        _, ev = _baseline(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0), _bs(3, 0, 70)])
+        assert (ev["ue_tx"], ev["ue_rx"]) == (2, 4)
+        assert ev["energy"] == 2 * 1.0 + 4 * 0.1
 
 
 def test_ping_pong_suppression_static_positions():
     # A stronger neighbor wins once; afterwards the old serving station
     # would need to beat the new one by the margin, which it cannot.
-    mch = _mch()
-    stations = {1: _bs(1, 100, 0), 2: _bs(2, 80, 0)}
-    serving = 1
-    executed = 0
-    for _ in range(10):
-        neighbors = [s for sid, s in stations.items() if sid != serving]
-        ev = _ul_rs(mch, stations[serving], neighbors)
-        if ev.executed:
-            executed += 1
-            serving = ev.target_bs
-    assert executed == 1
-    assert serving == 2
+    stations = [_bs(1, 100, 0), _bs(2, 80, 0)]
+    in_range, targets = decide([0.0] * 10, [0.0] * 10, stations, 1000.0, 1,
+                               RATIO_3DB)
+    assert targets == [2] * 10
+    assert ul_rs_handover(1, in_range, targets)["executed"] == 1
 
 
 def test_trace_comparison_ul_rs_dominates_baseline():
     """Both procedures over one 1000-epoch random-waypoint trace."""
     rng = RunSeed(7).mobility()
-    stations = {
-        1: _bs(1, 50.0, 50.0),
-        2: _bs(2, 250.0, 50.0),
-        3: _bs(3, 150.0, 250.0),
-    }
+    stations = [_bs(1, 50.0, 50.0), _bs(2, 250.0, 50.0), _bs(3, 150.0, 250.0)]
     ue = Node(0, NodeKind.UE, (150.0, 150.0), speed=4.0, waypoint=(40.0, 40.0))
-    nodes = [ue, *stations.values()]
-    serving = 1
-    ul_events: list[HandoverEvent] = []
-    base_events: list[HandoverEvent] = []
-    for _ in range(1000):
-        step_mobility(nodes, 1.0, rng, arena=(300.0, 300.0), speed_range=(2.0, 8.0))
-        reports = measure(ue, stations.values(), 1000.0)
-        ul = ul_rs_handover(ue, stations[serving], reports, RATIO_3DB)
-        base = baseline_handover(ue, stations[serving], reports, RATIO_3DB)
-        assert ul.target_bs == base.target_bs  # identical radio snapshot
-        ul_events.append(ul)
-        base_events.append(base)
-        serving = ul.target_bs
+    xs, ys = step_mobility([ue, *stations], 1.0, 1000, rng, arena=(300.0, 300.0),
+                           speed_range=(2.0, 8.0), track=ue)
+    in_range, targets = decide(xs, ys, stations, 1000.0, 1, RATIO_3DB)
+    assert 0 not in in_range
+    ul = ul_rs_handover(1, in_range, targets)
+    base = baseline_handover(1, in_range, targets)
 
-    executed = [i for i, ev in enumerate(ul_events) if ev.executed]
-    assert executed, "trace produced no handovers; scenario is too easy"
-    for i in executed:
-        assert ul_events[i].ue_tx_messages == 1
-        assert base_events[i].ue_tx_messages == 2
-        assert ul_events[i].ue_tx_messages < base_events[i].ue_tx_messages
-
-    total_ul_tx = sum(ev.ue_tx_messages for ev in ul_events)
-    total_base_tx = sum(ev.ue_tx_messages for ev in base_events)
-    assert total_ul_tx <= total_base_tx
-
-    mean_ul = sum(ho_energy(ev) for ev in ul_events) / len(ul_events)
-    mean_base = sum(ho_energy(ev) for ev in base_events) / len(base_events)
-    assert mean_ul < mean_base
+    assert ul["executed"] == base["executed"] > 0, \
+        "trace produced no handovers; scenario is too easy"
+    # one uplink message per epoch for UL-RS, one more per executed
+    # handover for the baseline
+    assert ul["ue_tx"] == 1000
+    assert base["ue_tx"] == 1000 + base["executed"]
+    assert ul["energy"] < base["energy"]
 
 
 # -- reference: the random-waypoint stepper before its walk limit --------
@@ -314,18 +293,23 @@ def _bits(nodes):
 def _twin_walk(make_nodes, seed, steps, dt, arena, speed_range):
     """Step two copies of the same nodes, one with `step_mobility` and one
     with the reference, from equal generators; compare after every step.
-    Returns the reference's draws per step."""
-    ours, theirs = make_nodes(), make_nodes()
+    A third copy walks all the steps in one call and is compared at the
+    end. Returns the reference's draws per step."""
+    ours, theirs, batch = make_nodes(), make_nodes(), make_nodes()
     rng_ours, rng_theirs = _CountingRng(seed), _CountingRng(seed)
+    rng_batch = _CountingRng(seed)
     draws = []
     for _ in range(steps):
         before = rng_theirs.draws
-        step_mobility(ours, dt, rng_ours, arena, speed_range)
+        step_mobility(ours, dt, 1, rng_ours, arena, speed_range)
         _reference_step_mobility(theirs, dt, rng_theirs, arena, speed_range)
         assert _bits(ours) == _bits(theirs)
         draws.append(rng_theirs.draws - before)
-    assert rng_ours.draws == rng_theirs.draws
-    assert rng_ours.rng.random() == rng_theirs.rng.random()
+    step_mobility(batch, dt, steps, rng_batch, arena, speed_range)
+    assert _bits(batch) == _bits(theirs)
+    assert rng_ours.draws == rng_theirs.draws == rng_batch.draws
+    assert (rng_ours.rng.random() == rng_theirs.rng.random()
+            == rng_batch.rng.random())
     return draws
 
 
@@ -369,6 +353,46 @@ def test_stepper_matches_reference_in_a_strip():
     draws = _twin_walk(_walkers((1000.0, 4.0), [1.0, 9.0, 30.0]), 8, 800, 0.5,
                        (1000.0, 4.0), (1.0, 30.0))
     assert sum(draws) > 10
+
+
+# (nodes, seed, dt, arena, speed range): devices that stop for good
+# on a zero speed, devices that cross several waypoints per step, and a
+# device that ends its first step exactly on its waypoint, so that it
+# draws the next one in step 2, after the second device's first draws
+_WALKS = {
+    "exact-arrival": (_walkers((30.0, 30.0), [5.0, 3.0], [(15.0, 10.0), None]),
+                      3, 1.0, (30.0, 30.0), (1.0, 4.0)),
+    "zero-speed": (_walkers((40.0, 30.0), [7.0, 0.0, 3.0],
+                            [(39.0, 1.0), None, None]),
+                   2, 2.0, (40.0, 30.0), (0.0, 0.0)),
+    "arrivals": (_walkers((10.0, 3.0), [20.0, 25.0]), 5, 1.0, (10.0, 3.0),
+                 (20.0, 25.0)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 50])
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_k_steps_in_one_call_equal_k_one_step_calls(walk, k):
+    """Every node's position, waypoint and speed, the head's track and the
+    generator's next draw are the same after one k-step call, k one-step
+    calls and k steps of the reference."""
+    make, seed, dt, arena, speed_range = _WALKS[walk]
+    batch, single, ref = make(), make(), make()
+    rngs = [_CountingRng(seed) for _ in range(3)]
+    xs, ys = step_mobility(batch, dt, k, rngs[0], arena, speed_range,
+                           track=batch[-1])
+    single_track, ref_track = [], []
+    for _ in range(k):
+        single_track.extend(zip(*step_mobility(single, dt, 1, rngs[1], arena,
+                                               speed_range, track=single[-1])))
+        _reference_step_mobility(ref, dt, rngs[2], arena, speed_range)
+        ref_track.append(ref[-1].position)
+    assert _bits(batch) == _bits(single) == _bits(ref)
+    assert [(x.hex(), y.hex()) for x, y in zip(xs, ys)] == [
+        (x.hex(), y.hex()) for x, y in single_track] == [
+        (x.hex(), y.hex()) for x, y in ref_track]
+    assert len({r.draws for r in rngs}) == 1
+    assert len({r.rng.random() for r in rngs}) == 1
 
 
 @settings(max_examples=150)
@@ -522,9 +546,10 @@ def _reference_nearest(reports, serving_id, ratio):
        hysteresis=st.sampled_from([0.0, 2.0, 3.0, 4.5]))
 def test_single_pass_decision_matches_the_reference_rule(reports, serving,
                                                           hysteresis):
-    snapshot = [MeasurementReport(bs_id, d) for bs_id, d in reports]
+    # a station at (d, 0) is exactly d from a head at the origin
+    stations = [_bs(bs_id, d, 0.0) for bs_id, d in reports]
     ratio = hysteresis_ratio(hysteresis)
-    assert (_decide(_mch(), snapshot, serving, ratio)
+    assert (_epoch(_mch(), stations, serving, math.inf, ratio)[1]
             == _reference_nearest(reports, serving, ratio))
 
 
@@ -547,8 +572,8 @@ _DB_BAND = 1e-9
        hysteresis=st.sampled_from([0.0, 2.0, 3.0, 4.5]) | st.floats(0.0, 30.0))
 def test_distance_decision_matches_the_decibel_rule(data, head, serving,
                                                      hysteresis):
-    """`_decide` over `measure`, with the ratio of the margin, picks the
-    station that the path-loss rule picks in dB.
+    """`decide`, with the ratio of the margin, picks the station that the
+    path-loss rule picks in dB.
 
     Landing tolerance: a case is skipped only when a dB margin lies
     within 1e-9 dB (`_DB_BAND`) of a decision boundary: the strongest
@@ -576,7 +601,7 @@ def test_distance_decision_matches_the_decibel_rule(data, head, serving,
         stations.append(_bs(bs_id, head[0] + r * math.cos(angle),
                             head[1] + r * math.sin(angle)))
     mch = _mch(*head)
-    reports = measure(mch, stations, math.inf)
+    reports = [(s.id, max(mch.distance_to(s), 1.0)) for s in stations]
     db = _reference_measure(mch, stations, math.inf)
     best = max(p for _, p in db)
     # stations level with the strongest in dB must be at one distance
@@ -585,5 +610,6 @@ def test_distance_decision_matches_the_decibel_rule(data, head, serving,
     distance, power = dict(reports), dict(db)
     if serving in power and distance[serving] != min(distance.values()):
         assume(abs(best - power[serving] - hysteresis) > _DB_BAND)
-    assert (_decide(mch, reports, serving, hysteresis_ratio(hysteresis))
+    assert (_epoch(mch, stations, serving, math.inf,
+                   hysteresis_ratio(hysteresis))[1]
             == _reference_decide(db, serving, hysteresis))

@@ -6,9 +6,13 @@ test_acceptance.py.
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mscsim
 from mscsim import runner
 from mscsim.config import ConfigError, default_scenario, parse_config
 from mscsim.ncc import SlotRecord
@@ -93,6 +97,23 @@ class TestHandoverPhase:
         result = run(small_scenario(ho_epochs=0))
         ho = next(r for r in result.records if r["type"] == "handover-summary")
         assert ho["ul_rs"]["ue_tx"] == 0 and ho["baseline"]["ue_tx"] == 0
+
+    @pytest.mark.parametrize("preset, loads", [("ambulance", False),
+                                               ("ho-comparison", True)])
+    def test_only_a_run_with_epochs_loads_decimal(self, preset, loads):
+        # hypothesis imports decimal into this process: ask a fresh one
+        code = ("import sys\n"
+                "from mscsim.config import parse_config\n"
+                "from mscsim.runner import run\n"
+                f"text = '[scenario]\\npreset = {preset}\\nseed = 1\\n'\n"
+                "assert run(parse_config(text)).exit_code == 0\n"
+                "print('decimal' in sys.modules)\n")
+        src = str(Path(mscsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == [str(loads)]
 
 
 class TestDeterminism:

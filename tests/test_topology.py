@@ -74,14 +74,14 @@ def test_membership_within_the_head_radius():
 
 def test_mobility_zero_velocity():
     n = ue(1, 10.0, 20.0, speed=0.0)
-    step_mobility([n], 1.0, np.random.default_rng(0), (100.0, 100.0), (1.0, 5.0))
+    step_mobility([n], 1.0, 1, np.random.default_rng(0), (100.0, 100.0), (1.0, 5.0))
     assert n.position == (10.0, 20.0)
 
 
 def test_mobility_straight_segment_displacement():
     n = ue(1, 0.0, 0.0, speed=7.0)
     n.waypoint = (100.0, 0.0)
-    step_mobility([n], 1.0, np.random.default_rng(0), (200.0, 200.0), (1.0, 5.0))
+    step_mobility([n], 1.0, 1, np.random.default_rng(0), (200.0, 200.0), (1.0, 5.0))
     assert n.position[0] == pytest.approx(7.0)
     assert n.position[1] == pytest.approx(0.0)
 
@@ -89,15 +89,31 @@ def test_mobility_straight_segment_displacement():
 def test_mobility_bs_fixed():
     b = bs(1, 50.0, 50.0)
     b.speed = 99.0
-    step_mobility([b], 10.0, np.random.default_rng(0), (100.0, 100.0), (1.0, 5.0))
+    step_mobility([b], 10.0, 1, np.random.default_rng(0), (100.0, 100.0), (1.0, 5.0))
     assert b.position == (50.0, 50.0)
+
+
+def test_mobility_tracks_one_moving_device():
+    n = ue(1, 0.0, 0.0, speed=2.0)
+    n.waypoint = (100.0, 0.0)
+    b = bs(2, 50.0, 50.0)
+    xs, ys = step_mobility([b, n], 1.0, 3, np.random.default_rng(0),
+                           (200.0, 200.0), (1.0, 5.0), track=n)
+    assert list(xs) == pytest.approx([2.0, 4.0, 6.0]) and list(ys) == [0.0] * 3
+    assert n.position == (xs[-1], ys[-1])
+    xs, ys = step_mobility([n], 1.0, 2, np.random.default_rng(0),
+                           (200.0, 200.0), (1.0, 5.0))
+    assert len(xs) == len(ys) == 0
+    with pytest.raises(TopologyError, match="tracked node 2"):
+        step_mobility([b, n], 1.0, 1, np.random.default_rng(0),
+                      (200.0, 200.0), (1.0, 5.0), track=b)
 
 
 def test_mobility_waypoint_arrival_redraws():
     rng = np.random.default_rng(3)
     n = ue(1, 0.0, 0.0, speed=5.0)
     n.waypoint = (3.0, 0.0)
-    step_mobility([n], 1.0, rng, (100.0, 100.0), speed_range=(2.0, 4.0))
+    step_mobility([n], 1.0, 1, rng, (100.0, 100.0), speed_range=(2.0, 4.0))
     # walked 3 to the waypoint then 2 more toward a fresh one
     assert n.position != (3.0, 0.0)
     assert 2.0 <= n.speed <= 4.0
@@ -109,16 +125,16 @@ def test_mobility_rejects_a_walk_of_many_diagonals():
     assert max_step_walk(30.0, 40.0) == 500.0
     n = ue(1, 0.5, 0.5, speed=1.0)
     with pytest.raises(TopologyError, match="20.0 m/s"):
-        step_mobility([n], 1.0, np.random.default_rng(0), (1.0, 1.0),
+        step_mobility([n], 1.0, 1, np.random.default_rng(0), (1.0, 1.0),
                       speed_range=(20.0, 20.0))
     assert n.position == (0.5, 0.5) and n.waypoint is None
     # a device already faster than the limit allows
     n = ue(2, 5.0, 5.0, speed=200.0)
     with pytest.raises(TopologyError, match="node 2 at 200.0 m/s"):
-        step_mobility([n], 1.0, np.random.default_rng(0), (10.0, 10.0), (1.0, 5.0))
+        step_mobility([n], 1.0, 1, np.random.default_rng(0), (10.0, 10.0), (1.0, 5.0))
     # right at the limit is still a step
     n = ue(3, 0.0, 0.0, speed=500.0)
-    step_mobility([n], 1.0, np.random.default_rng(0), (30.0, 40.0),
+    step_mobility([n], 1.0, 1, np.random.default_rng(0), (30.0, 40.0),
                   speed_range=(500.0, 500.0))
     assert 0.0 <= n.position[0] <= 30.0 and 0.0 <= n.position[1] <= 40.0
 
@@ -132,7 +148,7 @@ def test_random_waypoint_center_concentration():
     nodes = [ue(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), speed=5.0) for i in range(60)]
     samples = []
     for step in range(400):
-        step_mobility(nodes, 1.0, rng, arena, speed_range=(3.0, 8.0))
+        step_mobility(nodes, 1.0, 1, rng, arena, speed_range=(3.0, 8.0))
         if step >= 100:
             samples.extend(math.hypot(n.position[0] - 50.0, n.position[1] - 50.0) for n in nodes)
     mean_dist = sum(samples) / len(samples)
