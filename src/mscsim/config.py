@@ -92,13 +92,11 @@ class Scenario:
     redundancy: float = _key("ncc", 1.0, lambda v: v >= 1.0, "at least 1.0")
     payload_bytes: int = _key("ncc", 32, lambda v: v >= 1, "at least 1")
 
-    cellular_rate: float = _key("links", 1.0, lambda v: v > 0, "positive")
     cellular_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
                                 "in [0, 1)")
     cellular_energy: float = _key("links", 1.0, lambda v: v >= 0,
                                   "nonnegative")
     cellular_range: float = _key("links", 1000.0, lambda v: v > 0, "positive")
-    shortrange_rate: float = _key("links", 4.0, lambda v: v > 0, "positive")
     shortrange_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
                                   "in [0, 1)")
     shortrange_energy: float = _key("links", 0.2, lambda v: v >= 0,
@@ -206,8 +204,10 @@ PRESETS = {
 
 
 def _scan(text: str):
-    """Yield (line_no, key_spec, raw_value); reject anything unknown."""
+    """Yield (line_no, key_spec, raw_value); reject anything unknown or
+    repeated, a key or a section header."""
     section = None
+    headers = {}
     seen = set()
     pairs = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -218,6 +218,10 @@ def _scan(text: str):
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", line_no)
+            if section in headers:
+                raise ConfigError(f"repeated section [{section}], first at "
+                                  f"line {headers[section]}", line_no)
+            headers[section] = line_no
             continue
         if "=" not in line:
             raise ConfigError(f"expected `key = value`, got {line!r}", line_no)

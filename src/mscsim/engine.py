@@ -3,11 +3,10 @@
 Everything a run observes flows through here so that a run is
 reproducible from (seed, config) alone: random streams are derived per
 subsystem from one 64-bit seed, and every transmission is charged to its
-link's energy total. A `LinkModel` holds a link's rate, energy and
-reach; its erasure probability is the session's, passed to each
-`Simulator.transmit`. Time is counted in slots: the per-slot trace is the
-session layer's (`ncc.SlotRecord`), and no record reads a slot's
-duration.
+link's energy total. A `LinkModel` holds a link's energy and reach; its
+erasure probability is the session's, passed to each
+`Simulator.transmit`. Time is counted in slots, which have no duration:
+the per-slot trace is the session layer's (`ncc.SlotRecord`).
 
 The energy totals are two plain floats, one per `LinkKind`. Each grows
 by the transmit charge and then by one receive charge per delivered
@@ -58,32 +57,26 @@ class DeliveryStatus(Enum):
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Rate, energy and reach of one link technology."""
+    """Energy and reach of one link technology."""
 
     kind: LinkKind
-    rate: float            # packets per slot
     tx_energy: float       # per transmitted packet, charged once per broadcast
     range_m: float
 
     def __post_init__(self):
         # written so that NaN fails every comparison and is rejected
-        if not (self.rate > 0 and self.tx_energy >= 0 and self.range_m > 0):
-            raise ValueError("rate and range must be positive, energy nonnegative")
-
-    @property
-    def slot_duration(self) -> float:
-        """Slot-time consumed by one packet on this link."""
-        return 1.0 / self.rate
+        if not (self.tx_energy >= 0 and self.range_m > 0):
+            raise ValueError("range must be positive, energy nonnegative")
 
 
 # Receive cost as a fraction of the link's transmit cost.
 RX_ENERGY_FRACTION = 0.1
 
 # Default link constants. Only the orderings are load-bearing (short
-# range is faster and cheaper than cellular); the values are recorded in
-# every output header and overridable from config.
-DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, rate=1.0, tx_energy=1.0, range_m=1000.0)
-DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, rate=4.0, tx_energy=0.2, range_m=50.0)
+# range is cheaper and shorter than cellular); the values are recorded in
+# each run's header record and overridable from config.
+DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, tx_energy=1.0, range_m=1000.0)
+DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, tx_energy=0.2, range_m=50.0)
 
 
 # The stream id of each subsystem's stream.

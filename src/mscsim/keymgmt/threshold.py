@@ -1,12 +1,14 @@
 """t-of-n Schnorr signing over a shared master key.
 
 The quorum's nonce is itself additively shared: every participant
-contributes a random degree-(t-1) polynomial, announced commit-first so
-nobody can bias the aggregate after seeing others' contributions. Each
-partial signature is then an evaluation of (joint nonce polynomial +
-c * sharing polynomial) at the signer's index, so ANY t partials
-interpolate at zero to the same full signature, and fewer than t
-constrain nothing.
+contributes a random degree-(t-1) polynomial, and the joint nonce point
+is the product of their constant terms' points. One constructor draws
+every participant's polynomial, so there is no announcement round to
+commit to: a participant that biases the aggregate after seeing the
+others' points is not modelled. Each partial signature is then an
+evaluation of (joint nonce polynomial + c * sharing polynomial) at the
+signer's index, so ANY t partials interpolate at zero to the same full
+signature, and fewer than t constrain nothing.
 
 A verifier sees an ordinary Schnorr signature under the master public
 key; nothing reveals that a quorum produced it.
@@ -94,7 +96,7 @@ def verify(params: GroupParams, public: int | Comb, message: bytes,
 class SigningSession:
     """One quorum, one message, one joint nonce.
 
-    Construction runs the commit-then-reveal nonce round; partial_sign
+    Construction draws every participant's nonce polynomial; partial_sign
     hands out each participant's contribution; combine_partials (module
     level) interpolates any t of them into the final signature.
     """
@@ -114,8 +116,7 @@ class SigningSession:
         self._shares = {s.index: s for s in quorum}
         self.violations: list[str] = []
 
-        # Round 1: every participant shares its own nonce polynomial and
-        # commits to the group element of its constant term.
+        # every participant shares its own nonce polynomial
         q = params.q
         self._nonce_polys = {
             s.index: share_polynomial(params.random_scalar(rng), threshold, q, rng)
@@ -123,12 +124,6 @@ class SigningSession:
         }
         self.nonce_points = {i: params.exp(poly[0])
                              for i, poly in self._nonce_polys.items()}
-        self.commitments = {i: self._commit(i, r)
-                            for i, r in self.nonce_points.items()}
-
-        # Round 2: reveals checked against commitments, then aggregated.
-        if not self.verify_commitments():
-            raise SigningError("nonce commitment mismatch")
         R = 1
         for r in self.nonce_points.values():
             R = params.mul(R, r)
@@ -136,14 +131,6 @@ class SigningSession:
         self.session_id = hashlib.sha256(
             params.element_bytes(R) + params.element_bytes(master_public)
             + self.message).digest()
-
-    def _commit(self, index: int, nonce_point: int) -> bytes:
-        return hashlib.sha256(index.to_bytes(8, "big")
-                              + self.params.element_bytes(nonce_point)).digest()
-
-    def verify_commitments(self) -> bool:
-        return all(self._commit(i, r) == self.commitments.get(i)
-                   for i, r in self.nonce_points.items())
 
     def _nonce_eval(self, index: int) -> int:
         return sum(poly_eval(poly, index, self.params.q)

@@ -3,10 +3,11 @@
 One run walks the full pipeline: place the topology and elect a cell
 head, bootstrap the distributed key authority, stream content through
 offloading sessions, then drive the mobility trace with both handover
-procedures side by side. Results go out as line-delimited JSON records;
-every record carries the seed, the scenario hash, and the full config
-echo, so any single line suffices to reproduce its run. On request, a
-second file holds the slot trace: one line per slot of every session.
+procedures side by side. Results go out as line-delimited JSON records.
+A run's first record is its `header`: the ids and the full resolved
+config, so a run is reproducible from its header. Every later record
+carries the ids alone (schema, run id, scenario hash, seed). On request,
+a second file holds the slot trace: one line per slot of every session.
 
 Output files are written to a temporary name and renamed into place, so
 a crash never leaves a partially written file behind.
@@ -63,7 +64,7 @@ from .topology import (
     topology_snapshot,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # node id blocks: base stations, devices, authority shareholders
 _BS_BASE = 0
@@ -137,10 +138,10 @@ def write_records(records, out_path: str) -> None:
 
 def _links(scenario: Scenario) -> tuple[LinkModel, LinkModel]:
     # erasure probabilities ride on the session config, not the link
-    cellular = LinkModel(LinkKind.CELLULAR, rate=scenario.cellular_rate,
+    cellular = LinkModel(LinkKind.CELLULAR,
                          tx_energy=scenario.cellular_energy,
                          range_m=scenario.cellular_range)
-    short = LinkModel(LinkKind.SHORT_RANGE, rate=scenario.shortrange_rate,
+    short = LinkModel(LinkKind.SHORT_RANGE,
                       tx_energy=scenario.shortrange_energy,
                       range_m=scenario.shortrange_range)
     return cellular, short
@@ -337,12 +338,13 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
         "scenario_hash": digest,
         "seed": scenario.seed,
     }
-    base = {**ids, "config": scenario_to_dict(scenario)}
-    records: list[dict] = []
+    # the header comes first, before anything that can fail
+    records = [{**ids, "type": "header",
+                "config": scenario_to_dict(scenario)}]
     traces: list[tuple[int, tuple]] = []
 
     def emit(record_type: str, **payload):
-        records.append({**base, "type": record_type, **payload})
+        records.append({**ids, "type": record_type, **payload})
 
     exit_code = 0
     try:
@@ -356,7 +358,7 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
              head=msc.head,
              gateway=msc.gateway_bs,
              cell_members=sorted(msc.members),
-             snapshot=topology_snapshot(0.0, nodes.values(), [msc]))
+             snapshot=topology_snapshot(nodes.values(), [msc]))
 
         km = _km_phase(scenario, crypto_rng, devices)
         emit("km-summary", **km)
@@ -369,8 +371,6 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
         emit("handover-summary", **handover)
 
         emit("run-summary", status="ok", **sessions,
-             handover={"ul_rs": handover["ul_rs"],
-                       "baseline": handover["baseline"]},
              km_certificates_verified=km["certificates_verified"])
     except Exception as exc:
         emit("error", status="error", error=type(exc).__name__,

@@ -217,7 +217,7 @@ def step_mobility(nodes: Iterable[Node], dt: float, steps: int, rng,
     return track_x, track_y
 
 
-def topology_snapshot(time: float, nodes: Iterable[Node],
+def topology_snapshot(nodes: Iterable[Node],
                       cells: Sequence[MobileSmallCell] = ()) -> list[dict]:
     """One plain-dict record per node for the run's output stream."""
     cell_of = {}
@@ -227,7 +227,6 @@ def topology_snapshot(time: float, nodes: Iterable[Node],
     out = []
     for node in sorted(nodes, key=lambda n: n.id):
         out.append({
-            "time": time,
             "node": node.id,
             "kind": node.kind.value,
             "x": round(node.position[0], 3),

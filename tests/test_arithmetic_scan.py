@@ -38,7 +38,7 @@ ALLOWED = {
     ("ncc", "baseline_unicast_session", "numpy.hypot"):
         "the unicast range test, the same decision as Simulator.transmit",
     ("runner", "_session_phase", "numpy.mean"):
-        "the run summary's means; fsum moves the digests with schema 2",
+        "the run summary's means; fsum moves the digests with schema 3",
 }
 
 

@@ -320,6 +320,26 @@ class TestOtherVerbs:
             assert "arena diagonals" in err
             assert "line 5" in err
 
+    def test_a_repeated_section_header_names_its_line(self, workdir, capsys):
+        # the second [scenario] would otherwise merge into the first
+        cfg = write(workdir, "twice.cfg", "[scenario]\nseed = 1\n[ncc]\n"
+                    "generation_size = 8\n[scenario]\nsessions = 2\n")
+        for verb in ("validate", "run"):
+            assert main([verb, cfg]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert "repeated section [scenario]" in err
+            assert "line 5" in err and "first at line 1" in err
+        assert not (workdir / "twice-metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("key", ["cellular_rate", "shortrange_rate"])
+    def test_a_rate_key_is_unknown(self, workdir, capsys, key):
+        # no run read the link rates, so they are no longer keys
+        cfg = write(workdir, "rate.cfg", "[scenario]\nseed = 1\n[links]\n"
+                    f"cellular_loss = 0.1\n{key} = 2.0\n")
+        assert main(["validate", cfg]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}'" in err and "line 5" in err
+
     def test_module_entry_point(self):
         # the child does not inherit pytest's `pythonpath`, so it is given
         # the src directory this package was imported from

@@ -288,7 +288,7 @@ class TestCanonicalForm:
         assert echo["scenario.seed"] == 5
         assert echo["links.shortrange_energy"] == 0.2
         assert echo["km.group"] == "demo"
-        assert len(echo) == 30
+        assert len(echo) == 28
 
 
 class TestOverrides:

@@ -39,26 +39,24 @@ def test_default_links_are_the_scenario_defaults():
     # links (the acceptance criteria) see the links an unchanged
     # scenario gives a run
     s = default_scenario(1)
-    assert ((DEFAULT_CELLULAR.rate, DEFAULT_CELLULAR.tx_energy,
-             DEFAULT_CELLULAR.range_m)
-            == (s.cellular_rate, s.cellular_energy, s.cellular_range))
-    assert ((DEFAULT_SHORT_RANGE.rate, DEFAULT_SHORT_RANGE.tx_energy,
-             DEFAULT_SHORT_RANGE.range_m)
-            == (s.shortrange_rate, s.shortrange_energy, s.shortrange_range))
+    assert ((DEFAULT_CELLULAR.tx_energy, DEFAULT_CELLULAR.range_m)
+            == (s.cellular_energy, s.cellular_range))
+    assert ((DEFAULT_SHORT_RANGE.tx_energy, DEFAULT_SHORT_RANGE.range_m)
+            == (s.shortrange_energy, s.shortrange_range))
 
 
-@pytest.mark.parametrize("field", ["rate", "tx_energy", "range_m"])
+@pytest.mark.parametrize("field", ["tx_energy", "range_m"])
 def test_nan_link_constant_rejected(field):
     # NaN compares false against every bound, so a check written as
-    # `rate <= 0` would let it through and make slot_duration NaN
-    values = dict(rate=1.0, tx_energy=1.0, range_m=100.0)
+    # `range_m <= 0` would let it through and put every receiver in range
+    values = dict(tx_energy=1.0, range_m=100.0)
     values[field] = float("nan")
     with pytest.raises(ValueError):
         LinkModel(LinkKind.CELLULAR, **values)
 
 
 def test_transmit_lossless_delivers_in_range():
-    link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.2, 50.0)
+    link = LinkModel(LinkKind.SHORT_RANGE, 0.2, 50.0)
     sim = Simulator()
     rng = np.random.default_rng(0)
     sender = FakeNode(0, (0.0, 0.0))
@@ -70,7 +68,7 @@ def test_transmit_lossless_delivers_in_range():
 
 
 def test_transmit_binomial_delivery_rate():
-    link = LinkModel(LinkKind.SHORT_RANGE, 4.0, 0.2, 50.0)
+    link = LinkModel(LinkKind.SHORT_RANGE, 0.2, 50.0)
     sim = Simulator()
     rng = np.random.default_rng(13)
     sender = FakeNode(0, (0.0, 0.0))
@@ -108,7 +106,7 @@ def test_seed_streams_independent():
 # still be exactly `np.hypot(dx, dy) > range_m`.
 
 def _expect_hypot_decisions(sender, receivers, range_m):
-    link = LinkModel(LinkKind.CELLULAR, 1.0, 1.0, range_m)
+    link = LinkModel(LinkKind.CELLULAR, 1.0, range_m)
     out = Simulator().transmit(link, 0.0, sender, receivers,
                                np.random.default_rng(0))
     assert [d.receiver for d in out] == [r.id for r in receivers]

@@ -1,5 +1,6 @@
-"""Golden digests: the sha256 of the JSONL file `run` writes for fixed
-scenarios and seeds.
+"""Golden digests: the sha256 of the JSONL files `run` writes for fixed
+scenarios and seeds, the records file of each and the `--trace` file of
+three.
 
 These pin "same behaviour" byte for byte. A change that moves a digest
 changes what the simulator computes, not just how fast it computes it,
@@ -90,43 +91,74 @@ SCENARIOS = {
 GOLDEN = {
     2: {
         ("ambulance", 1):
-            "878c9d32b301065c9a2f206052854115c9059847d74399fd37086a4e831c5904",
+            "91ffbd4ea8f030bf39309a1df05aa6a2c2fbbe93322266bcee32fa8b25204682",
         ("ambulance", 20240):
-            "cf4091ef143fcc4e63bbbc84c7d8bfa57db51081408ea8aa69335f776eb6765c",
+            "12e047961026b1526d1d1cd88f52da35ed66b5385d2a258913ac51d56305acfb",
         ("baseline-unicast", 1):
-            "577da9be1dcc366ea44fc6ef5464acd891b41f74521f24d822232d16e370f4d9",
+            "4ae20d1e7ec31b9bacf158c8a632a7d0bf4b31067947fba1d960e9f4465163a4",
         ("baseline-unicast", 20240):
-            "0002dd81a47acbceafc87539be4a176d3be1317a185aa19cb527353173cc720f",
+            "8ddde86fc29355a090e625961059c16f6fcdc4761f3a007c54898ab3279bd5fb",
         ("ho-comparison", 1):
-            "904043c23ea78058602b70fce743f6c01dc7da7687636b3f02426d241370ff88",
+            "60662e65767c3e1a797869355f439a4a0cf57ab0406be077ffd590b55dafd919",
         ("ho-comparison", 20240):
-            "f01118305aa2779d70428122e59db7c194c4d4091e08475b8263b75ce2d80c0d",
+            "6a96f87f851e68512222dc5c56985efd88d90232adced91759c7705f27460c05",
         ("km-bootstrap", 1):
-            "585bcadd6f8e889f2b13a68045545c026c26f1adb17e48de794bd09f005a080a",
+            "c83dd3f3bc9c11eba477b1f5ba2f10307baa124f831d612df45b1648c36137bb",
         ("km-bootstrap", 20240):
-            "125e10a65bbc03b1294d29497aa8d0e782989244d600e367444e126c71c1730f",
+            "d38c374113dcaaab86937615c248288301909d34f0592bd7355065365e1c8f44",
         ("wide-parallel", 1):
-            "bcd94d6011a6e5dc1bd6a08c9196162712e437b6fccf601e5bbee7e1dd89164c",
+            "48ffe1156e27ffe4a60217c283bbbc5c1f967fb8a2767bcb11ec712e87982644",
         ("wide-parallel", 20240):
-            "a12a00c39e37a4f2597ccbe6aa5d757b23586876e6921c66e8bfb22fda4cd778",
+            "42768016d633d49d5ff212aa695b7e78b0e389ff9ab11945e6ee5049fded7944",
         ("odd-sequential", 1):
-            "19e0b5b394e8675b776c5b12911455b664cbccb3dce6f06a61e2ea8cd122c1b6",
+            "44ab4f0bc5ee293e137f34cecb1becc216652b091ce8f4e8c52af52bed660559",
         ("odd-sequential", 20240):
-            "df9ba9111b5d1d97a9f56f4ad04375025a821e03f4c8e6a5b673a2c51c10fa4c",
+            "08e4b30ef46d608a102de0714dbab97049b83e799abac0a7c09a2dc618fa6268",
         ("odd-parallel", 1):
-            "4fd186190b44a04c08255cc2ec102ec8955ee12299acc2621b7c873e13a4cdba",
+            "68acf58abfdd33e8b5cf0224c56cc83812cedd6ef23f2438d5792048f3842686",
         ("odd-parallel", 20240):
-            "d3828cfd061975852874a17e0a46539106042a667bb5e59df7eace2bcc4a55eb",
+            "0370033ec9218d890b006ea4ab006a2c34b351c88823b33151d30cf90181cbb6",
         ("odd-unicast", 1):
-            "be0d4ddc197c296a83b99085ff42728ff3197f5aae3cd8230d7bd949586d406f",
+            "f1591a8b1c2f5abeb2dcce25bf58ecd2d6134de501640e42675e04f4dddfcdac",
         ("odd-unicast", 20240):
-            "fb3583862b220a263322ba48d100c166de236acc0abcb4b6c6bba64e96bf949a",
+            "d72531667e023e1ddd3d1ee529f4a244daf12c5fc83e684a59b33189a67b08c7",
         ("ho-2048", 1):
-            "04118dd14d9ae774e9fd5b7999e7b445b5a4bc06bcaf1a97757c363d192731f6",
+            "1644d07ea7c6f1a0e5266b632a7f968e4587a88941256d9cd929f24e0243b06b",
         ("ho-2048", 20240):
-            "a89de2f8ac254371966eac2a852b7ec81f6ec1329884a6aeb40aa3854113963e",
+            "177ea0c9692f94cef8d37aa8e04b5f8384bf3216f741b6c2ae81d4b08911ddde",
     },
 }
+
+
+# the slot trace of one scenario per session driver: sequential coded,
+# parallel coded and lossy unicast
+TRACED = ("ambulance", "wide-parallel", "odd-unicast")
+
+# numpy major version -> (scenario, seed) -> sha256 of the `--trace` file
+GOLDEN_TRACE = {
+    2: {
+        ("ambulance", 1):
+            "4b57c5cbf116678ac79a6b1002ebf985c43273c8e773b5580398d3c2ce009fe2",
+        ("ambulance", 20240):
+            "45866cd67f832204f552f961a8a903a8abc071cc8b76ed684c8d8f4820eb7b6c",
+        ("odd-unicast", 1):
+            "8dcf0778d49f7485ffbb9e872de8041eeffa5dcb327e0e45680dd4cc1f30ccb9",
+        ("odd-unicast", 20240):
+            "d5e8f0ed60338d8090457c44a0e6995fcb4e0db89a49d9262e065ed18f1c4f24",
+        ("wide-parallel", 1):
+            "a4c376684c89406aedb472a349cd978ef8631c7013b54810ed6df46dc0226036",
+        ("wide-parallel", 20240):
+            "0cbfd13ee729338a4cdf069cc071a9d13d85b0271fed0054e1c875143b37121d",
+    },
+}
+
+
+def _pinned(table: dict) -> dict:
+    """The digests recorded under this numpy major; skip under any other."""
+    if NUMPY_MAJOR not in table:
+        pytest.skip(f"digests recorded under numpy major {sorted(table)}; "
+                    f"numpy {np.__version__} may draw different streams (NEP 19)")
+    return table[NUMPY_MAJOR]
 
 
 def records_digest(text: str, seed: int, tmp_path) -> str:
@@ -141,8 +173,18 @@ def records_digest(text: str, seed: int, tmp_path) -> str:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_records_digest_is_pinned(name, seed, tmp_path):
-    if NUMPY_MAJOR not in GOLDEN:
-        pytest.skip(f"digests recorded under numpy major {sorted(GOLDEN)}; "
-                    f"numpy {np.__version__} may draw different streams (NEP 19)")
+    golden = _pinned(GOLDEN)
     assert records_digest(SCENARIOS[name], seed, tmp_path) == \
-        GOLDEN[NUMPY_MAJOR][(name, seed)]
+        golden[(name, seed)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", TRACED)
+def test_trace_digest_is_pinned(name, seed, tmp_path):
+    golden = _pinned(GOLDEN_TRACE)
+    trace = tmp_path / "trace.jsonl"
+    result = run(parse_config(SCENARIOS[name], seed=seed),
+                 trace_path=str(trace))
+    assert result.exit_code == 0, result.records[-1]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+        golden[(name, seed)]

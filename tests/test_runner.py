@@ -14,11 +14,16 @@ import pytest
 
 import mscsim
 from mscsim import runner
-from mscsim.config import ConfigError, default_scenario, parse_config
+from mscsim.config import (
+    ConfigError,
+    apply_overrides,
+    default_scenario,
+    parse_config,
+)
 from mscsim.ncc import SlotRecord
 from mscsim.runner import RunResult, derive_subseed, expand_grid, run, sweep
 
-BASE_FIELDS = {"schema", "run_id", "scenario_hash", "seed", "config", "type"}
+ID_FIELDS = {"schema", "run_id", "scenario_hash", "seed"}
 
 
 def small_scenario(seed=3, **overrides):
@@ -35,19 +40,33 @@ class TestRecordStream:
         result = run(small_scenario())
         assert result.exit_code == 0
         types = [r["type"] for r in result.records]
-        assert types[0] == "topology"
-        assert types[1] == "km-summary"
+        assert types[:3] == ["header", "topology", "km-summary"]
         assert types.count("session") == 2
         assert types[-2] == "handover-summary"
         assert types[-1] == "run-summary"
+        header = result.records[0]
+        assert set(header) == {*ID_FIELDS, "type", "config"}
+        assert header["schema"] == runner.SCHEMA_VERSION == 2
+        assert header["config"]["nodes.ue_count"] == 4
         for record in result.records:
-            assert BASE_FIELDS <= set(record)
-            assert record["config"]["nodes.ue_count"] == 4
+            assert {k: record[k] for k in ID_FIELDS} == \
+                {k: header[k] for k in ID_FIELDS}
             assert record["seed"] == 3
+        assert [r["type"] for r in result.records
+                if "config" in r] == ["header"]
+        # the handover totals are in handover-summary alone
+        assert "handover" not in result.records[-1]
+
+    def test_the_header_config_reproduces_the_run(self):
+        result = run(small_scenario())
+        config = result.records[0]["config"]
+        again = apply_overrides(default_scenario(config["scenario.seed"]),
+                                config)
+        assert run(again).records == result.records
 
     def test_topology_record_is_consistent(self):
         result = run(small_scenario())
-        topo = result.records[0]
+        topo = result.records[1]
         assert topo["head"] in topo["cell_members"]
         assert len(topo["cell_members"]) == 4
         assert topo["gateway"] in (1, 2)
@@ -164,6 +183,9 @@ class TestFailureHandling:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines[-1]["status"] == "error"
         assert not list(tmp_path.glob("*.tmp"))
+        # and it still starts with the header that reproduces the run
+        assert [r["type"] for r in lines] == ["header", "topology", "error"]
+        assert lines[0]["config"]["scenario.seed"] == 3
 
 
 class TestWriteRecords:
@@ -238,6 +260,24 @@ class TestSweep:
         utils = {r["grid_point"]["nodes.ue_count"]: r["cellular_utilization"]
                  for r in result.records if r["type"] == "session"}
         assert utils == {2: 0.5, 4: 0.25}
+
+    def test_each_point_starts_with_its_one_header(self):
+        result = sweep(small_scenario(ho_epochs=0, sessions=1),
+                       {"nodes.ue_count": ["2", "4"],
+                        "ncc.redundancy": ["1.0", "1.5"]})
+        assert result.exit_code == 0
+        assert result.records[0]["type"] == "header"
+        runs = []
+        for record in result.records:
+            if record["type"] == "header":
+                runs.append([])
+            runs[-1].append(record)
+        # four points, each one run: its header, then its other records
+        assert len({records[0]["run_id"] for records in runs}) == len(runs) == 4
+        for header, *rest in runs:
+            assert {r["run_id"] for r in rest} == {header["run_id"]}
+            assert header["config"]["scenario.seed"] == header["seed"]
+            assert all("config" not in r for r in rest)
 
     def test_each_point_gets_its_own_derived_seed(self):
         scenario = small_scenario(seed=5)

@@ -204,8 +204,9 @@ def test_topology_snapshot_records():
         Node(1, NodeKind.BASE_STATION, (0.0, 0.0)),
     ]
     cell = form_msc([nodes[0]], 50.0)
-    recs = topology_snapshot(2.5, nodes, [cell])
+    recs = topology_snapshot(nodes, [cell])
     assert [r["node"] for r in recs] == [1, 3]  # sorted by id
     assert recs[1]["msc"] == 0 and recs[1]["role"] == "mch"
     assert recs[0]["msc"] is None
-    assert recs[0]["time"] == 2.5
+    assert set(recs[0]) == {"node", "kind", "x", "y", "role", "msc",
+                            "battery"}
