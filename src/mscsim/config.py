@@ -264,6 +264,13 @@ def _cross_validate(s: Scenario) -> None:
     if s.speed_min > s.speed_max:
         fail("mobility.speed_min exceeds mobility.speed_max",
              "speed_min", "speed_max")
+    if s.speed_min == 0 and s.ho_epochs > 0:
+        # random waypoint whose speeds reach 0 has no stationary regime
+        # (Yoon, Liu & Noble, INFOCOM 2003): the walkers slow down for
+        # ever, so the handover counts would rest on the run's length
+        fail("mobility.speed_min = 0 with handover.epochs > 0: the walk "
+             "never settles; use a positive speed_min",
+             "speed_min", "ho_epochs")
     walk = s.speed_max * s.epoch_duration
     if walk > max_step_walk(s.arena_width, s.arena_height):
         # each epoch's walk hops waypoint to waypoint until spent, so an

@@ -17,10 +17,10 @@ the teeth. y**e is then b - 1 squarings and at most 2b products, where
 pow() takes about t squarings. Building the tables costs about
 (2h - 1) * b squarings and 2**(h+1) products.
 
-- The generator G (key generation, nonce points, the G**z half of every
-  verification) gets h = 8, built once when the group is validated: for
-  the 2048-bit group's 256-bit q, b = 16, 510 entries (about 128 KiB),
-  15 squarings and at most 32 products per power.
+- The generator G (key generation, joint nonce points, the G**z half
+  of every verification) gets h = 8, built once when the group is
+  validated: for the 2048-bit group's 256-bit q, b = 16, 510 entries
+  (about 128 KiB), 15 squarings and at most 32 products per power.
 - A long-lived public key gets h = 4 from GroupParams.key_table: b = 32,
   2 x 15 entries, 31 squarings and at most 64 products per power. The
   key management service builds one for its master public key, which

@@ -2,13 +2,14 @@
 
 The quorum's nonce is itself additively shared: every participant
 contributes a random degree-(t-1) polynomial, and the joint nonce point
-is the product of their constant terms' points. One constructor draws
-every participant's polynomial, so there is no announcement round to
-commit to: a participant that biases the aggregate after seeing the
-others' points is not modelled. Each partial signature is then an
-evaluation of (joint nonce polynomial + c * sharing polynomial) at the
-signer's index, so ANY t partials interpolate at zero to the same full
-signature, and fewer than t constrain nothing.
+is the product of their constant terms' points, G**(k_1 + ... + k_t).
+One constructor draws every participant's polynomial, so no round
+announces a participant's point and none is computed: the joint point
+is one power of G. A participant that biases the aggregate after
+seeing the others' points is not modelled. Each partial signature is
+then an evaluation of (joint nonce polynomial + c * sharing polynomial)
+at the signer's index, so ANY t partials interpolate at zero to the
+same full signature, and fewer than t constrain nothing.
 
 A verifier sees an ordinary Schnorr signature under the master public
 key; nothing reveals that a quorum produced it.
@@ -122,11 +123,8 @@ class SigningSession:
             s.index: share_polynomial(params.random_scalar(rng), threshold, q, rng)
             for s in quorum
         }
-        self.nonce_points = {i: params.exp(poly[0])
-                             for i, poly in self._nonce_polys.items()}
-        R = 1
-        for r in self.nonce_points.values():
-            R = params.mul(R, r)
+        # G has order q, so the product of the points G**k_i is one power
+        R = params.exp(sum(poly[0] for poly in self._nonce_polys.values()))
         self.c = challenge(params, R, master_public, self.message)
         self.session_id = hashlib.sha256(
             params.element_bytes(R) + params.element_bytes(master_public)

@@ -308,7 +308,7 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
         # one decision serves both procedures
         "decisions_match": True,
         # a radio link failure of each procedure
-        "link_failures": 2 * in_range.count(0),
+        "link_failures": 2 * (epochs - int(np.count_nonzero(in_range))),
         "ul_rs": ul_rs_handover(msc.gateway_bs, in_range, targets),
         "baseline": baseline_handover(msc.gateway_bs, in_range, targets),
     }

@@ -134,10 +134,12 @@ def step_mobility(nodes: Iterable[Node], dt: float, steps: int, rng,
     leaves every node as it was.
 
     Only a fresh waypoint or an arrival draws, so each UE runs ahead on
-    its own through the steps that draw nothing. A step that draws waits
-    on a heap keyed (step, UE order), which keeps the draws in the order
-    of stepping every UE once per step. The UEs' state lives in locals
-    and is written back to the nodes once, at the end.
+    its own through the steps that draw nothing: the rest of its leg,
+    whose waypoint, walk per step and walk limit check are fixed, so
+    they are taken once per leg. A step that draws waits on a heap keyed
+    (step, UE order), which keeps the draws in the order of stepping
+    every UE once per step. The UEs' state lives in locals and is
+    written back to the nodes once, at the end.
 
     Returns the x and y of `track`, a UE among `nodes`, after each step;
     both are empty without `track`.
@@ -160,14 +162,16 @@ def step_mobility(nodes: Iterable[Node], dt: float, steps: int, rng,
     track_y = array("d", track_x)
     state = [(*n.position, n.waypoint, n.speed) for n in walkers]
     uniform = rng.uniform
-    pending = [(0, i) for i in range(len(walkers))]
+    pending = [(0, i) for i in range(len(walkers))] if steps > 0 else []
     while pending:
         start, i = heappop(pending)
         x, y, waypoint, speed = state[i]
-        for step in range(start, steps):
+        tracked = i == head
+        step = start
+        while True:     # the step of its turn, then the leg it runs ahead on
             remaining = speed * dt
             if not remaining > 1e-12:       # no walk and no draw, ever again
-                if i == head:
+                if tracked:
                     track_x[step:] = array("d", [x]) * (steps - step)
                     track_y[step:] = array("d", [y]) * (steps - step)
                 break
@@ -175,40 +179,49 @@ def step_mobility(nodes: Iterable[Node], dt: float, steps: int, rng,
                 raise TopologyError(
                     f"node {walkers[i].id} at {speed} m/s walks more than "
                     f"{MAX_STEP_DIAGONALS:g} arena diagonals in one step")
-            if step > start:                # a step ahead of its turn
+            if step > start:                # the steps ahead of its turn
                 if waypoint is None:
                     heappush(pending, (step, i))
                     break
+                wx, wy = waypoint
+                for step in range(step, steps):
+                    dx = wx - x
+                    dy = wy - y
+                    dist = hypot(dx, dy)
+                    if dist <= remaining:
+                        heappush(pending, (step, i))
+                        break
+                    frac = remaining / dist
+                    x += dx * frac
+                    y += dy * frac
+                    if tracked:
+                        track_x[step] = x
+                        track_y[step] = y
+                break
+            while remaining > 1e-12:
+                if waypoint is None:
+                    waypoint = (float(uniform(0, width)),
+                                float(uniform(0, height)))
+                    if speed <= 0:
+                        break
                 dx = waypoint[0] - x
                 dy = waypoint[1] - y
                 dist = hypot(dx, dy)
                 if dist <= remaining:
-                    heappush(pending, (step, i))
+                    x, y = waypoint
+                    waypoint = None
+                    remaining -= dist
+                    speed = float(uniform(low, high))
+                else:
+                    frac = remaining / dist
+                    x, y = x + dx * frac, y + dy * frac
                     break
-                frac = remaining / dist
-                x, y = x + dx * frac, y + dy * frac
-            else:
-                while remaining > 1e-12:
-                    if waypoint is None:
-                        waypoint = (float(uniform(0, width)),
-                                    float(uniform(0, height)))
-                        if speed <= 0:
-                            break
-                    dx = waypoint[0] - x
-                    dy = waypoint[1] - y
-                    dist = hypot(dx, dy)
-                    if dist <= remaining:
-                        x, y = waypoint
-                        waypoint = None
-                        remaining -= dist
-                        speed = float(uniform(low, high))
-                    else:
-                        frac = remaining / dist
-                        x, y = x + dx * frac, y + dy * frac
-                        break
-            if i == head:
+            if tracked:
                 track_x[step] = x
                 track_y[step] = y
+            step += 1
+            if step == steps:
+                break
         state[i] = (x, y, waypoint, speed)
     for node, (x, y, waypoint, speed) in zip(walkers, state):
         node.position = (x, y)

@@ -7,20 +7,25 @@ No simulation run calls any of this, so it lives with the tests:
 - ``generate_group``, a fresh Schnorr group of any size, for property
   tests that need groups other than the built-in ones;
 - ``received_power_dbm``, the log-distance path loss that the handover
-  layer's distance rule stands for, so that tests can decide in dB.
+  layer's distance rule stands for, so that tests can decide in dB;
+- ``decide``, ``ul_rs_handover`` and ``baseline_handover``, the handover
+  layer's passes as plain loops over epochs and stations;
+- ``step_mobility``, a random-waypoint step of every device, one epoch
+  per call, with no walk limit and no running ahead.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from mscsim.gf256 import mul_rows
-from mscsim.handover import SLOPE_DB
+from mscsim.handover import HO_RX_ENERGY, HO_TX_ENERGY, SLOPE_DB
 from mscsim.keymgmt.groups import GroupError, GroupParams, is_probable_prime, rand_range
 from mscsim.keymgmt.shamir import KeyShare, lagrange_at
+from mscsim.topology import Node, NodeKind
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,3 +97,102 @@ DEVICE_TX_POWER_DBM = 23.0
 def received_power_dbm(tx_power_dbm: float, distance: float) -> float:
     d = max(distance, REF_DISTANCE)
     return tx_power_dbm - (PL0_DB + SLOPE_DB * math.log10(d / REF_DISTANCE))
+
+
+def decide(xs: Sequence[float], ys: Sequence[float], stations: Sequence[Node],
+           max_range: float, serving: Optional[int],
+           ratio: float) -> tuple[list[int], list[Optional[int]]]:
+    """`handover.decide` one epoch at a time and one station at a time:
+    the count of stations in range and the target, which is None while
+    `serving` is None and no station has been in range."""
+    sites = sorted((s.id, *s.position) for s in stations)
+    in_range, targets = [], []
+    for x, y in zip(xs, ys):
+        count = 0
+        best_id = kept = None
+        for bs_id, sx, sy in sites:
+            distance = math.hypot(x - sx, y - sy)
+            if distance <= max_range:
+                if distance < 1.0:
+                    distance = 1.0
+                count += 1
+                if best_id is None or distance < best:
+                    best_id, best = bs_id, distance
+                if bs_id == serving:
+                    kept = distance
+        if count and (kept is None or kept > best * ratio):
+            serving = best_id
+        in_range.append(count)
+        targets.append(serving)
+    return in_range, targets
+
+
+def ul_rs_handover(serving: int, in_range: Sequence[int],
+                   targets: Sequence[int]) -> dict:
+    """`handover.ul_rs_handover` as a running total over the epochs."""
+    tx = rx = network = executed = 0
+    energy = 0.0
+    for count, target in zip(in_range, targets):
+        if not count:
+            continue
+        moved = 1 if target != serving else 0
+        serving = target
+        tx += 1
+        rx += moved
+        network += count
+        executed += moved
+        energy += 1 * HO_TX_ENERGY + moved * HO_RX_ENERGY
+    return {"ue_tx": tx, "ue_rx": rx, "network": network, "energy": energy,
+            "executed": executed}
+
+
+def baseline_handover(serving: int, in_range: Sequence[int],
+                      targets: Sequence[int]) -> dict:
+    """`handover.baseline_handover` as a running total over the epochs."""
+    tx = rx = network = executed = 0
+    energy = 0.0
+    for count, target in zip(in_range, targets):
+        if not count:
+            continue
+        moved = 1 if target != serving else 0
+        serving = target
+        tx += 1 + moved
+        rx += count + moved
+        network += 1 + moved
+        executed += moved
+        energy += (1 + moved) * HO_TX_ENERGY + (count + moved) * HO_RX_ENERGY
+    return {"ue_tx": tx, "ue_rx": rx, "network": network, "energy": energy,
+            "executed": executed}
+
+
+def step_mobility(nodes: Sequence[Node], dt: float, rng,
+                  arena: tuple[float, float],
+                  speed_range: tuple[float, float]) -> None:
+    """One random-waypoint step of every device, one node attribute at a
+    time: walk speed * dt toward the waypoint, drawing a fresh waypoint
+    and then a fresh speed on each arrival. Nothing bounds the number of
+    hops."""
+    width, height = arena
+    for node in nodes:
+        if node.kind is NodeKind.BASE_STATION:
+            continue
+        remaining = node.speed * dt
+        while remaining > 1e-12:
+            if node.waypoint is None:
+                node.waypoint = (float(rng.uniform(0, width)),
+                                 float(rng.uniform(0, height)))
+                if node.speed <= 0:
+                    break
+            dx = node.waypoint[0] - node.position[0]
+            dy = node.waypoint[1] - node.position[1]
+            dist = math.hypot(dx, dy)
+            if dist <= remaining:
+                node.position = node.waypoint
+                node.waypoint = None
+                remaining -= dist
+                node.speed = float(rng.uniform(*speed_range))
+            else:
+                frac = remaining / dist
+                node.position = (node.position[0] + dx * frac,
+                                 node.position[1] + dy * frac)
+                remaining = 0.0

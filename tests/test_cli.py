@@ -320,6 +320,25 @@ class TestOtherVerbs:
             assert "arena diagonals" in err
             assert "line 5" in err
 
+    def test_a_zero_minimum_speed_with_epochs_is_rejected(self, workdir,
+                                                           capsys):
+        # with speeds down to 0 the walkers slow down for ever, so the
+        # handover counts would rest on the run's length
+        cfg = write(workdir, "still.cfg", "[scenario]\npreset = ho-comparison\n"
+                    "seed = 1\n[mobility]\nspeed_min = 0\n"
+                    "[handover]\nepochs = 3\n")
+        for verb in ("validate", "run"):
+            assert main([verb, cfg]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert "mobility.speed_min = 0" in err
+            assert "line 7" in err
+        assert not (workdir / "still-metrics.jsonl").exists()
+        # without epochs nothing walks, and a positive minimum settles
+        for fix in ("epochs = 0", "epochs = 3\n[mobility]\nspeed_min = 0.5"):
+            cfg = write(workdir, "ok.cfg", "[scenario]\npreset = ho-comparison\n"
+                        f"seed = 1\n[handover]\n{fix}\n")
+            assert main(["validate", cfg]) == EXIT_OK
+
     def test_a_repeated_section_header_names_its_line(self, workdir, capsys):
         # the second [scenario] would otherwise merge into the first
         cfg = write(workdir, "twice.cfg", "[scenario]\nseed = 1\n[ncc]\n"

@@ -5,10 +5,13 @@ and checks the structural claims (1 vs 2 uplink messages per executed
 handover, lower mean device energy) rather than absolute figures. The
 runner's handover summary is checked against the loop it replaced, in
 which each procedure measured the radio and decided on its own every
-epoch and the devices moved by the random-waypoint stepper kept here as
-a reference. That loop decides in dB, through
+epoch and the devices moved by `reference.step_mobility`, a plain
+once-per-epoch random-waypoint stepper. That loop decides in dB, through
 `reference.received_power_dbm`, so it also checks the distance rule
-against the path-loss law it stands for.
+against the path-loss law it stands for. `decide` and the two totals,
+which work in array passes, are checked record for record against the
+per-epoch loops `reference.decide`, `reference.ul_rs_handover` and
+`reference.baseline_handover`, energies by ==.
 """
 
 import math
@@ -22,6 +25,7 @@ from mscsim import runner
 from mscsim.config import parse_config
 from mscsim.engine import RunSeed
 from mscsim.handover import (
+    BLOCK_EPOCHS,
     baseline_handover,
     decide,
     hysteresis_ratio,
@@ -33,6 +37,7 @@ from mscsim.topology import (
     max_step_walk,
     step_mobility,
 )
+import reference
 from reference import DEVICE_TX_POWER_DBM, REF_DISTANCE, received_power_dbm
 
 
@@ -71,21 +76,23 @@ def _baseline(mch, serving, neighbors):
 class TestDecide:
     def test_counts_stations_in_range_and_picks_the_nearest(self):
         stations = [_bs(3, 0, 90), _bs(1, 60, 0), _bs(4, 5000, 0), _bs(2, 80, 0)]
-        assert _epoch(_mch(), stations, None) == (3, 1)
+        assert _epoch(_mch(), stations, -1) == (3, 1)
         # 0.5 m and 0.9 m are both held at 1 m: the lower id wins the tie
-        assert _epoch(_mch(), [_bs(6, 0.5, 0), _bs(5, 0, 0.9)], None) == (2, 5)
+        assert _epoch(_mch(), [_bs(6, 0.5, 0), _bs(5, 0, 0.9)], -1) == (2, 5)
 
     def test_range_is_inclusive(self):
-        assert _epoch(_mch(), [_bs(1, 100, 0)], None, 100.0) == (1, 1)
-        assert _epoch(_mch(), [_bs(1, 100, 0)], None, 99.9) == (0, None)
+        assert _epoch(_mch(), [_bs(1, 100, 0)], -1, 100.0) == (1, 1)
+        # -1 names no station: with none in range there is no target yet
+        assert _epoch(_mch(), [_bs(1, 100, 0)], -1, 99.9) == (0, -1)
 
     def test_each_target_serves_the_next_epoch(self):
         # the head walks from station 1 to station 2 and back out of
         # range; a failed epoch keeps the serving station
         stations = [_bs(1, 0, 0), _bs(2, 100, 0)]
         xs, ys = [10.0, 50.0, 54.0, 90.0, 500.0, 52.0], [0.0] * 6
-        assert decide(xs, ys, stations, 200.0, 1, RATIO_3DB) == (
-            [2, 2, 2, 2, 0, 2], [1, 1, 1, 2, 2, 2])
+        in_range, targets = decide(xs, ys, stations, 200.0, 1, RATIO_3DB)
+        assert in_range.tolist() == [2, 2, 2, 2, 0, 2]
+        assert targets.tolist() == [1, 1, 1, 2, 2, 2]
 
 
 # a station's distance as a multiple of REF_DISTANCE: below, at and
@@ -209,7 +216,7 @@ def test_ping_pong_suppression_static_positions():
     stations = [_bs(1, 100, 0), _bs(2, 80, 0)]
     in_range, targets = decide([0.0] * 10, [0.0] * 10, stations, 1000.0, 1,
                                RATIO_3DB)
-    assert targets == [2] * 10
+    assert targets.tolist() == [2] * 10
     assert ul_rs_handover(1, in_range, targets)["executed"] == 1
 
 
@@ -234,37 +241,7 @@ def test_trace_comparison_ul_rs_dominates_baseline():
     assert ul["energy"] < base["energy"]
 
 
-# -- reference: the random-waypoint stepper before its walk limit --------
-
-
-def _reference_step_mobility(nodes, dt, rng, arena, speed_range):
-    """Random-waypoint step, one node attribute at a time: walk speed * dt
-    toward the waypoint, drawing a fresh waypoint and then a fresh speed
-    on each arrival. Nothing bounds the number of hops."""
-    width, height = arena
-    for node in nodes:
-        if node.kind is NodeKind.BASE_STATION:
-            continue
-        remaining = node.speed * dt
-        while remaining > 1e-12:
-            if node.waypoint is None:
-                node.waypoint = (float(rng.uniform(0, width)),
-                                 float(rng.uniform(0, height)))
-                if node.speed <= 0:
-                    break
-            dx = node.waypoint[0] - node.position[0]
-            dy = node.waypoint[1] - node.position[1]
-            dist = math.hypot(dx, dy)
-            if dist <= remaining:
-                node.position = node.waypoint
-                node.waypoint = None
-                remaining -= dist
-                node.speed = float(rng.uniform(*speed_range))
-            else:
-                frac = remaining / dist
-                node.position = (node.position[0] + dx * frac,
-                                 node.position[1] + dy * frac)
-                remaining = 0.0
+# -- the stepper against the plain per-epoch reference ----------------------
 
 
 class _CountingRng:
@@ -302,7 +279,7 @@ def _twin_walk(make_nodes, seed, steps, dt, arena, speed_range):
     for _ in range(steps):
         before = rng_theirs.draws
         step_mobility(ours, dt, 1, rng_ours, arena, speed_range)
-        _reference_step_mobility(theirs, dt, rng_theirs, arena, speed_range)
+        reference.step_mobility(theirs, dt, rng_theirs, arena, speed_range)
         assert _bits(ours) == _bits(theirs)
         draws.append(rng_theirs.draws - before)
     step_mobility(batch, dt, steps, rng_batch, arena, speed_range)
@@ -385,7 +362,7 @@ def test_k_steps_in_one_call_equal_k_one_step_calls(walk, k):
     for _ in range(k):
         single_track.extend(zip(*step_mobility(single, dt, 1, rngs[1], arena,
                                                speed_range, track=single[-1])))
-        _reference_step_mobility(ref, dt, rngs[2], arena, speed_range)
+        reference.step_mobility(ref, dt, rngs[2], arena, speed_range)
         ref_track.append(ref[-1].position)
     assert _bits(batch) == _bits(single) == _bits(ref)
     assert [(x.hex(), y.hex()) for x, y in zip(xs, ys)] == [
@@ -418,6 +395,120 @@ def test_stepper_matches_the_reference_property(data, arena, dt, walk_share,
                  for w in waypoints]
     _twin_walk(_walkers(arena, speeds, waypoints), seed, steps, dt, arena,
                speed_range)
+
+
+@settings(max_examples=80)
+@given(data=st.data(),
+       width=st.floats(1.0, 500.0),
+       aspect=st.sampled_from([0.05, 3.0]) | st.floats(0.05, 20.0),
+       dt=st.floats(0.1, 5.0),
+       walk_share=st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.5),
+       low_share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       steps=st.integers(1, 120),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_track_and_final_state_match_the_reference_stepper(
+        data, width, aspect, dt, walk_share, low_share, steps, seed):
+    """One call of `step_mobility` over every step gives the tracked
+    device's position after each step, every device's final state and
+    the generator's next draw of the plain stepper called once per step,
+    in a non-square arena with devices that never move."""
+    arena = (width, width * aspect)
+    high = walk_share * max_step_walk(*arena) / dt
+    speed_range = (low_share * high, high)
+    count = data.draw(st.integers(1, 4), label="devices")
+    speeds = [data.draw(st.just(0.0) | st.floats(0.0, 1.0), label="speed")
+              * high for _ in range(count)]
+    make = _walkers(arena, speeds)
+    tracked = data.draw(st.integers(1, count), label="tracked device")
+    ours, theirs = make(), make()
+    rng_ours, rng_theirs = _CountingRng(seed), _CountingRng(seed)
+    xs, ys = step_mobility(ours, dt, steps, rng_ours, arena, speed_range,
+                           track=ours[tracked])
+    track = []
+    for _ in range(steps):
+        reference.step_mobility(theirs, dt, rng_theirs, arena, speed_range)
+        track.append(theirs[tracked].position)
+    assert [(x.hex(), y.hex()) for x, y in zip(xs, ys)] == [
+        (x.hex(), y.hex()) for x, y in track]
+    assert _bits(ours) == _bits(theirs)
+    assert rng_ours.draws == rng_theirs.draws
+    assert rng_ours.rng.random() == rng_theirs.rng.random()
+
+
+# -- the array passes against the per-epoch loops -------------------------
+
+# coordinates on a 1 m grid often put stations level with each other and
+# within 1 m of the head; the floats between them do the rest
+_COORDS = st.integers(0, 12).map(float) | st.floats(0.0, 12.0)
+
+
+def _check_against_the_loops(xs, ys, stations, max_range, serving, ratio):
+    """`decide` and both totals equal the loops of `reference` epoch for
+    epoch and key for key, floats by ==. The loops' None serving and
+    target are the arrays' -1."""
+    start = -1 if serving is None else serving
+    in_range, targets = decide(xs, ys, stations, max_range, start, ratio)
+    ref_in_range, ref_targets = reference.decide(xs, ys, stations, max_range,
+                                                 serving, ratio)
+    ref_targets = [-1 if t is None else t for t in ref_targets]
+    assert in_range.tolist() == ref_in_range
+    assert targets.tolist() == ref_targets
+    for ours, theirs in ((ul_rs_handover, reference.ul_rs_handover),
+                         (baseline_handover, reference.baseline_handover)):
+        got = ours(start, in_range, targets)
+        want = theirs(start, ref_in_range, ref_targets)
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {
+            k: type(v) for k, v in want.items()}
+    return ref_in_range, ref_targets
+
+
+@settings(max_examples=300)
+@given(data=st.data(),
+       count=st.integers(1, 5),
+       track=st.lists(st.tuples(_COORDS, _COORDS), max_size=40),
+       max_range=st.sampled_from([0.5, 1.0, 3.0, math.inf])
+       | st.floats(0.1, 20.0),
+       hysteresis=st.sampled_from([0.0, 3.0, 20000.0]) | st.floats(0.0, 40.0))
+def test_array_passes_match_the_per_epoch_loops(data, count, track,
+                                                max_range, hysteresis):
+    """Ties, distances under 1 m, epochs with no station in range, no
+    serving station, h = 0 and a margin whose K is inf."""
+    ids = data.draw(st.lists(st.integers(0, 9), min_size=count,
+                             max_size=count, unique=True), label="ids")
+    stations = [_bs(bs_id, data.draw(_COORDS, label="x"),
+                    data.draw(_COORDS, label="y")) for bs_id in ids]
+    xs, ys = [x for x, _ in track], [y for _, y in track]
+    serving = data.draw(st.none() | st.sampled_from(ids) | st.just(42),
+                        label="serving")
+    _check_against_the_loops(xs, ys, stations, max_range, serving,
+                             hysteresis_ratio(hysteresis))
+
+
+def test_inf_margin_and_grid_ties_are_reached():
+    assert hysteresis_ratio(20000.0) == math.inf
+    # the head sits between two stations 2 m apart, then under 1 m from
+    # both, then out of range: a tie, a clamp tie and a failed epoch
+    stations = [_bs(4, 0.0, 0.0), _bs(2, 2.0, 0.0)]
+    in_range, targets = _check_against_the_loops(
+        [1.0, 1.0, 9.0], [0.0, 0.0, 9.0], stations, 3.0, None, 1.0)
+    assert (in_range, targets) == ([2, 2, 0], [2, 2, 2])
+
+
+@pytest.mark.parametrize("hysteresis", [0.0, 3.0])
+def test_array_passes_match_the_loops_over_a_long_walk(hysteresis):
+    """5000 epochs of a random-waypoint head past five stations: they
+    span several blocks of `decide`, and the energies are long running
+    totals, which a pairwise sum would round differently."""
+    assert 5000 > 4 * BLOCK_EPOCHS
+    rng = RunSeed(23).mobility()
+    stations = [_bs(i, 50.0 * i, 150.0) for i in range(1, 6)]
+    head = Node(0, NodeKind.UE, (150.0, 150.0), speed=3.0)
+    xs, ys = step_mobility([head], 1.0, 5000, rng, (300.0, 300.0),
+                           (1.0, 5.0), track=head)
+    in_range, targets = _check_against_the_loops(
+        xs, ys, stations, 90.0, 3, hysteresis_ratio(hysteresis))
+    assert 0 in in_range and len(set(targets)) == 5
 
 
 # -- reference: the handover loop before one snapshot per epoch ----------
@@ -474,7 +565,7 @@ def reference_handover_summary(scenario):
                                 None, 0.0)
     serving = {name: nodes[gateway] for name in totals}
     for _ in range(scenario.ho_epochs):
-        _reference_step_mobility(devices, scenario.epoch_duration, mobility_rng,
+        reference.step_mobility(devices, scenario.epoch_duration, mobility_rng,
                                  (scenario.arena_width, scenario.arena_height),
                                  (scenario.speed_min, scenario.speed_max))
         targets = {}

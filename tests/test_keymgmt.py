@@ -318,6 +318,26 @@ class TestThresholdSigning:
         return master, shares, SigningSession(group, master.public, message,
                                               use, t, rng), rng
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    @pytest.mark.parametrize("group", ["toy", "demo"])
+    def test_the_joint_nonce_point_is_the_product_of_the_points(self, group,
+                                                                 seed):
+        # R, computed here as the product of every participant's G**k_i,
+        # is what the session hashes and what the signature commits to
+        group = GROUPS[group]()
+        message = b"credential body"
+        master, _, sess, _ = self._session(group, seed=seed, message=message)
+        R = 1
+        for poly in sess._nonce_polys.values():
+            R = R * pow(group.g, poly[0], group.p) % group.p
+        assert sess.session_id == hashlib.sha256(
+            group.element_bytes(R) + group.element_bytes(master.public)
+            + message).digest()
+        assert sess.c == challenge(group, R, master.public, message)
+        sig = combine_partials(sess.partials(), 3, group)
+        assert pow(group.g, sig.z, group.p) * pow(
+            master.public, group.q - sig.c, group.p) % group.p == R
+
     def test_all_t_subsets_verify_identically(self):
         # n=5, t=3: every 3-subset of partials combines to the same
         # verifying signature; every 2-subset is refused

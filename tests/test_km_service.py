@@ -31,7 +31,7 @@ from mscsim.keymgmt import (
 )
 from mscsim.keymgmt import service, threshold
 from mscsim.keymgmt.credentials import Certificate, credential_body
-from mscsim.keymgmt.groups import GroupParams
+from mscsim.keymgmt.groups import Comb, GroupParams
 from mscsim.keymgmt.service import Shareholder
 from mscsim.runner import run
 from reference import reconstruct
@@ -361,9 +361,13 @@ class TestBigIntegerWork:
     def test_a_2048_bit_run_raises_only_the_holder_keys_with_pow(
             self, monkeypatch, tmp_path):
         """Counts, not times, so a slower path fails on any host: the
-        master key goes through one table per service, and pow() serves
-        only the holder keys, one certificate check each."""
-        powers, tables, services = [], [], []
+        master key goes through one table per service, pow() serves only
+        the holder keys, one certificate check each, and the generator's
+        comb makes the master key, then 7 powers per requester: its two
+        key pairs, the quorum's joint nonce, the subject's signature and
+        three checks (the quorum's signature, then the credential and the
+        subject's signature in the certificate)."""
+        powers, tables, services, bases = [], [], [], []
 
         def counting_pow(base, exponent, modulus=None):
             if modulus is not None and modulus.bit_length() == 2048:
@@ -381,12 +385,23 @@ class TestBigIntegerWork:
             services.append(service)
             service_init(service, *args, **kwargs)
 
+        comb_power = Comb.power
+
+        def counting_power(comb, e):
+            bases.append(comb.y)
+            return comb_power(comb, e)
+
         monkeypatch.setattr(threshold, "pow", counting_pow, raising=False)
         monkeypatch.setattr(GroupParams, "key_table", counting_key_table)
         monkeypatch.setattr(KMService, "__init__", counting_init)
-        result = run(parse_config(HO_2048, seed=1), str(tmp_path / "r.jsonl"))
+        monkeypatch.setattr(Comb, "power", counting_power)
+        scenario = parse_config(HO_2048, seed=1)
+        result = run(scenario, str(tmp_path / "r.jsonl"))
         assert result.exit_code == 0
         (service,) = services
         assert len(powers) == 2
         assert service.master_public not in powers
         assert tables == [service.master_public]
+        # the quorum's joint nonce is one power, whatever the threshold
+        assert scenario.km_threshold == 3
+        assert bases.count(service.params.g) == 1 + 7 * scenario.km_requesters
