@@ -86,6 +86,10 @@ class ProxyCredential:
 
 def verify_credential(cred: ProxyCredential, master_public: int | Comb,
                       params: GroupParams) -> bool:
+    """Refuses a holder key outside 1 < y < p, as no service certifies one
+    (and a negative key has no encoding to check the signature over)."""
+    if not 1 < cred.holder_public < params.p:
+        return False
     return verify(params, master_public, cred.body(), cred.signature)
 
 
@@ -131,6 +135,8 @@ def verify_certificate(cert: Certificate, master_public: int | Comb, now: float,
     `master_public` is an int or its key table, as for threshold.verify."""
     if not verify_credential(cert.credential, master_public, params):
         return False, "bad-credential"
+    if not 1 < cert.subject_public < params.p:
+        return False, "bad-subject-signature"
     if not verify(params, cert.credential.holder_public, cert.body(), cert.signature):
         return False, "bad-subject-signature"
     if not cert.issued_at <= now <= cert.expires_at:

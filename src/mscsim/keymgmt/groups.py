@@ -10,25 +10,37 @@ GroupParams(p, q, g).
 One Lim-Lee fixed-base comb (Lim & Lee, "More Flexible Exponentiation
 with Precomputation", CRYPTO '94; Handbook of Applied Cryptography,
 sec. 14.6.3, Alg. 14.117) serves every base that is raised to many
-exponents. A t-bit exponent is cut into h teeth of 2b bits,
-b = ceil(t / 2h); two tables of 2**h - 1 entries hold y**e for every e
-whose bits sit in one column of the low or of the high b-bit halves of
-the teeth. y**e is then b - 1 squarings and at most 2b products, where
-pow() takes about t squarings. Building the tables costs about
-(2h - 1) * b squarings and 2**(h+1) products.
+exponents. A t-bit exponent is cut into h teeth of v = TABLES = 4
+blocks of b = ceil(t / hv) bits each; table j of the v tables holds,
+for each nonzero h-bit index i, y**e for the e whose bits i sit in one
+column of block j of the teeth. y**e is then one chain of b steps: b - 1
+squarings and at most vb products, where pow() takes about t squarings.
+Building the tables costs (hv - 1) * b squarings and v(2**h - 1 - h)
+products, and the tables hold v(2**h - 1) entries.
 
 - The generator G (key generation, joint nonce points, the G**z half
-  of every verification) gets h = 8, built once when the group is
-  validated: for the 2048-bit group's 256-bit q, b = 16, 510 entries
-  (about 128 KiB), 15 squarings and at most 32 products per power.
-- A long-lived public key gets h = 4 from GroupParams.key_table: b = 32,
-  2 x 15 entries, 31 squarings and at most 64 products per power. The
+  of every verification) gets h = 8 teeth, built once when the group
+  is validated. For the 2048-bit group's 256-bit q: b = 8, 1020 entries
+  (about 310 KB), 7 squarings and at most 32 products per power. The
+  build is 248 squarings and 988 products.
+- A long-lived public key y gets h = 4 teeth from
+  GroupParams.key_table: b = 16, 60 entries, 15 squarings and at most
+  64 products per power, built in 240 squarings and 44 products. The
   key management service builds one for its master public key, which
-  checks every credential. On a 2-vCPU host, in the 2048-bit group,
-  the table takes 3.8-4.8 ms to build and 1.6-2.0 ms per power, against
-  5.5-6.1 ms for pow(); so two uses repay it. An 8-tooth table takes
-  13.6-16 ms to build, which a handful of uses do not repay. A key used
-  once (a holder key) keeps pow().
+  checks every credential. A key used once (a holder key) keeps pow().
+- A check with a key table, G**z * y**e, is one chain: the key's 16
+  steps, with G's 8 columns multiplied in at the last 8 of them, which
+  needs G's blocks to be no longer than the key's (32 blocks against
+  16, for every q). So it costs 15 squarings and at most 96 products,
+  where the two powers apart cost 7 + 15 = 22 squarings.
+
+Measured on a 2-vCPU Xeon host in the 2048-bit group (medians): a
+squaring takes about 10.9 us and a product 13.5 us, and Barrett,
+Montgomery and `decimal` reductions each lose to `x * y % p`.
+group_2048() takes 18 ms (the demo group 1.7 ms, at import), a key
+table 3.0 ms, a power of G 0.47 ms, a key table power 0.92 ms, a check
+with a key table 1.3 ms and pow() 3.3 ms; so a key table repays itself
+by its second check.
 
 Every group gets the structural checks when it is built: q | p-1,
 1 < g < p and g**q = 1 (mod p). Primality of p and q is the costly
@@ -124,8 +136,13 @@ def is_probable_prime(n: int, rng=None, rounds: int = 40) -> bool:
     return all(witness_passes(a) for a in witnesses)
 
 
-G_TEETH = 8    # the generator's comb: two tables of 2**8 - 1 entries
-KEY_TEETH = 4  # a public key's comb: two tables of 2**4 - 1 entries
+# Every comb has 4 tables; the generator's has 8 teeth (tables of 2**8 - 1
+# entries), a public key's 4 (2**4 - 1). So the key's blocks are at least
+# as long as the generator's (16 blocks to an exponent against 32), which
+# lets a check fold G into the key's squaring chain.
+TABLES = 4
+G_TEETH, KEY_TEETH = 8, 4
+assert G_TEETH >= KEY_TEETH
 
 
 class Comb:
@@ -135,37 +152,57 @@ class Comb:
     for that key wherever threshold.verify takes one.
     """
 
-    __slots__ = ("y", "_p", "_q", "_b", "_fmt", "_low", "_high")
+    __slots__ = ("y", "_p", "_q", "_b", "_fmt", "_tables")
 
     def __init__(self, p: int, q: int, y: int, teeth: int):
-        b = -(-q.bit_length() // (2 * teeth))
-        bases = [y]                 # y**(2**(b*m)) for m = 0 .. 2*teeth-1
-        for _ in range(2 * teeth - 1):
+        blocks = teeth * TABLES
+        b = -(-q.bit_length() // blocks)
+        bases = [y]                 # y**(2**(b*m)) for m = 0 .. blocks-1
+        for _ in range(blocks - 1):
             bases.append(pow(bases[-1], 1 << b, p))
-        # low[i] is the product of y**(2**(2b*s)) over the bits s of i;
-        # high[i] is low[i]**(2**b)
-        low, high = [1], [1]
-        for tooth in range(teeth):
-            for table, base in ((low, bases[2 * tooth]), (high, bases[2 * tooth + 1])):
+        # the table of block j holds, at i, the product of
+        # bases[j + TABLES*s] over the bits s of i: block j of every
+        # tooth, tooth s of b*TABLES bits. The top block's table is first.
+        built = []
+        for j in reversed(range(TABLES)):
+            table = [1]
+            for base in bases[j::TABLES]:
                 table += [base] + [x * base % p for x in table[1:]]
+            built.append(tuple(table))
         self.y, self._p, self._q, self._b = y, p, q, b
-        self._fmt = f"0{2 * teeth * b}b"
-        self._low, self._high = tuple(low), tuple(high)
+        self._fmt = f"0{blocks * b}b"
+        self._tables = tuple(built)
 
-    def power(self, e: int) -> int:
-        """y**e mod p. In the bit string of e % q, bits[k::2b] is column
-        2b-1-k of the teeth, the top tooth first."""
-        b, low, high, p = self._b, self._low, self._high, self._p
+    def _steps(self, e: int) -> list[list[int]]:
+        """The entries that step k of the b-step squaring chain multiplies
+        in. In the bit string of e % q, bits[c::b*TABLES] is column c of
+        the teeth (counted from the top bit of a tooth), the top tooth
+        first; step k reads column j*b + k from the table j places after
+        the first."""
+        b, tables = self._b, self._tables
         bits = format(e % self._q, self._fmt)
+        a = b * len(tables)
+        columns = [int(bits[c::a], 2) for c in range(a)]
+        return [[t[i] for t, i in zip(tables, columns[k::b]) if i]
+                for k in range(b)]
+
+    def power(self, e: int, fold: "Comb | None" = None, f: int = 0) -> int:
+        """y**e mod p; with `fold`, a comb mod the same p, y**e * fold.y**f.
+
+        The fold shares this comb's squaring chain: its columns are
+        multiplied in at the chain's last fold._b steps, so it must have
+        at least as many teeth as this comb (the generator's comb folds
+        into a key table).
+        """
+        p, steps = self._p, self._steps(e)
+        if fold is not None:
+            for step, entries in zip(steps[self._b - fold._b:], fold._steps(f)):
+                step += entries
         acc = 1
-        for k in range(b):          # columns b-1-k (low) and 2b-1-k (high)
+        for entries in steps:
             acc = acc * acc % p
-            i = int(bits[k::2 * b], 2)
-            if i:
-                acc = acc * high[i] % p
-            i = int(bits[b + k::2 * b], 2)
-            if i:
-                acc = acc * low[i] % p
+            for x in entries:
+                acc = acc * x % p
         return acc
 
 
@@ -190,11 +227,16 @@ class GroupParams:
         if pow(self.g, self.q, self.p) != 1:
             raise GroupError("generator order is not q")
         # not a field: equality, hash and repr ignore it
-        object.__setattr__(self, "_comb", Comb(self.p, self.q, self.g, G_TEETH))
+        object.__setattr__(self, "_comb",
+                           Comb(self.p, self.q, self.g, G_TEETH))
 
     def exp(self, e: int) -> int:
         """G**e mod p, equal to pow(g, e % q, p)."""
         return self._comb.power(e)
+
+    def exp_times(self, z: int, key: Comb, e: int) -> int:
+        """G**z * key.y**e mod p, in the key table's squaring chain."""
+        return key.power(e, self._comb, z)
 
     def key_table(self, y: int) -> Comb:
         """A comb for a public key y that verifies many signatures."""

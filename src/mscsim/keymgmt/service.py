@@ -86,6 +86,10 @@ class KMService:
 
     def request_credential(self, requester_id, requester_public: int,
                            warrant: Warrant) -> ProxyCredential:
+        """Threshold-sign a credential for the requester's key, which must
+        lie in 1 < y < p (whether it is in the subgroup is not checked)."""
+        if not 1 < requester_public < self.params.p:
+            raise CredentialError("requester key outside 1 < y < p")
         quorum = self._quorum()
         body = credential_body(requester_id, requester_public, warrant)
         session = SigningSession(self.params, self.master_public, body,

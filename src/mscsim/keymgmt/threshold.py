@@ -78,20 +78,26 @@ def sign_single(params: GroupParams, private: int, public: int, message: bytes,
 
 def verify(params: GroupParams, public: int | Comb, message: bytes,
            sig: Signature) -> bool:
-    """Accept iff the commitment recovered from (c, z) rehashes to c.
+    """Accept iff the commitment R = G**z * y**(-c mod q) recovered from
+    (c, z) rehashes to c, for a key 1 < y < p.
 
-    `public` is the key as an int, or a comb built from it by
-    params.key_table; both give the same result, the comb sooner when
-    the key checks many signatures.
+    `public` is the key y as an int, or a comb built from it by
+    params.key_table; both give the same answer. With an int, R is a
+    power of G times a pow(). With a comb, R is one squaring chain, the
+    comb's, into which the generator's columns are folded.
+    A key outside 1 < y < p is refused, so neither 1 (whose signatures
+    anyone can make) nor y + p (a second encoding of y) passes. Whether
+    y lies in the order-q subgroup is not checked.
     """
-    if not (0 <= sig.c < params.q and 0 <= sig.z < params.q):
+    y = public.y if isinstance(public, Comb) else public
+    if not (1 < y < params.p and 0 <= sig.c < params.q and 0 <= sig.z < params.q):
         return False
     e = (params.q - sig.c) % params.q
     if isinstance(public, Comb):
-        y, y_e = public.y, public.power(e)
+        R = params.exp_times(sig.z, public, e)
     else:
-        y, y_e = public, pow(public, e, params.p)
-    return challenge(params, params.mul(params.exp(sig.z), y_e), y, message) == sig.c
+        R = params.mul(params.exp(sig.z), pow(public, e, params.p))
+    return challenge(params, R, y, message) == sig.c
 
 
 class SigningSession:

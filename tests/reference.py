@@ -11,7 +11,10 @@ No simulation run calls any of this, so it lives with the tests:
 - ``decide``, ``ul_rs_handover`` and ``baseline_handover``, the handover
   layer's passes as plain loops over epochs and stations;
 - ``step_mobility``, a random-waypoint step of every device, one epoch
-  per call, with no walk limit and no running ahead.
+  per call, with no walk limit and no running ahead;
+- ``pcg64_words``, the raw words of ``PCG64(SeedSequence(entropy))`` in
+  plain Python, so that the stream's words have an oracle other than
+  numpy.
 """
 
 from __future__ import annotations
@@ -196,3 +199,80 @@ def step_mobility(nodes: Sequence[Node], dt: float, rng,
                 node.position = (node.position[0] + dx * frac,
                                  node.position[1] + dy * frac)
                 remaining = 0.0
+
+
+# numpy's SeedSequence (O'Neill's seed_seq hash mixing, a pool of four
+# 32-bit words) and PCG64 (O'Neill, HMC-CS-2014-0905: a 128-bit LCG with
+# XSL-RR output). Constants as numpy uses them.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(entropy) -> list[int]:
+    """An int as its little-endian 32-bit words (0 as one word); a tuple
+    as the words of its ints, concatenated."""
+    if isinstance(entropy, tuple):
+        return [w for part in entropy for w in _entropy_words(part)]
+    words = [entropy & _M32]
+    while entropy >> 32:
+        entropy >>= 32
+        words.append(entropy & _M32)
+    return words
+
+
+def _seed_sequence_state(entropy, n_words: int) -> list[int]:
+    """`SeedSequence(entropy).generate_state(n_words, np.uint32)`."""
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> _XSHIFT
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return result ^ result >> _XSHIFT
+
+    words = _entropy_words(entropy)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_const = [], _INIT_B
+    for i in range(n_words):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> _XSHIFT)
+    return out
+
+
+def pcg64_words(entropy, n: int) -> list[int]:
+    """The first n words of `PCG64(SeedSequence(entropy)).random_raw()`.
+
+    Seeding: the 64-bit words v0..v3 of `generate_state(4, np.uint64)`
+    give the state v0 << 64 | v1 and the sequence v2 << 64 | v3; the
+    increment is sequence << 1 | 1, and from state 0 the generator steps,
+    adds the state and steps again. Each word steps first, then rotates
+    the xor of the state's halves right by its top 6 bits.
+    """
+    halves = _seed_sequence_state(entropy, 8)
+    v = [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4)]
+    inc = ((v[2] << 64 | v[3]) << 1 | 1) & _M128
+    state = ((inc + (v[0] << 64 | v[1])) * _PCG_MULT + inc) & _M128
+    words = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        xored, rot = (state >> 64 ^ state) & _M64, state >> 122
+        words.append((xored >> rot | xored << (64 - rot)) & _M64)
+    return words

@@ -27,6 +27,8 @@ from mscsim.engine import (
     Stream,
 )
 
+import reference
+
 
 @dataclass
 class FakeNode:
@@ -381,6 +383,36 @@ def test_first_draws_of_each_stream_are_pinned(stream_id):
     # the first float is the first word, low half first, shifted by 11
     word = halves[0] | halves[1] << 32
     assert (word >> 11) * 2.0 ** -53 == floats[0]
+
+
+# The entropies the plain-Python PCG64 reference is checked on: single
+# ints of one and two words, and tuples as `RunSeed.stream` builds them.
+REFERENCE_ENTROPIES = [0, 1, 7919, 2 ** 63 - 5, (1, 0), (12345, 3),
+                       (2 ** 62 + 17, 2, 199)]
+
+
+@pytest.mark.parametrize("entropy", REFERENCE_ENTROPIES, ids=str)
+def test_the_pcg64_reference_gives_numpy_words(entropy):
+    bitgen = np.random.PCG64(np.random.SeedSequence(entropy))
+    assert reference.pcg64_words(entropy, 1000) == bitgen.random_raw(1000).tolist()
+
+
+@pytest.mark.parametrize("entropy", REFERENCE_ENTROPIES, ids=str)
+def test_stream_draws_are_the_reference_words(entropy):
+    """`random()` is each word shifted by 11; `integers(0, 2**32, n,
+    np.uint64)`, the form `rand_below` draws every key-management scalar
+    with, is the words' 32-bit halves, low half first, whatever n is.
+    Both run past the first read-ahead block."""
+    words = reference.pcg64_words(entropy, _BLOCK + 600)
+    stream = Stream(entropy)
+    assert [stream.random() for _ in words] == [(w >> 11) * 2.0 ** -53
+                                                for w in words]
+    halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+    stream, got = Stream(entropy), []
+    for n in itertools.islice(itertools.cycle((8, 5, 1, 3, 8, 16)), 1300):
+        got += stream.integers(0, 1 << 32, n, np.uint64).tolist()
+    assert 2 * _BLOCK < len(got) <= len(halves)
+    assert got == halves[:len(got)]
 
 
 def test_streams_are_the_only_draw_mechanism():

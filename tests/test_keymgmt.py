@@ -27,8 +27,11 @@ from mscsim.keymgmt import groups
 from mscsim.keymgmt.credentials import pack
 from mscsim.keymgmt.groups import (
     DEMO_GROUP,
+    G_TEETH,
     KEY_TEETH,
+    TABLES,
     TOY_GROUP,
+    Comb,
     GroupError,
     GroupParams,
     group_2048,
@@ -491,12 +494,32 @@ GROUPS = {"toy": lambda: TOY_GROUP, "demo": lambda: DEMO_GROUP,
           "2048": group_2048}
 
 
+# the teeth of the generator's comb and of a key table
+LAYOUTS = {"generator": G_TEETH, "key": KEY_TEETH}
+
+
+def _edge_exponents(q, teeth):
+    """Exponents at the edges of a comb's layout: the ends of the range,
+    every block boundary (its last bit set, and the bit above), and
+    every column of the teeth, with only its top bit set and with all
+    its bits set (the last entry of its table)."""
+    b = -(-q.bit_length() // (teeth * TABLES))
+    a = b * TABLES                              # bits in a tooth
+    exponents = [0, 1, q - 1, q, q + 1, -1, -q, 2 * q, -2 * q]
+    for m in range(1, teeth * TABLES + 1):      # the last bit of block m
+        exponents += [(1 << (m * b)) - 1, 1 << (m * b)]
+    for c in range(a):
+        exponents += [1 << (c + (teeth - 1) * a),
+                      sum(1 << (c + s * a) for s in range(teeth))]
+    return exponents
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_fixed_base_exp_at_the_edges_of_the_exponent_range(name):
     group = GROUPS[name]()
     q = group.q
-    for e in (0, 1, q - 1, q, q + 1, -1, -q, 2 * q, -2 * q):
-        assert group.exp(e) == pow(group.g, e % q, group.p)
+    for e in _edge_exponents(q, LAYOUTS["generator"]):
+        assert group.exp(e) == pow(group.g, e % q, group.p), e
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -517,17 +540,35 @@ def _bases(group, rng):
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_key_table_power_at_the_edges_and_column_boundaries(name):
+    """Both layouts, on the edge bases and random subgroup elements."""
     group = GROUPS[name]()
     p, q = group.p, group.q
-    b = -(-q.bit_length() // (2 * KEY_TEETH))
-    exponents = [0, 1, q - 1, q, q + 1]
-    for k in range(1, 2 * KEY_TEETH + 1):       # the last bit of column k
-        exponents += [(1 << (k * b)) - 1, 1 << (k * b)]
-    for y in _bases(group, np.random.default_rng(5)):
+    bases = _bases(group, np.random.default_rng(5))
+    for layout, teeth in LAYOUTS.items():
+        for y in bases:
+            comb = (group.key_table(y) if layout == "key"
+                    else Comb(p, q, y, teeth))
+            assert comb.y == y
+            for e in _edge_exponents(q, teeth):
+                assert comb.power(e) == pow(y, e % q, p), (layout, y, e)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_a_key_table_folds_the_generator_into_its_chain(name):
+    """G**z * y**e from the key table's one squaring chain, with every
+    edge exponent of each layout met by one of the other's."""
+    group = GROUPS[name]()
+    p, q, g = group.p, group.q, group.g
+    es = _edge_exponents(q, LAYOUTS["key"])
+    zs = _edge_exponents(q, LAYOUTS["generator"])
+    pairs = [(es[i % len(es)], zs[-1 - i % len(zs)])
+             for i in range(max(len(es), len(zs)))]
+    g_z = {z: pow(g, z % q, p) for z in zs}
+    for y in (1, g, p - 1):
         table = group.key_table(y)
-        assert table.y == y
-        for e in exponents:
-            assert table.power(e) == pow(y, e % q, p), (y, e)
+        for e, z in pairs:
+            assert group.exp_times(z, table, e) == \
+                pow(y, e % q, p) * g_z[z] % p, (y, e, z)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -562,6 +603,28 @@ def test_verify_gives_the_same_answer_for_a_key_and_its_table(name, seed):
         assert verify(group, tables[y], message, signature) == \
             verify(group, y, message, signature), (y, message, signature)
     assert verify(group, tables[public], b"body", sig)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_verify_refuses_a_key_outside_one_and_p(name):
+    """Under y = 1 anyone signs: R = G**z for any z. And y + p is a second
+    encoding of y, which pow() cannot tell from y. Both are refused, as an
+    int and as a table, and so are 0 and p."""
+    group = GROUPS[name]()
+    p, g = group.p, group.g
+    for z in (1, 2, group.q - 1):
+        forged = Signature(challenge(group, group.exp(z), 1, b"body"), z)
+        assert not verify(group, 1, b"body", forged)
+        assert not verify(group, group.key_table(1), b"body", forged)
+    # x = 1: y = g, and g + p still fits the width of p's encoding
+    rng = np.random.default_rng(3)
+    assert verify(group, g, b"body", sign_single(group, 1, g, b"body", rng))
+    sig = sign_single(group, 1, g + p, b"body", rng)
+    assert not verify(group, g + p, b"body", sig)
+    assert not verify(group, group.key_table(g + p), b"body", sig)
+    for y in (0, p):
+        assert not verify(group, y, b"body", sig)
+        assert not verify(group, group.key_table(y), b"body", sig)
 
 
 @settings(max_examples=100)

@@ -104,6 +104,15 @@ class TestCredentialIssuance:
         assert verify_credential(cred, svc_a.master_public, DEMO_GROUP)
         assert not verify_credential(cred, svc_b.master_public, DEMO_GROUP)
 
+    @pytest.mark.parametrize("key", ["0", "1", "p", "g + p", "-g"])
+    def test_a_key_outside_one_and_p_gets_no_credential(self, key):
+        svc, _ = demo_service()
+        p, g = DEMO_GROUP.p, DEMO_GROUP.g
+        public = {"0": 0, "1": 1, "p": p, "g + p": g + p, "-g": -g}[key]
+        with pytest.raises(CredentialError, match="outside 1 < y < p"):
+            svc.request_credential(7, public, WARRANT)
+        assert not svc.served       # refused before any quorum is drawn
+
 
 class TestCertificates:
     def test_minting_is_local(self):
@@ -169,6 +178,24 @@ class TestCertificates:
         _, _, _, foreign = enroll(other_svc, 9, other_rng)
         assert verify_certificate(foreign, svc.master_public, 10.0,
                                   DEMO_GROUP) == (False, "bad-credential")
+
+    @pytest.mark.parametrize("key", ["0", "1", "p", "g + p", "-g"])
+    def test_a_forged_key_outside_one_and_p_is_refused(self, key):
+        """A peer's certificate whose holder or subject key lies outside
+        1 < y < p is refused with a reason; a negative key, which has no
+        encoding, raises nothing."""
+        svc, rng = demo_service()
+        _, cred, _, cert = enroll(svc, 9, rng)
+        p, g = DEMO_GROUP.p, DEMO_GROUP.g
+        public = {"0": 0, "1": 1, "p": p, "g + p": g + p, "-g": -g}[key]
+        forged = replace(cert, credential=replace(cred, holder_public=public))
+        for master in (svc.master_public, svc.master_key):
+            assert not verify_credential(forged.credential, master, DEMO_GROUP)
+            assert verify_certificate(forged, master, 10.0, DEMO_GROUP) == \
+                (False, "bad-credential")
+            assert verify_certificate(replace(cert, subject_public=public),
+                                      master, 10.0, DEMO_GROUP) == \
+                (False, "bad-subject-signature")
 
 
 class TestShareIssuance:
@@ -366,8 +393,9 @@ class TestBigIntegerWork:
         comb makes the master key, then 7 powers per requester: its two
         key pairs, the quorum's joint nonce, the subject's signature and
         three checks (the quorum's signature, then the credential and the
-        subject's signature in the certificate)."""
-        powers, tables, services, bases = [], [], [], []
+        subject's signature in the certificate). The two checks under the
+        master key fold their power of G into the key table's chain."""
+        powers, tables, services, bases, folded = [], [], [], [], []
 
         def counting_pow(base, exponent, modulus=None):
             if modulus is not None and modulus.bit_length() == 2048:
@@ -387,9 +415,11 @@ class TestBigIntegerWork:
 
         comb_power = Comb.power
 
-        def counting_power(comb, e):
+        def counting_power(comb, e, fold=None, f=0):
             bases.append(comb.y)
-            return comb_power(comb, e)
+            if fold is not None:
+                folded.append((comb.y, fold.y))
+            return comb_power(comb, e, fold, f)
 
         monkeypatch.setattr(threshold, "pow", counting_pow, raising=False)
         monkeypatch.setattr(GroupParams, "key_table", counting_key_table)
@@ -404,4 +434,7 @@ class TestBigIntegerWork:
         assert tables == [service.master_public]
         # the quorum's joint nonce is one power, whatever the threshold
         assert scenario.km_threshold == 3
-        assert bases.count(service.params.g) == 1 + 7 * scenario.km_requesters
+        g, requesters = service.params.g, scenario.km_requesters
+        assert bases.count(g) + len(folded) == 1 + 7 * requesters
+        assert folded == [(service.master_public, g)] * (2 * requesters)
+        assert bases.count(service.master_public) == 2 * requesters
