@@ -17,7 +17,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
-from .engine import CHOICE_MAX
+from .engine import CHOICE_MAX, DEFAULT_CELLULAR, DEFAULT_SHORT_RANGE
 from .topology import MAX_STEP_DIAGONALS, max_step_walk
 
 __all__ = [
@@ -43,6 +43,11 @@ class ConfigError(Exception):
         self.line = line
         self.involved = involved
         super().__init__(f"line {line}: {message}" if line else message)
+
+
+# Id blocks of stations, devices and shareholders, each from its base + 1
+BS_BASE, UE_BASE, KM_BASE = 0, 100, 1000
+_MAX_STATIONS, _MAX_UES = UE_BASE - BS_BASE - 1, KM_BASE - UE_BASE - 1
 
 
 def _key(section: str, default=MISSING, check=lambda v: True, expect="",
@@ -73,11 +78,10 @@ class Scenario:
                               "width")
     arena_height: float = _key("arena", 500.0, lambda v: v > 0, "positive",
                                "height")
-    # the runner numbers stations 1..99, devices 101..999 and authority
-    # shareholders from 1001, so these caps keep the id blocks apart
-    base_stations: int = _key("nodes", 1, lambda v: 1 <= v <= 99,
-                              "in [1, 99]")
-    ue_count: int = _key("nodes", 8, lambda v: 1 <= v <= 899, "in [1, 899]")
+    base_stations: int = _key("nodes", 1, lambda v: 1 <= v <= _MAX_STATIONS,
+                              f"in [1, {_MAX_STATIONS}]")
+    ue_count: int = _key("nodes", 8, lambda v: 1 <= v <= _MAX_UES,
+                         f"in [1, {_MAX_UES}]")
 
     speed_min: float = _key("mobility", 1.0, lambda v: v >= 0, "nonnegative")
     speed_max: float = _key("mobility", 5.0, lambda v: v > 0, "positive")
@@ -94,14 +98,16 @@ class Scenario:
 
     cellular_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
                                 "in [0, 1)")
-    cellular_energy: float = _key("links", 1.0, lambda v: v >= 0,
-                                  "nonnegative")
-    cellular_range: float = _key("links", 1000.0, lambda v: v > 0, "positive")
+    cellular_energy: float = _key("links", DEFAULT_CELLULAR.tx_energy,
+                                  lambda v: v >= 0, "nonnegative")
+    cellular_range: float = _key("links", DEFAULT_CELLULAR.range_m,
+                                 lambda v: v > 0, "positive")
     shortrange_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
                                   "in [0, 1)")
-    shortrange_energy: float = _key("links", 0.2, lambda v: v >= 0,
-                                    "nonnegative")
-    shortrange_range: float = _key("links", 50.0, lambda v: v > 0, "positive")
+    shortrange_energy: float = _key("links", DEFAULT_SHORT_RANGE.tx_energy,
+                                    lambda v: v >= 0, "nonnegative")
+    shortrange_range: float = _key("links", DEFAULT_SHORT_RANGE.range_m,
+                                   lambda v: v > 0, "positive")
 
     ho_epochs: int = _key("handover", 0, lambda v: v >= 0,
                           "a nonnegative integer", "epochs")

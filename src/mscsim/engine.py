@@ -248,6 +248,15 @@ _ERASED = DeliveryStatus.ERASED
 _OUT_OF_RANGE = DeliveryStatus.OUT_OF_RANGE
 
 
+def fold(terms: np.ndarray) -> float:
+    """The float sum of `terms` added one by one in order, as the energy
+    totals are: accumulate, unlike sum, never pairs them. It overwrites
+    `terms`."""
+    if not len(terms):
+        return 0.0
+    return float(np.add.accumulate(terms, out=terms)[-1])
+
+
 class Simulator:
     """Per-link energy accounting for one session."""
 

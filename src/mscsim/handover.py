@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import fold
 from .topology import MobileSmallCell, Node
 
 
@@ -65,31 +66,34 @@ BLOCK_EPOCHS = 1024
 
 def decide(xs: Sequence[float], ys: Sequence[float], stations: Sequence[Node],
            max_range: float, serving: int,
-           ratio: float) -> tuple[np.ndarray, np.ndarray]:
+           ratio: float) -> tuple[np.ndarray, np.ndarray, int]:
     """The decision of each epoch, for a head at (xs[e], ys[e]) in epoch e
     and `serving` the station id before the first epoch. An id that names
     no station, such as -1 for none yet, is never in range.
 
-    Returns, per epoch, the number of stations within `max_range` and the
-    target: the nearest of them (distances held at 1 m or above, lowest
-    id on a tie), unless the serving station is within `ratio` times the
-    nearest distance. A `best * ratio` that overflows to inf exceeds
-    every distance anyway. With no station in range, a radio link
-    failure, the target is the serving station. Each target serves the
-    next epoch. Both are int arrays.
+    Returns, per epoch, the number of stations within `max_range` (ints)
+    and whether the head moves (bools), then the station serving after
+    the last epoch. The head moves to the nearest station in range
+    (distances held at 1 m or above, lowest id on a tie) unless the
+    serving station is within `ratio` times the nearest distance; a
+    `best * ratio` that overflows to inf exceeds every distance. With no
+    station in range, a radio link failure, the serving station stays.
+    A `ratio` below 1, or NaN, raises ValueError: it would let a station
+    hand over to a farther one, or to itself.
 
     The track goes in blocks of epochs. In each, the distances come one
     station at a time, each a `math.hypot` of the head's offset, and the
     rest is array passes. The serving station is then followed stint by
-    stint: each stint ends at the next epoch where that station hands
-    over.
+    stint, each ending in a move at the next epoch where it hands over.
     """
+    if not ratio >= 1:
+        raise ValueError(f"hysteresis ratio {ratio} is not at least 1")
     head_x, head_y = np.asarray(xs, float), np.asarray(ys, float)
     sites = sorted((s.id, *s.position) for s in stations)
     ids = [bs_id for bs_id, _, _ in sites]
     hypot = math.hypot
     in_range = np.empty(len(head_x), np.intp)
-    targets = np.empty(len(head_x), np.int64)
+    moved = np.zeros(len(head_x), bool)
     for start in range(0, len(head_x), BLOCK_EPOCHS):
         block = slice(start, start + BLOCK_EPOCHS)
         x, y = head_x[block], head_y[block]
@@ -98,17 +102,17 @@ def decide(xs: Sequence[float], ys: Sequence[float], stations: Sequence[Node],
             row[:] = np.fromiter(map(hypot, memoryview(x - sx),
                                      memoryview(y - sy)), float, len(x))
         serving = _decide_block(distance, ids, max_range, serving, ratio,
-                                in_range[block], targets[block])
-    return in_range, targets
+                                in_range[block], moved[block])
+    return in_range, moved, serving
 
 
 def _decide_block(distance: np.ndarray, ids: list[int], max_range: float,
                   serving: int, ratio: float, count: np.ndarray,
-                  targets: np.ndarray) -> int:
+                  moved: np.ndarray) -> int:
     """`decide` over one block of epochs, from the head's distance to
     each station (a row per station id in `ids`) into `count` and
-    `targets`. Returns the station that serves the epoch after the
-    block.
+    `moved`, which starts all False. Returns the station that serves the
+    epoch after the block.
 
     The passes here and in the totals keep to float comparisons, masks,
     `np.where` and casts, with no int comparison, `argmin` or
@@ -134,17 +138,15 @@ def _decide_block(distance: np.ndarray, ids: list[int], max_range: float,
     events = {bs_id: np.flatnonzero(row) for bs_id, row in zip(ids, leaves)}
     anywhere = np.flatnonzero(count)    # for an id of no station
     epoch = 0
-    while epoch < epochs:
+    while True:
         ahead = events.get(serving, anywhere)
         k = bisect_left(ahead, epoch)
         if k == len(ahead):
-            targets[epoch:] = serving
-            break
+            return serving
         end = int(ahead[k])
-        targets[epoch:end] = serving
-        serving = targets[end] = int(best_id[end])
+        moved[end] = True
+        serving = int(best_id[end])
         epoch = end + 1
-    return serving
 
 
 def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
@@ -153,56 +155,32 @@ def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
     (lowest id on ties): the handover rule with no serving station. No
     station at all is a radio link failure of the head."""
     head = nodes[msc.head]
-    (count,), (target,) = decide((head.position[0],), (head.position[1],),
-                                 base_stations, math.inf, -1, 1.0)
+    (count,), _, gateway = decide((head.position[0],), (head.position[1],),
+                                  base_stations, math.inf, -1, 1.0)
     if not count:
         raise RadioLinkFailure(head.id)
-    msc.gateway_bs = int(target)
+    msc.gateway_bs = gateway
 
 
-def _moves(serving: int, targets: np.ndarray) -> np.ndarray:
-    """Per epoch of `decide`, whether the target differs from the station
-    that served the epoch. A failed epoch keeps its station, so the
-    previous target is that station."""
-    moved = np.empty(len(targets), bool)
-    moved[:1] = targets[:1] - serving       # nonzero where they differ
-    moved[1:] = targets[1:] - targets[:-1]
-    return moved
-
-
-def _fold(terms: np.ndarray) -> float:
-    """The float sum of `terms` added one by one in order, as a running
-    total would add them: accumulate, unlike sum, never pairs them. It
-    overwrites `terms`."""
-    if not len(terms):
-        return 0.0
-    return float(np.add.accumulate(terms, out=terms)[-1])
-
-
-def ul_rs_handover(serving: int, in_range: Sequence[int],
-                   targets: Sequence[int]) -> dict:
-    """Signaling totals of the uplink-reference-signal procedure from
-    station `serving` over the epochs of `decide`. Per epoch the device
-    sends the UL RS broadcast and receives the command of an executed
-    handover; each station in range reports to the controller. An epoch
-    with no station in range signals nothing."""
-    in_range, targets = np.asarray(in_range), np.asarray(targets)
+def ul_rs_handover(in_range: np.ndarray, moved: np.ndarray) -> dict:
+    """Signaling totals of the uplink-reference-signal procedure over the
+    epochs of `decide`. Per epoch the device sends the UL RS broadcast
+    and receives the command of an executed handover; each station in
+    range reports to the controller. An epoch with no station in range
+    signals nothing."""
     signaled = in_range.astype(bool)
-    moves = _moves(serving, targets)[signaled]
-    executed = int(np.count_nonzero(moves))
-    terms = moves.astype(float)
+    executed = int(np.count_nonzero(moved))
+    terms = moved[signaled].astype(float)
     terms *= HO_RX_ENERGY
     terms += 1 * HO_TX_ENERGY
-    energy = _fold(terms)
     return {"ue_tx": int(np.count_nonzero(signaled)), "ue_rx": executed,
-            "network": int(in_range.sum()), "energy": energy,
+            "network": int(in_range.sum()), "energy": fold(terms),
             "executed": executed}
 
 
-def baseline_handover(serving: int, in_range: Sequence[int],
-                      targets: Sequence[int]) -> dict:
+def baseline_handover(in_range: np.ndarray, moved: np.ndarray) -> dict:
     """Signaling totals of the device-measured downlink procedure, the
-    comparison point, from station `serving` over the epochs of `decide`.
+    comparison point, over the epochs of `decide`.
 
     Per epoch the device receives a reference signal from every station
     in range and transmits one measurement report, which the network
@@ -210,21 +188,18 @@ def baseline_handover(serving: int, in_range: Sequence[int],
     receives the command and transmits the random access to the target,
     and the network prepares the target.
     """
-    in_range, targets = np.asarray(in_range), np.asarray(targets)
     signaled = in_range.astype(bool)
-    moves = _moves(serving, targets)[signaled]
     epochs = int(np.count_nonzero(signaled))
-    executed = int(np.count_nonzero(moves))
+    executed = int(np.count_nonzero(moved))
     # (count + moved) * RX + (1 + moved) * TX, the ints made floats first
-    sent = moves.astype(float)
+    sent = moved[signaled].astype(float)
     terms = in_range[signaled].astype(float)
     terms += sent
     terms *= HO_RX_ENERGY
     sent += 1
     sent *= HO_TX_ENERGY
     terms += sent
-    energy = _fold(terms)
     return {"ue_tx": epochs + executed,
             "ue_rx": int(in_range.sum()) + executed,
-            "network": epochs + executed, "energy": energy,
+            "network": epochs + executed, "energy": fold(terms),
             "executed": executed}

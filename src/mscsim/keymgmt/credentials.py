@@ -24,6 +24,11 @@ class CredentialError(Exception):
 Identity = Union[int, str]
 
 
+def is_identity(value) -> bool:
+    """A str or an int >= 0 (not a bool): an id that `pack` can encode."""
+    return isinstance(value, str) or (type(value) is int and value >= 0)
+
+
 def pack(*items) -> bytes:
     """Canonical tagged, length-prefixed encoding of the signed fields."""
     out = bytearray()
@@ -86,9 +91,9 @@ class ProxyCredential:
 
 def verify_credential(cred: ProxyCredential, master_public: int | Comb,
                       params: GroupParams) -> bool:
-    """Refuses a holder key outside 1 < y < p, as no service certifies one
-    (and a negative key has no encoding to check the signature over)."""
-    if not 1 < cred.holder_public < params.p:
+    """Refuses what no service certifies and `pack` may not encode: a
+    holder key outside 1 < y < p, or a holder id that is no identity."""
+    if not (is_identity(cred.holder_id) and 1 < cred.holder_public < params.p):
         return False
     return verify(params, master_public, cred.body(), cred.signature)
 
@@ -135,7 +140,7 @@ def verify_certificate(cert: Certificate, master_public: int | Comb, now: float,
     `master_public` is an int or its key table, as for threshold.verify."""
     if not verify_credential(cert.credential, master_public, params):
         return False, "bad-credential"
-    if not 1 < cert.subject_public < params.p:
+    if not (is_identity(cert.subject_id) and 1 < cert.subject_public < params.p):
         return False, "bad-subject-signature"
     if not verify(params, cert.credential.holder_public, cert.body(), cert.signature):
         return False, "bad-subject-signature"

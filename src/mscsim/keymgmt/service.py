@@ -21,6 +21,7 @@ from .credentials import (
     ProxyCredential,
     Warrant,
     credential_body,
+    is_identity,
     verify_credential,
 )
 from .groups import GroupParams, rand_below
@@ -86,8 +87,10 @@ class KMService:
 
     def request_credential(self, requester_id, requester_public: int,
                            warrant: Warrant) -> ProxyCredential:
-        """Threshold-sign a credential for the requester's key, which must
-        lie in 1 < y < p (whether it is in the subgroup is not checked)."""
+        """Threshold-sign a credential for an identity and a key in
+        1 < y < p (whether the key is in the subgroup is not checked)."""
+        if not is_identity(requester_id):
+            raise CredentialError(f"{requester_id!r} is no identity")
         if not 1 < requester_public < self.params.p:
             raise CredentialError("requester key outside 1 < y < p")
         quorum = self._quorum()

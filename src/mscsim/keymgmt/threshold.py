@@ -121,7 +121,6 @@ class SigningSession:
         self.params = params
         self.message = bytes(message)
         self._shares = {s.index: s for s in quorum}
-        self.violations: list[str] = []
 
         # every participant shares its own nonce polynomial
         q = params.q
@@ -145,7 +144,6 @@ class SigningSession:
         """Participant's contribution; refuses any message other than the
         session's (same-nonce signing of two messages leaks the share)."""
         if message is not None and bytes(message) != self.message:
-            self.violations.append(f"nonce reuse attempt by index {share.index}")
             raise NonceReuseError(
                 f"session nonce is bound to another message (index {share.index})")
         known = self._shares.get(share.index)

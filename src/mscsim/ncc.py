@@ -24,7 +24,7 @@ delivered, so every delivery raises that member's rank by one and a
 finished session has decoded everything. Its slot trace marks every
 delivered packet innovative, exactly what a decoder would report. An
 attempt is one channel draw, so the session draws `Stream.floats`
-blocks and folds in their energy with `np.add.accumulate`, in sequence.
+blocks and adds in their energy with `engine.fold`, in sequence.
 
 `SessionCodec` counts, per generation, the members that have not yet
 decoded it, so the "all decoded" tests each slot makes cost O(1).
@@ -46,6 +46,7 @@ from .engine import (
     RunSeed,
     Simulator,
     _DELIVERED,
+    fold,
 )
 from .rlnc import CodedPacket, DecoderState, Generation, draw_coeffs, encode
 
@@ -392,9 +393,9 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     A pass draws min(need - got, cap - run) floats, `got` of `need`
     deliveries done and `run` erasures on the packet in service: the run
     can reach the cap only at its last draw, so each is one the
-    attempt-by-attempt loop takes too. `np.add.accumulate` adds in the
-    pass's energy, tx and then rx on a delivery, in sequence. `trace` is
-    as for `run_session`; a session that raises appends nothing to it.
+    attempt-by-attempt loop takes too. `fold` adds in the pass's energy,
+    tx and then rx on a delivery, in sequence. `trace` is as for
+    `run_session`; a session that raises appends nothing to it.
     """
     if channel_rng is None:
         channel_rng = _run_seed(seed).channel()
@@ -418,7 +419,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
         terms = np.empty(2 * k + 1)     # adding 0.0 keeps a sum's bytes
         terms[0], terms[1::2] = energy, link.tx_energy
         terms[2::2] = np.where(ok, link.tx_energy * RX_ENERGY_FRACTION, 0.0)
-        energy = float(np.add.accumulate(terms)[-1])
+        energy = fold(terms)
         delivered = int(np.count_nonzero(ok))
         got, sent = got + delivered, sent + k
         run = int(ok[::-1].argmax()) if delivered else run + k

@@ -24,6 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .config import (
+    BS_BASE,
+    KM_BASE,
+    UE_BASE,
     ConfigError,
     Scenario,
     apply_overrides,
@@ -66,17 +69,11 @@ from .topology import (
 
 SCHEMA_VERSION = 2
 
-# node id blocks: base stations, devices, authority shareholders
-_BS_BASE = 0
-_UE_BASE = 100
-_KM_BASE = 1000
-
 
 @dataclass
 class RunResult:
     records: list
     exit_code: int
-    out_path: Optional[str] = None
 
 
 def _open_temp(out_path: str):
@@ -162,7 +159,7 @@ def _build_topology(scenario: Scenario, mobility_rng):
     stations = []
     width, height = scenario.arena_width, scenario.arena_height
     for i in range(scenario.base_stations):
-        bs = Node(_BS_BASE + i + 1, NodeKind.BASE_STATION,
+        bs = Node(BS_BASE + i + 1, NodeKind.BASE_STATION,
                   (width * (i + 1) / (scenario.base_stations + 1), height / 2))
         nodes[bs.id] = bs
         stations.append(bs)
@@ -172,7 +169,7 @@ def _build_topology(scenario: Scenario, mobility_rng):
     for k in range(scenario.ue_count):
         position = (width / 2 + float(mobility_rng.uniform(-spread, spread)),
                     height / 2 + float(mobility_rng.uniform(-spread, spread)))
-        ue = Node(_UE_BASE + k + 1, NodeKind.UE, position,
+        ue = Node(UE_BASE + k + 1, NodeKind.UE, position,
                   battery=float(mobility_rng.uniform(0.5, 1.0)),
                   speed=float(mobility_rng.uniform(scenario.speed_min,
                                                    scenario.speed_max)))
@@ -186,7 +183,7 @@ def _build_topology(scenario: Scenario, mobility_rng):
 
 def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
     group = _group_for(scenario.km_group)
-    roster_ids = [_KM_BASE + i + 1 for i in range(scenario.km_shareholders)]
+    roster_ids = [KM_BASE + i + 1 for i in range(scenario.km_shareholders)]
     service = KMService.bootstrap(
         KMConfig(scenario.km_shareholders, scenario.km_threshold),
         group, crypto_rng, node_ids=roster_ids)
@@ -226,7 +223,7 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
     cellular, short = _links(scenario)
     cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head,
                              short_range=short)
-    gateway = Endpoint(msc.gateway_bs if msc.gateway_bs is not None else -1)
+    gateway = Endpoint(msc.gateway_bs)
     channel_rng = rs.channel()
     coding_rng = rs.coding()
 
@@ -300,17 +297,17 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
                            (scenario.arena_width, scenario.arena_height),
                            (scenario.speed_min, scenario.speed_max),
                            track=nodes[msc.head])
-    in_range, targets = decide(xs, ys, stations, scenario.cellular_range,
-                               msc.gateway_bs,
-                               hysteresis_ratio(scenario.hysteresis_db))
+    in_range, moved, _ = decide(xs, ys, stations, scenario.cellular_range,
+                                msc.gateway_bs,
+                                hysteresis_ratio(scenario.hysteresis_db))
     return {
         "epochs": epochs,
         # one decision serves both procedures
         "decisions_match": True,
         # a radio link failure of each procedure
         "link_failures": 2 * (epochs - int(np.count_nonzero(in_range))),
-        "ul_rs": ul_rs_handover(msc.gateway_bs, in_range, targets),
-        "baseline": baseline_handover(msc.gateway_bs, in_range, targets),
+        "ul_rs": ul_rs_handover(in_range, moved),
+        "baseline": baseline_handover(in_range, moved),
     }
 
 
@@ -383,7 +380,7 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
         # one dict at a time: the trace is held as slot tuples, not lines
         write_records(({**ids, "session": index, **r._asdict()}
                        for index, trace in traces for r in trace), trace_path)
-    return RunResult(records, exit_code, out_path)
+    return RunResult(records, exit_code)
 
 
 def derive_subseed(base_seed: int, point: dict) -> int:
@@ -436,4 +433,4 @@ def sweep(scenario: Scenario, grid: dict,
             records.append({**record, "grid_point": point})
     if out_path is not None:
         write_records(records, out_path)
-    return RunResult(records, exit_code, out_path)
+    return RunResult(records, exit_code)

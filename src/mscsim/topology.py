@@ -28,19 +28,12 @@ class NodeKind(Enum):
     UE = "ue"
 
 
-class Role(Enum):
-    MCH = "mch"
-    MEMBER = "member"
-    IDLE = "idle"
-
-
 @dataclass
 class Node:
     id: int
     kind: NodeKind
     position: tuple[float, float]
     battery: float = 1.0
-    role: Role = Role.IDLE
     speed: float = 0.0
     waypoint: Optional[tuple[float, float]] = None
 
@@ -97,11 +90,6 @@ def form_msc(candidates: Iterable[Node], radius: float) -> MobileSmallCell:
     head_id = min(scores, key=lambda nid: (-scores[nid], nid))
     head = next(n for n in cand if n.id == head_id)
     members = {n.id for n in cand if n.distance_to(head) <= radius}
-    for n in cand:
-        if n.id == head_id:
-            n.role = Role.MCH
-        elif n.id in members:
-            n.role = Role.MEMBER
     return MobileSmallCell(0, head_id, members)
 
 
@@ -232,11 +220,14 @@ def step_mobility(nodes: Iterable[Node], dt: float, steps: int, rng,
 
 def topology_snapshot(nodes: Iterable[Node],
                       cells: Sequence[MobileSmallCell] = ()) -> list[dict]:
-    """One plain-dict record per node for the run's output stream."""
-    cell_of = {}
+    """One plain-dict record per node for the run's output stream, its
+    role read from the cells: a head, another member, or idle."""
+    cell_of, role_of = {}, {}
     for cell in cells:
         for member in cell.members:
             cell_of[member] = cell.id
+            role_of[member] = "member"
+        role_of[cell.head] = "mch"
     out = []
     for node in sorted(nodes, key=lambda n: n.id):
         out.append({
@@ -244,7 +235,7 @@ def topology_snapshot(nodes: Iterable[Node],
             "kind": node.kind.value,
             "x": round(node.position[0], 3),
             "y": round(node.position[1], 3),
-            "role": node.role.value,
+            "role": role_of.get(node.id, "idle"),
             "msc": cell_of.get(node.id),
             "battery": round(node.battery, 4),
         })

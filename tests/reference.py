@@ -9,18 +9,21 @@ No simulation run calls any of this, so it lives with the tests:
 - ``received_power_dbm``, the log-distance path loss that the handover
   layer's distance rule stands for, so that tests can decide in dB;
 - ``decide``, ``ul_rs_handover`` and ``baseline_handover``, the handover
-  layer's passes as plain loops over epochs and stations;
+  layer's passes as plain loops over epochs and stations, and ``moves``,
+  the mask of moves of ``handover.decide`` from the loop's targets;
 - ``step_mobility``, a random-waypoint step of every device, one epoch
   per call, with no walk limit and no running ahead;
 - ``pcg64_words``, the raw words of ``PCG64(SeedSequence(entropy))`` in
   plain Python, so that the stream's words have an oracle other than
-  numpy.
+  numpy, and ``StreamReference``, every draw ``engine.Stream`` makes
+  from them, after the papers its transforms come from.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -106,8 +109,9 @@ def decide(xs: Sequence[float], ys: Sequence[float], stations: Sequence[Node],
            max_range: float, serving: Optional[int],
            ratio: float) -> tuple[list[int], list[Optional[int]]]:
     """`handover.decide` one epoch at a time and one station at a time:
-    the count of stations in range and the target, which is None while
-    `serving` is None and no station has been in range."""
+    the count of stations in range and the target, the station serving
+    after the epoch, which is None while `serving` is None and no station
+    has been in range."""
     sites = sorted((s.id, *s.position) for s in stations)
     in_range, targets = [], []
     for x, y in zip(xs, ys):
@@ -128,6 +132,17 @@ def decide(xs: Sequence[float], ys: Sequence[float], stations: Sequence[Node],
         in_range.append(count)
         targets.append(serving)
     return in_range, targets
+
+
+def moves(serving: Optional[int], targets: Sequence[Optional[int]]) -> list[bool]:
+    """Per epoch, whether the target differs from the station that served
+    the epoch: `handover.decide`'s mask of moves, from the targets of
+    `decide` above."""
+    out = []
+    for target in targets:
+        out.append(target != serving)
+        serving = target
+    return out
 
 
 def ul_rs_handover(serving: int, in_range: Sequence[int],
@@ -258,7 +273,12 @@ def _seed_sequence_state(entropy, n_words: int) -> list[int]:
 
 
 def pcg64_words(entropy, n: int) -> list[int]:
-    """The first n words of `PCG64(SeedSequence(entropy)).random_raw()`.
+    """The first n words of `PCG64(SeedSequence(entropy)).random_raw()`."""
+    return list(itertools.islice(_pcg64(entropy), n))
+
+
+def _pcg64(entropy) -> Iterator[int]:
+    """The words of `PCG64(SeedSequence(entropy)).random_raw()`, one by one.
 
     Seeding: the 64-bit words v0..v3 of `generate_state(4, np.uint64)`
     give the state v0 << 64 | v1 and the sequence v2 << 64 | v3; the
@@ -270,9 +290,70 @@ def pcg64_words(entropy, n: int) -> list[int]:
     v = [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4)]
     inc = ((v[2] << 64 | v[3]) << 1 | 1) & _M128
     state = ((inc + (v[0] << 64 | v[1])) * _PCG_MULT + inc) & _M128
-    words = []
-    for _ in range(n):
+    while True:
         state = (state * _PCG_MULT + inc) & _M128
         xored, rot = (state >> 64 ^ state) & _M64, state >> 122
-        words.append((xored >> rot | xored << (64 - rot)) & _M64)
-    return words
+        yield (xored >> rot | xored << (64 - rot)) & _M64
+
+
+class StreamReference:
+    """The draws of `engine.Stream(entropy)` in plain Python, over the
+    words of `pcg64_words`. As for a `Stream`, one instance serves one
+    family: 64-bit draws take the next word each, and 32-bit draws the
+    next 32-bit halves of the words, low half first, each draw starting
+    on a fresh half. `words` counts the words read so far."""
+
+    def __init__(self, entropy):
+        self.words = 0
+        self._words = self._counted(_pcg64(entropy))
+        self._halves = (h for w in self._words for h in (w & _M32, w >> 32))
+
+    def _counted(self, words: Iterator[int]) -> Iterator[int]:
+        for word in words:
+            self.words += 1
+            yield word
+
+    def random(self) -> float:
+        """The top 53 bits of the next word, as a fraction of 2**53."""
+        return (next(self._words) >> 11) / 2 ** 53
+
+    def floats(self, k: int) -> list[float]:
+        return [self.random() for _ in range(k)]
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def integers(self, high: int, n: int) -> list[int]:
+        """`integers(0, high, n, dtype)`: at `high` 2**32 the next n
+        halves; at 256 the first n bytes of the next ceil(n / 4) halves,
+        each half's bytes low first."""
+        if high == 1 << 32:
+            return [next(self._halves) for _ in range(n)]
+        halves = [next(self._halves) for _ in range((n + 3) // 4)]
+        return [h >> shift & 0xFF for h in halves for shift in (0, 8, 16, 24)][:n]
+
+    def below(self, s: int) -> int:
+        """A draw in [0, s), by Lemire's nearly divisionless method (Lemire,
+        "Fast Random Integer Generation in an Interval", ACM TOMACS 2019,
+        algorithm 5) on 32-bit halves. As in numpy, s = 1 draws nothing."""
+        if s == 1:
+            return 0
+        m = next(self._halves) * s
+        if m & _M32 < s:
+            t = ((1 << 32) - s) % s
+            while m & _M32 < t:
+                m = next(self._halves) * s
+        return m >> 32
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """k of range(n) without replacement: Floyd's sample (Bentley &
+        Floyd, "A Sample of Brilliance", CACM 1987) in the order drawn,
+        then a Fisher-Yates shuffle from the last place down."""
+        sample = []
+        for j in range(n - k, n):
+            t = self.below(j + 1)
+            sample.append(j if t in sample else t)
+        for i in range(k - 1, 0, -1):
+            j = self.below(i + 1)
+            sample[i], sample[j] = sample[j], sample[i]
+        return sample

@@ -415,6 +415,56 @@ def test_stream_draws_are_the_reference_words(entropy):
     assert got == halves[:len(got)]
 
 
+# Every call form a `Stream` serves, by family, in a fixed order that a
+# test repeats: sizes of 0, 1, a few and more than a read-ahead block,
+# tuple shapes, uniform ranges that are empty or negative, Lemire bounds
+# of 1, a power of two and ones that reject often, and samples of none,
+# one, all and few of a large population.
+CALLS_64 = [("random", ()), ("floats", (0,)), ("uniform", (-2.5, 7.0)),
+            ("floats", (37,)), ("uniform", (3.0, 3.0)), ("floats", (1,)),
+            ("random", ()), ("floats", (_BLOCK + 700,)), ("uniform", (0, 300))]
+CALLS_32 = [("integers", (0, 256, 1, np.uint8)),
+            ("integers", (0, 1 << 32, 3, np.uint64)),
+            ("integers", (0, 256, 13, np.uint8)), ("below", (2 ** 31 + 1,)),
+            ("choice", (10_000, 3)), ("integers", (0, 256, (2, 3), np.uint8)),
+            ("below", (1,)), ("integers", (0, 1 << 32, 0, np.uint64)),
+            ("choice", (7, 7)), ("integers", (0, 256, 4, np.uint8)),
+            ("below", (2 ** 32 - 1,)), ("choice", (5, 0)), ("below", (64,)),
+            ("integers", (0, 1 << 32, (2, 2), np.uint64)), ("choice", (1, 1)),
+            ("integers", (0, 256, 3 * _BLOCK, np.uint8)), ("below", (3,)),
+            ("integers", (0, 1 << 32, 2 * _BLOCK + 5, np.uint64))]
+
+
+def _draw(stream, ref, name, args):
+    """One draw of `stream` and of the reference, as two plain lists."""
+    if name == "integers":
+        low, high, size, dtype = args
+        got = stream.integers(low, high, size, dtype)
+        count = math.prod(size) if type(size) is tuple else size
+        assert got.dtype == dtype and got.shape == np.empty(size).shape
+        return got.ravel().tolist(), ref.integers(high, count)
+    if name == "below":
+        return [stream._below(*args)], [ref.below(*args)]
+    if name == "choice":
+        return stream.choice(*args, replace=False).tolist(), ref.choice(*args)
+    got = getattr(stream, name)(*args)
+    want = getattr(ref, name)(*args)
+    return (got.tolist(), want) if name == "floats" else ([got], [want])
+
+
+@pytest.mark.parametrize("calls", [CALLS_64, CALLS_32], ids=["64-bit", "32-bit"])
+@pytest.mark.parametrize("entropy", [7919, (12345, 3)], ids=str)
+def test_every_call_form_interleaved_is_the_reference(entropy, calls):
+    """A stream takes its family's call forms in turn, three times over,
+    and gives the plain-Python reference's draws value for value, floats
+    by ==, across several read-ahead blocks."""
+    stream, ref = Stream(entropy), reference.StreamReference(entropy)
+    for name, args in calls * 3:
+        got, want = _draw(stream, ref, name, args)
+        assert got == want, (name, args)
+    assert ref.words > 2 * _BLOCK
+
+
 def test_streams_are_the_only_draw_mechanism():
     # a Generator's method algorithms may change between numpy releases;
     # a Stream states its own

@@ -11,7 +11,8 @@ once-per-epoch random-waypoint stepper. That loop decides in dB, through
 against the path-loss law it stands for. `decide` and the two totals,
 which work in array passes, are checked record for record against the
 per-epoch loops `reference.decide`, `reference.ul_rs_handover` and
-`reference.baseline_handover`, energies by ==.
+`reference.baseline_handover`, energies by ==; `decide`'s mask of moves
+against the loop's targets, through `reference.moves`.
 """
 
 import math
@@ -53,24 +54,40 @@ def _bs(node_id, x, y):
 RATIO_3DB = hysteresis_ratio(3.0)
 
 
+def _decide_one(mch, stations, serving_id, max_range=1000.0, ratio=RATIO_3DB):
+    """`decide` for one epoch of a head at `mch`. Its one move is whether
+    the station serving after the epoch differs from `serving_id`."""
+    in_range, moved, after = decide((mch.position[0],), (mch.position[1],),
+                                    stations, max_range, serving_id, ratio)
+    assert moved.tolist() == [after != serving_id]
+    return in_range, moved, after
+
+
 def _epoch(mch, stations, serving_id, max_range=1000.0, ratio=RATIO_3DB):
-    """`decide` for one epoch of a head at `mch`: (stations in range,
-    target)."""
-    (count,), (target,) = decide((mch.position[0],), (mch.position[1],),
-                                 stations, max_range, serving_id, ratio)
+    """(stations in range, target) of one epoch: the target is the
+    station that serves after it."""
+    (count,), _, target = _decide_one(mch, stations, serving_id, max_range,
+                                      ratio)
     return count, target
 
 
 # one epoch of each procedure from `serving` over [serving, *neighbors]
 # at 1000 m, with the default margin: (target, signaling totals)
 def _ul_rs(mch, serving, neighbors):
-    count, target = _epoch(mch, [serving, *neighbors], serving.id)
-    return target, ul_rs_handover(serving.id, [count], [target])
+    in_range, moved, target = _decide_one(mch, [serving, *neighbors],
+                                          serving.id)
+    return target, ul_rs_handover(in_range, moved)
 
 
 def _baseline(mch, serving, neighbors):
-    count, target = _epoch(mch, [serving, *neighbors], serving.id)
-    return target, baseline_handover(serving.id, [count], [target])
+    in_range, moved, target = _decide_one(mch, [serving, *neighbors],
+                                          serving.id)
+    return target, baseline_handover(in_range, moved)
+
+
+def _arrays(in_range, moved):
+    """The arrays of `decide` for the given counts in range and moves."""
+    return np.array(in_range, np.intp), np.array(moved, bool)
 
 
 class TestDecide:
@@ -90,9 +107,19 @@ class TestDecide:
         # range; a failed epoch keeps the serving station
         stations = [_bs(1, 0, 0), _bs(2, 100, 0)]
         xs, ys = [10.0, 50.0, 54.0, 90.0, 500.0, 52.0], [0.0] * 6
-        in_range, targets = decide(xs, ys, stations, 200.0, 1, RATIO_3DB)
+        in_range, moved, after = decide(xs, ys, stations, 200.0, 1, RATIO_3DB)
         assert in_range.tolist() == [2, 2, 2, 2, 0, 2]
-        assert targets.tolist() == [1, 1, 1, 2, 2, 2]
+        targets = [1, 1, 1, 2, 2, 2]
+        assert moved.tolist() == reference.moves(1, targets)
+        assert after == targets[-1]
+
+    @pytest.mark.parametrize("ratio", [1 - 2 ** -52, 0.5, 0.0, -1.0, math.nan])
+    def test_a_ratio_below_one_is_refused(self, ratio):
+        # below 1 the serving station could hand over to a farther one,
+        # or to itself, so a stint could end without a move
+        with pytest.raises(ValueError, match="not at least 1"):
+            decide([0.0], [0.0], [_bs(1, 10, 0), _bs(2, 11, 0)], 200.0, 2,
+                   ratio)
 
 
 # a station's distance as a multiple of REF_DISTANCE: below, at and
@@ -198,11 +225,11 @@ class TestBaseline:
 class TestEnergy:
     def test_zero_messages_zero_energy(self):
         for totals in (ul_rs_handover, baseline_handover):
-            assert totals(1, [], [])["energy"] == 0.0
-            assert totals(1, [0], [1])["energy"] == 0.0
+            assert totals(*_arrays([], []))["energy"] == 0.0
+            assert totals(*_arrays([0], [False]))["energy"] == 0.0
 
     def test_ul_rs_event_energy(self):
-        assert ul_rs_handover(1, [2], [2])["energy"] == 1.0 + 0.1
+        assert ul_rs_handover(*_arrays([2], [True]))["energy"] == 1.0 + 0.1
 
     def test_energy_matches_count_arithmetic(self):
         _, ev = _baseline(_mch(), _bs(1, 100, 0), [_bs(2, 50, 0), _bs(3, 0, 70)])
@@ -214,10 +241,10 @@ def test_ping_pong_suppression_static_positions():
     # A stronger neighbor wins once; afterwards the old serving station
     # would need to beat the new one by the margin, which it cannot.
     stations = [_bs(1, 100, 0), _bs(2, 80, 0)]
-    in_range, targets = decide([0.0] * 10, [0.0] * 10, stations, 1000.0, 1,
-                               RATIO_3DB)
-    assert targets.tolist() == [2] * 10
-    assert ul_rs_handover(1, in_range, targets)["executed"] == 1
+    in_range, moved, after = decide([0.0] * 10, [0.0] * 10, stations, 1000.0,
+                                    1, RATIO_3DB)
+    assert moved.tolist() == reference.moves(1, [2] * 10) and after == 2
+    assert ul_rs_handover(in_range, moved)["executed"] == 1
 
 
 def test_trace_comparison_ul_rs_dominates_baseline():
@@ -227,10 +254,10 @@ def test_trace_comparison_ul_rs_dominates_baseline():
     ue = Node(0, NodeKind.UE, (150.0, 150.0), speed=4.0, waypoint=(40.0, 40.0))
     xs, ys = step_mobility([ue, *stations], 1.0, 1000, rng, arena=(300.0, 300.0),
                            speed_range=(2.0, 8.0), track=ue)
-    in_range, targets = decide(xs, ys, stations, 1000.0, 1, RATIO_3DB)
+    in_range, moved, _ = decide(xs, ys, stations, 1000.0, 1, RATIO_3DB)
     assert 0 not in in_range
-    ul = ul_rs_handover(1, in_range, targets)
-    base = baseline_handover(1, in_range, targets)
+    ul = ul_rs_handover(in_range, moved)
+    base = baseline_handover(in_range, moved)
 
     assert ul["executed"] == base["executed"] > 0, \
         "trace produced no handovers; scenario is too easy"
@@ -444,18 +471,20 @@ _COORDS = st.integers(0, 12).map(float) | st.floats(0.0, 12.0)
 
 def _check_against_the_loops(xs, ys, stations, max_range, serving, ratio):
     """`decide` and both totals equal the loops of `reference` epoch for
-    epoch and key for key, floats by ==. The loops' None serving and
-    target are the arrays' -1."""
+    epoch and key for key, floats by ==: the moves are where the loop's
+    target changes, and the station serving after the track is its last
+    target. The loops' None serving and target are the arrays' -1."""
     start = -1 if serving is None else serving
-    in_range, targets = decide(xs, ys, stations, max_range, start, ratio)
+    in_range, moved, after = decide(xs, ys, stations, max_range, start, ratio)
     ref_in_range, ref_targets = reference.decide(xs, ys, stations, max_range,
                                                  serving, ratio)
     ref_targets = [-1 if t is None else t for t in ref_targets]
     assert in_range.tolist() == ref_in_range
-    assert targets.tolist() == ref_targets
+    assert moved.tolist() == reference.moves(start, ref_targets)
+    assert after == ([start] + ref_targets)[-1] and type(after) is int
     for ours, theirs in ((ul_rs_handover, reference.ul_rs_handover),
                          (baseline_handover, reference.baseline_handover)):
-        got = ours(start, in_range, targets)
+        got = ours(in_range, moved)
         want = theirs(start, ref_in_range, ref_targets)
         assert got == want
         assert {k: type(v) for k, v in got.items()} == {

@@ -425,7 +425,6 @@ class TestThresholdSigning:
         _, shares, sess, _ = self._session(TOY_GROUP)
         with pytest.raises(NonceReuseError):
             sess.partial_sign(shares[0], message=b"a different message")
-        assert sess.violations
         # the honest message still signs fine afterwards
         sess.partial_sign(shares[0], message=b"credential body")
 

@@ -113,6 +113,25 @@ class TestCredentialIssuance:
             svc.request_credential(7, public, WARRANT)
         assert not svc.served       # refused before any quorum is drawn
 
+    @pytest.mark.parametrize("requester", [-7, -1, True, False, 7.0, b"7",
+                                           None], ids=repr)
+    def test_an_id_that_is_no_identity_gets_no_credential(self, requester):
+        """An identity is a str or an int >= 0: `pack` has no encoding for
+        a negative int and refuses a bool."""
+        svc, rng = demo_service()
+        keys = generate_keypair(DEMO_GROUP, rng)
+        with pytest.raises(CredentialError, match="is no identity"):
+            svc.request_credential(requester, keys.public, WARRANT)
+        assert not svc.served
+
+    @pytest.mark.parametrize("requester", [0, "ue-7"])
+    def test_a_str_or_an_int_from_zero_is_an_identity(self, requester):
+        svc, rng = demo_service()
+        _, cred, _, cert = enroll(svc, requester, rng)
+        assert cred.holder_id == cert.subject_id == requester
+        assert verify_certificate(cert, svc.master_public, 10.0,
+                                  DEMO_GROUP) == (True, "ok")
+
 
 class TestCertificates:
     def test_minting_is_local(self):
@@ -194,6 +213,22 @@ class TestCertificates:
             assert verify_certificate(forged, master, 10.0, DEMO_GROUP) == \
                 (False, "bad-credential")
             assert verify_certificate(replace(cert, subject_public=public),
+                                      master, 10.0, DEMO_GROUP) == \
+                (False, "bad-subject-signature")
+
+    @pytest.mark.parametrize("forged_id", [-9, True, 9.0], ids=repr)
+    def test_a_forged_id_that_is_no_identity_is_refused(self, forged_id):
+        """A peer's certificate whose holder or subject id is no identity
+        is refused with a reason; a negative id, which has no encoding,
+        and a bool, which `pack` refuses, raise nothing."""
+        svc, rng = demo_service()
+        _, cred, _, cert = enroll(svc, 9, rng)
+        forged = replace(cert, credential=replace(cred, holder_id=forged_id))
+        for master in (svc.master_public, svc.master_key):
+            assert not verify_credential(forged.credential, master, DEMO_GROUP)
+            assert verify_certificate(forged, master, 10.0, DEMO_GROUP) == \
+                (False, "bad-credential")
+            assert verify_certificate(replace(cert, subject_id=forged_id),
                                       master, 10.0, DEMO_GROUP) == \
                 (False, "bad-subject-signature")
 

@@ -10,7 +10,6 @@ from mscsim.topology import (
     MobileSmallCell,
     Node,
     NodeKind,
-    Role,
     TopologyError,
     election_score,
     form_msc,
@@ -43,8 +42,8 @@ def test_higher_battery_elected():
     b = ue(2, 1.0, 0.0, battery=0.5)
     cell = form_msc([a, b], radius=50.0)
     assert cell.head == 1
-    assert a.role is Role.MCH
-    assert b.role is Role.MEMBER
+    roles = {r["node"]: r["role"] for r in topology_snapshot([a, b], [cell])}
+    assert roles == {1: "mch", 2: "member"}
 
 
 def test_tie_break_lowest_id():
@@ -70,6 +69,8 @@ def test_membership_within_the_head_radius():
     cell = form_msc([a, b, c], radius=50.0)
     assert cell.head == 1
     assert cell.members == {1, 2}
+    roles = [r["role"] for r in topology_snapshot([a, b, c], [cell])]
+    assert roles == ["mch", "member", "idle"]
 
 
 def test_mobility_zero_velocity():
