@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one scenario")
     run_p.add_argument("config", help="path to a scenario file")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", default=None,
                        help="override (or supply) scenario.seed")
     run_p.add_argument("--out", default=None,
                        help="output records path (default: <config>-metrics.jsonl)")
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--grid", action="append", default=[],
                          metavar="SECTION.KEY=V1,V2,...",
                          help="one axis of the grid; repeatable")
-    sweep_p.add_argument("--seed", type=int, default=None,
+    sweep_p.add_argument("--seed", default=None,
                          help="override the template's base seed")
     sweep_p.add_argument("--out", default=None,
                          help="output records path (default: <config>-sweep.jsonl)")

@@ -3,12 +3,14 @@
 Flat `key = value` text grouped under `[section]` headers. Each key is
 declared once, as a `Scenario` field: its default, and in the field's
 metadata its section, its name in the file, its allowed range and the
-text that describes that range; the field's type gives its parser. Every
-`Scenario`, whether parsed from a file, made by `apply_overrides` or
-`default_scenario`, or constructed directly, passes the same per-key and
-cross-key checks (a float key must also be finite), so a bad file fails
-with the offending key and line number. A scenario serializes to one
-canonical form, in field order; its hash is therefore independent of
+text that describes that range; the field's type gives its parser.
+`Scenario` is the one door for values: however a scenario is made
+(parsed from a file, by `apply_overrides` or `default_scenario`, or
+directly), each value is held as its key's parse of `str(value)`, -0.0
+as 0.0, and passes the same per-key and cross-key checks (a float key
+must also be finite), so a bad file fails with the offending key and
+line number. A scenario serializes to one canonical form, in field
+order, which parses back to it; its hash is therefore independent of
 how the input file happened to order keys.
 """
 
@@ -50,6 +52,58 @@ BS_BASE, UE_BASE, KM_BASE = 0, 100, 1000
 _MAX_STATIONS, _MAX_UES = UE_BASE - BS_BASE - 1, KM_BASE - UE_BASE - 1
 
 
+_AMBULANCE = {
+    "sessions": 50,
+    "base_stations": 1,
+    "ue_count": 8,
+    "generation_size": 64,
+    "generations": 1,
+    "redundancy": 1.05,
+    "payload_bytes": 32,
+    "cellular_loss": 0.0,
+    "shortrange_loss": 0.1,
+    "protocol": "ncc",
+    "phase_mode": "sequential",
+    "ho_epochs": 0,
+    "km_shareholders": 8,
+    "km_threshold": 3,
+    "km_group": "demo",
+    "km_requesters": 1,
+}
+
+PRESETS = {
+    # one parked vehicle-hosted cell: a single base station feeds eight
+    # devices over a lossless downlink; the short-range mesh drops 10%
+    "ambulance": dict(_AMBULANCE),
+    # identical channel, but every packet unicast per device, no coding
+    "baseline-unicast": dict(_AMBULANCE, protocol="unicast"),
+    # mobility trace across three base stations, both signaling procedures
+    "ho-comparison": {
+        "sessions": 0,
+        "base_stations": 3,
+        "ue_count": 4,
+        "arena_width": 300.0,
+        "arena_height": 300.0,
+        "epoch_duration": 1.0,
+        "ho_epochs": 1000,
+        "km_shareholders": 5,
+        "km_threshold": 3,
+        "km_group": "toy",
+        "km_requesters": 0,
+    },
+    # distributed authority at full roster: 13 shareholders, threshold 3
+    "km-bootstrap": {
+        "sessions": 0,
+        "ho_epochs": 0,
+        "ue_count": 13,
+        "km_shareholders": 13,
+        "km_threshold": 3,
+        "km_group": "demo",
+        "km_requesters": 3,
+    },
+}
+
+
 def _key(section: str, default=MISSING, check=lambda v: True, expect="",
          name=""):
     """A `Scenario` field that is the key ``section.name`` (``name``
@@ -70,7 +124,8 @@ class Scenario:
 
     seed: int = _key("scenario", MISSING, lambda v: 0 <= v < 2 ** 63,
                      "an integer in [0, 2^63)")
-    preset: str = _key("scenario", "")
+    preset: str = _key("scenario", "", lambda v: v == "" or v in PRESETS,
+                       "empty or one of: " + ", ".join(PRESETS))
     sessions: int = _key("scenario", 1, lambda v: v >= 0,
                          "a nonnegative integer")
 
@@ -127,15 +182,27 @@ class Scenario:
     def __post_init__(self):
         for key in _KEYS:
             value = getattr(self, key.field)
-            # a one-sided range holds inf, which no run can use
-            if key.parse is float and not math.isfinite(value):
+            text = "an int too long for str()"  # which raises ValueError
+            try:
+                # the value the canonical text `str(value)` parses back to
+                text = str(value)
+                value = key.parse(text)
+            except ValueError:
                 raise ConfigError(
-                    f"{key.section}.{key.name} = {value!r} is not a finite "
-                    f"number", involved=(key.field,))
+                    f"{key.section}.{key.name}: cannot parse {text!r}",
+                    involved=(key.field,)) from None
+            if key.parse is float:
+                value += 0.0    # -0.0 as 0.0, which prints differently
+                # a one-sided range holds inf, which no run can use
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"{key.section}.{key.name} = {value!r} is not a "
+                        f"finite number", involved=(key.field,))
             if not key.check(value):
                 raise ConfigError(
                     f"{key.section}.{key.name} = {value!r} out of range, "
                     f"expected {key.expect}", involved=(key.field,))
+            object.__setattr__(self, key.field, value)
         _cross_validate(self)
 
 
@@ -155,58 +222,6 @@ _KEYS = [_Key(f.metadata["section"], f.metadata["name"] or f.name, f.name,
 _BY_SECTION_KEY = {(k.section, k.name): k for k in _KEYS}
 _BY_DOTTED = {f"{k.section}.{k.name}": k for k in _KEYS}
 _SECTIONS = list(dict.fromkeys(k.section for k in _KEYS))
-
-
-_AMBULANCE = {
-    "sessions": 50,
-    "base_stations": 1,
-    "ue_count": 8,
-    "generation_size": 64,
-    "generations": 1,
-    "redundancy": 1.05,
-    "payload_bytes": 32,
-    "cellular_loss": 0.0,
-    "shortrange_loss": 0.1,
-    "protocol": "ncc",
-    "phase_mode": "sequential",
-    "ho_epochs": 0,
-    "km_shareholders": 8,
-    "km_threshold": 3,
-    "km_group": "demo",
-    "km_requesters": 1,
-}
-
-PRESETS = {
-    # one parked vehicle-hosted cell: a single base station feeds eight
-    # devices over a lossless downlink; the short-range mesh drops 10%
-    "ambulance": dict(_AMBULANCE),
-    # identical channel, but every packet unicast per device, no coding
-    "baseline-unicast": dict(_AMBULANCE, protocol="unicast"),
-    # mobility trace across three base stations, both signaling procedures
-    "ho-comparison": {
-        "sessions": 0,
-        "base_stations": 3,
-        "ue_count": 4,
-        "arena_width": 300.0,
-        "arena_height": 300.0,
-        "epoch_duration": 1.0,
-        "ho_epochs": 1000,
-        "km_shareholders": 5,
-        "km_threshold": 3,
-        "km_group": "toy",
-        "km_requesters": 0,
-    },
-    # distributed authority at full roster: 13 shareholders, threshold 3
-    "km-bootstrap": {
-        "sessions": 0,
-        "ho_epochs": 0,
-        "ue_count": 13,
-        "km_shareholders": 13,
-        "km_threshold": 3,
-        "km_group": "demo",
-        "km_requesters": 3,
-    },
-}
 
 
 def _scan(text: str):
@@ -244,16 +259,6 @@ def _scan(text: str):
         seen.add((section, key))
         pairs.append((line_no, spec, raw.strip()))
     return pairs
-
-
-def _parse(spec: _Key, raw, line_no=None):
-    """A key's value from its text; a value that is not text passes."""
-    try:
-        return spec.parse(raw) if isinstance(raw, str) else raw
-    except ValueError:
-        raise ConfigError(
-            f"{spec.section}.{spec.name}: cannot parse {raw!r}", line_no
-        ) from None
 
 
 def _cross_validate(s: Scenario) -> None:
@@ -298,61 +303,56 @@ def _cross_validate(s: Scenario) -> None:
              "redundancy", "generation_size")
 
 
-def parse_config(text: str, seed: Optional[int] = None) -> Scenario:
+def parse_config(text: str, seed=None) -> Scenario:
     """Text to a fully validated Scenario.
 
-    ``seed`` (e.g. from a command-line flag) overrides or supplies the
-    mandatory scenario.seed. Preset values apply first; explicit keys in
-    the file win over the preset.
+    The text gives each key its raw value, which `Scenario` parses and
+    checks. ``seed`` (e.g. from a command-line flag) overrides or
+    supplies the mandatory scenario.seed. Preset values apply first;
+    explicit keys in the file win over the preset.
 
     A rejected value or combination names the last line that set one of
     the fields involved: the field's own key, or the ``preset =`` line
-    for a value taken from a preset. Defaults and the ``seed`` argument
-    have no line; an error that involves only those has none either.
+    for a value taken from a preset (or for an unknown preset name).
+    Defaults and the ``seed`` argument have no line; an error that
+    involves only those has none either.
     """
-    pairs = _scan(text)
-    values = {f.name: f.default for f in fields(Scenario)
-              if f.default is not MISSING}
-    lines = {}
-
-    for line_no, spec, raw in pairs:
-        if spec.field == "preset":
-            if raw not in PRESETS:
-                known = ", ".join(sorted(PRESETS))
-                raise ConfigError(f"unknown preset {raw!r}; known: {known}",
-                                  line_no)
-            values.update(PRESETS[raw], preset=raw)
-            lines.update(dict.fromkeys(PRESETS[raw], line_no))
-            break
-
-    for line_no, spec, raw in pairs:
-        if spec.field == "preset":
-            continue
-        values[spec.field] = _parse(spec, raw, line_no)
+    changes, lines = {}, {}
+    for line_no, spec, raw in _scan(text):
+        changes[spec.field] = raw
         lines[spec.field] = line_no
-
     if seed is not None:
-        values["seed"] = _parse(_BY_DOTTED["scenario.seed"], str(seed))
+        changes["seed"] = seed
         lines.pop("seed", None)
-    if "seed" not in values:
+    if "seed" not in changes:
         raise ConfigError("scenario.seed is required (no implicit seeding)")
-
+    preset = PRESETS.get(changes.get("preset"), {})
+    lines = {**dict.fromkeys(preset, lines.get("preset")), **lines}
     try:
-        return Scenario(**values)
+        return Scenario(**{**preset, **changes})
     except ConfigError as err:
         found = [lines[f] for f in err.involved if f in lines]
         raise ConfigError(str(err), max(found, default=None)) from None
 
 
+def _key_at(dotted: str) -> _Key:
+    """The key behind a dotted `section.key` name."""
+    spec = _BY_DOTTED.get(dotted)
+    if spec is None:
+        raise ConfigError(f"unknown key {dotted!r}")
+    return spec
+
+
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
-    """Replace dotted-key values (`section.key`) on an existing scenario,
-    with the same validation as the file parser."""
-    changes = {}
-    for dotted, raw in overrides.items():
-        spec = _BY_DOTTED.get(dotted)
-        if spec is None:
-            raise ConfigError(f"unknown key {dotted!r}")
-        changes[spec.field] = _parse(spec, raw)
+    """Replace dotted-key values (`section.key`) on an existing scenario.
+    `Scenario` parses and checks the raw values, as it does a file's; a
+    `scenario.preset` override sets that preset's values first and the
+    other overrides over them, as a file's ``preset =`` line does."""
+    changes = {_key_at(dotted).field: raw for dotted, raw in overrides.items()}
+    if "preset" in changes:
+        # the name as parsed and checked, whatever its raw form
+        name = replace(scenario, preset=changes["preset"]).preset
+        changes = {**PRESETS.get(name, {}), **changes}
     return replace(scenario, **changes)
 
 
@@ -385,10 +385,7 @@ def preset_settings(name: str) -> dict:
 
 def field_value(scenario: Scenario, dotted: str):
     """Value behind a dotted `section.key` name."""
-    spec = _BY_DOTTED.get(dotted)
-    if spec is None:
-        raise ConfigError(f"unknown key {dotted!r}")
-    return getattr(scenario, spec.field)
+    return getattr(scenario, _key_at(dotted).field)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -123,6 +123,9 @@ def self_generate_certificate(credential: ProxyCredential, holder_keys: KeyPair,
         raise CredentialError("certificate expiry before issue time")
     if holder_keys.public != credential.holder_public:
         raise CredentialError("holder key does not match the credential")
+    if not is_identity(credential.holder_id):
+        raise CredentialError(f"holder id {credential.holder_id!r} is no "
+                              f"identity")
     if not credential.warrant.valid_from <= issued_at <= credential.warrant.valid_to:
         raise CredentialError("credential expired (or not yet valid)")
     draft = Certificate(credential.holder_id, subject_keys.public, issued_at,

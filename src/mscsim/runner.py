@@ -392,15 +392,14 @@ def derive_subseed(base_seed: int, point: dict) -> int:
 
 
 def expand_grid(scenario: Scenario, grid: dict) -> list[tuple[dict, Scenario]]:
-    """Validate every axis up front, then build one scenario per point."""
+    """One checked scenario per grid point, all built before any runs; a
+    point is checked as a whole, each value beside the point's others."""
     axes = sorted(grid)
     for dotted in axes:     # every key first: an empty axis hides none
         field_value(scenario, dotted)
     for dotted in axes:
         if not grid[dotted]:
             raise ConfigError(f"grid axis {dotted!r} has no values")
-        for value in grid[dotted]:
-            apply_overrides(scenario, {dotted: value})
     if not axes:
         return []
 

@@ -12,7 +12,13 @@ import pytest
 import mscsim
 from mscsim import runner
 from mscsim.cli import EXIT_BAD_CONFIG, EXIT_OK, main
-from mscsim.config import PRESETS, apply_overrides, default_scenario, parse_config
+from mscsim.config import (
+    PRESETS,
+    apply_overrides,
+    default_scenario,
+    parse_config,
+    preset_settings,
+)
 
 AMBULANCE = "[scenario]\npreset = ambulance\nseed = 7\n"
 SMALL = """\
@@ -64,6 +70,16 @@ class TestRunVerb:
         records = [json.loads(l)
                    for l in (workdir / "ns-metrics.jsonl").read_text().splitlines()]
         assert all(r["seed"] == 4 for r in records)
+
+    def test_a_seed_flag_is_checked_like_the_file_seed(self, workdir,
+                                                      capsys):
+        cfg = write(workdir, "ns.cfg", "[scenario]\nsessions = 0\n")
+        for verb in ("run", "sweep"):
+            for seed, message in (("x", "scenario.seed: cannot parse 'x'"),
+                                  ("-1", "scenario.seed = -1 out of range")):
+                assert main([verb, cfg, "--seed", seed]) == EXIT_BAD_CONFIG
+                assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(workdir.glob("*.jsonl"))
 
     def test_explicit_out_path(self, workdir):
         cfg = write(workdir, "s.cfg", SMALL)
@@ -234,6 +250,43 @@ class TestSweepVerb:
         assert main(["sweep", cfg, "--grid", "justwords"]) == EXIT_BAD_CONFIG
         assert main(["sweep", cfg, "--grid", "nodes.ue_count=2",
                      "--grid", "nodes.ue_count=4"]) == EXIT_BAD_CONFIG
+
+    def test_each_point_is_checked_as_a_whole(self, workdir):
+        # threshold 6 or 8 alone exceeds the template's 5 shareholders,
+        # but each point of the grid has 8
+        cfg = write(workdir, "ho.ini", "[scenario]\npreset = ho-comparison\n"
+                                       "seed = 3\n")
+        assert main(["sweep", cfg, "--grid", "km.threshold=6,8",
+                     "--grid", "km.shareholders=8", "--out", "sw.jsonl"]) \
+            == EXIT_OK
+        records = [json.loads(l)
+                   for l in (workdir / "sw.jsonl").read_text().splitlines()]
+        assert {(r["grid_point"]["km.threshold"],
+                 r["grid_point"]["km.shareholders"])
+                for r in records} == {(6, 8), (8, 8)}
+        assert {r["status"] for r in records
+                if r["type"] == "run-summary"} == {"ok"}
+
+    def test_a_preset_axis_runs_each_preset(self, workdir):
+        # each point takes its preset's values, then the other axes' own
+        cfg = write(workdir, "ho.ini", "[scenario]\npreset = ho-comparison\n"
+                                       "seed = 3\n")
+        assert main(["sweep", cfg, "--grid",
+                     "scenario.preset=ambulance,km-bootstrap",
+                     "--grid", "scenario.sessions=2", "--out", "sw.jsonl"]) \
+            == EXIT_OK
+        records = [json.loads(l)
+                   for l in (workdir / "sw.jsonl").read_text().splitlines()]
+        headers = {r["grid_point"]["scenario.preset"]: r["config"]
+                   for r in records if r["type"] == "header"}
+        for name, config in headers.items():
+            settings = preset_settings(name)
+            settings["scenario.sessions"] = 2
+            assert {k: config[k] for k in settings} == settings, name
+        summaries = {r["grid_point"]["scenario.preset"]: r
+                     for r in records if r["type"] == "run-summary"}
+        assert summaries["ambulance"]["sessions"] == 2
+        assert summaries["km-bootstrap"]["km_certificates_verified"] == 3
 
     def test_an_empty_axis_is_rejected(self, workdir, capsys):
         cfg = write(workdir, "s.cfg", SMALL)

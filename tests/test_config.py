@@ -1,9 +1,11 @@
 """Scenario file parsing, presets, canonical form, and hashing."""
 
+import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,7 +80,8 @@ class TestParsing:
          "line 4: links.cellular_loss"),
         ("[scenario]\nseed = 1\n[links]\nshortrange_loss = -0.1\n", "line 4"),
         ("[scenario]\nseed = 1\n[ncc]\nredundancy = 0.9\n", "line 4"),
-        ("[scenario]\nseed = 1\npreset = nope\n", "unknown preset"),
+        ("[scenario]\nseed = 1\npreset = nope\n",
+         "line 3: scenario.preset = 'nope' out of range"),
         ("[scenario]\nseed = 1\n[ncc]\nprotocol = tcp\n", "one of"),
     ])
     def test_diagnostics_carry_key_and_line(self, text, fragment):
@@ -316,6 +319,26 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="threshold exceeds"):
             apply_overrides(s, {"km.shareholders": "1"})
 
+    def test_a_preset_override_applies_the_preset(self):
+        # as in a file: the preset's values first, every other key over
+        # them, whichever comes first among the overrides
+        text = "[scenario]\nseed = 1\npreset = {}\n[nodes]\nue_count = 4\n"
+        for name in PRESETS:
+            out = apply_overrides(default_scenario(1),
+                                  {"nodes.ue_count": 4,
+                                   "scenario.preset": f" {name} "})
+            assert out == parse_config(text.format(name))
+        # over a template, a key the preset leaves alone keeps its value
+        template = parse_config("[scenario]\nseed = 3\n"
+                                "preset = ho-comparison\n")
+        out = apply_overrides(template, {"scenario.preset": "km-bootstrap"})
+        assert out == replace(template, preset="km-bootstrap",
+                              **PRESETS["km-bootstrap"])
+        assert out.arena_width == 300.0 and out.km_shareholders == 13
+        # no preset leaves every value as it was
+        assert apply_overrides(template, {"scenario.preset": ""}) == \
+            replace(template, preset="")
+
 
 class TestEveryConstructionIsChecked:
     @pytest.mark.parametrize("field, value, dotted", [
@@ -361,6 +384,27 @@ class TestEveryConstructionIsChecked:
             parse_config(f"[scenario]\nseed = 1\n[{key.section}]\n"
                          f"{key.name} = {value}\n")
 
+    def test_a_number_past_every_float_is_refused(self):
+        match = re.escape("arena.width = inf is not a finite number")
+        with pytest.raises(ConfigError, match=match):
+            default_scenario(1, arena_width=10 ** 400)
+        with pytest.raises(ConfigError, match=match):
+            apply_overrides(default_scenario(1), {"arena.width": 10 ** 400})
+        # an int past str()'s 4300 digits has no text at all
+        with pytest.raises(ConfigError, match="arena.width: cannot parse"):
+            default_scenario(1, arena_width=10 ** 5000)
+
+    def test_a_preset_is_empty_or_a_preset_name(self):
+        for name in ("", *PRESETS):
+            assert default_scenario(1, preset=name).preset == name
+        for name in ("bogus", "Ambulance", 0, None):
+            with pytest.raises(ConfigError, match="scenario.preset = ") as err:
+                default_scenario(1, preset=name)
+            assert err.value.involved == ("preset",)
+            with pytest.raises(ConfigError, match="scenario.preset = "):
+                apply_overrides(default_scenario(1),
+                                {"scenario.preset": name})
+
     def test_cross_checks_hold_for_direct_construction(self):
         with pytest.raises(ConfigError, match="threshold exceeds"):
             Scenario(seed=1, km_threshold=6)
@@ -402,3 +446,62 @@ class TestPresets:
         assert base.protocol == "unicast" and amb.protocol == "ncc"
         assert (base.ue_count, base.cellular_loss, base.generation_size) == \
             (amb.ue_count, amb.cellular_loss, amb.generation_size)
+
+
+def forms(x):
+    """``x`` in each type that code may hand a key."""
+    if isinstance(x, str):
+        return [x, f" {x} ", np.str_(x)]
+    out = [x, str(x), f" {x} "]
+    if isinstance(x, int) or math.isfinite(x) and x.is_integer():
+        out.append(int(x))
+        if -2 ** 63 <= x < 2 ** 63:
+            out.append(np.int64(int(x)))
+    if not abs(x) >= 1e308:         # nan included
+        out += [float(x), np.float64(x)]
+    if not abs(x) >= 3e38:          # np.float32 would overflow
+        out.append(np.float32(x))
+    return out
+
+
+MIXED = st.one_of(
+    st.integers(-3, 10 ** 4), st.integers(),
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 400, -10 ** 400]),
+    st.floats(), st.floats(-1.0, 2000.0),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e400]),
+    st.booleans(), st.text(max_size=6),
+    st.sampled_from(["1_000", "0x10", "1e3", "nan", "-0.0", "ncc ", "Toy"]))
+
+
+def mixed_values(key):
+    """Values in and out of the key's range, of every type."""
+    return st.one_of(key_values(key), MIXED).flatmap(
+        lambda x: st.sampled_from(forms(x)))
+
+
+TYPES = {f.name: f.type for f in fields(Scenario)}
+# the default roster of 5 leaves the threshold little room
+ROOM = {"km_threshold": {"km_shareholders": 10000}}
+
+
+@pytest.mark.parametrize("key", _KEYS, ids=lambda k: f"{k.section}.{k.name}")
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_value_of_any_type_is_held_as_its_canonical_text_parses(key, data):
+    """However code types a value, the scenario either is refused with a
+    ConfigError or holds the value its canonical text parses back to."""
+    value = data.draw(mixed_values(key), label=key.field)
+    base = {"seed": 1, **ROOM.get(key.field, {})}
+    try:
+        s = default_scenario(**{**base, key.field: value})
+    except ConfigError as err:
+        assert err.involved and key.field in err.involved
+        return
+    assert type(getattr(s, key.field)) is TYPES[key.field]
+    again = parse_config(serialize_scenario(s))
+    assert again == s
+    assert scenario_hash(again) == scenario_hash(s)
+    json.dumps(scenario_to_dict(s))
+    if key.field != "preset":   # an overridden preset sets its values
+        dotted = f"{key.section}.{key.name}"
+        assert apply_overrides(default_scenario(**base), {dotted: value}) == s

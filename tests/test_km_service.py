@@ -232,6 +232,20 @@ class TestCertificates:
                                       master, 10.0, DEMO_GROUP) == \
                 (False, "bad-subject-signature")
 
+    @pytest.mark.parametrize("holder_id", [-9, True, 9.0], ids=repr)
+    def test_no_certificate_is_minted_for_an_id_that_is_no_identity(
+            self, holder_id):
+        """A holder that edits its own credential's id gets a refusal, not
+        an error from encoding the body, and draws nothing."""
+        svc, rng = demo_service()
+        holder, cred, subject, _ = enroll(svc, 9, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(CredentialError, match="is no identity"):
+            self_generate_certificate(replace(cred, holder_id=holder_id),
+                                      holder, subject, 1.0, 500.0,
+                                      DEMO_GROUP, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestShareIssuance:
     def toy_service(self, seed=5):

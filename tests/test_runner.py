@@ -8,8 +8,10 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mscsim
@@ -63,6 +65,21 @@ class TestRecordStream:
         again = apply_overrides(default_scenario(config["scenario.seed"]),
                                 config)
         assert run(again).records == result.records
+
+    def test_numpy_values_give_the_same_run_and_its_file(self, tmp_path):
+        # a scenario holds each value as the Python number it stands for,
+        # so its records are JSON like any other's
+        plain = small_scenario()
+        as_numpy = {int: np.int64, float: np.float64, str: np.str_}
+        scenario = default_scenario(**{
+            name: as_numpy[type(value)](value)
+            for name, value in asdict(plain).items()})
+        assert scenario == plain
+        out = tmp_path / "numpy.jsonl"
+        result = run(scenario, out_path=str(out))
+        assert result.records == run(plain).records
+        assert [json.loads(line) for line in
+                out.read_text().splitlines()] == result.records
 
     def test_topology_record_is_consistent(self):
         result = run(small_scenario())
