@@ -28,6 +28,11 @@ blocks and adds in their energy with `engine.fold`, in sequence.
 
 `SessionCodec` counts, per generation, the members that have not yet
 decoded it, so the "all decoded" tests each slot makes cost O(1).
+
+Coding is linear: a payload is its coefficient vector times the source
+matrix, so the coefficients alone decide every rank, count and draw, and
+a session on the zero-width view `gen.payload[:, :0]` of its content has
+the same metrics, slots and draws. The runner's sessions carry no payload.
 """
 
 from __future__ import annotations
@@ -106,6 +111,8 @@ class SessionConfig:
         object.__setattr__(self, "content", tuple(self.content))
         if not self.content:
             raise ProtocolError("session needs at least one generation")
+        if len({gen.id for gen in self.content}) != len(self.content):
+            raise ProtocolError("duplicate generation ids")
         if not self.redundancy >= 1.0:  # also NaN
             raise ProtocolError(f"redundancy must be >= 1, got {self.redundancy}")
         if self.phase_mode not in ("sequential", "parallel"):

@@ -219,7 +219,12 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
                    traces: Optional[list] = None) -> dict:
     """The offloading sessions, one `session` record each. With `traces`,
     each session is asked for its slot trace, and `(index, records)` is
-    appended to it once the session returns."""
+    appended to it once the session returns.
+
+    Each generation is drawn in full, which moves the coding stream by its
+    `payload_bytes`, and the session gets its zero-width view. A coded
+    payload is its coefficient vector times the source matrix, so the
+    coefficients alone decide every innovative flag, count and draw."""
     cellular, short = _links(scenario)
     cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head,
                              short_range=short)
@@ -231,10 +236,10 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
     total_energy = 0.0
     truncated = 0
     for index in range(scenario.sessions):
-        content = tuple(
-            Generation.random(gid, scenario.generation_size,
-                              scenario.payload_bytes, coding_rng)
-            for gid in range(scenario.generations))
+        drawn = (Generation.random(gid, scenario.generation_size,
+                                   scenario.payload_bytes, coding_rng)
+                 for gid in range(scenario.generations))
+        content = tuple(Generation(gen.id, gen.payload[:, :0]) for gen in drawn)
         config = SessionConfig(content, redundancy=scenario.redundancy,
                                phase_mode=scenario.phase_mode,
                                cellular_loss=scenario.cellular_loss,

@@ -157,7 +157,8 @@ def _pinned(table: dict) -> dict:
     """The digests recorded under this numpy major; skip under any other."""
     if NUMPY_MAJOR not in table:
         pytest.skip(f"digests recorded under numpy major {sorted(table)}; "
-                    f"numpy {np.__version__} may draw different streams (NEP 19)")
+                    f"numpy {np.__version__} may promote the uint8 arithmetic "
+                    "differently (NEP 50)")
     return table[NUMPY_MAJOR]
 
 

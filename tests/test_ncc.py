@@ -36,7 +36,7 @@ from mscsim.ncc import (
     cooperative_phase,
     run_session,
 )
-from mscsim.rlnc import CodedPacket, DecoderState, Generation, encode
+from mscsim.rlnc import CodedPacket, DecoderState, Generation, draw_coeffs, encode
 
 
 def _content(g=4, payload=8, gen_seed=99, count=1):
@@ -112,6 +112,18 @@ class TestSessionConfig:
         for redundancy in (1e308, float("inf")):
             with pytest.raises(ProtocolError, match="infinitely many"):
                 SessionConfig(content=_content(g=4), redundancy=redundancy)
+
+    def test_duplicate_generation_ids_rejected(self):
+        # two generations with one id would share one decoder: the session
+        # ran its whole cooperative budget at decoding ratio 0.5 (sizes 4
+        # and 4) or raised CodingError partway (sizes 4 and 6)
+        rng = np.random.default_rng(0)
+        for sizes in ((4, 4), (4, 6)):
+            content = [Generation.random(0, g, 2, rng) for g in sizes]
+            with pytest.raises(ProtocolError, match="duplicate generation ids"):
+                SessionConfig(content=content)
+        content = [Generation.random(gid, 4, 2, rng) for gid in (3, 0)]
+        assert SessionConfig(content=content).content == tuple(content)
 
     def test_coded_count_ceiling(self):
         cfg = SessionConfig(content=_content(g=64), redundancy=1.05)
@@ -680,6 +692,41 @@ def test_counts_match_the_trace(data):
     assert len(coop) <= cfg.cooperative_budget
     if plain.truncated:
         assert len(coop) == cfg.cooperative_budget
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_zero_width_content_gives_the_same_session(data):
+    """A coded payload is its coefficient vector times the source matrix,
+    so the payload columns decide nothing: a session on the zero-width
+    view of its content has the same metrics, slots and energy bytes as
+    one on the content itself, and leaves both streams at the same draw."""
+    n = data.draw(st.integers(1, 6))
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    width = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    full = [Generation.random(i, g, width, rng) for i, g in enumerate(sizes)]
+    empty = [Generation(gen.id, gen.payload[:, :0]) for gen in full]
+    losses = st.sampled_from([0.0, 0.1, 0.5, 0.9])
+    params = dict(
+        redundancy=data.draw(st.sampled_from([1.0, 1.05, 1.5, 2.0, 3.0])),
+        phase_mode=data.draw(st.sampled_from(["sequential", "parallel"])),
+        cellular_loss=data.draw(losses),
+        short_range_loss=data.draw(losses))
+    cloud = CooperativeCloud(range(n), head_id=0)
+    seed = data.draw(st.integers(0, 2 ** 16))
+    runs = []
+    for content in (full, empty):
+        rs = RunSeed(seed)
+        channel, coding = rs.channel(), rs.coding()
+        m = run_session(cloud, SessionConfig(content=content, **params),
+                        channel_rng=channel, coding_rng=coding, trace=[])
+        runs.append((m, channel.random(), draw_coeffs(coding, 8).tolist()))
+    (got, *got_next), (want, *want_next) = runs[1], runs[0]
+    assert got == want
+    assert got.records == want.records
+    assert struct.pack("<d", got.total_energy) == struct.pack("<d", want.total_energy)
+    assert got_next == want_next
 
 
 def test_records_and_deliveries_have_their_types_arity(monkeypatch):

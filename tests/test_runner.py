@@ -116,6 +116,35 @@ class TestRecordStream:
         assert uni.records[-1]["session_energy"] > \
             ncc.records[-1]["session_energy"]
 
+    @pytest.mark.parametrize("protocol", ["ncc", "unicast"])
+    def test_sessions_get_zero_width_views_of_full_draws(self, monkeypatch,
+                                                         protocol):
+        # each generation is still drawn at (g, payload_bytes), which sets
+        # the coding stream's position; the session sees no payload column
+        draws, shapes = [], []
+        draw = runner.Generation.random
+
+        def spy_draw(gen_id, size, payload_len, rng):
+            draws.append((size, payload_len))
+            return draw(gen_id, size, payload_len, rng)
+
+        session = {"ncc": "run_session",
+                   "unicast": "baseline_unicast_session"}[protocol]
+        real = getattr(runner, session)
+
+        def spy_session(cloud, config, **kwargs):
+            shapes.append([gen.payload.shape for gen in config.content])
+            return real(cloud, config, **kwargs)
+
+        monkeypatch.setattr(runner.Generation, "random", staticmethod(spy_draw))
+        monkeypatch.setattr(runner, session, spy_session)
+        result = run(small_scenario(sessions=3, generations=2,
+                                    generation_size=5, payload_bytes=7,
+                                    protocol=protocol))
+        assert result.exit_code == 0, result.records[-1]
+        assert draws == [(5, 7)] * 6
+        assert shapes == [[(5, 0), (5, 0)]] * 3
+
 
 class TestHandoverPhase:
     def test_side_by_side_procedures(self):
