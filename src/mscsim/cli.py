@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_scenario(path: str, seed):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

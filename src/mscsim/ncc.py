@@ -10,11 +10,10 @@ has decoded everything or the slot budget runs out. A session is always
 first sends only the distribution plan. In parallel mode it follows each
 cellular slot with one cooperative slot while the cloud has not all
 decoded, and `cooperative_phase` continues the rotation alone once the
-plan is exhausted. Slots are counted, not timed: a session's
-`completion_time` is its number of slots. The sessions keep their slot
-counts as plain integers; the per-slot trace, one `SlotRecord` per slot,
-is built only when the caller passes a list as `trace`, and
-`SessionMetrics.records` is empty otherwise.
+plan is exhausted. Slots are counted, not timed: `completion_slots`.
+The sessions keep their slot counts as plain integers; the per-slot
+trace, one `SlotRecord` per slot, is built only when the caller passes
+a list as `trace`, and `SessionMetrics.records` is empty otherwise.
 
 A plain multi-unicast session over the cellular link with
 retransmit-until-delivered is included as the comparison point. It runs
@@ -32,7 +31,8 @@ decoded it, so the "all decoded" tests each slot makes cost O(1).
 Coding is linear: a payload is its coefficient vector times the source
 matrix, so the coefficients alone decide every rank, count and draw, and
 a session on the zero-width view `gen.payload[:, :0]` of its content has
-the same metrics, slots and draws. The runner's sessions carry no payload.
+the same metrics, slots and draws. The runner builds one zero-width
+`SessionConfig` per run and hands it to every session.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class CooperativeCloud:
 
     members: tuple[int, ...]
     head_id: int
-    short_range: LinkModel = DEFAULT_SHORT_RANGE
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -106,6 +105,7 @@ class SessionConfig:
     cellular_loss: float = 0.0
     short_range_loss: float = 0.0
     cellular: LinkModel = DEFAULT_CELLULAR
+    short_range: LinkModel = DEFAULT_SHORT_RANGE
 
     def __post_init__(self):
         object.__setattr__(self, "content", tuple(self.content))
@@ -156,12 +156,12 @@ class SessionMetrics:
     per slot in slot order, when the session was given a `trace` list, and
     `()` otherwise: no run builds a slot object it was not asked for."""
 
-    cellular_tx_count: int
-    short_range_tx_count: int
+    cellular_tx: int
+    short_range_tx: int
     cellular_utilization: float
     decoding_ratio: float
-    total_energy: float
-    completion_time: int                 # slots, both phases, skips included
+    energy: float
+    completion_slots: int                # both phases, skips included
     truncated: bool = False              # cooperation hit its slot budget
     records: tuple = field(default=(), repr=False, compare=False)
 
@@ -270,7 +270,7 @@ def _cooperative_slot(cloud, codec, sim, config, nodes, channel_rng, coding_rng,
         return False
     pkt = codec.decoder(sender, gen_id).recode(coding_rng)
     others = cloud.members[:sender_index] + cloud.members[sender_index + 1:]
-    deliveries = sim.transmit(cloud.short_range, config.short_range_loss,
+    deliveries = sim.transmit(config.short_range, config.short_range_loss,
                               nodes[sender], [nodes[m] for m in others],
                               channel_rng)
     ok = tuple(d.status is _DELIVERED for d in deliveries)
@@ -349,12 +349,12 @@ def _metrics(cloud: CooperativeCloud, config: SessionConfig, energy: float,
              trace: Optional[list], *, cellular: int, cooperative: int,
              sent: int, decoding_ratio: float, truncated: bool) -> SessionMetrics:
     return SessionMetrics(
-        cellular_tx_count=cellular,
-        short_range_tx_count=sent,
+        cellular_tx=cellular,
+        short_range_tx=sent,
         cellular_utilization=cellular / (cloud.size * config.source_packet_total),
         decoding_ratio=decoding_ratio,
-        total_energy=energy,
-        completion_time=cellular + cooperative,
+        energy=energy,
+        completion_slots=cellular + cooperative,
         truncated=truncated,
         records=() if trace is None else tuple(trace),
     )

@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -55,6 +55,7 @@ from .ncc import (
     CooperativeCloud,
     Endpoint,
     SessionConfig,
+    SessionMetrics,
     baseline_unicast_session,
     run_session,
 )
@@ -133,17 +134,6 @@ def write_records(records, out_path: str) -> None:
         raise OSError(exc.errno, exc.strerror, out_path) from exc
 
 
-def _links(scenario: Scenario) -> tuple[LinkModel, LinkModel]:
-    # erasure probabilities ride on the session config, not the link
-    cellular = LinkModel(LinkKind.CELLULAR,
-                         tx_energy=scenario.cellular_energy,
-                         range_m=scenario.cellular_range)
-    short = LinkModel(LinkKind.SHORT_RANGE,
-                      tx_energy=scenario.shortrange_energy,
-                      range_m=scenario.shortrange_range)
-    return cellular, short
-
-
 def _group_for(name: str):
     if name == "toy":
         return TOY_GROUP
@@ -217,40 +207,52 @@ def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
 
 def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
                    traces: Optional[list] = None) -> dict:
-    """The offloading sessions, one `session` record each. With `traces`,
-    each session is asked for its slot trace, and `(index, records)` is
-    appended to it once the session returns.
+    """The offloading sessions, one `session` record each: its `index`,
+    the `protocol`, and every `SessionMetrics` field but `records` under
+    the field's own name. With `traces`, each session is asked for its
+    slot trace, and `(index, records)` is appended to it once the session
+    returns.
 
-    Each generation is drawn in full, which moves the coding stream by its
-    `payload_bytes`, and the session gets its zero-width view. A coded
-    payload is its coefficient vector times the source matrix, so the
-    coefficients alone decide every innovative flag, count and draw."""
-    cellular, short = _links(scenario)
-    cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head,
-                             short_range=short)
+    One cloud and one `SessionConfig` serve every session of the run, and
+    its content is zero-width: a coded payload is its coefficient vector
+    times the source matrix, so the coefficients alone decide every
+    innovative flag, count and draw. Before each coded session, every
+    generation is still drawn in full and dropped, which moves the coding
+    stream by its `payload_bytes`; unicast reads no coding stream, so a
+    unicast run draws no content."""
+    g = scenario.generation_size
+    config = SessionConfig(
+        tuple(Generation(gid, np.zeros((g, 0), np.uint8))
+              for gid in range(scenario.generations)),
+        redundancy=scenario.redundancy,
+        phase_mode=scenario.phase_mode,
+        cellular_loss=scenario.cellular_loss,
+        short_range_loss=scenario.shortrange_loss,
+        # erasure probabilities ride on the session config, not the link
+        cellular=LinkModel(LinkKind.CELLULAR,
+                           tx_energy=scenario.cellular_energy,
+                           range_m=scenario.cellular_range),
+        short_range=LinkModel(LinkKind.SHORT_RANGE,
+                              tx_energy=scenario.shortrange_energy,
+                              range_m=scenario.shortrange_range))
+    cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head)
     gateway = Endpoint(msc.gateway_bs)
     channel_rng = rs.channel()
     coding_rng = rs.coding()
+    keys = [f.name for f in fields(SessionMetrics) if f.name != "records"]
 
     utilizations, ratios = [], []
     total_energy = 0.0
     truncated = 0
     for index in range(scenario.sessions):
-        drawn = (Generation.random(gid, scenario.generation_size,
-                                   scenario.payload_bytes, coding_rng)
-                 for gid in range(scenario.generations))
-        content = tuple(Generation(gen.id, gen.payload[:, :0]) for gen in drawn)
-        config = SessionConfig(content, redundancy=scenario.redundancy,
-                               phase_mode=scenario.phase_mode,
-                               cellular_loss=scenario.cellular_loss,
-                               short_range_loss=scenario.shortrange_loss,
-                               cellular=cellular)
         trace = None if traces is None else []
         if scenario.protocol == "unicast":
             metrics = baseline_unicast_session(cloud, config,
                                                channel_rng=channel_rng,
                                                bs=gateway, trace=trace)
         else:
+            for gid in range(scenario.generations):
+                Generation.random(gid, g, scenario.payload_bytes, coding_rng)
             metrics = run_session(cloud, config, channel_rng=channel_rng,
                                   coding_rng=coding_rng, bs=gateway,
                                   trace=trace)
@@ -258,18 +260,10 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
             traces.append((index, metrics.records))
         utilizations.append(metrics.cellular_utilization)
         ratios.append(metrics.decoding_ratio)
-        total_energy += metrics.total_energy
+        total_energy += metrics.energy
         truncated += int(metrics.truncated)
-        emit("session",
-             index=index,
-             protocol=scenario.protocol,
-             cellular_tx=metrics.cellular_tx_count,
-             short_range_tx=metrics.short_range_tx_count,
-             cellular_utilization=metrics.cellular_utilization,
-             decoding_ratio=metrics.decoding_ratio,
-             energy=metrics.total_energy,
-             completion_slots=metrics.completion_time,
-             truncated=metrics.truncated)
+        emit("session", index=index, protocol=scenario.protocol,
+             **{key: getattr(metrics, key) for key in keys})
 
     return {
         "sessions": scenario.sessions,

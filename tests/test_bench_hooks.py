@@ -56,8 +56,8 @@ def test_loading_the_hooks_leaves_no_benchmark_module_importable():
 
 # layers every coded session must reach, at least once per run
 CODED_LAYERS = ("ncc.session", "ncc.cellular_phase", "ncc.cooperative_phase",
-                "ncc.draw_coeffs", "rlnc.encode", "rlnc.ingest", "rlnc.recode",
-                "engine.transmit")
+                "ncc.draw_coeffs", "rlnc.generation_random", "rlnc.encode",
+                "rlnc.ingest", "rlnc.recode", "engine.transmit")
 
 
 def _traced_spans(**overrides) -> tuple[Counter, list]:
@@ -97,6 +97,7 @@ def test_unicast_sessions_run_no_decoder():
     assert spans["ncc.session"] == len(slots) == 2
     assert spans["engine.transmit"] == 0
     assert spans["rlnc.ingest"] == 0
+    assert spans["rlnc.generation_random"] == 0   # no coding stream to move
 
 
 HANDOVER_LAYERS = ("topology.step_mobility", "handover.ul_rs_handover",

@@ -128,6 +128,28 @@ class TestRunVerb:
         assert "line 4" in err and "UTF-8" in err
         assert "Traceback" not in err
 
+    def test_a_byte_order_mark_is_not_part_of_the_scenario(self, workdir,
+                                                           capsys):
+        # some Windows editors start a UTF-8 file with U+FEFF
+        plain = write(workdir, "plain.cfg", AMBULANCE)
+        marked = workdir / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + AMBULANCE.encode())
+        assert main(["validate", plain]) == EXIT_OK
+        want = capsys.readouterr().out.split()[1]
+        assert main(["validate", str(marked)]) == EXIT_OK
+        assert capsys.readouterr().out.split()[1] == want
+        assert main(["run", str(marked)]) == EXIT_OK
+        records = [json.loads(l) for l in
+                   (workdir / "marked-metrics.jsonl").read_text().splitlines()]
+        assert records[0]["scenario_hash"] == want
+        assert records[-1]["type"] == "run-summary"
+        # a decode error after the mark still names its line
+        latin1 = workdir / "latin1.cfg"
+        latin1.write_bytes(b"\xef\xbb\xbf" + SMALL.replace(
+            "[nodes]", "# caf\xe9\n[nodes]").encode("latin-1"))
+        assert main(["validate", str(latin1)]) == EXIT_BAD_CONFIG
+        assert "line 4" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["run", "--out", "afile/out.jsonl"],
         ["run", "--trace", "afile/trace.jsonl"],

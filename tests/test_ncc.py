@@ -240,11 +240,11 @@ class TestRunSession:
         cloud = CooperativeCloud([5], head_id=5)
         cfg = SessionConfig(content=_content(g=4))
         m = run_session(cloud, cfg, seed=0)
-        assert m.cellular_tx_count == 4
-        assert m.short_range_tx_count == 0
+        assert m.cellular_tx == 4
+        assert m.short_range_tx == 0
         assert m.cellular_utilization == 1.0
         assert m.decoding_ratio == 1.0
-        assert m.completion_time == 4
+        assert m.completion_slots == 4
 
     def test_utilization_law(self):
         # lossless, r=1: utilization is ceil(r*g)/(n*g) = 1/n
@@ -311,8 +311,8 @@ class TestRunSession:
         cfg = SessionConfig(content=_content(g=4))
         solo = run_session(CooperativeCloud([9], head_id=9), cfg, seed=0)
         coop = run_session(CooperativeCloud([1, 2, 3, 4], head_id=1), cfg, seed=0)
-        assert solo.completion_time == 4
-        assert coop.completion_time > solo.completion_time
+        assert solo.completion_slots == 4
+        assert coop.completion_slots > solo.completion_slots
 
     def test_deterministic_given_seed(self):
         cloud = CooperativeCloud([1, 2, 3], head_id=1)
@@ -332,7 +332,7 @@ class TestRunSession:
         cfg = SessionConfig(content=_content(g=64, payload=16, gen_seed=3),
                             redundancy=1.05, short_range_loss=0.1)
         m = run_session(cloud, cfg, seed=0)
-        assert m.cellular_tx_count == 68
+        assert m.cellular_tx == 68
         assert m.cellular_utilization == pytest.approx(68 / 512)
         assert 0.11 <= m.cellular_utilization <= 0.15
         assert m.decoding_ratio == 1.0
@@ -343,8 +343,8 @@ class TestBaselineUnicast:
         cloud = CooperativeCloud([1, 2, 3, 4], head_id=1)
         cfg = SessionConfig(content=_content(g=4))
         m = baseline_unicast_session(cloud, cfg, seed=0)
-        assert m.cellular_tx_count == 16
-        assert m.short_range_tx_count == 0
+        assert m.cellular_tx == 16
+        assert m.short_range_tx == 0
         assert m.cellular_utilization == pytest.approx(1.0)
         assert m.decoding_ratio == 1.0
 
@@ -361,7 +361,7 @@ class TestBaselineUnicast:
         want = decoder_unicast_session(cloud, cfg, seed)
         assert got == want
         assert got.records == want.records
-        assert struct.pack("<d", got.total_energy) == struct.pack("<d", want.total_energy)
+        assert struct.pack("<d", got.energy) == struct.pack("<d", want.energy)
 
     def test_single_member_matches_run_session(self):
         cloud = CooperativeCloud([5], head_id=5)
@@ -376,7 +376,7 @@ class TestBaselineUnicast:
         channel = RunSeed(8).channel()
         sessions = 300
         counts = [baseline_unicast_session(cloud, cfg,
-                                           channel_rng=channel).cellular_tx_count
+                                           channel_rng=channel).cellular_tx
                   for _ in range(sessions)]
         expected = 16 / 0.9
         sigma_mean = np.sqrt(16 * 0.1 / 0.81 / sessions)
@@ -387,7 +387,7 @@ class TestBaselineUnicast:
         cfg = SessionConfig(content=_content(g=4))
         coop = run_session(cloud, cfg, seed=0)
         base = baseline_unicast_session(cloud, cfg, seed=0)
-        assert coop.total_energy < base.total_energy
+        assert coop.energy < base.energy
 
     def test_out_of_range_member_raises_instead_of_retrying(self):
         """Range is checked for every member, in order, before any draw:
@@ -424,7 +424,7 @@ class TestBaselineUnicast:
         cloud = CooperativeCloud([1, 2], head_id=1)
         cfg = SessionConfig(content=_content(g=3), cellular_loss=0.5)
         m = baseline_unicast_session(cloud, cfg, channel_rng=channel, trace=[])
-        assert m.cellular_tx_count == channel.draws == 6 * 128
+        assert m.cellular_tx == channel.draws == 6 * 128
         assert sum(r.delivered == (True,) for r in m.records) == 6
 
     def test_the_give_up_draws_blocks_no_larger_than_the_need(self):
@@ -494,12 +494,12 @@ def decoder_unicast_session(cloud, config, seed, channel_rng=None):
     assert codec.all_decoded() and codec.decoding_ratio() == 1.0
     cell_tx = len(records)
     return SessionMetrics(
-        cellular_tx_count=cell_tx,
-        short_range_tx_count=0,
+        cellular_tx=cell_tx,
+        short_range_tx=0,
         cellular_utilization=cell_tx / (cloud.size * config.source_packet_total),
         decoding_ratio=codec.decoding_ratio(),
-        total_energy=sim.total_energy(),
-        completion_time=len(records),
+        energy=sim.total_energy(),
+        completion_slots=len(records),
         truncated=cloud.size > 1 and not codec.all_decoded(),
         records=tuple(records),
     )
@@ -524,7 +524,7 @@ def test_unicast_passes_match_the_decoder_based_loop(data):
     want = decoder_unicast_session(cloud, cfg, seed, channel_rng=want_rng)
     assert got == want
     assert got.records == want.records
-    assert struct.pack("<d", got.total_energy) == struct.pack("<d", want.total_energy)
+    assert struct.pack("<d", got.energy) == struct.pack("<d", want.energy)
     assert got_rng.random() == want_rng.random()
 
 
@@ -640,8 +640,8 @@ def test_exact_per_session_identities(data):
     cfg = SessionConfig(content=content, cellular_loss=loss)
     m = baseline_unicast_session(cloud, cfg, seed=seed, trace=[])
     erasures = sum(r.delivered == (False,) for r in m.records)
-    assert m.cellular_tx_count == n * sum(sizes) + erasures
-    assert m.completion_time == m.cellular_tx_count == len(m.records)
+    assert m.cellular_tx == n * sum(sizes) + erasures
+    assert m.completion_slots == m.cellular_tx == len(m.records)
     assert [r.slot for r in m.records] == list(range(len(m.records)))
     assert all(r.innovative == r.delivered for r in m.records)
     assert m.decoding_ratio == 1.0 and not m.truncated
@@ -652,7 +652,7 @@ def test_exact_per_session_identities(data):
         cfg = SessionConfig(content=content, redundancy=redundancy,
                             phase_mode=mode, cellular_loss=loss)
         m = run_session(cloud, cfg, seed=seed)
-        assert m.cellular_tx_count == planned
+        assert m.cellular_tx == planned
 
 
 @settings(max_examples=100)
@@ -683,12 +683,12 @@ def test_counts_match_the_trace(data):
     traced = session(cloud, cfg, seed=seed, trace=trace)
     assert plain.records == () and traced.records == tuple(trace)
     assert traced == plain
-    assert struct.pack("<d", traced.total_energy) == struct.pack("<d", plain.total_energy)
+    assert struct.pack("<d", traced.energy) == struct.pack("<d", plain.energy)
 
-    assert [r.slot for r in trace] == list(range(plain.completion_time))
+    assert [r.slot for r in trace] == list(range(plain.completion_slots))
     coop = [r for r in trace if r.phase == "cooperative"]
-    assert plain.cellular_tx_count == sum(r.phase == "cellular" for r in trace)
-    assert plain.short_range_tx_count == sum(not r.skipped for r in coop)
+    assert plain.cellular_tx == sum(r.phase == "cellular" for r in trace)
+    assert plain.short_range_tx == sum(not r.skipped for r in coop)
     assert len(coop) <= cfg.cooperative_budget
     if plain.truncated:
         assert len(coop) == cfg.cooperative_budget
@@ -725,7 +725,7 @@ def test_zero_width_content_gives_the_same_session(data):
     (got, *got_next), (want, *want_next) = runs[1], runs[0]
     assert got == want
     assert got.records == want.records
-    assert struct.pack("<d", got.total_energy) == struct.pack("<d", want.total_energy)
+    assert struct.pack("<d", got.energy) == struct.pack("<d", want.energy)
     assert got_next == want_next
 
 
@@ -792,4 +792,4 @@ class TestEnergyReplay:
         m = session(cloud, cfg, seed=6, trace=[])
         delivered = [got for r in m.records for got in r.delivered]
         assert any(delivered) and not all(delivered)  # erasures on the trace
-        assert m.total_energy == replay_energy(m, cfg.cellular, cloud.short_range)
+        assert m.energy == replay_energy(m, cfg.cellular, cfg.short_range)

@@ -5,10 +5,11 @@ test_acceptance.py.
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,12 @@ from mscsim.config import (
     default_scenario,
     parse_config,
 )
-from mscsim.ncc import SlotRecord
+from mscsim.ncc import SessionMetrics, SlotRecord
 from mscsim.runner import RunResult, derive_subseed, expand_grid, run, sweep
 
 ID_FIELDS = {"schema", "run_id", "scenario_hash", "seed"}
+SESSION_KEYS = ID_FIELDS | {"type", "index", "protocol"} | {
+    f.name for f in fields(SessionMetrics) if f.name != "records"}
 
 
 def small_scenario(seed=3, **overrides):
@@ -117,10 +120,28 @@ class TestRecordStream:
             ncc.records[-1]["session_energy"]
 
     @pytest.mark.parametrize("protocol", ["ncc", "unicast"])
+    def test_session_record_is_session_metrics(self, protocol):
+        # every count goes out under its SessionMetrics field's own name
+        result = run(small_scenario(protocol=protocol))
+        sessions = [r for r in result.records if r["type"] == "session"]
+        assert [r["index"] for r in sessions] == [0, 1]
+        assert {r["protocol"] for r in sessions} == {protocol}
+        for record in sessions:
+            assert set(record) == SESSION_KEYS
+
+    def test_readme_lists_the_session_record_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split("\n* `session` - ", 1)[1].split("\n* `", 1)[0]
+        first_sentence = re.split(r"\.\s", bullet, maxsplit=1)[0]
+        assert set(re.findall(r"`([^`]+)`", first_sentence)) == \
+            SESSION_KEYS - ID_FIELDS - {"type"}
+
+    @pytest.mark.parametrize("protocol", ["ncc", "unicast"])
     def test_sessions_get_zero_width_views_of_full_draws(self, monkeypatch,
                                                          protocol):
-        # each generation is still drawn at (g, payload_bytes), which sets
-        # the coding stream's position; the session sees no payload column
+        # a coded session first draws each generation at (g, payload_bytes),
+        # which sets the coding stream's position; unicast reads no coding
+        # stream and draws none. No session sees a payload column.
         draws, shapes = [], []
         draw = runner.Generation.random
 
@@ -142,8 +163,36 @@ class TestRecordStream:
                                     generation_size=5, payload_bytes=7,
                                     protocol=protocol))
         assert result.exit_code == 0, result.records[-1]
-        assert draws == [(5, 7)] * 6
+        assert draws == ([(5, 7)] * 6 if protocol == "ncc" else [])
         assert shapes == [[(5, 0), (5, 0)]] * 3
+
+    @pytest.mark.parametrize("protocol", ["ncc", "unicast"])
+    def test_one_session_config_serves_the_whole_run(self, monkeypatch,
+                                                     protocol):
+        built, passed = [], []
+        real_config = runner.SessionConfig
+
+        def spy_config(*args, **kwargs):
+            built.append(real_config(*args, **kwargs))
+            return built[-1]
+
+        session = {"ncc": "run_session",
+                   "unicast": "baseline_unicast_session"}[protocol]
+        real = getattr(runner, session)
+
+        def spy_session(cloud, config, **kwargs):
+            passed.append(config)
+            return real(cloud, config, **kwargs)
+
+        monkeypatch.setattr(runner, "SessionConfig", spy_config)
+        monkeypatch.setattr(runner, session, spy_session)
+        scenario = small_scenario(sessions=3, protocol=protocol)
+        result = run(scenario)
+        assert result.exit_code == 0, result.records[-1]
+        assert len(built) == 1 and len(passed) == 3
+        assert all(config is built[0] for config in passed)
+        assert (built[0].cellular.range_m, built[0].short_range.range_m) == \
+            (scenario.cellular_range, scenario.shortrange_range)
 
 
 class TestHandoverPhase:
