@@ -155,14 +155,16 @@ class Scenario:
                                 "in [0, 1)")
     cellular_energy: float = _key("links", DEFAULT_CELLULAR.tx_energy,
                                   lambda v: v >= 0, "nonnegative")
-    cellular_range: float = _key("links", DEFAULT_CELLULAR.range_m,
-                                 lambda v: v > 0, "positive")
+    # the handover reads the cellular range and the cell formation the
+    # short one; sessions take place within the cell and read neither
+    cellular_range: float = _key("links", 1000.0, lambda v: v > 0,
+                                 "positive")
     shortrange_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
                                   "in [0, 1)")
     shortrange_energy: float = _key("links", DEFAULT_SHORT_RANGE.tx_energy,
                                     lambda v: v >= 0, "nonnegative")
-    shortrange_range: float = _key("links", DEFAULT_SHORT_RANGE.range_m,
-                                   lambda v: v > 0, "positive")
+    shortrange_range: float = _key("links", 50.0, lambda v: v > 0,
+                                   "positive")
 
     ho_epochs: int = _key("handover", 0, lambda v: v >= 0,
                           "a nonnegative integer", "epochs")

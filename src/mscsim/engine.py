@@ -3,22 +3,18 @@
 Everything a run observes flows through here so that a run is
 reproducible from (seed, config) alone: random streams are derived per
 subsystem from one 64-bit seed, and every transmission is charged to its
-link's energy total. A `LinkModel` holds a link's energy and reach; its
-erasure probability is the session's, passed to each
-`Simulator.transmit`. Time is counted in slots, which have no duration:
-the per-slot trace is the session layer's (`ncc.SlotRecord`).
+link's energy total. A `LinkModel` holds a link's kind and transmit
+energy; its erasure probability is the session's, passed to each
+`Simulator.transmit`. Receivers are ids: a session is one mobile small
+cell and its gateway station, all within reach, so a transmission has no
+geometry and no range test. Time is counted in slots, which have no
+duration: the per-slot trace is the session layer's (`ncc.SlotRecord`).
 
 The energy totals are two plain floats, one per `LinkKind`. Each grows
 by the transmit charge and then by one receive charge per delivered
 receiver, in receiver order, and `total_energy` adds the cellular total
 and then the short-range total. Float addition is not associative, so
 the output's energy bytes depend on exactly this order.
-
-`transmit` decides range as `np.hypot(dx, dy) > range_m`, except that
-co-located endpoints (dx == dy == 0, every session endpoint today) skip
-the call: their distance is 0 and range_m is positive, so they are in
-range. (`math.hypot` is not a substitute for `np.hypot`: it differs in
-the last bit on some inputs.)
 
 Every draw of a run comes from a `Stream` over the raw words w of
 `PCG64(SeedSequence(entropy))`, which NEP 19 keeps stable, with its own
@@ -52,31 +48,29 @@ class LinkKind(Enum):
 class DeliveryStatus(Enum):
     DELIVERED = "delivered"
     ERASED = "erased"
-    OUT_OF_RANGE = "out_of_range"
 
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Energy and reach of one link technology."""
+    """Energy of one link technology."""
 
     kind: LinkKind
     tx_energy: float       # per transmitted packet, charged once per broadcast
-    range_m: float
 
     def __post_init__(self):
-        # written so that NaN fails every comparison and is rejected
-        if not (self.tx_energy >= 0 and self.range_m > 0):
-            raise ValueError("range must be positive, energy nonnegative")
+        # written so that NaN fails the comparison and is rejected
+        if not self.tx_energy >= 0:
+            raise ValueError("energy must be nonnegative")
 
 
 # Receive cost as a fraction of the link's transmit cost.
 RX_ENERGY_FRACTION = 0.1
 
-# Default link constants. Only the orderings are load-bearing (short
-# range is cheaper and shorter than cellular); the values are recorded in
-# each run's header record and overridable from config.
-DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, tx_energy=1.0, range_m=1000.0)
-DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, tx_energy=0.2, range_m=50.0)
+# Default link constants. Only the ordering is load-bearing (short range
+# is cheaper than cellular); the values are recorded in each run's header
+# record and overridable from config.
+DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, tx_energy=1.0)
+DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, tx_energy=0.2)
 
 
 # The stream id of each subsystem's stream.
@@ -245,7 +239,6 @@ _new_tuple = tuple.__new__
 _CELLULAR = LinkKind.CELLULAR
 _DELIVERED = DeliveryStatus.DELIVERED
 _ERASED = DeliveryStatus.ERASED
-_OUT_OF_RANGE = DeliveryStatus.OUT_OF_RANGE
 
 
 def fold(terms: np.ndarray) -> float:
@@ -264,35 +257,28 @@ class Simulator:
         self._cellular_energy = 0.0
         self._short_range_energy = 0.0
 
-    def transmit(self, link: LinkModel, p_loss: float, sender,
-                 receivers: Iterable, rng) -> list[Delivery]:
-        """Broadcast one packet; returns per-receiver outcomes.
+    def transmit(self, link: LinkModel, p_loss: float,
+                 receivers: Iterable[int], rng) -> list[Delivery]:
+        """Broadcast one packet to the receiver ids; returns their
+        outcomes, in receiver order.
 
         The sender is charged one packet energy regardless of outcomes;
-        each delivered receiver is charged the receive fraction.
-        Receivers beyond the link range are undeliverable, which is
-        distinct from a channel erasure, drawn independently per
-        receiver in range with probability `p_loss` (none at 0).
+        each delivered receiver is charged the receive fraction. Each
+        receiver's erasure is one `rng.random() < p_loss`, in receiver
+        order; at `p_loss` 0 nothing is drawn.
         """
         cellular = link.kind is _CELLULAR
         energy = self._cellular_energy if cellular else self._short_range_energy
         energy += link.tx_energy
         rx_energy = link.tx_energy * RX_ENERGY_FRACTION
-        sx, sy = sender.position
         deliveries = []
         for recv in receivers:
-            px, py = recv.position
-            dx = sx - px
-            dy = sy - py
-            beyond = False if dx == 0 and dy == 0 else np.hypot(dx, dy) > link.range_m
-            if beyond:
-                status = _OUT_OF_RANGE
-            elif p_loss > 0.0 and rng.random() < p_loss:
+            if p_loss > 0.0 and rng.random() < p_loss:
                 status = _ERASED
             else:
                 energy += rx_energy
                 status = _DELIVERED
-            deliveries.append(_new_tuple(Delivery, (recv.id, status)))
+            deliveries.append(_new_tuple(Delivery, (recv, status)))
         if cellular:
             self._cellular_energy = energy
         else:

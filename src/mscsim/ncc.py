@@ -33,6 +33,11 @@ matrix, so the coefficients alone decide every rank, count and draw, and
 a session on the zero-width view `gen.payload[:, :0]` of its content has
 the same metrics, slots and draws. The runner builds one zero-width
 `SessionConfig` per run and hands it to every session.
+
+A session is the paper's cell offloading inside one mobile small cell:
+its members and the gateway station `bs`, all ids, are in reach of each
+other, so no slot tests a distance. The base station's id is the sender
+of every cellular slot in the trace (-1 unless given).
 """
 
 from __future__ import annotations
@@ -64,14 +69,6 @@ class ProtocolError(Exception):
 # consecutive erasures at cellular loss p: a bound on the work of every
 # session, met with probability at most e^-UNICAST_RETRY_SCALE per packet.
 UNICAST_RETRY_SCALE = 64
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    """Minimal radio endpoint; topology nodes substitute structurally."""
-
-    id: int
-    position: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -220,14 +217,6 @@ class SessionCodec:
         return (self._pairs - self._undecoded_pairs) / self._pairs
 
 
-def _endpoints(cloud: CooperativeCloud, nodes, bs) -> tuple[Endpoint, dict]:
-    """The base station and the node map, defaulting to co-located
-    endpoints: range never limits a desk-scale session."""
-    if nodes is None:
-        nodes = {m: Endpoint(m) for m in cloud.members}
-    return (bs if bs is not None else Endpoint(-1)), nodes
-
-
 def _cellular_plan(config: SessionConfig, coding_rng) -> list[tuple[Generation, int, np.ndarray]]:
     """Draw the coded packets for the whole distribution up front.
 
@@ -258,7 +247,7 @@ def _pick_generation(codec: SessionCodec, member_id: int) -> Optional[int]:
     return None
 
 
-def _cooperative_slot(cloud, codec, sim, config, nodes, channel_rng, coding_rng,
+def _cooperative_slot(cloud, codec, sim, config, channel_rng, coding_rng,
                       sender_index, trace) -> bool:
     """One rotation slot; False when the sender had nothing to send."""
     sender = cloud.members[sender_index]
@@ -271,8 +260,7 @@ def _cooperative_slot(cloud, codec, sim, config, nodes, channel_rng, coding_rng,
     pkt = codec.decoder(sender, gen_id).recode(coding_rng)
     others = cloud.members[:sender_index] + cloud.members[sender_index + 1:]
     deliveries = sim.transmit(config.short_range, config.short_range_loss,
-                              nodes[sender], [nodes[m] for m in others],
-                              channel_rng)
+                              others, channel_rng)
     ok = tuple(d.status is _DELIVERED for d in deliveries)
     innovative = tuple(codec.ingest(m, pkt) if got else False
                        for m, got in zip(others, ok))
@@ -284,7 +272,7 @@ def _cooperative_slot(cloud, codec, sim, config, nodes, channel_rng, coding_rng,
 
 def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
                    codec: SessionCodec, sim: Simulator, *,
-                   channel_rng, coding_rng, nodes=None, bs=None,
+                   channel_rng, coding_rng, bs: int = -1,
                    trace: Optional[list] = None) -> tuple[int, int]:
     """Round-robin unicast of the coded content; no retransmissions.
 
@@ -296,7 +284,6 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
     interleaved and how many of them were not skipped. With `trace`, each
     slot's `SlotRecord` is appended to it, numbered by its position.
     """
-    bs_node, nodes = _endpoints(cloud, nodes, bs)
     link, loss = config.cellular, config.cellular_loss
     members, size = cloud.members, cloud.size
     interleave = config.phase_mode == "parallel" and size > 1
@@ -304,13 +291,13 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
     for gen, k, coeffs in _cellular_plan(config, coding_rng):
         member = members[k % size]
         pkt = encode(gen, coeffs)
-        ok = sim.transmit(link, loss, bs_node, [nodes[member]], channel_rng)[0].status is _DELIVERED
+        ok = sim.transmit(link, loss, (member,), channel_rng)[0].status is _DELIVERED
         innovative = codec.ingest(member, pkt) if ok else False
         if trace is not None:
-            trace.append(SlotRecord(len(trace), "cellular", bs_node.id, gen.id,
+            trace.append(SlotRecord(len(trace), "cellular", bs, gen.id,
                                     (member,), (ok,), (innovative,)))
         if interleave and not codec.all_decoded():
-            coop_sent += _cooperative_slot(cloud, codec, sim, config, nodes,
+            coop_sent += _cooperative_slot(cloud, codec, sim, config,
                                            channel_rng, coding_rng,
                                            coop_slots % size, trace)
             coop_slots += 1
@@ -319,7 +306,7 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
 
 def cooperative_phase(cloud: CooperativeCloud, config: SessionConfig,
                       codec: SessionCodec, sim: Simulator, *,
-                      channel_rng, coding_rng, nodes=None, used: int = 0,
+                      channel_rng, coding_rng, used: int = 0,
                       trace: Optional[list] = None) -> tuple[int, int]:
     """Short-range TDMA rotation until all decode or the budget is gone.
 
@@ -330,11 +317,10 @@ def cooperative_phase(cloud: CooperativeCloud, config: SessionConfig,
     """
     if cloud.size == 1:
         return 0, 0  # nobody to multicast to
-    _, nodes = _endpoints(cloud, nodes, None)
     budget = config.cooperative_budget
     slots = sent = 0
     while used + slots < budget and not codec.all_decoded():
-        sent += _cooperative_slot(cloud, codec, sim, config, nodes,
+        sent += _cooperative_slot(cloud, codec, sim, config,
                                   channel_rng, coding_rng,
                                   (used + slots) % cloud.size, trace)
         slots += 1
@@ -362,7 +348,7 @@ def _metrics(cloud: CooperativeCloud, config: SessionConfig, energy: float,
 
 def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 seed=None, channel_rng=None, coding_rng=None,
-                nodes=None, bs=None, trace: Optional[list] = None) -> SessionMetrics:
+                bs: int = -1, trace: Optional[list] = None) -> SessionMetrics:
     """Both phases plus the offloading metrics for one content item.
 
     Pass an empty list as `trace` to get the session's `SlotRecord`s,
@@ -376,10 +362,10 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
     sim = Simulator()
     interleaved, sent = cellular_phase(
         cloud, config, codec, sim, channel_rng=channel_rng,
-        coding_rng=coding_rng, nodes=nodes, bs=bs, trace=trace)
+        coding_rng=coding_rng, bs=bs, trace=trace)
     rotated, rotated_sent = cooperative_phase(
         cloud, config, codec, sim, channel_rng=channel_rng,
-        coding_rng=coding_rng, nodes=nodes, used=interleaved, trace=trace)
+        coding_rng=coding_rng, used=interleaved, trace=trace)
     cellular = config.total_coded  # the whole plan, one slot each
     # cooperation stops short of full decoding only at its budget
     return _metrics(cloud, config, sim.total_energy(), trace, cellular=cellular,
@@ -389,14 +375,13 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
 
 
 def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
-                             seed=None, channel_rng=None, nodes=None, bs=None,
+                             seed=None, channel_rng=None, bs: int = -1,
                              trace: Optional[list] = None) -> SessionMetrics:
     """Per-user unicast of every source packet, retransmit until delivered.
 
     The comparison denominator: no coding, no cooperation, cellular only.
-    The first member out of the base station's cellular range raises
-    ProtocolError before any draw, as does a packet erased
-    cap = ceil(UNICAST_RETRY_SCALE / (1 - cellular_loss)) times in a row.
+    A packet erased cap = ceil(UNICAST_RETRY_SCALE / (1 - cellular_loss))
+    times in a row raises ProtocolError.
     A pass draws min(need - got, cap - run) floats, `got` of `need`
     deliveries done and `run` erasures on the packet in service: the run
     can reach the cap only at its last draw, so each is one the
@@ -406,15 +391,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     """
     if channel_rng is None:
         channel_rng = _run_seed(seed).channel()
-    bs_node, nodes = _endpoints(cloud, nodes, bs)
     link, loss = config.cellular, config.cellular_loss
-    sx, sy = bs_node.position
-    for member in cloud.members:    # `Simulator.transmit`'s range test
-        px, py = nodes[member].position
-        dx, dy = sx - px, sy - py
-        if not (dx == 0 and dy == 0) and np.hypot(dx, dy) > link.range_m:
-            raise ProtocolError(f"member {member} is out of cellular range "
-                                f"of base station {bs_node.id}")
     packets = ((m, g.id, k) for m in cloud.members for g in config.content for k in range(g.size))
     need = cloud.size * config.source_packet_total
     cap = math.ceil(UNICAST_RETRY_SCALE / (1.0 - loss))
@@ -442,7 +419,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
         for (member, gen_id, _), start, end in zip(packets, [-1] + ends, ends):
             for attempt in range(start + 1, end + 1):
                 ok = (attempt == end,)
-                trace.append(SlotRecord(len(trace), "cellular", bs_node.id,
+                trace.append(SlotRecord(len(trace), "cellular", bs,
                                         gen_id, (member,), ok, ok))
     return _metrics(cloud, config, energy, trace, cellular=sent, cooperative=0,
                     sent=0, decoding_ratio=1.0, truncated=False)

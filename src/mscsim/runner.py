@@ -53,7 +53,6 @@ from .keymgmt import (
 from .keymgmt.groups import DEMO_GROUP, TOY_GROUP, group_2048
 from .ncc import (
     CooperativeCloud,
-    Endpoint,
     SessionConfig,
     SessionMetrics,
     baseline_unicast_session,
@@ -91,8 +90,13 @@ def _open_temp(out_path: str):
 
 def prepare_outputs(*paths: Optional[str]) -> None:
     """Fail before any work, with an OSError naming it, where `write_records`
-    could not write one of `paths` (None and "" are skipped)."""
-    for path in filter(None, paths):
+    could not write one of `paths` (None is skipped). An empty path names
+    no file, though a temp file beside it could be made."""
+    for path in paths:
+        if path is None:
+            continue
+        if not path:
+            raise OSError(errno.ENOENT, "an empty path names no file", path)
         try:
             fh, tmp, _ = _open_temp(path)
             fh.close()
@@ -229,14 +233,10 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
         cellular_loss=scenario.cellular_loss,
         short_range_loss=scenario.shortrange_loss,
         # erasure probabilities ride on the session config, not the link
-        cellular=LinkModel(LinkKind.CELLULAR,
-                           tx_energy=scenario.cellular_energy,
-                           range_m=scenario.cellular_range),
+        cellular=LinkModel(LinkKind.CELLULAR, scenario.cellular_energy),
         short_range=LinkModel(LinkKind.SHORT_RANGE,
-                              tx_energy=scenario.shortrange_energy,
-                              range_m=scenario.shortrange_range))
+                              scenario.shortrange_energy))
     cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head)
-    gateway = Endpoint(msc.gateway_bs)
     channel_rng = rs.channel()
     coding_rng = rs.coding()
     keys = [f.name for f in fields(SessionMetrics) if f.name != "records"]
@@ -249,12 +249,12 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
         if scenario.protocol == "unicast":
             metrics = baseline_unicast_session(cloud, config,
                                                channel_rng=channel_rng,
-                                               bs=gateway, trace=trace)
+                                               bs=msc.gateway_bs, trace=trace)
         else:
             for gid in range(scenario.generations):
                 Generation.random(gid, g, scenario.payload_bytes, coding_rng)
             metrics = run_session(cloud, config, channel_rng=channel_rng,
-                                  coding_rng=coding_rng, bs=gateway,
+                                  coding_rng=coding_rng, bs=msc.gateway_bs,
                                   trace=trace)
         if traces is not None:
             traces.append((index, metrics.records))
@@ -322,7 +322,9 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
     with or without it. Both paths naming one file is a ConfigError, and
     an unwritable path an OSError, raised before the run starts.
     """
-    if (out_path is not None and trace_path is not None
+    # an empty path names no file, and realpath would make it the
+    # working directory; prepare_outputs refuses it by its own name
+    if (out_path and trace_path
             and os.path.realpath(out_path) == os.path.realpath(trace_path)):
         raise ConfigError("the records and the slot trace would both go to "
                           f"{os.path.realpath(out_path)}")
@@ -403,10 +405,16 @@ def expand_grid(scenario: Scenario, grid: dict) -> list[tuple[dict, Scenario]]:
         return []
 
     points = []
+    seen = set()
     for combo in itertools.product(*([(d, v) for v in grid[d]] for d in axes)):
         overrides = dict(combo)
         derived = apply_overrides(scenario, overrides)
         point = {dotted: field_value(derived, dotted) for dotted in overrides}
+        # "1.0" and "1" parse to one point, which would run twice
+        key = tuple(point.items())
+        if key in seen:
+            raise ConfigError(f"grid point {point} given twice")
+        seen.add(key)
         derived = replace(derived,
                           seed=derive_subseed(scenario.seed, point))
         points.append((point, derived))

@@ -33,10 +33,6 @@ ALLOWED = {
         "device positions; a sqrt form moves the digests",
     ("handover", "decide", "math.hypot"):
         "the head-to-station distance; positions already rest on hypot",
-    ("engine", "Simulator.transmit", "numpy.hypot"):
-        "the link range test, pinned to np.hypot by its tests",
-    ("ncc", "baseline_unicast_session", "numpy.hypot"):
-        "the unicast range test, the same decision as Simulator.transmit",
     ("runner", "_session_phase", "numpy.mean"):
         "the run summary's means; fsum moves the digests with schema 3",
 }

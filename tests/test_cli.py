@@ -171,12 +171,17 @@ class TestRunVerb:
         ["run", "--out", "afile/out.jsonl", "--trace", "t.jsonl"],
         ["run", "--out", "adir"],
         ["sweep", "--grid", "nodes.ue_count=2,3", "--out", "afile/sw.jsonl"],
+        ["run", "--out", ""],
+        ["run", "--trace", ""],
+        ["sweep", "--grid", "nodes.ue_count=2,3", "--out", ""],
+        ["run", "--out", "", "--trace", ""],
     ], ids=["run-trace", "run-out-before-trace", "run-out-is-a-directory",
-            "sweep-out"])
+            "sweep-out", "run-out-empty", "run-trace-empty",
+            "sweep-out-empty", "run-out-and-trace-empty"])
     def test_an_unwritable_output_path_fails_before_any_session(
             self, workdir, monkeypatch, capsys, argv):
-        # a regular file where a directory would have to be, and a
-        # directory where the records file would have to be
+        # a regular file where a directory would have to be, a directory
+        # where the records file would have to be, and an empty path
         (workdir / "afile").write_text("")
         (workdir / "adir").mkdir()
         cfg = write(workdir, "s.cfg", SMALL)
@@ -185,7 +190,7 @@ class TestRunVerb:
         monkeypatch.setattr(runner, "_build_topology",
                             lambda *a: built.append(a) or build(*a))
         assert main([argv[0], cfg, *argv[1:]]) == EXIT_BAD_CONFIG
-        bad = next(a for a in argv if a.startswith(("afile", "adir")))
+        bad = next(a for a in argv if a == "" or a.startswith(("afile", "adir")))
         assert capsys.readouterr().err.startswith(f"cannot write {bad}: ")
         assert built == []
         assert sorted(p.name for p in workdir.iterdir()) == [
@@ -272,6 +277,19 @@ class TestSweepVerb:
         assert main(["sweep", cfg, "--grid", "justwords"]) == EXIT_BAD_CONFIG
         assert main(["sweep", cfg, "--grid", "nodes.ue_count=2",
                      "--grid", "nodes.ue_count=4"]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("axis, point", [
+        ("ncc.redundancy=1.0,1", "{'ncc.redundancy': 1.0}"),
+        ("nodes.ue_count=2,3,02", "{'nodes.ue_count': 2}"),
+    ])
+    def test_a_point_given_twice_is_refused(self, workdir, capsys, axis,
+                                            point):
+        # both values parse to one point, which would run twice
+        cfg = write(workdir, "s.cfg", SMALL)
+        assert main(["sweep", cfg, "--grid", axis, "--out", "sw.jsonl"]) == \
+            EXIT_BAD_CONFIG
+        assert f"grid point {point} given twice" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["s.cfg"]
 
     def test_each_point_is_checked_as_a_whole(self, workdir):
         # threshold 6 or 8 alone exceeds the template's 5 shareholders,

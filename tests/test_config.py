@@ -294,6 +294,15 @@ class TestCanonicalForm:
         assert scenario_hash(a) != scenario_hash(default_scenario(2))
         assert scenario_hash(a) != scenario_hash(default_scenario(1, ue_count=2))
 
+    @pytest.mark.parametrize("key, value", [
+        ("links.cellular_range", 1000.0), ("links.shortrange_range", 50.0),
+        ("links.cellular_energy", 1.0), ("links.shortrange_energy", 0.2)])
+    def test_link_defaults_fill_the_echo(self, key, value):
+        # the header record echoes these; a changed default moves its bytes
+        echo = scenario_to_dict(parse_config(MINIMAL))
+        assert echo[key] == value
+        assert type(echo[key]) is float
+
     def test_dict_echo_covers_every_key(self):
         echo = scenario_to_dict(default_scenario(5))
         assert echo["scenario.seed"] == 5

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import dataclass
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from mscsim.engine import (
     CRYPTO_STREAM,
     DEFAULT_CELLULAR,
     DEFAULT_SHORT_RANGE,
+    Delivery,
     DeliveryStatus,
     LinkKind,
     LinkModel,
@@ -30,55 +31,86 @@ from mscsim.engine import (
 import reference
 
 
-@dataclass
-class FakeNode:
-    id: int
-    position: tuple
-
-
 def test_default_links_are_the_scenario_defaults():
-    # sessions built on SessionConfig's and CooperativeCloud's default
-    # links (the acceptance criteria) see the links an unchanged
-    # scenario gives a run
+    # sessions built on SessionConfig's default links (the acceptance
+    # criteria) see the links an unchanged scenario gives a run
     s = default_scenario(1)
-    assert ((DEFAULT_CELLULAR.tx_energy, DEFAULT_CELLULAR.range_m)
-            == (s.cellular_energy, s.cellular_range))
-    assert ((DEFAULT_SHORT_RANGE.tx_energy, DEFAULT_SHORT_RANGE.range_m)
-            == (s.shortrange_energy, s.shortrange_range))
+    assert DEFAULT_CELLULAR.tx_energy == s.cellular_energy
+    assert DEFAULT_SHORT_RANGE.tx_energy == s.shortrange_energy
 
 
-@pytest.mark.parametrize("field", ["tx_energy", "range_m"])
-def test_nan_link_constant_rejected(field):
+@pytest.mark.parametrize("energy", [float("nan"), -1.0, -5e-324,
+                                    float("-inf")])
+def test_bad_link_energy_rejected(energy):
     # NaN compares false against every bound, so a check written as
-    # `range_m <= 0` would let it through and put every receiver in range
-    values = dict(tx_energy=1.0, range_m=100.0)
-    values[field] = float("nan")
+    # `tx_energy < 0` would let it through
     with pytest.raises(ValueError):
-        LinkModel(LinkKind.CELLULAR, **values)
+        LinkModel(LinkKind.CELLULAR, energy)
 
 
-def test_transmit_lossless_delivers_in_range():
-    link = LinkModel(LinkKind.SHORT_RANGE, 0.2, 50.0)
+@pytest.mark.parametrize("energy", [0.0, 5e-324])
+def test_link_energy_at_its_bound_accepted(energy):
+    # a free link is a valid scenario (links.*_energy = 0)
+    assert LinkModel(LinkKind.SHORT_RANGE, energy).tx_energy == energy
+
+
+class ScriptedStream:
+    """A channel stream whose i-th `random()` returns `draws[i]`; it
+    counts the draws taken."""
+
+    def __init__(self, draws):
+        self.draws, self.taken = list(draws), 0
+
+    def random(self):
+        self.taken += 1
+        return self.draws[self.taken - 1]
+
+
+@pytest.mark.parametrize("kind", list(LinkKind))
+def test_transmit_draws_once_per_receiver_in_order_and_charges_tx_then_rx(kind):
+    link = LinkModel(kind, 0.1)
+    rx = 0.1 * engine.RX_ENERGY_FRACTION
     sim = Simulator()
-    rng = np.random.default_rng(0)
-    sender = FakeNode(0, (0.0, 0.0))
-    near = FakeNode(1, (10.0, 0.0))
-    far = FakeNode(2, (60.0, 0.0))
-    out = sim.transmit(link, 0.0, sender, [near, far], rng)
-    assert out[0].status is DeliveryStatus.DELIVERED
-    assert out[1].status is DeliveryStatus.OUT_OF_RANGE
+    # the i-th draw decides the i-th receiver: erased below p_loss
+    rng = ScriptedStream([0.05, 0.5, 0.29, 0.3, 0.9])
+    out = sim.transmit(link, 0.3, [7, 3, 11, 5, 2], rng)
+    assert rng.taken == 5
+    assert out == [Delivery(7, DeliveryStatus.ERASED),
+                   Delivery(3, DeliveryStatus.DELIVERED),
+                   Delivery(11, DeliveryStatus.ERASED),
+                   Delivery(5, DeliveryStatus.DELIVERED),
+                   Delivery(2, DeliveryStatus.DELIVERED)]
+    # lossless: no draw, every receiver delivered
+    out = sim.transmit(link, 0.0, (4, 1), ScriptedStream([]))
+    assert out == [Delivery(4, DeliveryStatus.DELIVERED),
+                   Delivery(1, DeliveryStatus.DELIVERED)]
+    energy = 0.0
+    for delivered in (3, 2):
+        energy += 0.1
+        for _ in range(delivered):
+            energy += rx
+    # the order is load-bearing: receive charges first would sum to 0.25
+    assert energy == 0.25000000000000006
+    assert struct.pack("<d", sim.total_energy()) == struct.pack("<d", energy)
+
+
+@pytest.mark.parametrize("kind", list(LinkKind))
+def test_transmit_to_no_receivers_charges_the_send_only(kind):
+    sim = Simulator()
+    rng = ScriptedStream([])
+    assert sim.transmit(LinkModel(kind, 0.3), 0.5, (), rng) == []
+    assert rng.taken == 0
+    assert sim.total_energy() == 0.3
 
 
 def test_transmit_binomial_delivery_rate():
-    link = LinkModel(LinkKind.SHORT_RANGE, 0.2, 50.0)
+    link = LinkModel(LinkKind.SHORT_RANGE, 0.2)
     sim = Simulator()
     rng = np.random.default_rng(13)
-    sender = FakeNode(0, (0.0, 0.0))
-    recv = FakeNode(1, (1.0, 0.0))
     trials = 100_000
     delivered = 0
     for _ in range(trials):
-        delivered = delivered + (sim.transmit(link, 0.1, sender, [recv], rng)[0].status is DeliveryStatus.DELIVERED)
+        delivered = delivered + (sim.transmit(link, 0.1, [1], rng)[0].status is DeliveryStatus.DELIVERED)
     p = 0.9
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(delivered / trials - p) < 3 * sigma
@@ -100,73 +132,6 @@ def test_seed_streams_independent():
     b2 = RunSeed(seed=1234).channel().integers(0, 1 << 32, size=8,
                                                dtype=np.uint64)
     assert np.array_equal(b1, b2)
-
-
-# --- range decision ------------------------------------------------------
-#
-# transmit skips np.hypot for co-located endpoints; the outcome must
-# still be exactly `np.hypot(dx, dy) > range_m`.
-
-def _expect_hypot_decisions(sender, receivers, range_m):
-    link = LinkModel(LinkKind.CELLULAR, 1.0, range_m)
-    out = Simulator().transmit(link, 0.0, sender, receivers,
-                               np.random.default_rng(0))
-    assert [d.receiver for d in out] == [r.id for r in receivers]
-    sx, sy = sender.position
-    for d, recv in zip(out, receivers):
-        assert isinstance(d.status, DeliveryStatus)
-        beyond = np.hypot(sx - recv.position[0], sy - recv.position[1]) > range_m
-        expected = DeliveryStatus.OUT_OF_RANGE if beyond else DeliveryStatus.DELIVERED
-        assert d.status is expected, (sender, recv, range_m)
-    return [d.status for d in out]
-
-
-@pytest.mark.parametrize("coord", [float, np.float64, np.float32])
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_range_decision_equals_np_hypot_on_random_offsets(coord, scale):
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        sender = FakeNode(0, tuple(coord(v) for v in rng.uniform(-scale, scale, 2)))
-        receivers = [FakeNode(i, tuple(coord(v) for v in rng.uniform(-scale, scale, 2)))
-                     for i in range(1, 41)]
-        for range_m in rng.uniform(0.0, 2.0 * scale, 5):
-            if range_m > 0:
-                _expect_hypot_decisions(sender, receivers, float(range_m))
-
-
-def test_range_decision_equals_np_hypot_on_special_values():
-    specials = (0.0, -0.0, 1.0, float("inf"), float("-inf"), float("nan"))
-    receivers = [FakeNode(i, (x, y))
-                 for i, (x, y) in enumerate(itertools.product(specials, repeat=2))]
-    for sender in (FakeNode(-1, (0.0, 0.0)), FakeNode(-1, (float("inf"), 1.0))):
-        for range_m in (0.5, 2.0, float("inf")):
-            _expect_hypot_decisions(sender, receivers, range_m)
-
-
-@pytest.mark.parametrize("range_m", [5e-324, 1e-300, 1.0, 50.0, 1e300])
-def test_co_located_endpoints_are_in_range(range_m):
-    sender = FakeNode(0, (12.5, -7.25))
-    receivers = [FakeNode(1, (12.5, -7.25)), FakeNode(2, (12.5, -7.25)),
-                 FakeNode(3, (np.float64(12.5), -7.25))]
-    statuses = _expect_hypot_decisions(sender, receivers, range_m)
-    assert statuses == [DeliveryStatus.DELIVERED] * 3
-    origin = [FakeNode(4, (0, 0)), FakeNode(5, (-0.0, -0.0))]
-    assert (_expect_hypot_decisions(FakeNode(0, (0.0, 0.0)), origin, range_m)
-            == [DeliveryStatus.DELIVERED] * 2)
-
-
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_range_decision_at_the_edge(scale):
-    rng = np.random.default_rng(19)
-    for _ in range(200):
-        sender = FakeNode(0, tuple(float(v) for v in rng.uniform(-scale, scale, 2)))
-        recv = FakeNode(1, tuple(float(v) for v in rng.uniform(-scale, scale, 2)))
-        edge = float(np.hypot(sender.position[0] - recv.position[0],
-                              sender.position[1] - recv.position[1]))
-        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
-        assert _expect_hypot_decisions(sender, [recv], edge) == [DeliveryStatus.DELIVERED]
-        assert _expect_hypot_decisions(sender, [recv], float(below)) == [DeliveryStatus.OUT_OF_RANGE]
-        assert _expect_hypot_decisions(sender, [recv], float(above)) == [DeliveryStatus.DELIVERED]
 
 
 # --- streams ----------------------------------------------------------------

@@ -7,6 +7,7 @@ its oracle, and session energy is replayed from the slot records.
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mscsim.engine import (
-    DEFAULT_CELLULAR,
     RX_ENERGY_FRACTION,
     Delivery,
     DeliveryStatus,
@@ -25,7 +25,6 @@ from mscsim.engine import (
 )
 from mscsim.ncc import (
     CooperativeCloud,
-    Endpoint,
     ProtocolError,
     SessionCodec,
     SessionConfig,
@@ -389,22 +388,6 @@ class TestBaselineUnicast:
         base = baseline_unicast_session(cloud, cfg, seed=0)
         assert coop.energy < base.energy
 
-    def test_out_of_range_member_raises_instead_of_retrying(self):
-        """Range is checked for every member, in order, before any draw:
-        an out-of-range second member raises with no channel draw taken,
-        and a partial trace is no longer appended before the raise."""
-        cloud = CooperativeCloud([1, 2], head_id=1)
-        bs = Endpoint(-1, (0.0, 0.0))
-        far = DEFAULT_CELLULAR.range_m * 2
-        nodes = {-1: bs, 1: Endpoint(1, (10.0, 0.0)), 2: Endpoint(2, (far, 0.0))}
-        for loss in (0.0, 0.3):
-            cfg = SessionConfig(content=_content(g=4), cellular_loss=loss)
-            channel, trace = ScriptedChannel(lambda i: 0.99), []
-            with pytest.raises(ProtocolError, match="member 2 is out of cellular range"):
-                baseline_unicast_session(cloud, cfg, channel_rng=channel,
-                                         nodes=nodes, bs=bs, trace=trace)
-            assert channel.draws == 0 and trace == []
-
     @pytest.mark.parametrize("loss, cap", [(0.5, 128), (0.3, 92)])
     def test_gives_up_after_the_retry_bound(self, loss, cap):
         # every draw erases; the stub stops a loop that never gives up
@@ -440,6 +423,47 @@ class TestBaselineUnicast:
         assert channel.largest == 16
 
 
+class TestBaseStationId:
+    """`bs` is the gateway's id: the sender of every cellular slot in the
+    trace, -1 unless given, and nothing else in the session reads it."""
+
+    SESSIONS = {
+        "sequential": lambda cloud, cfg, **kw: run_session(cloud, cfg, **kw),
+        "parallel": lambda cloud, cfg, **kw: run_session(
+            cloud, replace(cfg, phase_mode="parallel"), **kw),
+        "unicast": baseline_unicast_session,
+    }
+
+    @staticmethod
+    def _session(mode, **kw):
+        cloud = CooperativeCloud([2, 5, 9], head_id=5)
+        cfg = SessionConfig(content=_content(g=4, count=2),
+                            cellular_loss=0.2, short_range_loss=0.2)
+        return TestBaseStationId.SESSIONS[mode](cloud, cfg, seed=3, trace=[],
+                                                **kw)
+
+    @pytest.mark.parametrize("mode", list(SESSIONS))
+    def test_the_cellular_sender_defaults_to_minus_one(self, mode):
+        m = self._session(mode)
+        senders = {r.sender for r in m.records if r.phase == "cellular"}
+        assert senders == {-1}
+        assert {r.sender for r in m.records if r.phase == "cooperative"} <= {2, 5, 9}
+
+    @pytest.mark.parametrize("bs", [0, 42])
+    @pytest.mark.parametrize("mode", list(SESSIONS))
+    def test_the_gateway_id_is_the_cellular_sender_and_changes_nothing_else(
+            self, mode, bs):
+        default, m = self._session(mode), self._session(mode, bs=bs)
+        assert m == default
+        assert struct.pack("<d", m.energy) == struct.pack("<d", default.energy)
+        assert len(m.records) == len(default.records)
+        for got, want in zip(m.records, default.records):
+            if want.phase == "cellular":
+                assert got.sender == bs
+                got = got._replace(sender=-1)
+            assert got == want
+
+
 class ScriptedChannel:
     """A channel stream whose i-th draw (from 0) is `draw(i)`, served k at
     a time by `floats(k)`. It counts the draws it hands out, keeps the
@@ -468,7 +492,6 @@ def decoder_unicast_session(cloud, config, seed, channel_rng=None):
     channel stream by default)."""
     if channel_rng is None:
         channel_rng = RunSeed(seed).channel()
-    bs = Endpoint(-1)
     codec = SessionCodec(cloud, config.content)
     sim = Simulator()
     records = []
@@ -481,12 +504,11 @@ def decoder_unicast_session(cloud, config, seed, channel_rng=None):
                 assert np.array_equal(pkt.payload, gen.payload[k])
                 while True:
                     status = sim.transmit(config.cellular, config.cellular_loss,
-                                          bs, [Endpoint(member)],
-                                          channel_rng)[0].status
+                                          [member], channel_rng)[0].status
                     ok = status is DeliveryStatus.DELIVERED
                     innovative = codec.ingest(member, pkt) if ok else False
                     assert innovative == ok
-                    records.append(SlotRecord(len(records), "cellular", bs.id,
+                    records.append(SlotRecord(len(records), "cellular", -1,
                                               gen.id, (member,), (ok,),
                                               (innovative,)))
                     if ok:

@@ -9,7 +9,7 @@ import re
 import stat
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from mscsim.config import (
     default_scenario,
     parse_config,
 )
+from mscsim.engine import LinkKind
 from mscsim.ncc import SessionMetrics, SlotRecord
 from mscsim.runner import RunResult, derive_subseed, expand_grid, run, sweep
 
@@ -191,8 +192,10 @@ class TestRecordStream:
         assert result.exit_code == 0, result.records[-1]
         assert len(built) == 1 and len(passed) == 3
         assert all(config is built[0] for config in passed)
-        assert (built[0].cellular.range_m, built[0].short_range.range_m) == \
-            (scenario.cellular_range, scenario.shortrange_range)
+        links = built[0].cellular, built[0].short_range
+        assert [(link.kind, link.tx_energy) for link in links] == [
+            (LinkKind.CELLULAR, scenario.cellular_energy),
+            (LinkKind.SHORT_RANGE, scenario.shortrange_energy)]
 
 
 class TestHandoverPhase:
@@ -458,6 +461,33 @@ class TestSlotTrace:
         traced = run(scenario, trace_path=str(tmp_path / "trace.jsonl"))
         assert traced.exit_code == 1
         assert traced.records[-1]["error"] in ("AssertionError", "TypeError")
+
+    @pytest.mark.parametrize("preset, mode", [("ambulance", "sequential"),
+                                              ("ambulance", "parallel"),
+                                              ("baseline-unicast", "sequential")])
+    def test_trace_senders_are_the_gateway_and_the_cell(self, tmp_path,
+                                                        preset, mode):
+        # three stations, so the gateway is one station among several
+        scenario = replace(
+            parse_config(SMALL_PRESET.format(preset=preset, mode=mode)),
+            base_stations=3)
+        trace = tmp_path / "t.jsonl"
+        result = run(scenario, trace_path=str(trace))
+        assert result.exit_code == 0, result.records[-1]
+        topology = next(r for r in result.records if r["type"] == "topology")
+        gateway, members = topology["gateway"], set(topology["cell_members"])
+        assert gateway in {n["node"] for n in topology["snapshot"]
+                           if n["kind"] == "bs"}
+        lines = [json.loads(l) for l in trace.read_text().splitlines()]
+        phases = {line["phase"] for line in lines}
+        assert phases == ({"cellular"} if preset == "baseline-unicast"
+                          else {"cellular", "cooperative"})
+        for line in lines:
+            if line["phase"] == "cellular":
+                assert line["sender"] == gateway
+                assert set(line["receivers"]) <= members
+            else:
+                assert {line["sender"], *line["receivers"]} <= members
 
     def test_trace_lines_carry_the_run_ids_and_the_slot_fields(self, tmp_path):
         scenario = small_scenario(shortrange_loss=0.3)
