@@ -85,6 +85,16 @@ def _out_path(explicit, config_path: str, suffix: str) -> str:
     return name
 
 
+def _refuse_config_overwrite(config_path: str, *outputs) -> None:
+    """An output path that names the scenario file would replace it; None
+    is no output."""
+    config = os.path.realpath(config_path)
+    for path in outputs:
+        if path is not None and os.path.realpath(path) == config:
+            raise ConfigError(f"output {path} is the scenario file "
+                              f"{config_path}; it would be overwritten")
+
+
 def _parse_grid(axes: list[str]) -> dict:
     grid = {}
     for axis in axes:
@@ -103,6 +113,7 @@ def _cmd_run(args) -> int:
     out = _out_path(args.out, args.config, "metrics")
     trace = (None if args.trace is None
              else _out_path(args.trace, args.config, "trace"))
+    _refuse_config_overwrite(args.config, out, trace)
     try:
         result = run(scenario, out_path=out, trace_path=trace)
     except OSError as exc:
@@ -129,6 +140,7 @@ def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.config, args.seed)
     grid = _parse_grid(args.grid)
     out = _out_path(args.out, args.config, "sweep")
+    _refuse_config_overwrite(args.config, out)
     try:
         result = sweep(scenario, grid, out_path=out)
     except OSError as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 REDUCTION_POLY = 0x11D
-ORDER = 256
 
 # exp table is doubled so log-domain sums never need an explicit modulo
 # when used through _EXP directly.

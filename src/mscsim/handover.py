@@ -21,7 +21,8 @@ decision of each epoch for both, in array passes over the head's whole
 track, and `ul_rs_handover` and `baseline_handover` total each
 procedure's signaling from the counts in range and the mask of moves.
 An epoch with no station in range is a radio link failure for either
-procedure.
+procedure. `associate_gateway` returns the gateway's id, which the
+run's cell keeps as `CooperativeCloud.gateway`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import fold
-from .topology import MobileSmallCell, Node
+from .topology import Node
 
 
 class RadioLinkFailure(Exception):
@@ -149,17 +150,15 @@ def _decide_block(distance: np.ndarray, ids: list[int], max_range: float,
         epoch = end + 1
 
 
-def associate_gateway(msc: MobileSmallCell, base_stations: Sequence[Node],
-                      nodes: dict[int, Node]) -> None:
-    """Point the cell's gateway link at the base station nearest the head
-    (lowest id on ties): the handover rule with no serving station. No
-    station at all is a radio link failure of the head."""
-    head = nodes[msc.head]
+def associate_gateway(head: Node, base_stations: Sequence[Node]) -> int:
+    """The id of the cell's gateway: the base station nearest the head
+    (lowest id on ties), by the handover rule with no serving station.
+    No station at all is a radio link failure of the head."""
     (count,), _, gateway = decide((head.position[0],), (head.position[1],),
                                   base_stations, math.inf, -1, 1.0)
     if not count:
         raise RadioLinkFailure(head.id)
-    msc.gateway_bs = gateway
+    return gateway
 
 
 def ul_rs_handover(in_range: np.ndarray, moved: np.ndarray) -> dict:

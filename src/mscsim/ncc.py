@@ -34,10 +34,10 @@ a session on the zero-width view `gen.payload[:, :0]` of its content has
 the same metrics, slots and draws. The runner builds one zero-width
 `SessionConfig` per run and hands it to every session.
 
-A session is the paper's cell offloading inside one mobile small cell:
-its members and the gateway station `bs`, all ids, are in reach of each
-other, so no slot tests a distance. The base station's id is the sender
-of every cellular slot in the trace (-1 unless given).
+A session is the paper's cell offloading inside one mobile small cell,
+a `CooperativeCloud`: its members, head and gateway station, all ids,
+are in reach of each other, so no slot tests a distance. The gateway is
+the sender of every cellular slot in the trace (-1 unless given).
 """
 
 from __future__ import annotations
@@ -73,10 +73,12 @@ UNICAST_RETRY_SCALE = 64
 
 @dataclass(frozen=True)
 class CooperativeCloud:
-    """Orderly cloud of UEs: member ids ascending, index = tuple position."""
+    """One mobile small cell: member ids ascending (index = tuple position),
+    the head among them, and the gateway, sender of each cellular slot."""
 
     members: tuple[int, ...]
     head_id: int
+    gateway: int = -1
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -272,7 +274,7 @@ def _cooperative_slot(cloud, codec, sim, config, channel_rng, coding_rng,
 
 def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
                    codec: SessionCodec, sim: Simulator, *,
-                   channel_rng, coding_rng, bs: int = -1,
+                   channel_rng, coding_rng,
                    trace: Optional[list] = None) -> tuple[int, int]:
     """Round-robin unicast of the coded content; no retransmissions.
 
@@ -294,8 +296,8 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
         ok = sim.transmit(link, loss, (member,), channel_rng)[0].status is _DELIVERED
         innovative = codec.ingest(member, pkt) if ok else False
         if trace is not None:
-            trace.append(SlotRecord(len(trace), "cellular", bs, gen.id,
-                                    (member,), (ok,), (innovative,)))
+            trace.append(SlotRecord(len(trace), "cellular", cloud.gateway,
+                                    gen.id, (member,), (ok,), (innovative,)))
         if interleave and not codec.all_decoded():
             coop_sent += _cooperative_slot(cloud, codec, sim, config,
                                            channel_rng, coding_rng,
@@ -348,7 +350,7 @@ def _metrics(cloud: CooperativeCloud, config: SessionConfig, energy: float,
 
 def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
                 seed=None, channel_rng=None, coding_rng=None,
-                bs: int = -1, trace: Optional[list] = None) -> SessionMetrics:
+                trace: Optional[list] = None) -> SessionMetrics:
     """Both phases plus the offloading metrics for one content item.
 
     Pass an empty list as `trace` to get the session's `SlotRecord`s,
@@ -362,7 +364,7 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
     sim = Simulator()
     interleaved, sent = cellular_phase(
         cloud, config, codec, sim, channel_rng=channel_rng,
-        coding_rng=coding_rng, bs=bs, trace=trace)
+        coding_rng=coding_rng, trace=trace)
     rotated, rotated_sent = cooperative_phase(
         cloud, config, codec, sim, channel_rng=channel_rng,
         coding_rng=coding_rng, used=interleaved, trace=trace)
@@ -375,7 +377,7 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
 
 
 def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
-                             seed=None, channel_rng=None, bs: int = -1,
+                             seed=None, channel_rng=None,
                              trace: Optional[list] = None) -> SessionMetrics:
     """Per-user unicast of every source packet, retransmit until delivered.
 
@@ -419,7 +421,7 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
         for (member, gen_id, _), start, end in zip(packets, [-1] + ends, ends):
             for attempt in range(start + 1, end + 1):
                 ok = (attempt == end,)
-                trace.append(SlotRecord(len(trace), "cellular", bs,
+                trace.append(SlotRecord(len(trace), "cellular", cloud.gateway,
                                         gen_id, (member,), ok, ok))
     return _metrics(cloud, config, energy, trace, cellular=sent, cooperative=0,
                     sent=0, decoding_ratio=1.0, truncated=False)

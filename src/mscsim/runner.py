@@ -170,9 +170,10 @@ def _build_topology(scenario: Scenario, mobility_rng):
         nodes[ue.id] = ue
         devices.append(ue)
 
-    msc = form_msc(devices, scenario.shortrange_range)
-    associate_gateway(msc, stations, nodes)
-    return nodes, stations, devices, msc
+    head, members = form_msc(devices, scenario.shortrange_range)
+    cloud = CooperativeCloud(members, head,
+                             associate_gateway(nodes[head], stations))
+    return nodes, stations, devices, cloud
 
 
 def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
@@ -209,7 +210,7 @@ def _km_phase(scenario: Scenario, crypto_rng, devices) -> dict:
     }
 
 
-def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
+def _session_phase(scenario: Scenario, rs: RunSeed, cloud, emit,
                    traces: Optional[list] = None) -> dict:
     """The offloading sessions, one `session` record each: its `index`,
     the `protocol`, and every `SessionMetrics` field but `records` under
@@ -236,7 +237,6 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
         cellular=LinkModel(LinkKind.CELLULAR, scenario.cellular_energy),
         short_range=LinkModel(LinkKind.SHORT_RANGE,
                               scenario.shortrange_energy))
-    cloud = CooperativeCloud(tuple(sorted(msc.members)), head_id=msc.head)
     channel_rng = rs.channel()
     coding_rng = rs.coding()
     keys = [f.name for f in fields(SessionMetrics) if f.name != "records"]
@@ -249,13 +249,12 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
         if scenario.protocol == "unicast":
             metrics = baseline_unicast_session(cloud, config,
                                                channel_rng=channel_rng,
-                                               bs=msc.gateway_bs, trace=trace)
+                                               trace=trace)
         else:
             for gid in range(scenario.generations):
                 Generation.random(gid, g, scenario.payload_bytes, coding_rng)
             metrics = run_session(cloud, config, channel_rng=channel_rng,
-                                  coding_rng=coding_rng, bs=msc.gateway_bs,
-                                  trace=trace)
+                                  coding_rng=coding_rng, trace=trace)
         if traces is not None:
             traces.append((index, metrics.records))
         utilizations.append(metrics.cellular_utilization)
@@ -276,7 +275,7 @@ def _session_phase(scenario: Scenario, rs: RunSeed, msc, emit,
 
 
 def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
-                    msc) -> dict:
+                    cloud) -> dict:
     """Both procedures over one mobility trace, in three passes of one
     call each: the walk of every UE (`step_mobility`, which returns the
     head's track), one decision per epoch that both procedures take
@@ -295,9 +294,9 @@ def _handover_phase(scenario: Scenario, mobility_rng, nodes, stations,
                            mobility_rng,
                            (scenario.arena_width, scenario.arena_height),
                            (scenario.speed_min, scenario.speed_max),
-                           track=nodes[msc.head])
+                           track=nodes[cloud.head_id])
     in_range, moved, _ = decide(xs, ys, stations, scenario.cellular_range,
-                                msc.gateway_bs,
+                                cloud.gateway,
                                 hysteresis_ratio(scenario.hysteresis_db))
     return {
         "epochs": epochs,
@@ -351,21 +350,22 @@ def run(scenario: Scenario, out_path: Optional[str] = None, *,
         crypto_rng = (rs.crypto() if crypto_stream is None
                       else rs.stream(crypto_stream))
 
-        nodes, stations, devices, msc = _build_topology(scenario, mobility_rng)
+        nodes, stations, devices, cloud = _build_topology(scenario, mobility_rng)
         emit("topology",
-             head=msc.head,
-             gateway=msc.gateway_bs,
-             cell_members=sorted(msc.members),
-             snapshot=topology_snapshot(nodes.values(), [msc]))
+             head=cloud.head_id,
+             gateway=cloud.gateway,
+             cell_members=list(cloud.members),
+             snapshot=topology_snapshot(nodes.values(), cloud.head_id,
+                                        cloud.members))
 
         km = _km_phase(scenario, crypto_rng, devices)
         emit("km-summary", **km)
 
-        sessions = _session_phase(scenario, rs, msc, emit,
+        sessions = _session_phase(scenario, rs, cloud, emit,
                                   None if trace_path is None else traces)
 
         handover = _handover_phase(scenario, mobility_rng, nodes, stations,
-                                   msc)
+                                   cloud)
         emit("handover-summary", **handover)
 
         emit("run-summary", status="ok", **sessions,
@@ -394,10 +394,16 @@ def derive_subseed(base_seed: int, point: dict) -> int:
 
 def expand_grid(scenario: Scenario, grid: dict) -> list[tuple[dict, Scenario]]:
     """One checked scenario per grid point, all built before any runs; a
-    point is checked as a whole, each value beside the point's others."""
+    point is checked as a whole, each value beside the point's others.
+    `scenario.seed` is no axis: every point's seed is derived from the
+    base seed, so a seed axis would name seeds that no point runs."""
     axes = sorted(grid)
     for dotted in axes:     # every key first: an empty axis hides none
         field_value(scenario, dotted)
+        if dotted == "scenario.seed":
+            raise ConfigError("scenario.seed cannot be a grid axis: each "
+                              "point's seed is derived from the base seed, "
+                              "which --seed sets")
     for dotted in axes:
         if not grid[dotted]:
             raise ConfigError(f"grid axis {dotted!r} has no values")

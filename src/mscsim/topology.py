@@ -1,10 +1,10 @@
 """Topology layer: nodes, mobility, small-cell formation and headship.
 
 A mobile small cell (MSC) is a set of user devices grouped around an
-elected cell head; the head carries the gateway association to the best
-fixed base station. Election scores weigh battery, mean link quality to
-the other candidates, and neighbor degree. A run elects its head once,
-when the cell forms, and keeps it for the whole run.
+elected cell head; a run holds it, with the gateway station picked for
+the head, as one `ncc.CooperativeCloud`. Election scores weigh battery,
+mean link quality to the other candidates, and neighbor degree. A run
+elects its head once, when the cell forms, and keeps it for the whole run.
 
 The election weights are module constants that no scenario key sets.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
@@ -46,14 +46,6 @@ class Node:
                           self.position[1] - other.position[1])
 
 
-@dataclass
-class MobileSmallCell:
-    id: int
-    head: int                            # node id of the MCH
-    members: set[int] = field(default_factory=set)
-    gateway_bs: Optional[int] = None
-
-
 # Head election weights of battery, mean link quality and degree.
 W_BATTERY, W_LINK, W_DEGREE = 0.5, 0.3, 0.2
 
@@ -73,11 +65,13 @@ def election_score(candidate: Node, peers: Sequence[Node], radius: float) -> flo
             + W_DEGREE * degree)
 
 
-def form_msc(candidates: Iterable[Node], radius: float) -> MobileSmallCell:
+def form_msc(candidates: Iterable[Node],
+             radius: float) -> tuple[int, tuple[int, ...]]:
     """Elect a head among candidates and attach those within its radius.
 
-    Candidates are expected to be mutually within twice the radius; the
-    returned cell, id 0, contains the head plus every candidate it covers.
+    Candidates are expected to be mutually within twice the radius.
+    Returns the head's id and the cell's members, ascending ids: the head
+    plus every candidate it covers.
     """
     cand = sorted(candidates, key=lambda n: n.id)
     if not cand:
@@ -89,8 +83,7 @@ def form_msc(candidates: Iterable[Node], radius: float) -> MobileSmallCell:
     # argmax with lowest-id tie break
     head_id = min(scores, key=lambda nid: (-scores[nid], nid))
     head = next(n for n in cand if n.id == head_id)
-    members = {n.id for n in cand if n.distance_to(head) <= radius}
-    return MobileSmallCell(0, head_id, members)
+    return head_id, tuple(n.id for n in cand if n.distance_to(head) <= radius)
 
 
 # Longest walk of one mobility step, in arena diagonals. A device hops
@@ -218,25 +211,22 @@ def step_mobility(nodes: Iterable[Node], dt: float, steps: int, rng,
     return track_x, track_y
 
 
-def topology_snapshot(nodes: Iterable[Node],
-                      cells: Sequence[MobileSmallCell] = ()) -> list[dict]:
+def topology_snapshot(nodes: Iterable[Node], head: int,
+                      members: Sequence[int]) -> list[dict]:
     """One plain-dict record per node for the run's output stream, its
-    role read from the cells: a head, another member, or idle."""
-    cell_of, role_of = {}, {}
-    for cell in cells:
-        for member in cell.members:
-            cell_of[member] = cell.id
-            role_of[member] = "member"
-        role_of[cell.head] = "mch"
-    out = []
+    role read from the run's one cell: the head, another member, or idle.
+    `msc` is 0, the cell's number, for a member and None otherwise."""
+    out, cell = [], set(members)
     for node in sorted(nodes, key=lambda n: n.id):
+        member = node.id in cell
         out.append({
             "node": node.id,
             "kind": node.kind.value,
             "x": round(node.position[0], 3),
             "y": round(node.position[1], 3),
-            "role": role_of.get(node.id, "idle"),
-            "msc": cell_of.get(node.id),
+            "role": ("mch" if node.id == head
+                     else "member" if member else "idle"),
+            "msc": 0 if member else None,
             "battery": round(node.battery, 4),
         })
     return out

@@ -197,6 +197,26 @@ class TestRunVerb:
             "adir", "afile", "s.cfg"]
         assert list((workdir / "adir").iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", "s.cfg"],
+        ["run", "--trace", "./s.cfg"],
+        ["sweep", "--grid", "nodes.ue_count=2,3", "--out", "s.cfg"],
+    ], ids=["run-out", "run-trace", "sweep-out"])
+    def test_an_output_path_naming_the_config_fails_before_any_session(
+            self, workdir, monkeypatch, capsys, argv):
+        # the config is named by its absolute path, the output relatively
+        text = "# the user's own notes\n" + SMALL
+        cfg = write(workdir, "s.cfg", text)
+        built = []
+        build = runner._build_topology
+        monkeypatch.setattr(runner, "_build_topology",
+                            lambda *a: built.append(a) or build(*a))
+        assert main([argv[0], cfg, *argv[1:]]) == EXIT_BAD_CONFIG
+        assert "is the scenario file" in capsys.readouterr().err
+        assert built == []
+        assert (workdir / "s.cfg").read_bytes() == text.encode()
+        assert sorted(p.name for p in workdir.iterdir()) == ["s.cfg"]
+
 
 class TestTraceFlag:
     @pytest.mark.parametrize("preset", ["ambulance", "baseline-unicast"])
@@ -289,6 +309,16 @@ class TestSweepVerb:
         assert main(["sweep", cfg, "--grid", axis, "--out", "sw.jsonl"]) == \
             EXIT_BAD_CONFIG
         assert f"grid point {point} given twice" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["s.cfg"]
+
+    def test_a_seed_axis_is_refused(self, workdir, capsys):
+        # each point's seed is derived from the base seed, so the records
+        # would name seeds that no point ran
+        cfg = write(workdir, "s.cfg", SMALL)
+        assert main(["sweep", cfg, "--grid", "scenario.seed=1,2",
+                     "--out", "sw.jsonl"]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario.seed cannot be a grid axis" in err and "--seed" in err
         assert sorted(p.name for p in workdir.iterdir()) == ["s.cfg"]
 
     def test_each_point_is_checked_as_a_whole(self, workdir):

@@ -583,12 +583,12 @@ def reference_handover_summary(scenario):
     """The runner's handover summary, computed the way the loop did it
     before both procedures shared one snapshot per epoch."""
     mobility_rng = RunSeed(scenario.seed).mobility()
-    nodes, stations, _, msc = runner._build_topology(scenario, mobility_rng)
+    nodes, stations, _, cloud = runner._build_topology(scenario, mobility_rng)
     totals = {name: {"ue_tx": 0, "ue_rx": 0, "network": 0, "energy": 0.0,
                      "executed": 0} for name in ("ul_rs", "baseline")}
     summary = {"epochs": scenario.ho_epochs, "decisions_match": True,
                "link_failures": 0, **totals}
-    mch = nodes[msc.head]
+    mch = nodes[cloud.head_id]
     devices = [n for n in nodes.values() if n.kind is NodeKind.UE]
     gateway = _reference_decide(_reference_measure(mch, stations, math.inf),
                                 None, 0.0)

@@ -424,7 +424,7 @@ class TestBaselineUnicast:
 
 
 class TestBaseStationId:
-    """`bs` is the gateway's id: the sender of every cellular slot in the
+    """The cloud's `gateway` is the sender of every cellular slot in the
     trace, -1 unless given, and nothing else in the session reads it."""
 
     SESSIONS = {
@@ -436,11 +436,10 @@ class TestBaseStationId:
 
     @staticmethod
     def _session(mode, **kw):
-        cloud = CooperativeCloud([2, 5, 9], head_id=5)
+        cloud = CooperativeCloud([2, 5, 9], head_id=5, **kw)
         cfg = SessionConfig(content=_content(g=4, count=2),
                             cellular_loss=0.2, short_range_loss=0.2)
-        return TestBaseStationId.SESSIONS[mode](cloud, cfg, seed=3, trace=[],
-                                                **kw)
+        return TestBaseStationId.SESSIONS[mode](cloud, cfg, seed=3, trace=[])
 
     @pytest.mark.parametrize("mode", list(SESSIONS))
     def test_the_cellular_sender_defaults_to_minus_one(self, mode):
@@ -449,17 +448,17 @@ class TestBaseStationId:
         assert senders == {-1}
         assert {r.sender for r in m.records if r.phase == "cooperative"} <= {2, 5, 9}
 
-    @pytest.mark.parametrize("bs", [0, 42])
+    @pytest.mark.parametrize("gateway", [0, 42])
     @pytest.mark.parametrize("mode", list(SESSIONS))
     def test_the_gateway_id_is_the_cellular_sender_and_changes_nothing_else(
-            self, mode, bs):
-        default, m = self._session(mode), self._session(mode, bs=bs)
+            self, mode, gateway):
+        default, m = self._session(mode), self._session(mode, gateway=gateway)
         assert m == default
         assert struct.pack("<d", m.energy) == struct.pack("<d", default.energy)
         assert len(m.records) == len(default.records)
         for got, want in zip(m.records, default.records):
             if want.phase == "cellular":
-                assert got.sender == bs
+                assert got.sender == gateway
                 got = got._replace(sender=-1)
             assert got == want
 

@@ -430,6 +430,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="'ncc.redundancy' has no values"):
             sweep(small_scenario(), {"ncc.redundancy": [],
                                      "nodes.ue_count": ["2"]})
+        # a point's seed is derived, so a seed axis would name seeds
+        # that no point runs
+        with pytest.raises(ConfigError, match="scenario.seed cannot be a "
+                                              "grid axis.*--seed"):
+            sweep(small_scenario(), {"ncc.redundancy": ["1.0"],
+                                     "scenario.seed": ["1", "2"]})
         assert calls == []
 
 

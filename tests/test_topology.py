@@ -7,7 +7,6 @@ import pytest
 
 from mscsim.handover import RadioLinkFailure, associate_gateway
 from mscsim.topology import (
-    MobileSmallCell,
     Node,
     NodeKind,
     TopologyError,
@@ -27,22 +26,17 @@ def bs(nid, x=0.0, y=0.0):
     return Node(nid, NodeKind.BASE_STATION, (x, y))
 
 
-def nodes_by_id(nodes):
-    return {n.id: n for n in nodes}
-
-
 def test_single_candidate_becomes_head():
-    cell = form_msc([ue(7)], radius=50.0)
-    assert cell.head == 7
-    assert cell.members == {7}
+    assert form_msc([ue(7)], radius=50.0) == (7, (7,))
 
 
 def test_higher_battery_elected():
     a = ue(1, 0.0, 0.0, battery=0.9)
     b = ue(2, 1.0, 0.0, battery=0.5)
-    cell = form_msc([a, b], radius=50.0)
-    assert cell.head == 1
-    roles = {r["node"]: r["role"] for r in topology_snapshot([a, b], [cell])}
+    head, members = form_msc([a, b], radius=50.0)
+    assert head == 1
+    roles = {r["node"]: r["role"]
+             for r in topology_snapshot([a, b], head, members)}
     assert roles == {1: "mch", 2: "member"}
 
 
@@ -51,8 +45,8 @@ def test_tie_break_lowest_id():
     a = ue(4, 0.0, 0.0)
     b = ue(2, 10.0, 0.0)
     assert election_score(a, [a, b], 50.0) == pytest.approx(election_score(b, [a, b], 50.0))
-    cell = form_msc([a, b], radius=50.0)
-    assert cell.head == 2
+    head, _ = form_msc([a, b], radius=50.0)
+    assert head == 2
 
 
 def test_empty_and_duplicate_candidates_rejected():
@@ -66,10 +60,10 @@ def test_membership_within_the_head_radius():
     a = ue(1, 0.0, 0.0, battery=1.0)
     b = ue(2, 10.0, 0.0, battery=0.4)
     c = ue(3, 200.0, 0.0, battery=0.4)  # outside any head radius near the origin
-    cell = form_msc([a, b, c], radius=50.0)
-    assert cell.head == 1
-    assert cell.members == {1, 2}
-    roles = [r["role"] for r in topology_snapshot([a, b, c], [cell])]
+    head, members = form_msc([c, b, a], radius=50.0)
+    assert head == 1
+    assert members == (1, 2)    # ascending ids, whatever the order given
+    roles = [r["role"] for r in topology_snapshot([a, b, c], head, members)]
     assert roles == ["mch", "member", "idle"]
 
 
@@ -159,44 +153,33 @@ def test_random_waypoint_center_concentration():
 
 def test_gateway_single_and_tie_break():
     head = ue(1, 100.0, 0.0)
-    cell = MobileSmallCell(0, 1, {1})
-    stations = [bs(10, 0.0, 0.0)]
-    associate_gateway(cell, stations, nodes_by_id([head] + stations))
-    assert cell.gateway_bs == 10
+    assert associate_gateway(head, [bs(10, 0.0, 0.0)]) == 10
 
     # equidistant identical stations: lower id wins
     stations = [bs(11, 200.0, 0.0), bs(10, 0.0, 0.0)]
-    cell = MobileSmallCell(0, 1, {1})
-    associate_gateway(cell, stations, nodes_by_id([head] + stations))
-    assert cell.gateway_bs == 10
+    assert associate_gateway(head, stations) == 10
 
 
 def test_gateway_prefers_nearer_station():
     head = ue(1, 0.0, 0.0)
     near = bs(5, 100.0, 0.0)
     far = bs(4, 400.0, 0.0)
-    cell = MobileSmallCell(0, 1, {1})
-    associate_gateway(cell, [far, near], nodes_by_id([head, near, far]))
-    assert cell.gateway_bs == 5
+    assert associate_gateway(head, [far, near]) == 5
 
 
 def test_gateway_within_one_metre_is_a_tie():
     # the loss is flat below 1 m: a nearer station there wins no tie
     head = ue(1, 0.0, 0.0)
     stations = [bs(7, 0.25, 0.0), bs(8, 0.0, 0.9), bs(9, 1.5, 0.0)]
-    cell = MobileSmallCell(0, 1, {1})
-    associate_gateway(cell, stations, nodes_by_id([head] + stations))
-    assert cell.gateway_bs == 7
+    assert associate_gateway(head, stations) == 7
     stations = [bs(8, 0.25, 0.0), bs(7, 0.0, 0.9)]
-    associate_gateway(cell, stations, nodes_by_id([head] + stations))
-    assert cell.gateway_bs == 7
+    assert associate_gateway(head, stations) == 7
 
 
 def test_no_station_for_the_gateway_is_a_radio_link_failure():
-    cell = MobileSmallCell(0, 1, {1})
     with pytest.raises(RadioLinkFailure) as exc:
-        associate_gateway(cell, [], nodes_by_id([ue(1)]))
-    assert exc.value.entity_id == 1 and cell.gateway_bs is None
+        associate_gateway(ue(1), [])
+    assert exc.value.entity_id == 1
 
 
 def test_topology_snapshot_records():
@@ -204,8 +187,7 @@ def test_topology_snapshot_records():
         Node(3, NodeKind.UE, (1.0, 2.0)),
         Node(1, NodeKind.BASE_STATION, (0.0, 0.0)),
     ]
-    cell = form_msc([nodes[0]], 50.0)
-    recs = topology_snapshot(nodes, [cell])
+    recs = topology_snapshot(nodes, *form_msc([nodes[0]], 50.0))
     assert [r["node"] for r in recs] == [1, 3]  # sorted by id
     assert recs[1]["msc"] == 0 and recs[1]["role"] == "mch"
     assert recs[0]["msc"] is None
