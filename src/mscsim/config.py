@@ -19,7 +19,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
-from .engine import CHOICE_MAX, DEFAULT_CELLULAR, DEFAULT_SHORT_RANGE
+from .engine import CHOICE_MAX, CELLULAR_TX_ENERGY, SHORT_RANGE_TX_ENERGY
+from .ncc import PHASE_MODES, SEQUENTIAL, ProtocolError, plan_length
 from .topology import MAX_STEP_DIAGONALS, max_step_walk
 
 __all__ = [
@@ -63,7 +64,7 @@ _AMBULANCE = {
     "cellular_loss": 0.0,
     "shortrange_loss": 0.1,
     "protocol": "ncc",
-    "phase_mode": "sequential",
+    "phase_mode": SEQUENTIAL,
     "ho_epochs": 0,
     "km_shareholders": 8,
     "km_threshold": 3,
@@ -143,8 +144,7 @@ class Scenario:
     epoch_duration: float = _key("mobility", 1.0, lambda v: v > 0, "positive")
 
     protocol: str = _key("ncc", "ncc", *_one_of("ncc", "unicast"))
-    phase_mode: str = _key("ncc", "sequential",
-                           *_one_of("sequential", "parallel"))
+    phase_mode: str = _key("ncc", SEQUENTIAL, *_one_of(*PHASE_MODES))
     generation_size: int = _key("ncc", 64, lambda v: 1 <= v <= 1024,
                                 "in [1, 1024]")
     generations: int = _key("ncc", 1, lambda v: v >= 1, "at least 1")
@@ -153,7 +153,7 @@ class Scenario:
 
     cellular_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
                                 "in [0, 1)")
-    cellular_energy: float = _key("links", DEFAULT_CELLULAR.tx_energy,
+    cellular_energy: float = _key("links", CELLULAR_TX_ENERGY,
                                   lambda v: v >= 0, "nonnegative")
     # the handover reads the cellular range and the cell formation the
     # short one; sessions take place within the cell and read neither
@@ -161,7 +161,7 @@ class Scenario:
                                  "positive")
     shortrange_loss: float = _key("links", 0.0, lambda v: 0.0 <= v < 1.0,
                                   "in [0, 1)")
-    shortrange_energy: float = _key("links", DEFAULT_SHORT_RANGE.tx_energy,
+    shortrange_energy: float = _key("links", SHORT_RANGE_TX_ENERGY,
                                     lambda v: v >= 0, "nonnegative")
     shortrange_range: float = _key("links", 50.0, lambda v: v > 0,
                                    "positive")
@@ -292,16 +292,10 @@ def _cross_validate(s: Scenario) -> None:
              f"exceeds {MAX_STEP_DIAGONALS:g} arena diagonals "
              f"({s.arena_width!r} x {s.arena_height!r})",
              "speed_max", "epoch_duration", "arena_width", "arena_height")
-    product = s.redundancy * s.generation_size
-    # a product that overflows to inf is too many packets for any g
-    coded = math.ceil(product) if math.isfinite(product) else product
-    if coded > 256 ** s.generation_size - 1:
-        # each coded packet of a generation carries a distinct nonzero
-        # coefficient vector, and only 256^g - 1 of those exist
-        fail(f"ncc.redundancy = {s.redundancy!r} needs {coded} distinct "
-             f"coded packets per generation, but generation_size = "
-             f"{s.generation_size} allows at most "
-             f"{256 ** s.generation_size - 1}",
+    try:
+        plan_length(s.redundancy, s.generation_size)
+    except ProtocolError as err:
+        fail(f"ncc.redundancy and ncc.generation_size: {err}",
              "redundancy", "generation_size")
 
 

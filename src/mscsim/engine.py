@@ -3,11 +3,11 @@
 Everything a run observes flows through here so that a run is
 reproducible from (seed, config) alone: random streams are derived per
 subsystem from one 64-bit seed, and every transmission is charged to its
-link's energy total. A `LinkModel` holds a link's kind and transmit
-energy; its erasure probability is the session's, passed to each
-`Simulator.transmit`. Receivers are ids: a session is one mobile small
-cell and its gateway station, all within reach, so a transmission has no
-geometry and no range test. Time is counted in slots, which have no
+link's energy total. A session's `Simulator` holds each link's transmit
+energy, and each `Simulator.transmit` names its `LinkKind` and the
+session's erasure probability. Receivers are ids: a session is one
+mobile small cell and its gateway station, all within reach, so a
+transmission has no geometry and no range test. Time is counted in slots, which have no
 duration: the per-slot trace is the session layer's (`ncc.SlotRecord`).
 
 The energy totals are two plain floats, one per `LinkKind`. Each grows
@@ -50,27 +50,14 @@ class DeliveryStatus(Enum):
     ERASED = "erased"
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    """Energy of one link technology."""
-
-    kind: LinkKind
-    tx_energy: float       # per transmitted packet, charged once per broadcast
-
-    def __post_init__(self):
-        # written so that NaN fails the comparison and is rejected
-        if not self.tx_energy >= 0:
-            raise ValueError("energy must be nonnegative")
-
-
 # Receive cost as a fraction of the link's transmit cost.
 RX_ENERGY_FRACTION = 0.1
 
-# Default link constants. Only the ordering is load-bearing (short range
-# is cheaper than cellular); the values are recorded in each run's header
-# record and overridable from config.
-DEFAULT_CELLULAR = LinkModel(LinkKind.CELLULAR, tx_energy=1.0)
-DEFAULT_SHORT_RANGE = LinkModel(LinkKind.SHORT_RANGE, tx_energy=0.2)
+# Default transmit energy per packet of each link. Only the ordering is
+# load-bearing (short range is cheaper than cellular); the values are
+# recorded in each run's header record and overridable from config.
+CELLULAR_TX_ENERGY = 1.0
+SHORT_RANGE_TX_ENERGY = 0.2
 
 
 # The stream id of each subsystem's stream.
@@ -237,6 +224,7 @@ _new_tuple = tuple.__new__
 # a tenth of a one-receiver transmit; the per-receiver and per-slot paths
 # (here and in `ncc`) use these aliases.
 _CELLULAR = LinkKind.CELLULAR
+_SHORT_RANGE = LinkKind.SHORT_RANGE
 _DELIVERED = DeliveryStatus.DELIVERED
 _ERASED = DeliveryStatus.ERASED
 
@@ -253,11 +241,13 @@ def fold(terms: np.ndarray) -> float:
 class Simulator:
     """Per-link energy accounting for one session."""
 
-    def __init__(self):
+    def __init__(self, cellular_tx: float, short_range_tx: float):
+        self._cellular_tx = cellular_tx
+        self._short_range_tx = short_range_tx
         self._cellular_energy = 0.0
         self._short_range_energy = 0.0
 
-    def transmit(self, link: LinkModel, p_loss: float,
+    def transmit(self, link: LinkKind, p_loss: float,
                  receivers: Iterable[int], rng) -> list[Delivery]:
         """Broadcast one packet to the receiver ids; returns their
         outcomes, in receiver order.
@@ -267,10 +257,11 @@ class Simulator:
         receiver's erasure is one `rng.random() < p_loss`, in receiver
         order; at `p_loss` 0 nothing is drawn.
         """
-        cellular = link.kind is _CELLULAR
+        cellular = link is _CELLULAR
+        tx = self._cellular_tx if cellular else self._short_range_tx
         energy = self._cellular_energy if cellular else self._short_range_energy
-        energy += link.tx_energy
-        rx_energy = link.tx_energy * RX_ENERGY_FRACTION
+        energy += tx
+        rx_energy = tx * RX_ENERGY_FRACTION
         deliveries = []
         for recv in receivers:
             if p_loss > 0.0 and rng.random() < p_loss:

@@ -61,15 +61,23 @@ def generate_keypair(params: GroupParams, rng) -> KeyPair:
     return KeyPair(x, params.exp(x))
 
 
+# The permission a warrant needs for its holder to mint certificates.
+SIGN_CERTIFICATES = "sign-certificates"
+
+
 @dataclass(frozen=True)
 class Warrant:
     valid_from: float
     valid_to: float
-    permissions: tuple[str, ...] = ("sign-certificates",)
+    permissions: tuple[str, ...] = (SIGN_CERTIFICATES,)
 
     def __post_init__(self):
         if self.valid_to < self.valid_from:
             raise CredentialError("warrant expires before it begins")
+        if isinstance(self.permissions, str):
+            # tuple() would split it into one-letter permissions
+            raise CredentialError("permissions must be a collection of "
+                                  "names, not one str")
         object.__setattr__(self, "permissions", tuple(self.permissions))
 
 
@@ -128,6 +136,9 @@ def self_generate_certificate(credential: ProxyCredential, holder_keys: KeyPair,
                               f"identity")
     if not credential.warrant.valid_from <= issued_at <= credential.warrant.valid_to:
         raise CredentialError("credential expired (or not yet valid)")
+    if SIGN_CERTIFICATES not in credential.warrant.permissions:
+        raise CredentialError(f"the warrant does not permit "
+                              f"{SIGN_CERTIFICATES!r}")
     draft = Certificate(credential.holder_id, subject_keys.public, issued_at,
                         expires_at, credential,
                         signature=Signature(0, 0))
@@ -139,14 +150,25 @@ def self_generate_certificate(credential: ProxyCredential, holder_keys: KeyPair,
 
 def verify_certificate(cert: Certificate, master_public: int | Comb, now: float,
                        params: GroupParams) -> tuple[bool, str]:
-    """Both signature layers plus freshness; reason names the first failure.
-    `master_public` is an int or its key table, as for threshold.verify."""
+    """Both signature layers, the credential's warrant, then freshness;
+    reason names the first failure. The warrant holds the rules that
+    `self_generate_certificate` applies: the subject is the holder, the
+    issue time lies in the warrant's window, and the warrant permits
+    signing certificates. `master_public` is an int or its key table, as
+    for threshold.verify."""
     if not verify_credential(cert.credential, master_public, params):
         return False, "bad-credential"
     if not (is_identity(cert.subject_id) and 1 < cert.subject_public < params.p):
         return False, "bad-subject-signature"
     if not verify(params, cert.credential.holder_public, cert.body(), cert.signature):
         return False, "bad-subject-signature"
+    warrant = cert.credential.warrant
+    if cert.subject_id != cert.credential.holder_id:
+        return False, "subject-not-holder"
+    if not warrant.valid_from <= cert.issued_at <= warrant.valid_to:
+        return False, "issued-outside-warrant"
+    if SIGN_CERTIFICATES not in warrant.permissions:
+        return False, "not-permitted"
     if not cert.issued_at <= now <= cert.expires_at:
         return False, "expired"
     return True, "ok"

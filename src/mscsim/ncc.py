@@ -49,13 +49,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engine import (
-    DEFAULT_CELLULAR,
-    DEFAULT_SHORT_RANGE,
+    CELLULAR_TX_ENERGY,
     RX_ENERGY_FRACTION,
-    LinkModel,
+    SHORT_RANGE_TX_ENERGY,
     RunSeed,
     Simulator,
+    _CELLULAR,
     _DELIVERED,
+    _SHORT_RANGE,
     fold,
 )
 from .rlnc import CodedPacket, DecoderState, Generation, draw_coeffs, encode
@@ -69,6 +70,24 @@ class ProtocolError(Exception):
 # consecutive erasures at cellular loss p: a bound on the work of every
 # session, met with probability at most e^-UNICAST_RETRY_SCALE per packet.
 UNICAST_RETRY_SCALE = 64
+
+# The phase modes; a session runs sequentially unless told otherwise.
+SEQUENTIAL, PARALLEL = PHASE_MODES = ("sequential", "parallel")
+
+
+def plan_length(redundancy: float, size: int) -> int:
+    """The cellular plan's packets for a generation of `size`: ceil(r * g)
+    distinct nonzero coefficient vectors, of which 256^g - 1 exist, so a
+    longer plan, or an r * g that is not finite, raises ProtocolError."""
+    product = redundancy * size
+    count = math.ceil(product) if math.isfinite(product) else product
+    vectors = 256 ** size - 1
+    if not count <= vectors:  # also NaN
+        raise ProtocolError(
+            f"redundancy {redundancy} over {size} source packets needs "
+            f"{count} distinct coded packets, but at most {vectors} nonzero "
+            f"coefficient vectors exist")
+    return count
 
 
 @dataclass(frozen=True)
@@ -100,11 +119,11 @@ class CooperativeCloud:
 class SessionConfig:
     content: tuple[Generation, ...]
     redundancy: float = 1.0
-    phase_mode: str = "sequential"
+    phase_mode: str = SEQUENTIAL
     cellular_loss: float = 0.0
     short_range_loss: float = 0.0
-    cellular: LinkModel = DEFAULT_CELLULAR
-    short_range: LinkModel = DEFAULT_SHORT_RANGE
+    cellular_energy: float = CELLULAR_TX_ENERGY     # per transmitted packet
+    short_range_energy: float = SHORT_RANGE_TX_ENERGY
 
     def __post_init__(self):
         object.__setattr__(self, "content", tuple(self.content))
@@ -114,26 +133,19 @@ class SessionConfig:
             raise ProtocolError("duplicate generation ids")
         if not self.redundancy >= 1.0:  # also NaN
             raise ProtocolError(f"redundancy must be >= 1, got {self.redundancy}")
-        if self.phase_mode not in ("sequential", "parallel"):
+        if self.phase_mode not in PHASE_MODES:
             raise ProtocolError(f"unknown phase mode {self.phase_mode!r}")
         for p in (self.cellular_loss, self.short_range_loss):
             if not 0.0 <= p < 1.0:
                 raise ProtocolError(f"loss probability {p} outside [0, 1)")
+        for energy in (self.cellular_energy, self.short_range_energy):
+            if not energy >= 0.0:  # also NaN
+                raise ProtocolError(f"link energy {energy} is not nonnegative")
         for gen in self.content:
-            if math.isinf(self.redundancy * gen.size):
-                raise ProtocolError(
-                    f"redundancy {self.redundancy} asks for infinitely many "
-                    f"coded packets of generation {gen.id}")
-            # the cellular plan sends distinct nonzero coefficient vectors,
-            # and only 256^g - 1 of those exist
-            if self.coded_count(gen) > 256 ** gen.size - 1:
-                raise ProtocolError(
-                    f"redundancy {self.redundancy} asks for {self.coded_count(gen)} "
-                    f"distinct coded packets of generation {gen.id}, but only "
-                    f"{256 ** gen.size - 1} nonzero coefficient vectors exist")
+            self.coded_count(gen)
 
     def coded_count(self, gen: Generation) -> int:
-        return math.ceil(self.redundancy * gen.size)
+        return plan_length(self.redundancy, gen.size)
 
     @property
     def source_packet_total(self) -> int:
@@ -261,7 +273,7 @@ def _cooperative_slot(cloud, codec, sim, config, channel_rng, coding_rng,
         return False
     pkt = codec.decoder(sender, gen_id).recode(coding_rng)
     others = cloud.members[:sender_index] + cloud.members[sender_index + 1:]
-    deliveries = sim.transmit(config.short_range, config.short_range_loss,
+    deliveries = sim.transmit(_SHORT_RANGE, config.short_range_loss,
                               others, channel_rng)
     ok = tuple(d.status is _DELIVERED for d in deliveries)
     innovative = tuple(codec.ingest(m, pkt) if got else False
@@ -286,14 +298,14 @@ def cellular_phase(cloud: CooperativeCloud, config: SessionConfig,
     interleaved and how many of them were not skipped. With `trace`, each
     slot's `SlotRecord` is appended to it, numbered by its position.
     """
-    link, loss = config.cellular, config.cellular_loss
+    loss = config.cellular_loss
     members, size = cloud.members, cloud.size
-    interleave = config.phase_mode == "parallel" and size > 1
+    interleave = config.phase_mode == PARALLEL and size > 1
     coop_slots = coop_sent = 0
     for gen, k, coeffs in _cellular_plan(config, coding_rng):
         member = members[k % size]
         pkt = encode(gen, coeffs)
-        ok = sim.transmit(link, loss, (member,), channel_rng)[0].status is _DELIVERED
+        ok = sim.transmit(_CELLULAR, loss, (member,), channel_rng)[0].status is _DELIVERED
         innovative = codec.ingest(member, pkt) if ok else False
         if trace is not None:
             trace.append(SlotRecord(len(trace), "cellular", cloud.gateway,
@@ -329,8 +341,13 @@ def cooperative_phase(cloud: CooperativeCloud, config: SessionConfig,
     return slots, sent
 
 
-def _run_seed(seed) -> RunSeed:
-    return seed if isinstance(seed, RunSeed) else RunSeed(seed if seed is not None else 0)
+def _run_seed(seed, stream: str) -> RunSeed:
+    """`seed` as a RunSeed; there is no implicit seed, so a session given
+    neither `seed` nor its `stream` raises."""
+    if seed is None:
+        raise ProtocolError(f"no {stream} and no seed: there is no "
+                            f"implicit seeding")
+    return seed if isinstance(seed, RunSeed) else RunSeed(seed)
 
 
 def _metrics(cloud: CooperativeCloud, config: SessionConfig, energy: float,
@@ -357,11 +374,11 @@ def run_session(cloud: CooperativeCloud, config: SessionConfig, *,
     appended to it in slot order and returned as `SessionMetrics.records`.
     """
     if channel_rng is None:
-        channel_rng = _run_seed(seed).channel()
+        channel_rng = _run_seed(seed, "channel_rng").channel()
     if coding_rng is None:
-        coding_rng = _run_seed(seed).coding()
+        coding_rng = _run_seed(seed, "coding_rng").coding()
     codec = SessionCodec(cloud, config.content)
-    sim = Simulator()
+    sim = Simulator(config.cellular_energy, config.short_range_energy)
     interleaved, sent = cellular_phase(
         cloud, config, codec, sim, channel_rng=channel_rng,
         coding_rng=coding_rng, trace=trace)
@@ -392,8 +409,8 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
     `run_session`; a session that raises appends nothing to it.
     """
     if channel_rng is None:
-        channel_rng = _run_seed(seed).channel()
-    link, loss = config.cellular, config.cellular_loss
+        channel_rng = _run_seed(seed, "channel_rng").channel()
+    tx, loss = config.cellular_energy, config.cellular_loss
     packets = ((m, g.id, k) for m in cloud.members for g in config.content for k in range(g.size))
     need = cloud.size * config.source_packet_total
     cap = math.ceil(UNICAST_RETRY_SCALE / (1.0 - loss))
@@ -403,8 +420,8 @@ def baseline_unicast_session(cloud: CooperativeCloud, config: SessionConfig, *,
         k = min(need - got, cap - run) if loss > 0.0 else need
         ok = channel_rng.floats(k) >= loss if loss > 0.0 else np.ones(k, dtype=bool)
         terms = np.empty(2 * k + 1)     # adding 0.0 keeps a sum's bytes
-        terms[0], terms[1::2] = energy, link.tx_energy
-        terms[2::2] = np.where(ok, link.tx_energy * RX_ENERGY_FRACTION, 0.0)
+        terms[0], terms[1::2] = energy, tx
+        terms[2::2] = np.where(ok, tx * RX_ENERGY_FRACTION, 0.0)
         energy = fold(terms)
         delivered = int(np.count_nonzero(ok))
         got, sent = got + delivered, sent + k

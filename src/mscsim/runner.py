@@ -34,7 +34,7 @@ from .config import (
     scenario_hash,
     scenario_to_dict,
 )
-from .engine import LinkKind, LinkModel, RunSeed
+from .engine import RunSeed
 from .handover import (
     associate_gateway,
     baseline_handover,
@@ -233,10 +233,8 @@ def _session_phase(scenario: Scenario, rs: RunSeed, cloud, emit,
         phase_mode=scenario.phase_mode,
         cellular_loss=scenario.cellular_loss,
         short_range_loss=scenario.shortrange_loss,
-        # erasure probabilities ride on the session config, not the link
-        cellular=LinkModel(LinkKind.CELLULAR, scenario.cellular_energy),
-        short_range=LinkModel(LinkKind.SHORT_RANGE,
-                              scenario.shortrange_energy))
+        cellular_energy=scenario.cellular_energy,
+        short_range_energy=scenario.shortrange_energy)
     channel_rng = rs.channel()
     coding_rng = rs.coding()
     keys = [f.name for f in fields(SessionMetrics) if f.name != "records"]

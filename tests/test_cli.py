@@ -11,7 +11,7 @@ import pytest
 
 import mscsim
 from mscsim import runner
-from mscsim.cli import EXIT_BAD_CONFIG, EXIT_OK, main
+from mscsim.cli import EXIT_BAD_CONFIG, EXIT_OK, EXIT_RUN_FAILED, main
 from mscsim.config import (
     PRESETS,
     apply_overrides,
@@ -19,6 +19,8 @@ from mscsim.config import (
     parse_config,
     preset_settings,
 )
+from mscsim.keymgmt import RosterError
+from mscsim.ncc import ProtocolError
 
 AMBULANCE = "[scenario]\npreset = ambulance\nseed = 7\n"
 SMALL = """\
@@ -216,6 +218,29 @@ class TestRunVerb:
         assert built == []
         assert (workdir / "s.cfg").read_bytes() == text.encode()
         assert sorted(p.name for p in workdir.iterdir()) == ["s.cfg"]
+
+
+    @pytest.mark.parametrize("target, error", [
+        ("_km_phase", RosterError("no roster")),
+        ("run_session", ProtocolError("no session")),
+    ], ids=["km", "session"])
+    def test_a_failed_run_ends_with_its_error_record(self, workdir,
+                                                     monkeypatch, capsys,
+                                                     target, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(runner, target, failing)
+        cfg = write(workdir, "s.cfg", SMALL)
+        assert main(["run", cfg]) == EXIT_RUN_FAILED
+        name = type(error).__name__
+        assert capsys.readouterr().err == (
+            f"run failed: {name}: {error}\n")
+        records = [json.loads(l)
+                   for l in (workdir / "s-metrics.jsonl").read_text().splitlines()]
+        assert records[-1]["type"] == "error"
+        assert (records[-1]["error"], records[-1]["message"]) == (
+            name, str(error))
 
 
 class TestTraceFlag:

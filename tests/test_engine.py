@@ -1,4 +1,4 @@
-"""Link model, transmission outcomes, and seeded stream tests."""
+"""Link energies, transmission outcomes, and seeded stream tests."""
 
 import itertools
 import math
@@ -16,42 +16,48 @@ from mscsim.engine import (
     CHANNEL_STREAM,
     CODING_STREAM,
     CRYPTO_STREAM,
-    DEFAULT_CELLULAR,
-    DEFAULT_SHORT_RANGE,
     Delivery,
     DeliveryStatus,
     LinkKind,
-    LinkModel,
     MOBILITY_STREAM,
     RunSeed,
     Simulator,
     Stream,
 )
+from mscsim.ncc import ProtocolError, SessionConfig
+from mscsim.rlnc import Generation
 
 import reference
 
 
+def _content():
+    return (Generation(0, np.zeros((4, 0), np.uint8)),)
+
+
 def test_default_links_are_the_scenario_defaults():
-    # sessions built on SessionConfig's default links (the acceptance
-    # criteria) see the links an unchanged scenario gives a run
+    # sessions built on SessionConfig's default energies (the acceptance
+    # criteria) see the energies an unchanged scenario gives a run
     s = default_scenario(1)
-    assert DEFAULT_CELLULAR.tx_energy == s.cellular_energy
-    assert DEFAULT_SHORT_RANGE.tx_energy == s.shortrange_energy
+    config = SessionConfig(_content())
+    assert config.cellular_energy == s.cellular_energy
+    assert config.short_range_energy == s.shortrange_energy
 
 
+@pytest.mark.parametrize("field", ["cellular_energy", "short_range_energy"])
 @pytest.mark.parametrize("energy", [float("nan"), -1.0, -5e-324,
                                     float("-inf")])
-def test_bad_link_energy_rejected(energy):
+def test_bad_link_energy_rejected(field, energy):
     # NaN compares false against every bound, so a check written as
-    # `tx_energy < 0` would let it through
-    with pytest.raises(ValueError):
-        LinkModel(LinkKind.CELLULAR, energy)
+    # `energy < 0` would let it through
+    with pytest.raises(ProtocolError, match="link energy"):
+        SessionConfig(_content(), **{field: energy})
 
 
+@pytest.mark.parametrize("field", ["cellular_energy", "short_range_energy"])
 @pytest.mark.parametrize("energy", [0.0, 5e-324])
-def test_link_energy_at_its_bound_accepted(energy):
+def test_link_energy_at_its_bound_accepted(field, energy):
     # a free link is a valid scenario (links.*_energy = 0)
-    assert LinkModel(LinkKind.SHORT_RANGE, energy).tx_energy == energy
+    assert getattr(SessionConfig(_content(), **{field: energy}), field) == energy
 
 
 class ScriptedStream:
@@ -66,14 +72,19 @@ class ScriptedStream:
         return self.draws[self.taken - 1]
 
 
+def _simulator(kind, tx, other):
+    """A Simulator charging `tx` on `kind`'s link and `other` on the other."""
+    return Simulator(tx, other) if kind is LinkKind.CELLULAR else Simulator(other, tx)
+
+
 @pytest.mark.parametrize("kind", list(LinkKind))
 def test_transmit_draws_once_per_receiver_in_order_and_charges_tx_then_rx(kind):
-    link = LinkModel(kind, 0.1)
     rx = 0.1 * engine.RX_ENERGY_FRACTION
-    sim = Simulator()
+    # the other link's energy is never charged
+    sim = _simulator(kind, 0.1, 7.0)
     # the i-th draw decides the i-th receiver: erased below p_loss
     rng = ScriptedStream([0.05, 0.5, 0.29, 0.3, 0.9])
-    out = sim.transmit(link, 0.3, [7, 3, 11, 5, 2], rng)
+    out = sim.transmit(kind, 0.3, [7, 3, 11, 5, 2], rng)
     assert rng.taken == 5
     assert out == [Delivery(7, DeliveryStatus.ERASED),
                    Delivery(3, DeliveryStatus.DELIVERED),
@@ -81,7 +92,7 @@ def test_transmit_draws_once_per_receiver_in_order_and_charges_tx_then_rx(kind):
                    Delivery(5, DeliveryStatus.DELIVERED),
                    Delivery(2, DeliveryStatus.DELIVERED)]
     # lossless: no draw, every receiver delivered
-    out = sim.transmit(link, 0.0, (4, 1), ScriptedStream([]))
+    out = sim.transmit(kind, 0.0, (4, 1), ScriptedStream([]))
     assert out == [Delivery(4, DeliveryStatus.DELIVERED),
                    Delivery(1, DeliveryStatus.DELIVERED)]
     energy = 0.0
@@ -96,21 +107,20 @@ def test_transmit_draws_once_per_receiver_in_order_and_charges_tx_then_rx(kind):
 
 @pytest.mark.parametrize("kind", list(LinkKind))
 def test_transmit_to_no_receivers_charges_the_send_only(kind):
-    sim = Simulator()
+    sim = _simulator(kind, 0.3, 7.0)
     rng = ScriptedStream([])
-    assert sim.transmit(LinkModel(kind, 0.3), 0.5, (), rng) == []
+    assert sim.transmit(kind, 0.5, (), rng) == []
     assert rng.taken == 0
     assert sim.total_energy() == 0.3
 
 
 def test_transmit_binomial_delivery_rate():
-    link = LinkModel(LinkKind.SHORT_RANGE, 0.2)
-    sim = Simulator()
+    sim = Simulator(1.0, 0.2)
     rng = np.random.default_rng(13)
     trials = 100_000
     delivered = 0
     for _ in range(trials):
-        delivered = delivered + (sim.transmit(link, 0.1, [1], rng)[0].status is DeliveryStatus.DELIVERED)
+        delivered = delivered + (sim.transmit(LinkKind.SHORT_RANGE, 0.1, [1], rng)[0].status is DeliveryStatus.DELIVERED)
     p = 0.9
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(delivered / trials - p) < 3 * sigma

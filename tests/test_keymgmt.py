@@ -697,3 +697,22 @@ def test_pack_separates_every_short_tuple_of_look_alike_leaves():
 def test_pack_treats_lists_and_tuples_alike(items):
     assert pack(*items) == pack(*map(_as_lists, items))
     assert pack(*items) == pack(*items[:1], *items[1:])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: pack("x", True), TypeError, "ambiguous bool"),
+    (lambda: pack("x", None), TypeError, "cannot pack NoneType"),
+    (lambda: rand_below(np.random.default_rng(0), 0), ValueError,
+     "bound must be positive"),
+    (lambda: rand_below(np.random.default_rng(0), -5), ValueError,
+     "bound must be positive"),
+    (lambda: SigningSession(TOY_GROUP, 13, b"m", [KeyShare(1, 1)], 0,
+                            np.random.default_rng(0)),
+     SigningError, "threshold must be at least 1"),
+    (lambda: combine_partials([], 1, TOY_GROUP), InsufficientSharesError,
+     "no partial signatures"),
+], ids=["pack-bool", "pack-unknown-type", "rand-below-0", "rand-below-neg",
+        "session-threshold-0", "combine-nothing"])
+def test_a_call_outside_its_domain_is_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -198,6 +198,45 @@ class TestCertificates:
         assert verify_certificate(foreign, svc.master_public, 10.0,
                                   DEMO_GROUP) == (False, "bad-credential")
 
+    @pytest.mark.parametrize("subject_id, issued_at, permissions, reason", [
+        (7, 5.0, ("sign-certificates",), "ok"),
+        (99, 5.0, ("sign-certificates",), "subject-not-holder"),
+        (7, 500.0, ("sign-certificates",), "issued-outside-warrant"),
+        (7, -1.0, ("sign-certificates",), "issued-outside-warrant"),
+        (7, 5.0, (), "not-permitted"),
+        (99, 500.0, (), "subject-not-holder"),
+    ], ids=["inside", "another-subject", "issued-after", "issued-before",
+            "no-permission", "all-three"])
+    def test_a_certificate_verifies_only_inside_its_warrant(
+            self, subject_id, issued_at, permissions, reason):
+        """A holder that signs a certificate itself, with `sign_single`,
+        gets none past the rules `self_generate_certificate` applies."""
+        svc, rng = demo_service()
+        holder = generate_keypair(DEMO_GROUP, rng)
+        cred = svc.request_credential(7, holder.public,
+                                      Warrant(0.0, 10.0, permissions))
+        subject = generate_keypair(DEMO_GROUP, rng)
+        draft = Certificate(subject_id, subject.public, issued_at,
+                            issued_at + 100.0, cred, threshold.Signature(0, 0))
+        cert = replace(draft, signature=threshold.sign_single(
+            DEMO_GROUP, holder.private, holder.public, draft.body(), rng))
+        for master in (svc.master_public, svc.master_key):
+            assert verify_certificate(cert, master, issued_at + 50.0,
+                                      DEMO_GROUP) == (reason == "ok", reason)
+
+    def test_no_certificate_is_minted_under_a_warrant_without_the_permission(
+            self):
+        svc, rng = demo_service()
+        holder = generate_keypair(DEMO_GROUP, rng)
+        cred = svc.request_credential(7, holder.public,
+                                      Warrant(0.0, 10.0, ("read",)))
+        subject = generate_keypair(DEMO_GROUP, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(CredentialError, match="does not permit"):
+            self_generate_certificate(cred, holder, subject, 1.0, 5.0,
+                                      DEMO_GROUP, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("key", ["0", "1", "p", "g + p", "-g"])
     def test_a_forged_key_outside_one_and_p_is_refused(self, key):
         """A peer's certificate whose holder or subject key lies outside
@@ -408,6 +447,42 @@ class TestFairness:
             svc.issue_share(300, cred)
         assert sum(svc.served.values()) == svc.threshold * (credentials + issuances)
         assert svc.fairness_audit()["counts"] == {n: svc.served[n] for n in svc.roster}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("args, match", [
+        ((5.0, 4.0), "expires before it begins"),
+        ((0.0, 1.0, "sign-certificates"), "not one str"),
+    ], ids=["expires-first", "bare-str"])
+    def test_a_malformed_warrant_is_refused(self, args, match):
+        with pytest.raises(CredentialError, match=match):
+            Warrant(*args)
+
+    def test_no_share_is_issued_past_the_groups_indices(self):
+        # the toy group's sharing field is Z_11: ten shareholders hold
+        # indices 1..10, and index 11 is 0 mod q
+        rng = np.random.default_rng(3)
+        svc = KMService.bootstrap(KMConfig(10, 3), TOY_GROUP, rng,
+                                  node_ids=range(70, 80))
+        holder = generate_keypair(TOY_GROUP, rng)
+        cred = svc.request_credential(90, holder.public, WARRANT)
+        with pytest.raises(RosterError, match="index space exhausted"):
+            svc.issue_share(90, cred)
+        assert 90 not in svc.roster
+
+    def test_a_corrupted_share_yields_no_credential(self):
+        # with n = t every request's quorum is the whole roster, so it
+        # always includes the corrupted share
+        svc, rng = demo_service(n=3, t=3)
+        node_id, holder = next(iter(svc.roster.items()))
+        share = holder.share
+        svc.roster[node_id] = Shareholder(
+            node_id, KeyShare(share.index, (share.value + 1) % DEMO_GROUP.q))
+        served = dict(svc.served)
+        with pytest.raises(CredentialError, match="invalid signature"):
+            svc.request_credential(9, generate_keypair(DEMO_GROUP, rng).public,
+                                   WARRANT)
+        assert dict(svc.served) == served
 
 
 class TestBootstrap:

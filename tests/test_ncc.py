@@ -87,6 +87,10 @@ class TestCooperativeCloud:
 
 
 class TestSessionConfig:
+    def test_no_generation_rejected(self):
+        with pytest.raises(ProtocolError, match="at least one generation"):
+            SessionConfig(content=())
+
     def test_redundancy_below_one_rejected(self):
         with pytest.raises(ProtocolError):
             SessionConfig(content=_content(), redundancy=0.9)
@@ -109,7 +113,7 @@ class TestSessionConfig:
     def test_redundancy_overflowing_the_packet_count_rejected(self):
         # 1e308 * 4 overflows to inf, which math.ceil cannot convert
         for redundancy in (1e308, float("inf")):
-            with pytest.raises(ProtocolError, match="infinitely many"):
+            with pytest.raises(ProtocolError, match="needs inf distinct"):
                 SessionConfig(content=_content(g=4), redundancy=redundancy)
 
     def test_duplicate_generation_ids_rejected(self):
@@ -147,7 +151,7 @@ class TestCellularPhase:
         codec = SessionCodec(cloud, cfg.content)
         seed = RunSeed(0)
         records = []
-        cellular_phase(cloud, cfg, codec, Simulator(), channel_rng=seed.channel(),
+        cellular_phase(cloud, cfg, codec, Simulator(1.0, 0.2), channel_rng=seed.channel(),
                        coding_rng=seed.coding(), trace=records)
         assert len(records) == 4  # the whole plan: nothing cuts it short
         assert [r.receivers[0] for r in records] == [10, 11, 12, 13]
@@ -160,7 +164,7 @@ class TestCellularPhase:
         codec = SessionCodec(cloud, cfg.content)
         seed = RunSeed(3)
         records = []
-        cellular_phase(cloud, cfg, codec, Simulator(), channel_rng=seed.channel(),
+        cellular_phase(cloud, cfg, codec, Simulator(1.0, 0.2), channel_rng=seed.channel(),
                        coding_rng=seed.coding(), trace=records)
         assert len(records) == 8  # exactly ceil(r*g), regardless of erasures
         lost = [r for r in records if not r.delivered[0]]
@@ -175,7 +179,7 @@ class TestCooperativePhase:
         cfg = SessionConfig(content=_content(g=4))
         codec = SessionCodec(cloud, cfg.content)
         records = []
-        assert cooperative_phase(cloud, cfg, codec, Simulator(),
+        assert cooperative_phase(cloud, cfg, codec, Simulator(1.0, 0.2),
                                  channel_rng=RunSeed(0).channel(),
                                  coding_rng=RunSeed(0).coding(),
                                  trace=records) == (0, 0)
@@ -204,7 +208,7 @@ class TestCooperativePhase:
         # only member 2 holds anything
         codec.ingest(2, CodedPacket(0, np.array([1], np.uint8), gens[0].payload[0]))
         records = []
-        assert cooperative_phase(cloud, cfg, codec, Simulator(),
+        assert cooperative_phase(cloud, cfg, codec, Simulator(1.0, 0.2),
                                  channel_rng=RunSeed(0).channel(),
                                  coding_rng=RunSeed(0).coding(),
                                  trace=records) == (2, 1)
@@ -272,7 +276,7 @@ class TestRunSession:
         cfg = SessionConfig(content=gens, redundancy=1.5,
                             cellular_loss=0.2, short_range_loss=0.2)
         seed = RunSeed(4)
-        sim = Simulator()
+        sim = Simulator(cfg.cellular_energy, cfg.short_range_energy)
         codec = SessionCodec(cloud, gens)
         cellular_phase(cloud, cfg, codec, sim, channel_rng=seed.channel(),
                        coding_rng=seed.coding())
@@ -335,6 +339,23 @@ class TestRunSession:
         assert m.cellular_utilization == pytest.approx(68 / 512)
         assert 0.11 <= m.cellular_utilization <= 0.15
         assert m.decoding_ratio == 1.0
+
+
+@pytest.mark.parametrize("session, streams, missing", [
+    (run_session, {}, "channel_rng"),
+    (run_session, {"channel_rng": RunSeed(0).channel()}, "coding_rng"),
+    (run_session, {"coding_rng": RunSeed(0).coding()}, "channel_rng"),
+    (baseline_unicast_session, {}, "channel_rng"),
+], ids=["coded-none", "coded-no-coding", "coded-no-channel", "unicast-none"])
+def test_a_session_without_seed_or_stream_is_refused(session, streams,
+                                                     missing):
+    # there is no implicit seed: the session names the stream it lacks
+    cloud = CooperativeCloud([1, 2], head_id=1)
+    with pytest.raises(ProtocolError, match=f"no {missing} and no seed"):
+        session(cloud, SessionConfig(content=_content()), **streams)
+    # seed 0 given is a seed like any other
+    assert session(cloud, SessionConfig(content=_content()), seed=0,
+                   **streams).decoding_ratio == 1.0
 
 
 class TestBaselineUnicast:
@@ -492,7 +513,7 @@ def decoder_unicast_session(cloud, config, seed, channel_rng=None):
     if channel_rng is None:
         channel_rng = RunSeed(seed).channel()
     codec = SessionCodec(cloud, config.content)
-    sim = Simulator()
+    sim = Simulator(config.cellular_energy, config.short_range_energy)
     records = []
     for member in cloud.members:
         for gen in config.content:
@@ -502,7 +523,7 @@ def decoder_unicast_session(cloud, config, seed, channel_rng=None):
                 pkt = encode(gen, unit)
                 assert np.array_equal(pkt.payload, gen.payload[k])
                 while True:
-                    status = sim.transmit(config.cellular, config.cellular_loss,
+                    status = sim.transmit(LinkKind.CELLULAR, config.cellular_loss,
                                           [member], channel_rng)[0].status
                     ok = status is DeliveryStatus.DELIVERED
                     innovative = codec.ingest(member, pkt) if ok else False
@@ -781,23 +802,25 @@ def test_records_and_deliveries_have_their_types_arity(monkeypatch):
             assert r == kind(*r)
 
 
-def replay_energy(metrics, cellular, short_range):
+def replay_energy(metrics, config):
     """A session's energy recomputed from its slot records alone.
 
-    The sender pays the link's tx_energy for every slot that was not
-    skipped, each delivered receiver pays RX_ENERGY_FRACTION of it, and
-    the charges add up per link in record order.
+    The sender pays its link's energy for every slot that was not
+    skipped, each delivered receiver pays RX_ENERGY_FRACTION of it, the
+    charges add up per link in record order, and the cellular total
+    comes first.
     """
-    per_link = {kind: 0.0 for kind in LinkKind}
+    per_link = {"cellular": 0.0, "cooperative": 0.0}
     for r in metrics.records:
         if r.skipped:
             continue
-        link = cellular if r.phase == "cellular" else short_range
-        per_link[link.kind] += link.tx_energy
+        tx = (config.cellular_energy if r.phase == "cellular"
+              else config.short_range_energy)
+        per_link[r.phase] += tx
         for got in r.delivered:
             if got:
-                per_link[link.kind] += link.tx_energy * RX_ENERGY_FRACTION
-    return sum(per_link.values())
+                per_link[r.phase] += tx * RX_ENERGY_FRACTION
+    return per_link["cellular"] + per_link["cooperative"]
 
 
 class TestEnergyReplay:
@@ -813,4 +836,17 @@ class TestEnergyReplay:
         m = session(cloud, cfg, seed=6, trace=[])
         delivered = [got for r in m.records for got in r.delivered]
         assert any(delivered) and not all(delivered)  # erasures on the trace
-        assert m.energy == replay_energy(m, cfg.cellular, cfg.short_range)
+        assert m.energy == replay_energy(m, cfg)
+        priced = replace(cfg, cellular_energy=0.3, short_range_energy=1.1)
+        m = session(cloud, priced, seed=6, trace=[])
+        assert m.energy == replay_energy(m, priced)
+
+    def test_each_link_is_charged_to_its_own_total(self):
+        # cellular charges add up in one float and short-range charges in
+        # another; all of them added into one total would make this
+        # session's energy 13.47999999999998
+        cloud = CooperativeCloud((1, 2, 3, 4), head_id=1)
+        cfg = SessionConfig((Generation(0, np.zeros((8, 0), np.uint8)),),
+                            redundancy=1.2, short_range_loss=0.3)
+        m = run_session(cloud, cfg, seed=5, trace=[])
+        assert m.energy == replay_energy(m, cfg) == 13.479999999999999

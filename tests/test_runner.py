@@ -3,6 +3,7 @@ handling. Small scenarios throughout; the full-scale checks live in
 test_acceptance.py.
 """
 
+import errno
 import json
 import os
 import re
@@ -23,7 +24,6 @@ from mscsim.config import (
     default_scenario,
     parse_config,
 )
-from mscsim.engine import LinkKind
 from mscsim.ncc import SessionMetrics, SlotRecord
 from mscsim.runner import RunResult, derive_subseed, expand_grid, run, sweep
 
@@ -187,15 +187,14 @@ class TestRecordStream:
 
         monkeypatch.setattr(runner, "SessionConfig", spy_config)
         monkeypatch.setattr(runner, session, spy_session)
-        scenario = small_scenario(sessions=3, protocol=protocol)
+        scenario = small_scenario(sessions=3, protocol=protocol,
+                                  cellular_energy=0.7, shortrange_energy=0.05)
         result = run(scenario)
         assert result.exit_code == 0, result.records[-1]
         assert len(built) == 1 and len(passed) == 3
         assert all(config is built[0] for config in passed)
-        links = built[0].cellular, built[0].short_range
-        assert [(link.kind, link.tx_energy) for link in links] == [
-            (LinkKind.CELLULAR, scenario.cellular_energy),
-            (LinkKind.SHORT_RANGE, scenario.shortrange_energy)]
+        assert (built[0].cellular_energy, built[0].short_range_energy) == (
+            0.7, 0.05)
 
 
 class TestHandoverPhase:
@@ -308,6 +307,23 @@ class TestWriteRecords:
         before = out.read_bytes()
         with pytest.raises(TypeError):
             runner.write_records([{"ok": True}, {"bad": object()}], str(out))
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_a_failed_step_after_the_open_names_the_output(
+            self, tmp_path, monkeypatch, step):
+        out = tmp_path / "out.jsonl"
+        runner.write_records([{"ok": True}], str(out))
+        before = out.read_bytes()
+
+        def failing(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, step, failing)
+        with pytest.raises(OSError) as err:
+            runner.write_records([{"ok": False}], str(out))
+        assert (err.value.errno, err.value.filename) == (errno.EIO, str(out))
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 

@@ -193,3 +193,18 @@ def test_topology_snapshot_records():
     assert recs[0]["msc"] is None
     assert set(recs[0]) == {"node", "kind", "x", "y", "role", "msc",
                             "battery"}
+
+
+@pytest.mark.parametrize("battery", [-0.1, 1.5, float("nan")])
+def test_a_battery_outside_zero_and_one_is_refused(battery):
+    with pytest.raises(TopologyError, match="battery must be in"):
+        ue(101, battery=battery)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_mobility_refuses_a_step_that_is_not_positive(dt):
+    walker = ue(101, speed=1.0)
+    with pytest.raises(TopologyError, match="dt must be positive"):
+        step_mobility([walker], dt, 3, np.random.default_rng(0),
+                      (100.0, 100.0), (1.0, 2.0))
+    assert walker.position == (0.0, 0.0)
